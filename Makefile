@@ -34,13 +34,13 @@ race: race-coverage
 race-coverage:
 	scripts/race_coverage.sh check
 
-# bench runs the observability overhead acceptances: the same training
-# step with the obs plane absent vs fully attached (BENCH_step.json)
-# and with the convergence-telemetry sampler off vs on at its default
-# cadence (BENCH_telemetry.json).
+# bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# four workloads, both passes, one record per pass appended to
+# bench/out/run.jsonl for `go run ./bench compare`. The tracer-overhead
+# ratio is its obs.trace_overhead_permille row; the telemetry-sampler
+# acceptance stays in scripts/bench_telemetry.sh, which CI calls.
 bench:
-	scripts/bench_step.sh
-	scripts/bench_telemetry.sh
+	$(GO) run ./bench -out bench/out/run.jsonl
 
 # lint is the whole static-analysis surface: formatting, the project's
 # own analyzer suite through the real `go vet -vettool` protocol, and

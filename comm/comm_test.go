@@ -281,6 +281,56 @@ func TestReduceBroadcastWireBytes(t *testing.T) {
 	}
 }
 
+// framedFabric is the in-process fabric claiming to be framed, so the
+// self-describing message path runs without sockets.
+type framedFabric struct{ *Fabric }
+
+func (framedFabric) Framed() bool { return true }
+
+// TestReduceBroadcastExchangeAllocs: in steady state an exchange
+// allocates the in-process fabric's one copy per message and nothing
+// else — no per-call copy of the own stripe, and on the framed path no
+// header parsing garbage (quant.FrameDecoder remembers the codec).
+func TestReduceBroadcastExchangeAllocs(t *testing.T) {
+	const k, tensors, n = 2, 8, 4096
+	for _, f := range []Transport{NewFabric(k), framedFabric{NewFabric(k)}} {
+		specs := make([]TensorSpec, tensors)
+		for ti := range specs {
+			specs[ti] = TensorSpec{Name: "g", N: n, Wire: quant.Shape{Rows: 64, Cols: 64},
+				Codec: quant.NewQSGD(4, 512, quant.MaxNorm)}
+		}
+		rb := NewReduceBroadcast(f, specs, 3)
+		grads := randInputs(rng.New(6), k, make([]int, tensors))
+		for w := range grads {
+			for ti := range grads[w] {
+				grads[w][ti] = make([]float32, n)
+				grads[w][ti][w+ti] = 1
+			}
+		}
+		exchange := func() {
+			var wg sync.WaitGroup
+			for w := 0; w < k; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for ti := range grads[w] {
+						if err := rb.Reduce(w, ti, grads[w][ti]); err != nil {
+							t.Error(err)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+		}
+		exchange() // frame buffers reach their size, decoders meet the codec
+		messages := float64(tensors * 2 * k * (k - 1))
+		// The slack is this driver's own goroutines and WaitGroup.
+		if allocs := testing.AllocsPerRun(5, exchange); allocs > messages+8 {
+			t.Errorf("framed=%v: exchange of %v messages allocates %v times", f.Framed(), messages, allocs)
+		}
+	}
+}
+
 func TestReduceBroadcastDeterministic(t *testing.T) {
 	r := rng.New(5)
 	run := func() []float32 {

@@ -83,6 +83,8 @@ type rbWorker struct {
 	accum []float32
 	// frame is the scratch buffer frames are assembled in (framed mode).
 	frame bytes.Buffer
+	// dec decodes received frames, remembering the last codec it saw.
+	dec quant.FrameDecoder
 	// acc gathers the in-flight Reduce call's phase timings (each
 	// worker's Reduce runs on its own goroutine, so this is unshared).
 	acc spanAcc
@@ -276,7 +278,7 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 	// stripe is encoded too (the sender-side residual must advance
 	// uniformly) but stays local, so it always takes the headerless fast
 	// path; remote stripes are framed when the transport requires it.
-	var ownWire []byte
+	var ownWire []byte // owned by stripeEnc[tensorID][rank] until its next Encode
 	for o := 0; o < k; o++ {
 		st := stripes[o]
 		if st.n == 0 {
@@ -286,7 +288,7 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 		src := g[st.off : st.off+st.n]
 		if o == rank {
 			t0 := tr.Now()
-			ownWire = append(ownWire[:0], enc.Encode(src)...)
+			ownWire = enc.Encode(src)
 			ws.acc.quantise += tr.Now() - t0
 		} else if err := rb.sendEncoded(ws, enc, rank, o, src); err != nil {
 			return fmt.Errorf("comm: send stripe of %s to %d: %w", spec.Name, o, err)
@@ -315,7 +317,7 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 			ws.acc.transfer += tr.Now() - t0
 			ws.acc.bytes += int64(len(wire))
 			t0 = tr.Now()
-			if err := rb.decodeWire(spec, wire, own.n, tmp); err != nil {
+			if err := rb.decodeWire(ws, spec, wire, own.n, tmp); err != nil {
 				return fmt.Errorf("comm: decode stripe of %s from %d: %w", spec.Name, p, err)
 			}
 			ws.acc.decode += tr.Now() - t0
@@ -326,48 +328,27 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 		// The owner adopts the decoded broadcast, not the raw sum, so
 		// every replica sees identical bytes.
 		dst := g[own.off : own.off+own.n]
-		if rb.framed {
-			ws.frame.Reset()
-			t0 = tr.Now()
-			if _, err := ws.aggEnc[tensorID].EncodeTo(&ws.frame, accum); err != nil {
-				return fmt.Errorf("comm: frame aggregate of %s: %w", spec.Name, err)
-			}
-			ws.acc.quantise += tr.Now() - t0
-			t0 = tr.Now()
-			for p := 0; p < k; p++ {
-				if p != rank {
-					if err := rb.fabric.Send(rank, p, ws.frame.Bytes()); err != nil {
-						return fmt.Errorf("comm: broadcast aggregate of %s to %d: %w", spec.Name, p, err)
-					}
-					ws.acc.bytes += int64(ws.frame.Len())
-				}
-			}
-			ws.acc.transfer += tr.Now() - t0
-			t0 = tr.Now()
-			if _, err := quant.DecodeFramed(ws.frame.Bytes(), dst); err != nil {
-				return fmt.Errorf("comm: decode own aggregate of %s: %w", spec.Name, err)
-			}
-			ws.acc.decode += tr.Now() - t0
-		} else {
-			t0 = tr.Now()
-			aggWire := ws.aggEnc[tensorID].Encode(accum)
-			ws.acc.quantise += tr.Now() - t0
-			t0 = tr.Now()
-			for p := 0; p < k; p++ {
-				if p != rank {
-					if err := rb.fabric.Send(rank, p, aggWire); err != nil {
-						return fmt.Errorf("comm: broadcast aggregate of %s to %d: %w", spec.Name, p, err)
-					}
-					ws.acc.bytes += int64(len(aggWire))
-				}
-			}
-			ws.acc.transfer += tr.Now() - t0
-			t0 = tr.Now()
-			if err := spec.Codec.Decode(aggWire, own.n, spec.Wire, dst); err != nil {
-				return fmt.Errorf("comm: decode own aggregate of %s: %w", spec.Name, err)
-			}
-			ws.acc.decode += tr.Now() - t0
+		t0 = tr.Now()
+		aggWire, err := rb.encodeWire(ws, ws.aggEnc[tensorID], accum)
+		if err != nil {
+			return fmt.Errorf("comm: encode aggregate of %s: %w", spec.Name, err)
 		}
+		ws.acc.quantise += tr.Now() - t0
+		t0 = tr.Now()
+		for p := 0; p < k; p++ {
+			if p != rank {
+				if err := rb.fabric.Send(rank, p, aggWire); err != nil {
+					return fmt.Errorf("comm: broadcast aggregate of %s to %d: %w", spec.Name, p, err)
+				}
+				ws.acc.bytes += int64(len(aggWire))
+			}
+		}
+		ws.acc.transfer += tr.Now() - t0
+		t0 = tr.Now()
+		if err := rb.decodeWire(ws, spec, aggWire, own.n, dst); err != nil {
+			return fmt.Errorf("comm: decode own aggregate of %s: %w", spec.Name, err)
+		}
+		ws.acc.decode += tr.Now() - t0
 	}
 
 	// Phase 3: receive the aggregated stripes owned by the other peers.
@@ -384,7 +365,7 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 		ws.acc.transfer += tr.Now() - t0
 		ws.acc.bytes += int64(len(wire))
 		t0 = tr.Now()
-		if err := rb.decodeWire(spec, wire, st.n, g[st.off:st.off+st.n]); err != nil {
+		if err := rb.decodeWire(ws, spec, wire, st.n, g[st.off:st.off+st.n]); err != nil {
 			return fmt.Errorf("comm: decode aggregate of %s from %d: %w", spec.Name, o, err)
 		}
 		ws.acc.decode += tr.Now() - t0
@@ -393,43 +374,45 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 	return nil
 }
 
-// sendEncoded encodes src with enc and ships it from -> to, wrapping it
-// in a self-describing frame when the transport demands one.
+// sendEncoded encodes src with enc and ships it from -> to.
 func (rb *ReduceBroadcast) sendEncoded(ws *rbWorker, enc quant.Encoder, from, to int, src []float32) error {
 	tr := rb.tracer
-	if !rb.framed {
-		t0 := tr.Now()
-		wire := enc.Encode(src)
-		ws.acc.quantise += tr.Now() - t0
-		t0 = tr.Now()
-		err := rb.fabric.Send(from, to, wire)
-		ws.acc.transfer += tr.Now() - t0
-		if err == nil {
-			ws.acc.bytes += int64(len(wire))
-		}
-		return err
-	}
-	ws.frame.Reset()
 	t0 := tr.Now()
-	if _, err := enc.EncodeTo(&ws.frame, src); err != nil {
+	wire, err := rb.encodeWire(ws, enc, src)
+	if err != nil {
 		return err
 	}
 	ws.acc.quantise += tr.Now() - t0
 	t0 = tr.Now()
-	err := rb.fabric.Send(from, to, ws.frame.Bytes())
+	err = rb.fabric.Send(from, to, wire)
 	ws.acc.transfer += tr.Now() - t0
 	if err == nil {
-		ws.acc.bytes += int64(ws.frame.Len())
+		ws.acc.bytes += int64(len(wire))
 	}
 	return err
+}
+
+// encodeWire encodes src with enc into the message the transport
+// carries: a self-describing frame when it demands one, the bare
+// payload otherwise. The bytes belong to enc or to ws.frame and are
+// valid until the next encodeWire on ws.
+func (rb *ReduceBroadcast) encodeWire(ws *rbWorker, enc quant.Encoder, src []float32) ([]byte, error) {
+	if !rb.framed {
+		return enc.Encode(src), nil
+	}
+	ws.frame.Reset()
+	if _, err := enc.EncodeTo(&ws.frame, src); err != nil {
+		return nil, err
+	}
+	return ws.frame.Bytes(), nil
 }
 
 // decodeWire decodes one received message of n elements into dst. On a
 // framed transport the message describes itself — codec, shape and
 // length all come from its header, with no reference to spec.
-func (rb *ReduceBroadcast) decodeWire(spec TensorSpec, wire []byte, n int, dst []float32) error {
+func (rb *ReduceBroadcast) decodeWire(ws *rbWorker, spec TensorSpec, wire []byte, n int, dst []float32) error {
 	if rb.framed {
-		_, err := quant.DecodeFramed(wire, dst)
+		_, err := ws.dec.Decode(wire, dst)
 		return err
 	}
 	return spec.Codec.Decode(wire, n, spec.Wire, dst)

@@ -89,10 +89,12 @@ func packF32(vals []float32, framed bool) []byte {
 }
 
 // unpackF32 reverses packF32, validating that exactly n values arrived.
-func unpackF32(buf []byte, n int, framed bool) ([]float32, error) {
+// dec is the caller's frame decoder, which remembers the "32bit" codec
+// from one message of a collective to the next.
+func unpackF32(buf []byte, n int, framed bool, dec *quant.FrameDecoder) ([]float32, error) {
 	vals := make([]float32, n)
 	if framed {
-		if _, err := quant.DecodeFramed(buf, vals); err != nil {
+		if _, err := dec.Decode(buf, vals); err != nil {
 			return nil, err
 		}
 		return vals, nil
@@ -122,6 +124,7 @@ func (r *Ring) Reduce(rank, _ int, g []float32) error {
 	// accumulator lives on the stack, captured by the chunk closures.
 	tr := r.tracer
 	var acc spanAcc
+	var dec quant.FrameDecoder
 	reduceStart := tr.Now()
 
 	sendChunk := func(c int) error {
@@ -147,7 +150,7 @@ func (r *Ring) Reduce(rank, _ int, g []float32) error {
 		acc.transfer += tr.Now() - t0
 		acc.bytes += int64(len(buf))
 		t0 = tr.Now()
-		vals, err := unpackF32(buf, hi-lo, r.framed)
+		vals, err := unpackF32(buf, hi-lo, r.framed, &dec)
 		if err != nil {
 			return fmt.Errorf("comm: ring chunk %d: %w", c, err)
 		}
@@ -266,6 +269,7 @@ func (a *AllGather) Reduce(rank, _ int, g []float32) error {
 	sum := make([]float64, n)
 	mine := make([]float32, n)
 	copy(mine, g)
+	var dec quant.FrameDecoder
 	for p := 0; p < k; p++ {
 		if p == rank {
 			for i, v := range mine {
@@ -277,7 +281,7 @@ func (a *AllGather) Reduce(rank, _ int, g []float32) error {
 		if err != nil {
 			return fmt.Errorf("comm: allgather from %d: %w", p, err)
 		}
-		in, err := unpackF32(buf, n, framed)
+		in, err := unpackF32(buf, n, framed, &dec)
 		if err != nil {
 			return fmt.Errorf("comm: allgather from %d: %w", p, err)
 		}

@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -106,6 +105,35 @@ func AppendFramed(dst []byte, codecName string, shape Shape, n int, payload []by
 	return append(dst, payload...)
 }
 
+// parseFixed validates the six bytes every header starts with — magic,
+// version, codec-name length — and returns the version and the name
+// length.
+func parseFixed(fixed []byte) (version byte, nameLen int, err error) {
+	if magic := binary.LittleEndian.Uint32(fixed[0:]); magic != FrameMagic {
+		return 0, 0, fmt.Errorf("quant: bad frame magic %#x", magic)
+	}
+	version = fixed[4]
+	if version == 0 || version > FrameVersion {
+		return 0, 0, fmt.Errorf("quant: unsupported frame version %d (have %d)", version, FrameVersion)
+	}
+	return version, int(fixed[5]), nil
+}
+
+// parseSizes decodes the sixteen header bytes that follow the codec
+// name — shape, element count, payload length — into h.
+func (h *Header) parseSizes(rest []byte) error {
+	h.Shape = Shape{
+		Rows: int(binary.LittleEndian.Uint32(rest[0:])),
+		Cols: int(binary.LittleEndian.Uint32(rest[4:])),
+	}
+	h.N = int(binary.LittleEndian.Uint32(rest[8:]))
+	h.PayloadBytes = int(binary.LittleEndian.Uint32(rest[12:]))
+	if h.N > MaxFrameElements {
+		return fmt.Errorf("quant: frame announces %d elements, cap is %d", h.N, MaxFrameElements)
+	}
+	return nil
+}
+
 // ReadHeader reads and validates one frame header from r, leaving r
 // positioned at the first payload byte. It returns an error — never
 // panics — on truncated, corrupted or oversized headers.
@@ -114,14 +142,12 @@ func ReadHeader(r io.Reader) (Header, error) {
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return Header{}, fmt.Errorf("quant: frame header: %w", err)
 	}
-	if magic := binary.LittleEndian.Uint32(fixed[0:]); magic != FrameMagic {
-		return Header{}, fmt.Errorf("quant: bad frame magic %#x", magic)
+	version, nameLen, err := parseFixed(fixed[:])
+	if err != nil {
+		return Header{}, err
 	}
-	h := Header{Version: fixed[4]}
-	if h.Version == 0 || h.Version > FrameVersion {
-		return Header{}, fmt.Errorf("quant: unsupported frame version %d (have %d)", h.Version, FrameVersion)
-	}
-	name := make([]byte, fixed[5])
+	h := Header{Version: version}
+	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(r, name); err != nil {
 		return Header{}, fmt.Errorf("quant: frame codec name: %w", err)
 	}
@@ -130,31 +156,31 @@ func ReadHeader(r io.Reader) (Header, error) {
 	if _, err := io.ReadFull(r, rest[:]); err != nil {
 		return Header{}, fmt.Errorf("quant: frame header: %w", err)
 	}
-	h.Shape = Shape{
-		Rows: int(binary.LittleEndian.Uint32(rest[0:])),
-		Cols: int(binary.LittleEndian.Uint32(rest[4:])),
-	}
-	h.N = int(binary.LittleEndian.Uint32(rest[8:]))
-	h.PayloadBytes = int(binary.LittleEndian.Uint32(rest[12:]))
-	if h.N > MaxFrameElements {
-		return Header{}, fmt.Errorf("quant: frame announces %d elements, cap is %d", h.N, MaxFrameElements)
+	if err := h.parseSizes(rest[:]); err != nil {
+		return Header{}, err
 	}
 	return h, nil
 }
 
 // resolve parses the header's codec and cross-checks the announced
-// payload length against the codec's own arithmetic, so a corrupted
-// length field is caught before any payload is trusted.
+// payload length with checkPayload.
 func (h Header) resolve() (Codec, error) {
 	c, err := Parse(h.Codec)
 	if err != nil {
 		return nil, fmt.Errorf("quant: frame codec: %w", err)
 	}
+	return c, h.checkPayload(c)
+}
+
+// checkPayload cross-checks the announced payload length against the
+// codec's own arithmetic, so a corrupted length field is caught before
+// any payload is trusted.
+func (h Header) checkPayload(c Codec) error {
 	if want := c.EncodedBytes(h.N, h.Shape); h.PayloadBytes != want {
-		return nil, fmt.Errorf("quant: frame payload %d bytes, codec %s expects %d for n=%d shape=%s",
+		return fmt.Errorf("quant: frame payload %d bytes, codec %s expects %d for n=%d shape=%s",
 			h.PayloadBytes, h.Codec, want, h.N, h.Shape)
 	}
-	return c, nil
+	return nil
 }
 
 // DecodeAny reads one complete frame from r and returns the decoded
@@ -205,26 +231,81 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 // so callers can inspect what arrived. Like DecodeAny it needs no
 // out-of-band codec agreement and never panics on bad input.
 func DecodeFramed(wire []byte, dst []float32) (Header, error) {
-	r := bytes.NewReader(wire)
-	h, err := ReadHeader(r)
+	var d FrameDecoder
+	return d.Decode(wire, dst)
+}
+
+// FrameDecoder decodes frames exactly as DecodeFramed does, and
+// remembers the codec the last accepted codec name resolved to. A
+// receiver that sees the same codec frame after frame — one tensor's
+// exchange partner — thereby skips the Parse grammar and the
+// allocations that building the name and the codec cost, and decodes
+// without allocating. The memory is one entry, owned by the caller; a
+// frame naming another codec is parsed afresh and replaces it, a name
+// Parse rejects leaves it alone. The zero value is ready to use; a
+// FrameDecoder must not be used from several goroutines at once.
+type FrameDecoder struct {
+	name  string
+	codec Codec
+}
+
+// Decode decodes one complete frame held in wire into dst; see
+// DecodeFramed.
+func (d *FrameDecoder) Decode(wire []byte, dst []float32) (Header, error) {
+	fixed, rest, err := take(wire, 6)
+	if err != nil {
+		return Header{}, fmt.Errorf("quant: frame header: %w", err)
+	}
+	version, nameLen, err := parseFixed(fixed)
 	if err != nil {
 		return Header{}, err
 	}
-	c, err := h.resolve()
+	h := Header{Version: version}
+	name, rest, err := take(rest, nameLen)
 	if err != nil {
+		return Header{}, fmt.Errorf("quant: frame codec name: %w", err)
+	}
+	sizes, payload, err := take(rest, 16)
+	if err != nil {
+		return Header{}, fmt.Errorf("quant: frame header: %w", err)
+	}
+	if err := h.parseSizes(sizes); err != nil {
+		return Header{}, err
+	}
+	if d.codec == nil || string(name) != d.name {
+		c, err := Parse(string(name))
+		if err != nil {
+			return Header{}, fmt.Errorf("quant: frame codec: %w", err)
+		}
+		d.name, d.codec = string(name), c
+	}
+	h.Codec = d.name
+	if err := h.checkPayload(d.codec); err != nil {
 		return Header{}, err
 	}
 	if len(dst) != h.N {
 		return Header{}, fmt.Errorf("quant: frame holds %d elements, dst has %d", h.N, len(dst))
 	}
-	payload := wire[len(wire)-r.Len():]
 	if len(payload) != h.PayloadBytes {
 		return Header{}, fmt.Errorf("quant: frame payload %d bytes, header announces %d", len(payload), h.PayloadBytes)
 	}
-	if err := c.Decode(payload, h.N, h.Shape, dst); err != nil {
+	if err := d.codec.Decode(payload, h.N, h.Shape, dst); err != nil {
 		return Header{}, err
 	}
 	return h, nil
+}
+
+// take splits the first n bytes off b, failing as io.ReadFull would on
+// a reader holding b.
+func take(b []byte, n int) (head, tail []byte, err error) {
+	switch {
+	case len(b) >= n:
+		return b[:n], b[n:], nil
+	case len(b) == 0:
+		return nil, nil, io.EOF
+	default:
+		return nil, nil, io.ErrUnexpectedEOF
+	}
 }
 
 // framer holds the precomputed frame header for one encoder. Because an

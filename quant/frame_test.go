@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 
 	"repro/rng"
@@ -173,6 +174,61 @@ func TestDecodeAnyCapsElementCount(t *testing.T) {
 		MaxFrameElements+1, 4*(MaxFrameElements+1))
 }
 
+// TestFrameDecoderMatchesDecodeFramed: a FrameDecoder that has already
+// resolved a codec must accept and reject exactly what the stateless
+// DecodeFramed does — its memory is only ever a shortcut past Parse.
+// Every corruption of TestDecodeAnyRejectsBadFrames is replayed against
+// a decoder primed with the valid frame's codec, frames of other codecs
+// interleave, and the steady state allocates nothing.
+func TestFrameDecoderMatchesDecodeFramed(t *testing.T) {
+	shape := Shape{Rows: 8, Cols: 8}
+	n := shape.Len()
+	frames := map[string][]byte{}
+	for _, name := range []string{"qsgd4b512", "qsgd8b512", "1bit"} {
+		var buf bytes.Buffer
+		if _, err := MustParse(name).NewEncoder(n, shape, 1).EncodeTo(&buf, frameVec(n, 3)); err != nil {
+			t.Fatal(err)
+		}
+		frames[name] = buf.Bytes()
+	}
+	valid := frames["qsgd4b512"]
+	nameEnd := 6 + len("qsgd4b512")
+	mutations := [][]byte{valid, frames["1bit"], frames["qsgd8b512"], {}, valid[:3], valid[:nameEnd-2], valid[:nameEnd+5]}
+	for i := 0; i < len(valid); i += 3 {
+		b := append([]byte(nil), valid...)
+		b[i] ^= 0x41
+		mutations = append(mutations, b, valid[:i])
+	}
+	var primed FrameDecoder
+	for _, wire := range mutations {
+		want, got := make([]float32, n), make([]float32, n)
+		wantH, wantErr := DecodeFramed(wire, want)
+		if _, err := primed.Decode(valid, make([]float32, n)); err != nil {
+			t.Fatalf("priming decode: %v", err)
+		}
+		gotH, gotErr := primed.Decode(wire, got)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("frame %x: primed decoder says %v, DecodeFramed %v", wire, gotErr, wantErr)
+		}
+		if gotH != wantH {
+			t.Fatalf("frame %x: primed decoder header %+v, DecodeFramed %+v", wire, gotH, wantH)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("frame %x: element %d: %v vs %v", wire, j, got[j], want[j])
+			}
+		}
+	}
+	dst := make([]float32, n)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := primed.Decode(valid, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding a frame of the remembered codec allocates %v times, want 0", allocs)
+	}
+}
+
 // FuzzDecodeAny: arbitrary byte streams must produce errors, never
 // panics or runaway allocations.
 func FuzzDecodeAny(f *testing.F) {
@@ -192,12 +248,44 @@ func FuzzDecodeAny(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
+	// Seeds for the remembered-codec path of FrameDecoder: the codec it
+	// is primed with below, valid, with a lying length, and renamed.
+	var primer bytes.Buffer
+	if _, err := NewQSGD(4, 16, MaxNorm).NewEncoder(n, shape, 6).EncodeTo(&primer, src); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(primer.Bytes())
+	lie := append([]byte(nil), primer.Bytes()...)
+	lie[6+len("qsgd4b16")+8]++ // low byte of n
+	f.Add(lie)
+	renamed := append([]byte(nil), primer.Bytes()...)
+	renamed[10] = '8' // qsgd8b16: same name length, other payload size
+	f.Add(renamed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		vals, err := DecodeAny(bytes.NewReader(data))
 		if err == nil {
 			// A valid frame must at least re-serialise consistently.
 			if len(vals) > MaxFrameElements {
 				t.Fatalf("decoded %d elements above cap", len(vals))
+			}
+		}
+		// A FrameDecoder that remembers another frame's codec must
+		// agree with the stateless DecodeFramed on every input.
+		if h, herr := ReadHeader(bytes.NewReader(data)); herr == nil && h.N <= 1<<16 {
+			var primed FrameDecoder
+			if _, err := primed.Decode(primer.Bytes(), make([]float32, n)); err != nil {
+				t.Fatalf("priming decode: %v", err)
+			}
+			want, got := make([]float32, h.N), make([]float32, h.N)
+			_, wantErr := DecodeFramed(data, want)
+			_, gotErr := primed.Decode(data, got)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("primed FrameDecoder says %v, DecodeFramed %v", gotErr, wantErr)
+			}
+			for i := range want {
+				if wantErr == nil && math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("element %d: primed FrameDecoder %v, DecodeFramed %v", i, got[i], want[i])
+				}
 			}
 		}
 		// Truncations of valid frames must also never panic.

@@ -77,6 +77,38 @@ func (s Scheme) String() string {
 // Codes are bits wide, packed LSB-first; since bits ∈ {2,4,8,16} divides
 // 32, no code straddles a word — mirroring CNTK's packing of quantised
 // values into GPU-friendly integer words.
+//
+// Kernel contract. Wire bytes, the random stream and the decoded floats
+// are pinned bit for bit (qsgd_ref_test.go holds the scalar reference,
+// testdata/qsgd_wire.golden the hashes): training digests, the TCP byte
+// parity tests and the simulator's goldens all hang off them. What an
+// optimisation may therefore not "simplify":
+//
+//   - Encode computes x in float64 as a division and then a
+//     multiplication, |v|/scale·s (uniform: (v+scale)/(2·scale)·s;
+//     exponential: |v|/scale against the level grid) — never v·(s/scale),
+//     never float32.
+//   - Elements take their draws from one splitmix64 stream in element
+//     order, one rng.RNG.Float64-equivalent draw iff 0 < x < s (0 < a < 1
+//     for exponential). Zeros, the bucket maximum and every element of a
+//     bucket whose scale is not positive draw nothing, so the stream
+//     position after Encode depends on the data.
+//   - The sign bit is set iff v < 0: −0 encodes as +0, a negative value
+//     that rounds to level 0 keeps its sign bit.
+//   - Decode's per-bucket table holds, for every code, the value of the
+//     scalar expression itself (scale·float32(level)/s negated under the
+//     sign bit; −scale+2·scale·float32(code)/s; scale·float32(2^{level−s}))
+//     — in float32, in that operation order.
+//
+// Non-finite input is outside the bit-exact contract. An element whose
+// x is NaN (a NaN value, or ±Inf in a bucket scaled by Inf) draws
+// nothing, where the scalar reference drew once. Its level is 0 for the
+// exponential scheme; for the linear ones it is what the platform's
+// float-to-int conversion makes of NaN (0 on amd64 and arm64), masked
+// to the level's width so neighbouring codes are untouched. A NaN is
+// skipped by the max norm and poisons the 2-norm; a bucket whose scale
+// is NaN gets all-zero codes. A NaN scale decodes to NaNs whose sign
+// and payload are not pinned.
 type QSGD struct {
 	bits   int
 	bucket int
@@ -147,75 +179,106 @@ func (q QSGD) EncodedBytes(n int, _ Shape) int {
 
 // NewEncoder implements Codec.
 func (q QSGD) NewEncoder(n int, shape Shape, seed uint64) Encoder {
-	return &qsgdEncoder{
+	e := &qsgdEncoder{
 		q:      q,
 		n:      n,
 		buf:    make([]byte, q.EncodedBytes(n, shape)),
-		rng:    rng.New(seed),
+		state:  seed,
 		framer: newFramer(q, n, shape),
 	}
+	switch q.scheme {
+	case Uniform:
+		e.kernel = encodeUniform
+	case Exponential:
+		e.kernel = encodeExponential
+	default:
+		e.kernel = encodeSignMagnitude
+	}
+	return e
+}
+
+// qsgdEncodeKernel is the deterministic half of quantising a run of at
+// most codeChunk elements of a bucket with strictly positive scale. For
+// element i it writes to sc.codes[i] the lower of the two candidate
+// codes (level ⌊x⌋ and, for the signed schemes, the sign bit), to
+// sc.frac[i] the probability with which the level is to be bumped by
+// one, and to sc.draw[i] whether the element consumes a draw at all
+// (1 or 0). drawLevels does the stochastic half.
+type qsgdEncodeKernel func(sc *qsgdScratch, vals []float32, scale, s float64, bits uint)
+
+// codeChunk is how many elements a kernel handles per call: a multiple
+// of every codes-per-word count (2, 4, 8, 16), so only a bucket's last
+// chunk can end in a partial word.
+const codeChunk = 64
+
+// qsgdScratch is what a qsgdEncodeKernel hands to drawLevels.
+type qsgdScratch struct {
+	codes [codeChunk]uint32
+	frac  [codeChunk]float64
+	draw  [codeChunk]uint8
 }
 
 type qsgdEncoder struct {
 	q   QSGD
 	n   int
 	buf []byte
-	rng *rng.RNG
+	// state is the splitmix64 stream position (rng.Step), equal to that
+	// of an rng.RNG seeded alike after the same number of draws.
+	state uint64
+	// kernel is the scheme's kernel, chosen once in NewEncoder.
+	kernel qsgdEncodeKernel
+	// scratch lives here, not on Encode's stack, because arguments of
+	// a call through a function value escape.
+	scratch qsgdScratch
 	framer
 }
 
 // Reseed implements Reseeder: the RNG stream is the encoder's only
 // mutable state, so repositioning it makes the encoder bit-identical
 // to a freshly built one with the same seed.
-func (e *qsgdEncoder) Reseed(seed uint64) { e.rng.SetState(seed) }
+func (e *qsgdEncoder) Reseed(seed uint64) { e.state = seed }
 
 // Encode implements Encoder.
+//
+// Each chunk of a bucket is quantised in two passes. The scheme's
+// kernel does the float work, which does not depend on the random
+// stream; drawLevels then walks the stream and packCodes writes the
+// words. Fused, every element's divide-and-compare would sit between
+// two steps of the generator (whether element i draws decides the state
+// element i+1 sees) and the loop would run at the latency of that whole
+// chain; split, the generator's chain is an add and a conditional move
+// per element.
 func (e *qsgdEncoder) Encode(src []float32) []byte {
 	if len(src) != e.n {
 		panic(fmt.Sprintf("quant: qsgd encoder got %d values, want %d", len(src), e.n))
 	}
 	q := e.q
 	s := float64(q.Levels())
+	bits := uint(q.bits)
+	state := e.state
 	off := 0
 	for start := 0; start < e.n; start += q.bucket {
-		end := start + q.bucket
-		if end > e.n {
-			end = e.n
-		}
-		c := end - start
-		grp := src[start:end]
+		grp := src[start:min(start+q.bucket, e.n)]
 		scale := bucketScale(grp, q.norm)
 		binary.LittleEndian.PutUint32(e.buf[off:], math.Float32bits(scale))
 		off += 4
-		nw := words32(c * q.bits)
-		var word uint32
-		wi := 0
-		bitPos := 0
-		flush := func() {
-			binary.LittleEndian.PutUint32(e.buf[off+4*wi:], word)
-			word = 0
-			wi++
-			bitPos = 0
+		dst := e.buf[off : off+4*words32(len(grp)*q.bits)]
+		off += len(dst)
+		if !(scale > 0) {
+			clear(dst) // zero or NaN scale: all-zero codes, no draws
+			continue
 		}
-		for i := 0; i < c; i++ {
-			var code uint32
-			if scale > 0 {
-				code = e.quantiseOne(grp[i], float64(scale), s)
-			}
-			word |= code << uint(bitPos)
-			bitPos += q.bits
-			if bitPos == 32 {
-				flush()
-			}
+		for len(grp) > 0 {
+			vals := grp[:min(codeChunk, len(grp))]
+			grp = grp[len(vals):]
+			sc := &e.scratch
+			e.kernel(sc, vals, float64(scale), s, bits)
+			codes := sc.codes[:len(vals)]
+			state = drawLevels(codes, sc.frac[:], sc.draw[:], state)
+			dst = packCodes(dst, codes, bits)
 		}
-		if bitPos > 0 {
-			flush()
-		}
-		if wi != nw {
-			panic("quant: qsgd internal packing drift")
-		}
-		off += 4 * nw
 	}
+	e.state = state
 	return e.buf
 }
 
@@ -224,30 +287,134 @@ func (e *qsgdEncoder) EncodeTo(w io.Writer, src []float32) (int, error) {
 	return e.encodeTo(w, e.Encode(src))
 }
 
-// quantiseOne maps one value to its packed code using stochastic
-// rounding. scale is strictly positive.
-func (e *qsgdEncoder) quantiseOne(v float32, scale, s float64) uint32 {
-	if e.q.scheme == Uniform {
-		// Position in [0, s] across the symmetric interval.
-		x := (float64(v) + scale) / (2 * scale) * s
-		return uint32(stochasticRound(x, s, e.rng))
+// drawLevels is the stochastic half of the encoder, shared by every
+// scheme: codes[i] is bumped by one with probability frac[i], taking
+// one draw from the splitmix64 stream at state iff draw[i] is set, in
+// element order. It returns the stream position. The bump and the
+// state update are conditional assignments of integers, which the
+// compiler lowers to SETcc/CMOV: for a gradient both are coin flips no
+// branch predictor can learn.
+func drawLevels(codes []uint32, frac []float64, draw []uint8, state uint64) uint64 {
+	frac, draw = frac[:len(codes)], draw[:len(codes)]
+	for i, c := range codes {
+		next, r := rng.Step(state)
+		if rng.UnitFloat64(r) < frac[i] {
+			c++
+		}
+		if draw[i] != 0 {
+			state = next
+		}
+		codes[i] = c
 	}
-	a := float64(v)
-	neg := a < 0
-	if neg {
-		a = -a
+	return state
+}
+
+// packCodes packs codes, each below 2^bits, LSB-first and 32/bits to a
+// little-endian word into the first ⌈len(codes)·bits/32⌉ words of dst
+// and returns the rest of dst.
+func packCodes(dst []byte, codes []uint32, bits uint) []byte {
+	var word uint32
+	var pos uint
+	for _, c := range codes {
+		word |= c << (pos & 31)
+		if pos += bits; pos == 32 {
+			binary.LittleEndian.PutUint32(dst, word)
+			dst, word, pos = dst[4:], 0, 0
+		}
 	}
-	var lvl int
-	if e.q.scheme == Exponential {
-		lvl = expRound(a/scale, int(s), e.rng)
-	} else {
-		lvl = stochasticRound(a/scale*s, s, e.rng)
+	if pos > 0 {
+		binary.LittleEndian.PutUint32(dst, word)
+		dst = dst[4:]
 	}
-	code := uint32(lvl)
-	if neg {
-		code |= 1 << uint(e.q.bits-1)
+	return dst
+}
+
+// encodeSignMagnitude is the qsgdEncodeKernel of the SignMagnitude
+// scheme: x = |v|/scale·s under the sign bit of v.
+func encodeSignMagnitude(sc *qsgdScratch, vals []float32, scale, s float64, bits uint) {
+	encodeLinear(sc, vals, 0, scale, s, 1<<31, bits)
+}
+
+// encodeUniform is the qsgdEncodeKernel of the Uniform scheme: x =
+// (v+scale)/(2·scale)·s, the position in [0, s] across the symmetric
+// interval.
+func encodeUniform(sc *qsgdScratch, vals []float32, scale, s float64, bits uint) {
+	encodeLinear(sc, vals, scale, 2*scale, s, 0, bits)
+}
+
+// encodeLinear is the loop the two linearly spaced schemes share. Each
+// element becomes x = (v′+shift)/width·s ∈ [0, s] in float64 — a
+// division and then a multiplication, in that order — where v′ is v
+// with the float32 bits in signMask cleared. The level is ⌊x⌋, bumped
+// with probability x−⌊x⌋ (unbiased), and a draw is consumed iff
+// 0 < x < s: zeros, the bucket maximum and a NaN consume nothing.
+// signMask is 1<<31 for sign-magnitude (v′ = |v|, and v′+0 is exact),
+// where the code's top bit is set iff v < 0; it is 0 for uniform.
+func encodeLinear(sc *qsgdScratch, vals []float32, shift, width, s float64, signMask uint32, bits uint) {
+	absMask := ^signMask
+	signBit := signMask >> ((32 - bits) & 31)
+	lvlMask := uint32(1)<<(bits&31) - 1 - signBit
+	for i, v := range vals {
+		b := math.Float32bits(v)
+		mag := b & absMask
+		// v < 0 is b's sign bit unless the magnitude is zero (−0
+		// encodes like +0): −mag has its top bit set iff mag ≠ 0.
+		neg := uint32(int32(b&-mag) >> 31)
+		x := (float64(math.Float32frombits(mag)) + shift) / width * s
+		l := int(x) // ⌊x⌋, as x ≥ 0
+		var above, below uint8
+		if x > 0 {
+			above = 1
+		}
+		if x < s {
+			below = 1
+		}
+		// i%codeChunk is i: it tells the compiler the index is in range.
+		sc.codes[i%codeChunk] = uint32(l)&lvlMask | neg&signBit
+		sc.frac[i%codeChunk] = x - float64(l) // 0 at x = 0 and x = s
+		sc.draw[i%codeChunk] = above & below
 	}
-	return code
+}
+
+// encodeExponential is the qsgdEncodeKernel of the Exponential scheme:
+// a = |v|/scale ∈ [0, 1] lies between two neighbours lo ≤ a < hi of the
+// grid {0, 2^{1−s}, …, ½, 1}; the level is lo's index, bumped with
+// probability (a−lo)/(hi−lo) (unbiased). A draw is consumed iff
+// 0 < a < 1.
+func encodeExponential(sc *qsgdScratch, vals []float32, scale, s float64, bits uint) {
+	signBit := uint32(1) << ((bits - 1) & 31)
+	top := int(s)
+	first := expLevel(1, top) // the level above 0; underflows to 0 at 16 bits
+	for i, v := range vals {
+		b := math.Float32bits(v)
+		mag := b &^ (1 << 31)
+		neg := uint32(int32(b&-mag) >> 31)
+		a := float64(math.Float32frombits(mag)) / scale
+		// A quotient of float32s is never a float64 subnormal, so for
+		// 0 < a ≤ 1 the exponent field is Ilogb(a), the level below a is
+		// j = Ilogb(a)+s with value lo = a's bits with the mantissa
+		// cleared, and the level above is exactly twice that. At a = 1
+		// this gives j = s and probability 0, at a = 0 probability 0 or
+		// NaN — no bump either way.
+		ab := math.Float64bits(a)
+		j := int(ab>>52) - 1023 + top
+		lo := math.Float64frombits(ab &^ (1<<52 - 1))
+		hi := 2 * lo
+		if j <= 0 {
+			j, lo, hi = 0, 0, first
+		}
+		var above, below uint8
+		if a > 0 {
+			above = 1
+		}
+		if a < 1 {
+			below = 1
+		}
+		j &= -int(above) // a = 0 (any exponent field) and NaN: level 0
+		sc.codes[i%codeChunk] = uint32(j)&(signBit-1) | neg&signBit
+		sc.frac[i%codeChunk] = (a - lo) / (hi - lo)
+		sc.draw[i%codeChunk] = above & below
+	}
 }
 
 // expLevel returns the exponential-scheme level value 2^{j−s} for
@@ -257,47 +424,6 @@ func expLevel(j, s int) float64 {
 		return 0
 	}
 	return math.Ldexp(1, j-s)
-}
-
-// expRound rounds a ∈ [0, 1] to a level index in [0, s] on the
-// exponential grid {0, 2^{1−s}, …, ½, 1} such that the expectation of
-// the decoded value equals a (unbiased).
-func expRound(a float64, s int, r *rng.RNG) int {
-	if a <= 0 {
-		return 0
-	}
-	if a >= 1 {
-		return s
-	}
-	// Find j with level(j) ≤ a < level(j+1).
-	exp := math.Ilogb(a) // a ∈ [2^exp, 2^{exp+1})
-	j := exp + s
-	if j < 0 {
-		j = 0
-	}
-	lo, hi := expLevel(j, s), expLevel(j+1, s)
-	if r.Float64() < (a-lo)/(hi-lo) {
-		j++
-	}
-	return j
-}
-
-// stochasticRound rounds x ∈ [0, s] to an integer level in [0, s] such
-// that the expectation equals x: level ℓ = ⌊x⌋ is bumped to ℓ+1 with
-// probability x − ℓ. Values outside the range (floating-point spill) are
-// clamped.
-func stochasticRound(x, s float64, r *rng.RNG) int {
-	if x <= 0 {
-		return 0
-	}
-	if x >= s {
-		return int(s)
-	}
-	l := math.Floor(x)
-	if r.Float64() < x-l {
-		l++
-	}
-	return int(l)
 }
 
 // bucketScale computes the bucket's normalisation factor.
@@ -311,17 +437,40 @@ func bucketScale(grp []float32, n Norm) float32 {
 	}
 	var mx float32
 	for _, v := range grp {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
+		// |v| by clearing the sign bit; a NaN compares false and is
+		// skipped either way.
+		if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > mx {
+			mx = a
 		}
 	}
 	return mx
 }
 
+// tableDecode reports whether a per-bucket table of all 2^bits decoded
+// values pays for itself. Building it costs one dequantisation per
+// entry plus clearing the table, so the code space must be small
+// against the bucket. Measured on every scheme, the table first wins at
+// a bucket of 32 for 2 and 4 bits and of 128–256 for 8 bits; 2^16
+// entries never do.
+func (q QSGD) tableDecode() bool {
+	return q.bits <= 8 && q.bucket >= max(32, 1<<q.bits)
+}
+
+// identityCodes[c] = c: dequantising it yields the decode table.
+var identityCodes = func() (t [256]uint32) {
+	for c := range t {
+		t[c] = uint32(c)
+	}
+	return t
+}()
+
 // Decode implements Codec.
+//
+// Whether buckets go through a table is decided once, here; the
+// scheme's dequantiser is reached through a static switch per bucket
+// (or per chunk of a table-less bucket) rather than through a function
+// value, because a table handed to a function value would escape to
+// the heap.
 func (q QSGD) Decode(wire []byte, n int, shape Shape, dst []float32) error {
 	want := q.EncodedBytes(n, shape)
 	if len(wire) != want {
@@ -331,41 +480,103 @@ func (q QSGD) Decode(wire []byte, n int, shape Shape, dst []float32) error {
 		return fmt.Errorf("quant: qsgd dst length %d, want %d", len(dst), n)
 	}
 	s := float32(q.Levels())
-	mask := uint32(1)<<uint(q.bits) - 1
-	signBit := uint32(1) << uint(q.bits-1)
-	lvlMask := signBit - 1
+	bits := uint(q.bits)
+	table := q.tableDecode()
+	var (
+		tab   [256]float32
+		chunk [codeChunk]uint32
+	)
 	off := 0
 	for start := 0; start < n; start += q.bucket {
-		end := start + q.bucket
-		if end > n {
-			end = n
-		}
-		c := end - start
+		out := dst[start:min(start+q.bucket, n)]
 		scale := math.Float32frombits(binary.LittleEndian.Uint32(wire[off:]))
 		off += 4
-		perWord := 32 / q.bits
-		for i := 0; i < c; i++ {
-			word := binary.LittleEndian.Uint32(wire[off+4*(i/perWord):])
-			code := (word >> (uint(i%perWord) * uint(q.bits))) & mask
-			var v float32
-			switch q.scheme {
-			case Uniform:
-				v = -scale + 2*scale*float32(code)/s
-			case Exponential:
-				v = scale * float32(expLevel(int(code&lvlMask), int(s)))
-				if code&signBit != 0 {
-					v = -v
-				}
-			default:
-				lvl := float32(code & lvlMask)
-				v = scale * lvl / s
-				if code&signBit != 0 {
-					v = -v
-				}
-			}
-			dst[start+i] = v
+		codes := wire[off : off+4*words32(len(out)*q.bits)]
+		off += len(codes)
+		if table {
+			q.dequantise(tab[:1<<bits], identityCodes[:1<<bits], scale, s)
+			lookupCodes(out, codes, &tab, bits)
+			continue
 		}
-		off += 4 * words32(c*q.bits)
+		for len(out) > 0 {
+			m := min(codeChunk, len(out))
+			unpackCodes(chunk[:m], codes, bits)
+			q.dequantise(out[:m], chunk[:m], scale, s)
+			out, codes = out[m:], codes[m*q.bits/8:]
+		}
 	}
 	return nil
+}
+
+// dequantise writes the value of each code under the bucket's scale to
+// out. These are the only copies of the three decode expressions: the
+// table path gets its entries from here too, so it cannot drift from
+// the direct path by a rounding.
+func (q QSGD) dequantise(out []float32, codes []uint32, scale, s float32) {
+	codes = codes[:len(out)]
+	signBit := uint32(1) << (q.bits - 1)
+	// Negation is a flip of the float's sign bit; moving the code's sign
+	// bit there does it without a branch on what is a coin flip.
+	signUp := uint(32-q.bits) & 31
+	switch q.scheme {
+	case Uniform: // −scale + 2·scale·code/s
+		for i, c := range codes {
+			out[i] = -scale + 2*scale*float32(c)/s
+		}
+	case Exponential: // ±scale·2^{level−s}, and 0 at level 0
+		for i, c := range codes {
+			v := scale * float32(expLevel(int(c&(signBit-1)), int(s)))
+			out[i] = math.Float32frombits(math.Float32bits(v) ^ c&signBit<<signUp)
+		}
+	default: // ±scale·level/s
+		for i, c := range codes {
+			v := scale * float32(c&(signBit-1)) / s
+			out[i] = math.Float32frombits(math.Float32bits(v) ^ c&signBit<<signUp)
+		}
+	}
+}
+
+// unpackCodes is packCodes' inverse for len(out) codes. A chunk of
+// codeChunk codes is a whole number of words, so only the last call for
+// a bucket can stop inside one.
+func unpackCodes(out []uint32, codes []byte, bits uint) {
+	mask := uint32(1)<<(bits&31) - 1
+	var word uint32
+	var left uint // bits of word not yet consumed
+	for i := range out {
+		if left == 0 {
+			word, codes, left = binary.LittleEndian.Uint32(codes), codes[4:], 32
+		}
+		out[i] = word & mask
+		word >>= bits & 31
+		left -= bits
+	}
+}
+
+// lookupCodes writes the table entry of each of len(out) packed codes
+// to out. Little-endian words packed LSB-first are a byte stream packed
+// LSB-first, and every table width (2, 4, 8) divides a byte, so whole
+// bytes are unpacked with constant shifts; the generic last loop takes
+// the codes of a final partial byte.
+func lookupCodes(out []float32, codes []byte, tab *[256]float32, bits uint) {
+	i := 0
+	switch bits {
+	case 8:
+		for ; i < len(out); i++ {
+			out[i] = tab[codes[i]]
+		}
+	case 4:
+		for ; i+2 <= len(out); i += 2 {
+			b := codes[i/2]
+			out[i], out[i+1] = tab[b&15], tab[b>>4]
+		}
+	case 2:
+		for ; i+4 <= len(out); i += 4 {
+			b := codes[i/4]
+			out[i], out[i+1], out[i+2], out[i+3] = tab[b&3], tab[b>>2&3], tab[b>>4&3], tab[b>>6]
+		}
+	}
+	for ; i < len(out); i++ {
+		out[i] = tab[codes[uint(i)*bits/8]>>(uint(i)*bits%8)&(1<<bits-1)]
+	}
 }

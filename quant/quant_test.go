@@ -209,10 +209,25 @@ func TestZeroLengthVectors(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeQSGD4(b *testing.B) {
+// qsgdBenchConfigs are the micro-benchmark configurations: every width
+// at the study's default (sign-magnitude, max-norm, bucket 512), and
+// the other norm and schemes at 4 bit.
+var qsgdBenchConfigs = []struct {
+	name string
+	c    QSGD
+}{
+	{"2bit", NewQSGD(2, 512, MaxNorm)},
+	{"4bit", NewQSGD(4, 512, MaxNorm)},
+	{"8bit", NewQSGD(8, 512, MaxNorm)},
+	{"16bit", NewQSGD(16, 512, MaxNorm)},
+	{"4bit-l2", NewQSGD(4, 512, TwoNorm)},
+	{"4bit-uni", NewQSGDScheme(4, 512, MaxNorm, Uniform)},
+	{"4bit-exp", NewQSGDScheme(4, 512, MaxNorm, Exponential)},
+}
+
+func benchEncode(b *testing.B, c Codec) {
 	r := rng.New(1)
 	src := randVec(r, 1<<20)
-	c := NewQSGD(4, 512, MaxNorm)
 	shape := Shape{Rows: 1024, Cols: 1024}
 	e := c.NewEncoder(len(src), shape, 1)
 	b.SetBytes(int64(4 * len(src)))
@@ -223,24 +238,9 @@ func BenchmarkEncodeQSGD4(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeOneBit(b *testing.B) {
+func benchDecode(b *testing.B, c Codec) {
 	r := rng.New(1)
 	src := randVec(r, 1<<20)
-	c := NewOneBitReshaped(64)
-	shape := Shape{Rows: 1024, Cols: 1024}
-	e := c.NewEncoder(len(src), shape, 1)
-	b.SetBytes(int64(4 * len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Encode(src)
-	}
-}
-
-func BenchmarkDecodeQSGD4(b *testing.B) {
-	r := rng.New(1)
-	src := randVec(r, 1<<20)
-	c := NewQSGD(4, 512, MaxNorm)
 	shape := Shape{Rows: 1024, Cols: 1024}
 	wire := c.NewEncoder(len(src), shape, 1).Encode(src)
 	dst := make([]float32, len(src))
@@ -253,3 +253,21 @@ func BenchmarkDecodeQSGD4(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkEncodeQSGD(b *testing.B) {
+	for _, cfg := range qsgdBenchConfigs {
+		b.Run(cfg.name, func(b *testing.B) { benchEncode(b, cfg.c) })
+	}
+}
+
+func BenchmarkDecodeQSGD(b *testing.B) {
+	for _, cfg := range qsgdBenchConfigs {
+		b.Run(cfg.name, func(b *testing.B) { benchDecode(b, cfg.c) })
+	}
+}
+
+func BenchmarkEncodeQSGD4(b *testing.B) { benchEncode(b, NewQSGD(4, 512, MaxNorm)) }
+
+func BenchmarkEncodeOneBit(b *testing.B) { benchEncode(b, NewOneBitReshaped(64)) }
+
+func BenchmarkDecodeQSGD4(b *testing.B) { benchDecode(b, NewQSGD(4, 512, MaxNorm)) }

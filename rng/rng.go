@@ -46,13 +46,31 @@ func (r *RNG) Fork(id uint64) *RNG {
 	return &RNG{state: z ^ (z >> 31)}
 }
 
-// Uint64 returns the next 64 uniformly random bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// Step is one splitmix64 step on a state the caller holds: it returns
+// the advanced state and the 64 output bits that RNG.Uint64 would have
+// returned from the same state. It inlines, so a hot loop can keep the
+// state in a register for its whole run and store it back once with
+// SetState, consuming exactly the draws the equivalent sequence of
+// method calls would.
+func Step(state uint64) (next, bits uint64) {
+	next = state + 0x9e3779b97f4a7c15
+	z := next
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return next, z ^ (z >> 31)
+}
+
+// UnitFloat64 maps 64 random bits to a float64 in [0, 1) — the
+// conversion RNG.Float64 applies to RNG.Uint64.
+func UnitFloat64(bits uint64) float64 {
+	return float64(bits>>11) * (1.0 / (1 << 53))
+}
+
+// Uint64 returns the next 64 uniformly random bits.
+func (r *RNG) Uint64() uint64 {
+	var bits uint64
+	r.state, bits = Step(r.state)
+	return bits
 }
 
 // Uint32 returns the next 32 uniformly random bits.
@@ -72,9 +90,7 @@ func (r *RNG) Float32() float32 {
 }
 
 // Float64 returns a uniformly random float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
-}
+func (r *RNG) Float64() float64 { return UnitFloat64(r.Uint64()) }
 
 // Norm returns a normally distributed float32 with mean 0 and the given
 // standard deviation, using the Box-Muller transform.

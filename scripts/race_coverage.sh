@@ -17,6 +17,7 @@ set -eu
 # Covered: every package whose tests run under the race detector.
 COVERED='
 repro
+repro/bench
 repro/cluster
 repro/cmd/lpsgd-experiments
 repro/cmd/lpsgd-quant
