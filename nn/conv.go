@@ -23,9 +23,12 @@ type Conv2D struct {
 	shape tensor.ConvShape
 	w, b  *Param
 	x     *tensor.Matrix
-	cols  *tensor.Matrix
 	y     *tensor.Matrix
 	dx    *tensor.Matrix
+	// Per-sample scratch, sized by the geometry alone: the im2col
+	// expansion, one sample's output and its gradient, and the two
+	// gradient products before they join w.Grad and dx.
+	cols, out, dOut, dW, dCols *tensor.Matrix
 }
 
 // NewConv2D builds a convolution layer with He initialisation.
@@ -71,9 +74,14 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 		c.y = tensor.New(x.Rows, c.OutLen())
 	}
 	if c.cols == nil {
-		c.cols = tensor.New(c.shape.PatchLen(), outHW)
+		patch := c.shape.PatchLen()
+		c.cols = tensor.New(patch, outHW)
+		c.out = tensor.New(c.shape.OutC, outHW)
+		c.dOut = tensor.New(c.shape.OutC, outHW)
+		c.dW = tensor.New(c.shape.OutC, patch)
+		c.dCols = tensor.New(patch, outHW)
 	}
-	out := tensor.New(c.shape.OutC, outHW)
+	out := c.out
 	for s := 0; s < x.Rows; s++ {
 		tensor.Im2col(c.shape, x.Row(s), c.cols)
 		tensor.MatMul(out, c.w.Value, c.cols)
@@ -97,9 +105,7 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		c.dx = tensor.New(dout.Rows, c.shape.InC*c.shape.InH*c.shape.InW)
 	}
 	c.dx.Zero()
-	dOutS := tensor.New(c.shape.OutC, outHW)
-	dW := tensor.New(c.shape.OutC, c.shape.PatchLen())
-	dCols := tensor.New(c.shape.PatchLen(), outHW)
+	dOutS, dW, dCols := c.dOut, c.dW, c.dCols
 	for s := 0; s < dout.Rows; s++ {
 		src := dout.Row(s)
 		copy(dOutS.Data, src)

@@ -21,6 +21,7 @@ type Dense struct {
 	x       *tensor.Matrix // cached input for backward
 	dx      *tensor.Matrix
 	y       *tensor.Matrix
+	dw      *tensor.Matrix // this step's xᵀ·dout, before it joins w.Grad
 }
 
 // NewDense builds a dense layer with He-initialised weights.
@@ -58,10 +59,13 @@ func (d *Dense) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	// dW += xᵀ · dout
-	dw := tensor.New(d.in, d.out)
-	tensor.MatMulTransA(dw, d.x, dout)
-	d.w.Grad.Add(dw)
+	// dW += xᵀ · dout, as one product added once: accumulating into the
+	// gradient term by term would reorder its sum.
+	if d.dw == nil {
+		d.dw = tensor.New(d.in, d.out)
+	}
+	tensor.MatMulTransA(d.dw, d.x, dout)
+	d.w.Grad.Add(d.dw)
 	// db += column sums of dout
 	for i := 0; i < dout.Rows; i++ {
 		row := dout.Row(i)

@@ -28,7 +28,14 @@ type LSTM struct {
 	xs, hs, cs             []*tensor.Matrix // inputs, hidden, cell (hs/cs have T+1 entries)
 	gi, gf, gg, go_, tanhC []*tensor.Matrix
 
-	dx *tensor.Matrix
+	// Scratch reused by every timestep, sized with the caches: the gate
+	// pre-activations and their gradient, the state gradients carried
+	// backwards, and the parameter-gradient products before they join
+	// the Grads.
+	z, zh, dz      *tensor.Matrix
+	dh, dc, dhPrev *tensor.Matrix
+	dxt, dwx, dwh  *tensor.Matrix
+	dx             *tensor.Matrix
 }
 
 // NewLSTM builds an LSTM over sequences of t frames with d features and
@@ -73,8 +80,7 @@ func (l *LSTM) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	l.hs[0].Zero()
 	l.cs[0].Zero()
 
-	z := tensor.New(batch, 4*l.h)
-	zh := tensor.New(batch, 4*l.h)
+	z, zh := l.z, l.zh
 	for t := 0; t < l.t; t++ {
 		xt := l.xs[t]
 		for s := 0; s < batch; s++ {
@@ -111,17 +117,9 @@ func (l *LSTM) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // hidden state).
 func (l *LSTM) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	batch := dout.Rows
-	if l.dx == nil || l.dx.Rows != batch {
-		l.dx = tensor.New(batch, l.t*l.d)
-	}
-	dh := tensor.New(batch, l.h)
+	dh, dc, dz, dxt, dhPrev, dwx, dwh := l.dh, l.dc, l.dz, l.dxt, l.dhPrev, l.dwx, l.dwh
 	dh.CopyFrom(dout)
-	dc := tensor.New(batch, l.h)
-	dz := tensor.New(batch, 4*l.h)
-	dxt := tensor.New(batch, l.d)
-	dhPrev := tensor.New(batch, l.h)
-	dwx := tensor.New(l.d, 4*l.h)
-	dwh := tensor.New(l.h, 4*l.h)
+	dc.Zero()
 	for t := l.t - 1; t >= 0; t-- {
 		cPrev := l.cs[t]
 		for s := 0; s < batch; s++ {
@@ -190,4 +188,8 @@ func (l *LSTM) ensureCaches(batch int) {
 		l.hs[t] = tensor.New(batch, l.h)
 		l.cs[t] = tensor.New(batch, l.h)
 	}
+	l.z, l.zh, l.dz = tensor.New(batch, 4*l.h), tensor.New(batch, 4*l.h), tensor.New(batch, 4*l.h)
+	l.dh, l.dc, l.dhPrev = tensor.New(batch, l.h), tensor.New(batch, l.h), tensor.New(batch, l.h)
+	l.dxt, l.dx = tensor.New(batch, l.d), tensor.New(batch, l.t*l.d)
+	l.dwx, l.dwh = tensor.New(l.d, 4*l.h), tensor.New(l.h, 4*l.h)
 }

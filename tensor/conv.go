@@ -39,6 +39,19 @@ func (c ConvShape) Validate() error {
 	return nil
 }
 
+// validSpan returns the output positions [lo, hi) along one axis whose
+// input coordinate o*stride - pad + tap lies inside [0, in): the rest of
+// [0, out) reads padding.
+func validSpan(out, in, stride, pad, tap int) (lo, hi int) {
+	if d := pad - tap; d > 0 {
+		lo = (d + stride - 1) / stride
+	}
+	if d := in + pad - tap; d > 0 {
+		hi = (d + stride - 1) / stride
+	}
+	return min(lo, out), min(hi, out)
+}
+
 // Im2col expands a single image (CHW layout, length InC*InH*InW) into the
 // dst matrix with shape (InC*KH*KW) × (OutH*OutW): column p holds the
 // receptive field of output position p. dst must be pre-allocated.
@@ -56,26 +69,36 @@ func Im2col(c ConvShape, img []float32, dst *Matrix) {
 	for ch := 0; ch < c.InC; ch++ {
 		chOff := ch * c.InH * c.InW
 		for kh := 0; kh < c.KH; kh++ {
+			oy0, oy1 := validSpan(oh, c.InH, c.StrideH, c.PadH, kh)
 			for kw := 0; kw < c.KW; kw++ {
-				row := ((ch*c.KH)+kh)*c.KW + kw
-				drow := dst.Row(row)
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*c.StrideH - c.PadH + kh
-					base := oy * ow
-					if iy < 0 || iy >= c.InH {
-						for ox := 0; ox < ow; ox++ {
-							drow[base+ox] = 0
-						}
+				// Only the pad edges of a row are zeroed; the span
+				// between them is copied with no test per element.
+				ox0, ox1 := validSpan(ow, c.InW, c.StrideW, c.PadW, kw)
+				drow := dst.Row(((ch*c.KH)+kh)*c.KW + kw)
+				if ox0 == ox1 {
+					clear(drow)
+					continue
+				}
+				clear(drow[:oy0*ow])
+				clear(drow[oy1*ow:])
+				for oy := oy0; oy < oy1; oy++ {
+					orow := drow[oy*ow : (oy+1)*ow]
+					src := chOff + (oy*c.StrideH-c.PadH+kh)*c.InW + ox0*c.StrideW - c.PadW + kw
+					// An edge is pad elements wide, one or two: a loop,
+					// where a clear would cost its call.
+					for ox := 0; ox < ox0; ox++ {
+						orow[ox] = 0
+					}
+					for ox := ox1; ox < ow; ox++ {
+						orow[ox] = 0
+					}
+					if c.StrideW == 1 {
+						copy(orow[ox0:ox1], img[src:])
 						continue
 					}
-					irow := chOff + iy*c.InW
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.StrideW - c.PadW + kw
-						if ix < 0 || ix >= c.InW {
-							drow[base+ox] = 0
-						} else {
-							drow[base+ox] = img[irow+ix]
-						}
+					for ox := ox0; ox < ox1; ox++ {
+						orow[ox] = img[src]
+						src += c.StrideW
 					}
 				}
 			}
@@ -97,21 +120,26 @@ func Col2im(c ConvShape, src *Matrix, dst []float32) {
 	for ch := 0; ch < c.InC; ch++ {
 		chOff := ch * c.InH * c.InW
 		for kh := 0; kh < c.KH; kh++ {
+			oy0, oy1 := validSpan(oh, c.InH, c.StrideH, c.PadH, kh)
 			for kw := 0; kw < c.KW; kw++ {
-				row := ((ch*c.KH)+kh)*c.KW + kw
-				srow := src.Row(row)
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*c.StrideH - c.PadH + kh
-					if iy < 0 || iy >= c.InH {
+				ox0, ox1 := validSpan(ow, c.InW, c.StrideW, c.PadW, kw)
+				if ox0 == ox1 {
+					continue
+				}
+				srow := src.Row(((ch*c.KH)+kh)*c.KW + kw)
+				for oy := oy0; oy < oy1; oy++ {
+					at := chOff + (oy*c.StrideH-c.PadH+kh)*c.InW + ox0*c.StrideW - c.PadW + kw
+					seg := srow[oy*ow+ox0 : oy*ow+ox1]
+					if c.StrideW == 1 {
+						out := dst[at : at+len(seg)]
+						for i, v := range seg {
+							out[i] += v
+						}
 						continue
 					}
-					irow := chOff + iy*c.InW
-					base := oy * ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.StrideW - c.PadW + kw
-						if ix >= 0 && ix < c.InW {
-							dst[irow+ix] += srow[base+ox]
-						}
+					for _, v := range seg {
+						dst[at] += v
+						at += c.StrideW
 					}
 				}
 			}

@@ -158,6 +158,70 @@ func TestIm2colZeroPadding(t *testing.T) {
 	}
 }
 
+// TestIm2colCol2imMatchDefinition sweeps geometries whose valid spans
+// are empty, clipped on one side or strided (padding wider than the
+// kernel, one-pixel images, stride 3) and compares both transforms,
+// exactly, with the per-element definition: a bounds test per tap, the
+// taps of one pixel accumulated in (ch, kh, kw, oy, ox) order.
+func TestIm2colCol2imMatchDefinition(t *testing.T) {
+	r := rng.New(5)
+	for _, in := range []int{1, 2, 5, 6} {
+		for _, k := range []int{1, 2, 3, 5, 8} {
+			for _, stride := range []int{1, 2, 3} {
+				for _, pad := range []int{0, 1, 2, 4} {
+					c := ConvShape{InC: 2, InH: in, InW: in + 1, OutC: 1, KH: k, KW: k,
+						StrideH: stride, StrideW: stride, PadH: pad, PadW: pad}
+					if c.Validate() != nil {
+						continue
+					}
+					oh, ow := c.OutH(), c.OutW()
+					img := make([]float32, c.InC*c.InH*c.InW)
+					for i := range img {
+						img[i] = r.Norm(1)
+					}
+					grad := New(c.PatchLen(), oh*ow)
+					grad.FillNorm(r, 1)
+					wantCols := New(c.PatchLen(), oh*ow)
+					wantImg := make([]float32, len(img))
+					for ch := 0; ch < c.InC; ch++ {
+						for kh := 0; kh < c.KH; kh++ {
+							for kw := 0; kw < c.KW; kw++ {
+								row := (ch*c.KH+kh)*c.KW + kw
+								for oy := 0; oy < oh; oy++ {
+									for ox := 0; ox < ow; ox++ {
+										iy, ix := oy*c.StrideH-c.PadH+kh, ox*c.StrideW-c.PadW+kw
+										if iy < 0 || iy >= c.InH || ix < 0 || ix >= c.InW {
+											continue
+										}
+										at := (ch*c.InH+iy)*c.InW + ix
+										wantCols.Set(row, oy*ow+ox, img[at])
+										wantImg[at] += grad.At(row, oy*ow+ox)
+									}
+								}
+							}
+						}
+					}
+					cols := New(c.PatchLen(), oh*ow)
+					cols.Fill(9) // padding must be written, not assumed
+					Im2col(c, img, cols)
+					for i, w := range wantCols.Data {
+						if cols.Data[i] != w {
+							t.Fatalf("%+v: Im2col[%d] = %v, want %v", c, i, cols.Data[i], w)
+						}
+					}
+					gotImg := make([]float32, len(img))
+					Col2im(c, grad, gotImg)
+					for i, w := range wantImg {
+						if gotImg[i] != w {
+							t.Fatalf("%+v: Col2im[%d] = %v, want %v", c, i, gotImg[i], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkIm2col(b *testing.B) {
 	c := ConvShape{InC: 16, InH: 16, InW: 16, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	img := make([]float32, c.InC*c.InH*c.InW)

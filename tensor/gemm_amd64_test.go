@@ -1,0 +1,38 @@
+package tensor
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestDispatchSelectsAVX2 keeps the parity suite honest: on a CPU the
+// kernel reports AVX2 for, the dispatcher must have chosen the kernels
+// (else the suite compares the portable loops with themselves), and the
+// switch must really move work between the two paths.
+func TestDispatchSelectsAVX2(t *testing.T) {
+	if info, err := os.ReadFile("/proc/cpuinfo"); err != nil {
+		t.Logf("no /proc/cpuinfo to check detection against: %v", err)
+	} else if has := strings.Contains(string(info), " avx2"); has != useAVX2 {
+		t.Fatalf("/proc/cpuinfo says avx2=%v, detectAVX2 chose %v", has, useAVX2)
+	}
+	if !useAVX2 {
+		t.Skip("CPU without AVX2: only the portable path exists here")
+	}
+	defer func() { useAVX2 = true }()
+	for kind := gemmNN; kind <= gemmTB; kind++ {
+		for _, s := range benchShapes {
+			c := gemmCase{kind, s[0], s[1], s[2]}
+			a, b := c.operands()
+			dst := New(c.m, c.n)
+			useAVX2 = true
+			if !gemmAsm(kind, dst, a, b) {
+				t.Errorf("%v did not run on the AVX2 kernels", c)
+			}
+			useAVX2 = false
+			if gemmAsm(kind, dst, a, b) {
+				t.Errorf("%v ran on the AVX2 kernels with the switch off", c)
+			}
+		}
+	}
+}

@@ -5,9 +5,52 @@
 //
 // The package deliberately stays on float32: the paper's systems (CNTK on
 // CUDA) train in single precision, and the quantisation codecs in
-// internal/quant operate on float32 gradients. All kernels are written to
-// be cache-friendly (row-major, k-inner loop GEMM) but make no attempt to
-// use SIMD intrinsics or assembly: correctness and portability first.
+// internal/quant operate on float32 gradients.
+//
+// # The GEMM kernels
+//
+// MatMul, MatMulTransA and MatMulTransB (and so MatMulAddBias) share one
+// contract, whichever code runs them:
+//
+//   - Every dst[i][j] is ((0 + t₀) + t₁) + … over its k terms in
+//     ascending k, each term one IEEE float32 multiply and each sum one
+//     IEEE float32 add. Nothing is fused: an FMA rounds once where
+//     multiply-then-add rounds twice, so a build that fused would train
+//     to different bits than one that did not, and training digests,
+//     goldens and cross-machine replica comparisons rest on those bits.
+//   - No term is skipped. A zero multiplicand against Inf or NaN yields
+//     NaN from all three entry points, so sparsity cannot hide a
+//     diverged operand. (With finite operands skipping zeros would not
+//     change a bit: a sum started at +0 never becomes -0.)
+//
+// On amd64 with AVX2 the products run on register-tiled kernels written
+// in Go assembly (gemm_amd64.s: VBROADCASTSS, VMULPS, VADDPS). Their
+// vector lanes run across output elements — eight j of one dst row; for
+// MatMulTransB, whose operands are both contiguous in k, eight rows of b
+// transposed in registers four k steps at a time — and never across k,
+// so a lane computes exactly the scalar sum above. A kernel call produces
+// a panel of four dst rows, its accumulators living in YMM registers for
+// the whole k loop and stored once. Tails take no masked or scalar code:
+// the last column strip, row panel or k block is pulled back to end at
+// the edge, recomputing a few elements to the same values (fewer than
+// four rows run one at a time with zero row strides). Products with
+// fewer than 8 columns, or fewer than 4 k steps for MatMulTransB, have
+// no full vector to pull back to and stay on the portable loops.
+//
+// The choice is made once, at package initialisation, from CPUID (AVX2)
+// and XGETBV (the OS saves YMM state); there is no option, environment
+// variable or build tag. AVX-512 is not used: workers that outnumber the
+// cores share them, and 512-bit code lowers the clock for its
+// neighbours. Kernels run VZEROUPPER before every return, so the SSE
+// code around them pays no transition penalty, and align their loops
+// themselves (PCALIGN), so their speed does not depend on where the
+// linker happens to put them. Assembly is never preempted asynchronously;
+// one call is bounded by one panel, 8·k·n flops — about 0.1 ms at the
+// largest layer here (k=1024, n=512).
+//
+// Everywhere else — other architectures, CPUs without AVX2 — the
+// portable Go loops in gemm.go run; they are also the reference the
+// kernels are tested against bit for bit (gemm_test.go).
 package tensor
 
 import (
@@ -193,90 +236,6 @@ func (m *Matrix) Equal(other *Matrix, eps float32) bool {
 // String renders a compact description (shape only, to keep logs sane).
 func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
-}
-
-// MatMul computes dst = a × b. dst must be pre-allocated with shape
-// a.Rows×b.Cols and must not alias a or b. It panics on shape mismatch.
-func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*n : k*n+n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulAddBias computes dst = a × b and then adds bias (a 1×b.Cols row
-// vector) to every row of dst.
-func MatMulAddBias(dst, a, b, bias *Matrix) {
-	MatMul(dst, a, b)
-	if bias.Len() != dst.Cols {
-		panic("tensor: MatMulAddBias bias size mismatch")
-	}
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] += bias.Data[j]
-		}
-	}
-}
-
-// MatMulTransA computes dst = aᵀ × b where a is stored untransposed.
-// dst shape must be a.Cols×b.Cols.
-func MatMulTransA(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch (%dx%d)ᵀ*(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	dst.Zero()
-	n := b.Cols
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Data[k*n : k*n+n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Data[i*n : i*n+n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulTransB computes dst = a × bᵀ where b is stored untransposed.
-// dst shape must be a.Rows×b.Rows.
-func MatMulTransB(dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch (%dx%d)*(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float32
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
-		}
-	}
 }
 
 // Transpose returns a new matrix that is the transpose of m.

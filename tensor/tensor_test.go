@@ -250,25 +250,3 @@ func TestSumFloat64Accumulation(t *testing.T) {
 		t.Fatalf("Sum drifted: %v", got)
 	}
 }
-
-func BenchmarkMatMul128(b *testing.B) {
-	r := rng.New(1)
-	a := randMatrix(r, 128, 128)
-	bb := randMatrix(r, 128, 128)
-	dst := New(128, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMul(dst, a, bb)
-	}
-}
-
-func BenchmarkMatMulTransA128(b *testing.B) {
-	r := rng.New(1)
-	a := randMatrix(r, 128, 128)
-	bb := randMatrix(r, 128, 128)
-	dst := New(128, 128)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MatMulTransA(dst, a, bb)
-	}
-}
