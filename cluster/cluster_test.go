@@ -213,7 +213,7 @@ func TestRendezvousThreeRanks(t *testing.T) {
 			if from == to {
 				continue
 			}
-			if err := sessions[from].Fabric().Send(from, to, []byte{byte(10*from + to)}); err != nil {
+			if err := sessions[from].Fabric().Send(from, to, nil, []byte{byte(10*from + to)}); err != nil {
 				t.Fatalf("send %d->%d: %v", from, to, err)
 			}
 			wg.Add(1)

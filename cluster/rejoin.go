@@ -392,7 +392,7 @@ func transferState(fabric *comm.RemoteFabric, rank int, steps []int64, local ela
 			if r == rank || st >= resume {
 				continue
 			}
-			if err := fabric.Send(rank, r, buf.Bytes()); err != nil {
+			if err := fabric.Send(rank, r, nil, buf.Bytes()); err != nil {
 				return nil, fmt.Errorf("cluster: stream snapshot to rank %d: %w", r, err)
 			}
 		}

@@ -58,8 +58,7 @@ func TestAbortUnblocksWithTypedError(t *testing.T) {
 
 	got := make(chan error, 1)
 	go func() {
-		_, err := f0.Recv(1, 0)
-		got <- err
+		got <- f0.RecvInto(1, 0, make([]byte, 1))
 	}()
 	time.Sleep(20 * time.Millisecond) // let Recv block on the socket
 	f0.Abort(errDead)
@@ -72,10 +71,10 @@ func TestAbortUnblocksWithTypedError(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Abort did not unblock the pending Recv")
 	}
-	if err := f0.Send(0, 1, []byte{1}); !errors.Is(err, errDead) {
+	if err := f0.Send(0, 1, nil, []byte{1}); !errors.Is(err, errDead) {
 		t.Fatalf("send after abort: %v, want the verdict", err)
 	}
-	if _, err := f0.Recv(1, 0); !errors.Is(err, errDead) {
+	if err := f0.RecvInto(1, 0, make([]byte, 1)); !errors.Is(err, errDead) {
 		t.Fatalf("recv after abort: %v, want the verdict", err)
 	}
 	if err := f0.Close(); err != nil {
@@ -90,7 +89,7 @@ func TestAbortAfterCloseIsErrClosed(t *testing.T) {
 	defer f1.Close()
 	f0.Close()
 	f0.Abort(errors.New("late verdict"))
-	if err := f0.Send(0, 1, []byte{1}); !errors.Is(err, ErrClosed) {
+	if err := f0.Send(0, 1, nil, []byte{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close-then-abort: %v, want ErrClosed", err)
 	}
 }
@@ -114,14 +113,13 @@ func TestCloseInterruptsReaderBeforeDrain(t *testing.T) {
 	go func() {
 		defer close(floodDone)
 		payload := make([]byte, 1<<20)
-		for f0.Send(0, 1, payload) == nil {
+		for f0.Send(0, 1, nil, payload) == nil {
 		}
 	}()
 	// And block a reader on the link no byte will ever arrive on.
 	recvErr := make(chan error, 1)
 	go func() {
-		_, err := f0.Recv(1, 0)
-		recvErr <- err
+		recvErr <- f0.RecvInto(1, 0, make([]byte, 1))
 	}()
 	time.Sleep(100 * time.Millisecond) // let both sides wedge
 
@@ -253,7 +251,7 @@ func TestMidExchangePeerDeathQuantisedAllReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close() // rank 1's process dies
-	if _, err := g0.Recv(1, 0); err == nil || errors.Is(err, ErrClosed) {
+	if err := g0.RecvInto(1, 0, make([]byte, 1)); err == nil || errors.Is(err, ErrClosed) {
 		t.Fatalf("severed peer must surface a transport error, got %v", err)
 	}
 	g0.Close()
@@ -261,4 +259,61 @@ func TestMidExchangePeerDeathQuantisedAllReduce(t *testing.T) {
 
 	fabs[2].Close()
 	waitGoroutines(t, before)
+}
+
+// TestTeardownWithSlabsInFlight: Abort and Close while slabs sit in a
+// wedged link's queue (and one inside the writer's Write) deliver the
+// verdict / ErrClosed to the blocked sender, hand no slab back to the
+// free list twice, and leak no goroutine.
+func TestTeardownWithSlabsInFlight(t *testing.T) {
+	oldDrain := drainTimeout
+	drainTimeout = 200 * time.Millisecond
+	defer func() { drainTimeout = oldDrain }()
+	errDead := errors.New("test: rank 1 declared dead")
+
+	for _, tc := range []struct {
+		name     string
+		teardown func(*RemoteFabric)
+		want     error
+	}{
+		{"abort", func(f *RemoteFabric) { f.Abort(errDead) }, errDead},
+		{"close", func(f *RemoteFabric) { f.Close() }, ErrClosed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			f0, f1 := twoRankFabrics(t) // f1 never reads: the link wedges
+			// Sizes cycle so the free list is exercised while the flood
+			// builds up, not just at the end.
+			flood := make(chan error, 1)
+			go func() {
+				var err error
+				for i := 0; err == nil; i++ {
+					err = f0.Send(0, 1, nil, make([]byte, 64<<10+i%3*(256<<10)))
+				}
+				flood <- err
+			}()
+			time.Sleep(100 * time.Millisecond) // socket buffer, queue and Send all full
+			tc.teardown(f0)
+			select {
+			case err := <-flood:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("blocked sender got %v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("teardown did not release the blocked sender")
+			}
+			// The writer has exited (teardown waits for it), so the free
+			// list is quiescent: every slab in it must be a distinct buffer.
+			seen := map[*byte]bool{}
+			for _, b := range f0.links[1].slabs.free {
+				p := &b[:1][0]
+				if seen[p] {
+					t.Fatal("a slab was returned to the free list twice")
+				}
+				seen[p] = true
+			}
+			f1.Close()
+			waitGoroutines(t, before)
+		})
+	}
 }

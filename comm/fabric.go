@@ -14,6 +14,22 @@
 // whose payloads leave the process, e.g. TCPFabric) additionally carry
 // one self-describing quant frame header per message; the reducers'
 // WireBytesPerExchange predictions account for it.
+//
+// # Buffer ownership
+//
+// The data path allocates nothing in steady state and copies a message
+// once in user space. Every directed link owns a small free list of
+// send buffers (slabPool): Send assembles length prefix, frame header
+// and payload in one and hands it on — to the link's writer goroutine,
+// which issues one Write and returns it, or through the in-process
+// channel to the receiver, which returns it after copying out. An empty
+// list allocates rather than blocks (the pool must never be able to
+// deadlock an exchange); a link retains at most maxRetainedSlabs
+// buffers, each as large as its largest message. Receives land in
+// memory the caller owns (Transport.RecvInto): the reducers know the
+// size of every message they expect and keep one receive buffer per
+// rank, and a message of any other size is an error before a byte of
+// it is read. Slices passed to Send and RecvInto stay the caller's.
 package comm
 
 import (
@@ -22,11 +38,12 @@ import (
 )
 
 // Fabric is a reliable, ordered, in-process interconnect between K peers.
-// Each directed link is an independent FIFO; sends copy their payload, so
-// callers may reuse encode buffers immediately.
+// Each directed link is an independent FIFO of link-owned buffers: Send
+// copies the message into one, RecvInto copies it out and recycles it.
 type Fabric struct {
 	k     int
 	links []chan []byte // links[from*k+to]
+	slabs []slabPool
 	bytes []atomic.Int64
 	sends []atomic.Int64
 }
@@ -44,6 +61,7 @@ func NewFabric(k int) *Fabric {
 	f := &Fabric{
 		k:     k,
 		links: make([]chan []byte, k*k),
+		slabs: make([]slabPool, k*k),
 		bytes: make([]atomic.Int64, k*k),
 		sends: make([]atomic.Int64, k*k),
 	}
@@ -56,8 +74,8 @@ func NewFabric(k int) *Fabric {
 // K returns the number of peers.
 func (f *Fabric) K() int { return f.k }
 
-// Framed implements Transport: channel payloads stay in-process, so the
-// headerless fast path applies.
+// Framed implements Transport: channel payloads stay in-process, so
+// they travel bare.
 func (f *Fabric) Framed() bool { return false }
 
 func (f *Fabric) link(from, to int) int {
@@ -70,22 +88,33 @@ func (f *Fabric) link(from, to int) int {
 	return from*f.k + to
 }
 
-// Send transmits payload from peer `from` to peer `to`, copying it. It
-// blocks only when the link buffer is full. The in-process fabric has
-// no failure modes, so the error is always nil.
-func (f *Fabric) Send(from, to int, payload []byte) error {
+// Send implements Transport. It blocks only when the link buffer is
+// full. The in-process fabric has no failure modes, so the error is
+// always nil.
+func (f *Fabric) Send(from, to int, header, payload []byte) error {
 	l := f.link(from, to)
-	msg := append([]byte(nil), payload...)
+	msg := f.slabs[l].get(len(header) + len(payload))
+	copy(msg[copy(msg, header):], payload)
 	f.bytes[l].Add(int64(len(msg)))
 	f.sends[l].Add(1)
 	f.links[l] <- msg
 	return nil
 }
 
-// Recv blocks until a message from peer `from` arrives at peer `to` and
-// returns it in FIFO order. The error is always nil.
-func (f *Fabric) Recv(from, to int) ([]byte, error) {
-	return <-f.links[f.link(from, to)], nil
+// RecvInto implements Transport: messages arrive in FIFO order. A
+// message that does not fit dst exactly is consumed and reported as a
+// *SizeError.
+func (f *Fabric) RecvInto(from, to int, dst []byte) error {
+	l := f.link(from, to)
+	msg := <-f.links[l]
+	var err error
+	if len(msg) == len(dst) {
+		copy(dst, msg)
+	} else {
+		err = &SizeError{From: from, Announced: int64(len(msg)), Want: int64(len(dst))}
+	}
+	f.slabs[l].put(msg)
+	return err
 }
 
 // BytesOnLink returns the cumulative bytes sent from -> to.

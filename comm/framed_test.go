@@ -48,7 +48,11 @@ func TestFramedWireNeedsNoSharedConfig(t *testing.T) {
 		mustSend(t, f, 0, 1, frame.Bytes())
 
 		// Receiver: raw bytes in, values out. No codec, no shape, no n.
-		got, err := quant.DecodeAny(bytes.NewReader(mustRecv(t, f, 0, 1)))
+		wire, err := f.Rank(1).Recv(0, 1)
+		if err != nil {
+			t.Fatalf("%s: recv: %v", name, err)
+		}
+		got, err := quant.DecodeAny(bytes.NewReader(wire))
 		if err != nil {
 			t.Fatalf("%s: DecodeAny on received frame: %v", name, err)
 		}

@@ -1,0 +1,7 @@
+//go:build race
+
+package comm
+
+// raceEnabled reports that the race detector is instrumenting this
+// build; it allocates on its own account, so allocation assertions skip.
+const raceEnabled = true

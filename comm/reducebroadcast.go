@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/obs"
@@ -58,11 +57,11 @@ func splitStripes(n, group, k int) []stripe {
 // broadcast, so all replicas remain bit-identical.
 //
 // Over a framed transport (Transport.Framed, e.g. TCPFabric) every
-// message is wrapped in the self-describing quant frame format, so the
-// peers need no out-of-band agreement on codecs or shapes; over an
-// in-process fabric the headerless fast path is used. The decoded
-// values — and therefore the training trajectory — are identical either
-// way.
+// message is the encoder's self-describing quant frame header followed
+// by its payload, so the peers need no out-of-band agreement on codecs
+// or shapes; over an in-process fabric the bare payload travels. The
+// decoded values — and therefore the training trajectory — are
+// identical either way.
 type ReduceBroadcast struct {
 	fabric  Transport
 	framed  bool
@@ -81,13 +80,9 @@ type rbWorker struct {
 	// scratch decode buffer, sized to the largest stripe.
 	tmp   []float32
 	accum []float32
-	// frame is the scratch buffer frames are assembled in (framed mode).
-	frame bytes.Buffer
-	// dec decodes received frames, remembering the last codec it saw.
-	dec quant.FrameDecoder
-	// acc gathers the in-flight Reduce call's phase timings (each
-	// worker's Reduce runs on its own goroutine, so this is unshared).
-	acc spanAcc
+	// in[t] describes (and decodes) tensor t's incoming messages.
+	in []inbound
+	endpoint
 }
 
 // NewReduceBroadcast builds the primitive for the given tensors over the
@@ -123,9 +118,7 @@ func NewReduceBroadcastLocal(f Transport, specs []TensorSpec, seed uint64, ranks
 		g := spec.Codec.GroupSize(spec.Wire)
 		rb.stripes[t] = splitStripes(spec.N, g, k)
 		for _, st := range rb.stripes[t] {
-			if st.n > maxStripe {
-				maxStripe = st.n
-			}
+			maxStripe = max(maxStripe, st.n)
 		}
 	}
 	for _, w := range ranks {
@@ -137,8 +130,11 @@ func NewReduceBroadcastLocal(f Transport, specs []TensorSpec, seed uint64, ranks
 			aggEnc:    make([]quant.Encoder, len(specs)),
 			tmp:       make([]float32, maxStripe),
 			accum:     make([]float32, maxStripe),
+			in:        make([]inbound, len(specs)),
+			endpoint:  endpoint{fabric: f, framed: rb.framed},
 		}
 		for t, spec := range specs {
+			ws.in[t] = newInbound(spec.Codec, spec.Wire)
 			ws.stripeEnc[t] = make([]quant.Encoder, k)
 			for o := 0; o < k; o++ {
 				st := rb.stripes[t][o]
@@ -150,7 +146,7 @@ func NewReduceBroadcastLocal(f Transport, specs []TensorSpec, seed uint64, ranks
 			}
 			if own := rb.stripes[t][w]; own.n > 0 {
 				ws.aggEnc[t] = spec.Codec.NewEncoder(own.n, spec.Wire,
-					mixSeed(seed, uint64(w), uint64(t), 1<<32))
+					mixSeed(seed, uint64(w), uint64(t), aggStripe))
 			}
 		}
 		rb.workers[w] = ws
@@ -276,21 +272,20 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 
 	// Phase 1: encode each stripe and ship it to its owner. The local
 	// stripe is encoded too (the sender-side residual must advance
-	// uniformly) but stays local, so it always takes the headerless fast
-	// path; remote stripes are framed when the transport requires it.
-	var ownWire []byte // owned by stripeEnc[tensorID][rank] until its next Encode
+	// uniformly) but stays local.
+	var ownWire []byte // owned by stripeEnc[tensorID][rank] (or a view of g) until phase 2 decodes it
 	for o := 0; o < k; o++ {
 		st := stripes[o]
 		if st.n == 0 {
 			continue
 		}
 		enc := ws.stripeEnc[tensorID][o]
-		src := g[st.off : st.off+st.n]
+		t0 := tr.Now()
+		wire := enc.Encode(g[st.off : st.off+st.n])
+		ws.acc.quantise += tr.Now() - t0
 		if o == rank {
-			t0 := tr.Now()
-			ownWire = enc.Encode(src)
-			ws.acc.quantise += tr.Now() - t0
-		} else if err := rb.sendEncoded(ws, enc, rank, o, src); err != nil {
+			ownWire = wire
+		} else if err := ws.send(tr, enc, rank, o, wire); err != nil {
 			return fmt.Errorf("comm: send stripe of %s to %d: %w", spec.Name, o, err)
 		}
 	}
@@ -309,43 +304,28 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 			if p == rank {
 				continue
 			}
-			t0 = tr.Now()
-			wire, err := rb.fabric.Recv(p, rank)
-			if err != nil {
-				return fmt.Errorf("comm: recv stripe of %s from %d: %w", spec.Name, p, err)
+			if err := ws.recv(tr, &ws.in[tensorID], p, rank, tmp); err != nil {
+				return fmt.Errorf("comm: stripe of %s from %d: %w", spec.Name, p, err)
 			}
-			ws.acc.transfer += tr.Now() - t0
-			ws.acc.bytes += int64(len(wire))
-			t0 = tr.Now()
-			if err := rb.decodeWire(ws, spec, wire, own.n, tmp); err != nil {
-				return fmt.Errorf("comm: decode stripe of %s from %d: %w", spec.Name, p, err)
-			}
-			ws.acc.decode += tr.Now() - t0
 			for i, v := range tmp {
 				accum[i] += v
 			}
 		}
 		// The owner adopts the decoded broadcast, not the raw sum, so
 		// every replica sees identical bytes.
-		dst := g[own.off : own.off+own.n]
+		agg := ws.aggEnc[tensorID]
 		t0 = tr.Now()
-		aggWire, err := rb.encodeWire(ws, ws.aggEnc[tensorID], accum)
-		if err != nil {
-			return fmt.Errorf("comm: encode aggregate of %s: %w", spec.Name, err)
-		}
+		aggWire := agg.Encode(accum)
 		ws.acc.quantise += tr.Now() - t0
-		t0 = tr.Now()
 		for p := 0; p < k; p++ {
 			if p != rank {
-				if err := rb.fabric.Send(rank, p, aggWire); err != nil {
+				if err := ws.send(tr, agg, rank, p, aggWire); err != nil {
 					return fmt.Errorf("comm: broadcast aggregate of %s to %d: %w", spec.Name, p, err)
 				}
-				ws.acc.bytes += int64(len(aggWire))
 			}
 		}
-		ws.acc.transfer += tr.Now() - t0
 		t0 = tr.Now()
-		if err := rb.decodeWire(ws, spec, aggWire, own.n, dst); err != nil {
+		if err := spec.Codec.Decode(aggWire, own.n, spec.Wire, g[own.off:own.off+own.n]); err != nil {
 			return fmt.Errorf("comm: decode own aggregate of %s: %w", spec.Name, err)
 		}
 		ws.acc.decode += tr.Now() - t0
@@ -357,63 +337,10 @@ func (rb *ReduceBroadcast) Reduce(rank, tensorID int, g []float32) error {
 		if o == rank || st.n == 0 {
 			continue
 		}
-		t0 := tr.Now()
-		wire, err := rb.fabric.Recv(o, rank)
-		if err != nil {
-			return fmt.Errorf("comm: recv aggregate of %s from %d: %w", spec.Name, o, err)
+		if err := ws.recv(tr, &ws.in[tensorID], o, rank, g[st.off:st.off+st.n]); err != nil {
+			return fmt.Errorf("comm: aggregate of %s from %d: %w", spec.Name, o, err)
 		}
-		ws.acc.transfer += tr.Now() - t0
-		ws.acc.bytes += int64(len(wire))
-		t0 = tr.Now()
-		if err := rb.decodeWire(ws, spec, wire, st.n, g[st.off:st.off+st.n]); err != nil {
-			return fmt.Errorf("comm: decode aggregate of %s from %d: %w", spec.Name, o, err)
-		}
-		ws.acc.decode += tr.Now() - t0
 	}
 	ws.acc.record(tr, rank, spec.Name, reduceStart)
 	return nil
-}
-
-// sendEncoded encodes src with enc and ships it from -> to.
-func (rb *ReduceBroadcast) sendEncoded(ws *rbWorker, enc quant.Encoder, from, to int, src []float32) error {
-	tr := rb.tracer
-	t0 := tr.Now()
-	wire, err := rb.encodeWire(ws, enc, src)
-	if err != nil {
-		return err
-	}
-	ws.acc.quantise += tr.Now() - t0
-	t0 = tr.Now()
-	err = rb.fabric.Send(from, to, wire)
-	ws.acc.transfer += tr.Now() - t0
-	if err == nil {
-		ws.acc.bytes += int64(len(wire))
-	}
-	return err
-}
-
-// encodeWire encodes src with enc into the message the transport
-// carries: a self-describing frame when it demands one, the bare
-// payload otherwise. The bytes belong to enc or to ws.frame and are
-// valid until the next encodeWire on ws.
-func (rb *ReduceBroadcast) encodeWire(ws *rbWorker, enc quant.Encoder, src []float32) ([]byte, error) {
-	if !rb.framed {
-		return enc.Encode(src), nil
-	}
-	ws.frame.Reset()
-	if _, err := enc.EncodeTo(&ws.frame, src); err != nil {
-		return nil, err
-	}
-	return ws.frame.Bytes(), nil
-}
-
-// decodeWire decodes one received message of n elements into dst. On a
-// framed transport the message describes itself — codec, shape and
-// length all come from its header, with no reference to spec.
-func (rb *ReduceBroadcast) decodeWire(ws *rbWorker, spec TensorSpec, wire []byte, n int, dst []float32) error {
-	if rb.framed {
-		_, err := ws.dec.Decode(wire, dst)
-		return err
-	}
-	return spec.Codec.Decode(wire, n, spec.Wire, dst)
 }

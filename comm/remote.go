@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +20,7 @@ import (
 // goroutines, FIFO framing, byte accounting and a clean ErrClosed
 // shutdown path.
 //
-// Send may only be called with from == Local and Recv with
+// Send may only be called with from == Local and RecvInto/Recv with
 // to == Local: a process can speak for its own rank alone. The
 // aggregation primitives already observe this discipline (each rank
 // sends as itself and receives as itself), which is what lets the same
@@ -27,33 +28,25 @@ import (
 // a machine-spanning mesh.
 //
 // Frame format per message: uint32 little-endian payload length, then
-// the payload bytes — identical in both directions of every link.
+// the payload bytes — identical in both directions of every link, and
+// written as one Write, so a failure cannot strand a prefix without its
+// body.
 type RemoteFabric struct {
 	k     int
 	local int
-	// conns[p] is the duplex link to peer p (nil at p == local). The
-	// local end writes p-bound messages and reads p-originated ones.
-	conns []net.Conn
-	// queues[p] feeds the writer goroutine of the link to peer p. qmu
-	// serialises enqueueing against Close closing the channels.
-	queues []chan []byte
-	qmu    sync.RWMutex
-	// aborted is closed by the first asynchronous write failure, and
-	// closing at the start of Close, so senders blocked on the full
-	// queue of a stalled or dead link get out (and release qmu) instead
-	// of wedging Close.
-	aborted   chan struct{}
-	abortOnce sync.Once
-	closing   chan struct{}
-	writers   sync.WaitGroup
-	rmu       []sync.Mutex
-	// traffic[p] accounts the link to peer p (zero at p == local).
-	// Payload bytes only — the 4-byte frame header is transport framing,
-	// not exchange traffic, and the simulator prices payloads. The
-	// aggregate TotalBytes/TotalMessages are sums over these, so the
-	// per-peer and total views can never disagree.
-	traffic []peerCounters
-	closed  atomic.Bool
+	// links[p] is the duplex link to peer p (zero at p == local).
+	links []remoteLink
+	// qmu serialises enqueueing on the links' queues against Close
+	// closing them.
+	qmu sync.RWMutex
+	// unblock is closed by the first asynchronous write failure and at
+	// the start of every teardown, so senders blocked on the full queue
+	// of a stalled or dead link get out (and release qmu) instead of
+	// wedging Close.
+	unblock     chan struct{}
+	unblockOnce sync.Once
+	writers     sync.WaitGroup
+	closed      atomic.Bool
 	// werr records the first asynchronous socket write failure; Send
 	// reports it on the next call.
 	werr atomic.Pointer[error]
@@ -64,8 +57,25 @@ type RemoteFabric struct {
 	aerr atomic.Pointer[error]
 }
 
-// peerCounters is the atomic backing of one link's PeerTraffic view.
-type peerCounters struct {
+// remoteLink is the local end of the link to one peer: the local rank
+// writes peer-bound messages to conn and reads peer-originated ones.
+type remoteLink struct {
+	conn net.Conn
+	// queue feeds the link's writer goroutine with assembled slabs; the
+	// writer returns each to slabs once it is on the socket.
+	queue chan []byte
+	slabs slabPool
+	// rmu serialises receivers and guards prefix and rerr.
+	rmu    sync.Mutex
+	prefix [4]byte
+	// rerr poisons the receive side: after a read failure or a rejected
+	// length prefix the stream position is unknown, and every later
+	// receive reports the same error.
+	rerr error
+	// The link's ledger, payload bytes only — the 4-byte length prefix
+	// is transport framing, not exchange traffic, and the simulator
+	// prices payloads. TotalBytes/TotalMessages are sums over these, so
+	// the per-peer and total views can never disagree.
 	txBytes, rxBytes, txFrames, rxFrames atomic.Int64
 }
 
@@ -76,9 +86,14 @@ type PeerTraffic struct {
 	TxBytes, RxBytes, TxFrames, RxFrames int64
 }
 
-// maxRemoteMessage bounds a single message announced by a peer (1 GiB);
-// larger length prefixes are treated as stream corruption.
+// maxRemoteMessage bounds a single message (1 GiB): Send refuses a
+// larger one, a larger length prefix from a peer is stream corruption.
 const maxRemoteMessage = 1 << 30
+
+// recvChunk is the most Recv allocates ahead of the bytes that have
+// actually arrived, so a corrupted length prefix fails on the
+// (truncated) stream instead of allocating the announced size.
+const recvChunk = 1 << 20
 
 // drainTimeout bounds how long Close flushes queued messages to peers
 // before closing the sockets. Orderly shutdown must deliver the tail of
@@ -112,46 +127,37 @@ func NewRemoteFabric(local, k int, conns []net.Conn) (*RemoteFabric, error) {
 	f := &RemoteFabric{
 		k:       k,
 		local:   local,
-		conns:   append([]net.Conn(nil), conns...),
-		queues:  make([]chan []byte, k),
-		aborted: make(chan struct{}),
-		closing: make(chan struct{}),
-		rmu:     make([]sync.Mutex, k),
-		traffic: make([]peerCounters, k),
+		links:   make([]remoteLink, k),
+		unblock: make(chan struct{}),
 	}
-	for p := range f.conns {
+	for p := range f.links {
 		if p == local {
 			continue
 		}
-		f.queues[p] = make(chan []byte, linkBuffer)
+		l := &f.links[p]
+		l.conn = conns[p]
+		l.queue = make(chan []byte, linkBuffer)
 		f.writers.Add(1)
-		go f.writeLoop(p, f.conns[p])
+		go f.writeLoop(p, l)
 	}
 	return f, nil
 }
 
-// writeLoop drains one peer's queue onto its socket. It runs until the
-// queue is closed and empty (orderly Close flushes the tail of the
-// final exchange this way) or the socket fails, after which it keeps
-// consuming and discarding so queued senders and Close are never stuck
-// behind a dead link.
-func (f *RemoteFabric) writeLoop(peer int, conn net.Conn) {
+// writeLoop drains one peer's queue onto its socket, one Write per
+// message, recycling each slab once written. It runs until the queue is
+// closed and empty (orderly Close flushes the tail of the final
+// exchange this way) or the socket fails, after which it discards so
+// queued senders and Close are never stuck behind a dead link.
+func (f *RemoteFabric) writeLoop(peer int, l *remoteLink) {
 	defer f.writers.Done()
-	var hdr [4]byte
-	for payload := range f.queues[peer] {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-		if _, err := conn.Write(hdr[:]); err != nil {
+	for slab := range l.queue {
+		if _, err := l.conn.Write(slab); err != nil {
 			f.writeFail(peer, err)
 			break
 		}
-		if len(payload) > 0 {
-			if _, err := conn.Write(payload); err != nil {
-				f.writeFail(peer, err)
-				break
-			}
-		}
+		l.slabs.put(slab)
 	}
-	for range f.queues[peer] {
+	for range l.queue {
 		// Discard until Close closes the channel.
 	}
 }
@@ -165,7 +171,7 @@ func (f *RemoteFabric) writeFail(peer int, err error) {
 		e := fmt.Errorf("comm: send to rank %d: %w", peer, err)
 		f.werr.CompareAndSwap(nil, &e)
 	}
-	f.abortOnce.Do(func() { close(f.aborted) })
+	f.unblockOnce.Do(func() { close(f.unblock) })
 }
 
 // K implements Transport.
@@ -194,53 +200,60 @@ func (f *RemoteFabric) checkPeer(local, peer int, op string) error {
 	return nil
 }
 
-// Send implements Transport. The payload is copied and enqueued for the
-// peer's writer goroutine; Send blocks only when the link queue is
-// full. from must be the local rank.
-func (f *RemoteFabric) Send(from, to int, payload []byte) error {
+// Send implements Transport: the message is assembled behind its length
+// prefix in one of the link's slabs and enqueued for the peer's writer
+// goroutine. from must be the local rank.
+func (f *RemoteFabric) Send(from, to int, header, payload []byte) error {
 	if err := f.checkPeer(from, to, "send"); err != nil {
 		return err
 	}
 	// Lifecycle wins over a recorded writer error: after an orderly
 	// Close the caller must see ErrClosed — or the abort verdict — not
 	// the stale socket failure that preceded it.
+	if err := f.sendErr(); err != nil {
+		return err
+	}
+	n := len(header) + len(payload)
+	if n > maxRemoteMessage {
+		return fmt.Errorf("comm: %d-byte message to rank %d, cap is %d", n, to, maxRemoteMessage)
+	}
+	l := &f.links[to]
+	slab := l.slabs.get(4 + n)
+	binary.LittleEndian.PutUint32(slab, uint32(n))
+	copy(slab[4+copy(slab[4:], header):], payload)
+	// The read lock spans the enqueue so Close cannot close the channel
+	// under a blocked send; unblock frees senders stuck on the full
+	// queue of a link whose writer died or whose fabric is going down.
+	f.qmu.RLock()
+	err := f.lifecycleErr()
+	if err == nil {
+		select {
+		case l.queue <- slab:
+			f.qmu.RUnlock()
+			l.txBytes.Add(int64(n))
+			l.txFrames.Add(1)
+			return nil
+		case <-f.unblock:
+		}
+		if err = f.sendErr(); err == nil {
+			err = ErrClosed
+		}
+	}
+	f.qmu.RUnlock()
+	l.slabs.put(slab) // never enqueued, so still this call's to return
+	return err
+}
+
+// sendErr is what a Send that cannot proceed reports: the lifecycle
+// error if there is one, else the first asynchronous write failure.
+func (f *RemoteFabric) sendErr() error {
 	if err := f.lifecycleErr(); err != nil {
 		return err
 	}
 	if e := f.werr.Load(); e != nil {
 		return *e
 	}
-	msg := append([]byte(nil), payload...)
-	// The read lock spans the enqueue so Close cannot close the channel
-	// under a blocked send; the aborted case frees senders stuck on the
-	// full queue of a link whose writer died.
-	f.qmu.RLock()
-	if err := f.lifecycleErr(); err != nil {
-		f.qmu.RUnlock()
-		return err
-	}
-	select {
-	case f.queues[to] <- msg:
-		f.qmu.RUnlock()
-		f.traffic[to].txBytes.Add(int64(len(msg)))
-		f.traffic[to].txFrames.Add(1)
-		return nil
-	case <-f.aborted:
-		f.qmu.RUnlock()
-		if err := f.lifecycleErr(); err != nil {
-			return err
-		}
-		if e := f.werr.Load(); e != nil {
-			return *e
-		}
-		return ErrClosed
-	case <-f.closing:
-		f.qmu.RUnlock()
-		if err := f.lifecycleErr(); err != nil {
-			return err
-		}
-		return ErrClosed
-	}
+	return nil
 }
 
 // lifecycleErr returns the error every data-path call must report once
@@ -256,57 +269,99 @@ func (f *RemoteFabric) lifecycleErr() error {
 	return nil
 }
 
-// Recv implements Transport. to must be the local rank.
+// RecvInto implements Transport: the length prefix is checked against
+// len(dst) before any payload is read. to must be the local rank.
+func (f *RemoteFabric) RecvInto(from, to int, dst []byte) error {
+	if err := f.checkPeer(to, from, "receive"); err != nil {
+		return err
+	}
+	l := &f.links[from]
+	l.rmu.Lock()
+	defer l.rmu.Unlock()
+	n, err := f.readPrefix(l, from)
+	if err != nil {
+		return err
+	}
+	if n != int64(len(dst)) {
+		l.rerr = &SizeError{From: from, Announced: n, Want: int64(len(dst))}
+		return l.rerr
+	}
+	if _, err := io.ReadFull(l.conn, dst); err != nil {
+		return f.recvFail(l, from, err)
+	}
+	l.rxBytes.Add(n)
+	l.rxFrames.Add(1)
+	return nil
+}
+
+// Recv receives the next message from peer `from` whatever its length
+// (up to maxRemoteMessage) into a fresh buffer the caller owns: the path
+// for the one message whose size the receiver cannot know, the elastic
+// snapshot a rejoining rank is sent. to must be the local rank.
 func (f *RemoteFabric) Recv(from, to int) ([]byte, error) {
 	if err := f.checkPeer(to, from, "receive"); err != nil {
 		return nil, err
 	}
-	f.rmu[from].Lock()
-	defer f.rmu[from].Unlock()
-	if err := f.lifecycleErr(); err != nil {
+	l := &f.links[from]
+	l.rmu.Lock()
+	defer l.rmu.Unlock()
+	n, err := f.readPrefix(l, from)
+	if err != nil {
 		return nil, err
 	}
-	conn := f.conns[from]
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, f.recvErr(from, err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > maxRemoteMessage {
-		return nil, fmt.Errorf("comm: rank %d announces a %d-byte message, cap is %d", from, n, maxRemoteMessage)
+		l.rerr = fmt.Errorf("comm: rank %d announces a %d-byte message, cap is %d", from, n, maxRemoteMessage)
+		return nil, l.rerr
 	}
-	// Grow in bounded chunks so a corrupted length prefix fails on the
-	// (truncated) stream instead of allocating the announced size.
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(int(n), chunk))
+	// Grow by at most recvChunk beyond what has arrived, each chunk
+	// allocated once (slices.Grow amortises the copies of the prefix).
+	var buf []byte
 	for len(buf) < int(n) {
-		m := min(int(n)-len(buf), chunk)
 		start := len(buf)
-		buf = append(buf, make([]byte, m)...)
-		if _, err := io.ReadFull(conn, buf[start:]); err != nil {
-			return nil, f.recvErr(from, err)
+		end := start + min(int(n)-start, recvChunk)
+		buf = slices.Grow(buf, end-start)[:end]
+		if _, err := io.ReadFull(l.conn, buf[start:]); err != nil {
+			return nil, f.recvFail(l, from, err)
 		}
 	}
-	f.traffic[from].rxBytes.Add(int64(n))
-	f.traffic[from].rxFrames.Add(1)
+	l.rxBytes.Add(n)
+	l.rxFrames.Add(1)
 	return buf, nil
 }
 
-// recvErr maps a socket read failure to the lifecycle error during
-// shutdown (the abort verdict, or ErrClosed after an orderly Close).
-func (f *RemoteFabric) recvErr(from int, err error) error {
+// readPrefix reads the next message's length prefix. The caller holds
+// l.rmu.
+func (f *RemoteFabric) readPrefix(l *remoteLink, from int) (int64, error) {
+	if err := f.lifecycleErr(); err != nil {
+		return 0, err
+	}
+	if l.rerr != nil {
+		return 0, l.rerr
+	}
+	if _, err := io.ReadFull(l.conn, l.prefix[:]); err != nil {
+		return 0, f.recvFail(l, from, err)
+	}
+	return int64(binary.LittleEndian.Uint32(l.prefix[:])), nil
+}
+
+// recvFail maps a socket read failure to the lifecycle error during
+// shutdown (the abort verdict, or ErrClosed after an orderly Close);
+// otherwise it poisons the link with the wrapped failure, since part of
+// a message may have been consumed.
+func (f *RemoteFabric) recvFail(l *remoteLink, from int, err error) error {
 	if lerr := f.lifecycleErr(); lerr != nil {
 		return lerr
 	}
-	return fmt.Errorf("comm: recv from rank %d: %w", from, err)
+	l.rerr = fmt.Errorf("comm: recv from rank %d: %w", from, err)
+	return l.rerr
 }
 
 // TotalBytes implements Transport: payload bytes sent by the local
 // rank, the sum of every link's TxBytes.
 func (f *RemoteFabric) TotalBytes() int64 {
 	var n int64
-	for p := range f.traffic {
-		n += f.traffic[p].txBytes.Load()
+	for p := range f.links {
+		n += f.links[p].txBytes.Load()
 	}
 	return n
 }
@@ -315,8 +370,8 @@ func (f *RemoteFabric) TotalBytes() int64 {
 // the sum of every link's TxFrames.
 func (f *RemoteFabric) TotalMessages() int64 {
 	var n int64
-	for p := range f.traffic {
-		n += f.traffic[p].txFrames.Load()
+	for p := range f.links {
+		n += f.links[p].txFrames.Load()
 	}
 	return n
 }
@@ -327,12 +382,12 @@ func (f *RemoteFabric) PeerTraffic(p int) PeerTraffic {
 	if p < 0 || p >= f.k {
 		panic(fmt.Sprintf("comm: peer %d outside world of %d", p, f.k))
 	}
-	c := &f.traffic[p]
+	l := &f.links[p]
 	return PeerTraffic{
-		TxBytes:  c.txBytes.Load(),
-		RxBytes:  c.rxBytes.Load(),
-		TxFrames: c.txFrames.Load(),
-		RxFrames: c.rxFrames.Load(),
+		TxBytes:  l.txBytes.Load(),
+		RxBytes:  l.rxBytes.Load(),
+		TxFrames: l.txFrames.Load(),
+		RxFrames: l.rxFrames.Load(),
 	}
 }
 
@@ -370,7 +425,6 @@ func (f *RemoteFabric) Abort(err error) {
 		return
 	}
 	f.aerr.Store(&err)
-	f.abortOnce.Do(func() { close(f.aborted) })
 	f.teardown(time.Now())
 }
 
@@ -399,25 +453,25 @@ func (f *RemoteFabric) teardown(deadline time.Time) error {
 	// that will never send another byte must not be able to park a
 	// blocked Recv behind the whole drain window.
 	now := time.Now()
-	for _, c := range f.conns {
-		if c != nil {
+	for p := range f.links {
+		if c := f.links[p].conn; c != nil {
 			c.SetReadDeadline(now)
 			c.SetWriteDeadline(deadline)
 		}
 	}
-	close(f.closing)
+	f.unblockOnce.Do(func() { close(f.unblock) })
 	// Stop new sends, then let the writers drain what is queued.
 	f.qmu.Lock()
-	for _, q := range f.queues {
-		if q != nil {
+	for p := range f.links {
+		if q := f.links[p].queue; q != nil {
 			close(q)
 		}
 	}
 	f.qmu.Unlock()
 	f.writers.Wait()
 	var first error
-	for _, c := range f.conns {
-		if c != nil {
+	for p := range f.links {
+		if c := f.links[p].conn; c != nil {
 			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}

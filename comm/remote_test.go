@@ -59,10 +59,10 @@ func TestRemoteFabricRoundTrip(t *testing.T) {
 	defer f1.Close()
 	mustSend(t, f0, 0, 1, []byte{7, 8})
 	mustSend(t, f1, 1, 0, []byte{9})
-	if got := mustRecv(t, f1, 0, 1); len(got) != 2 || got[0] != 7 {
+	if got := mustRecv(t, f1, 0, 1, 2); got[0] != 7 || got[1] != 8 {
 		t.Fatalf("rank 1 received %v", got)
 	}
-	if got := mustRecv(t, f0, 1, 0); len(got) != 1 || got[0] != 9 {
+	if got := mustRecv(t, f0, 1, 0, 1); got[0] != 9 {
 		t.Fatalf("rank 0 received %v", got)
 	}
 	if f0.TotalBytes() != 2 || f1.TotalBytes() != 1 {
@@ -77,10 +77,10 @@ func TestRemoteFabricRejectsForeignRank(t *testing.T) {
 	f0, f1 := twoRankFabrics(t)
 	defer f0.Close()
 	defer f1.Close()
-	if err := f0.Send(1, 0, []byte{1}); err == nil {
+	if err := f0.Send(1, 0, nil, []byte{1}); err == nil {
 		t.Fatal("rank 0 must not send as rank 1")
 	}
-	if _, err := f0.Recv(0, 1); err == nil {
+	if err := f0.RecvInto(0, 1, make([]byte, 1)); err == nil {
 		t.Fatal("rank 0 must not receive as rank 1")
 	}
 }
@@ -105,10 +105,10 @@ func TestClosedFabricReturnsErrClosed(t *testing.T) {
 	if err := f0.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f0.Send(0, 1, []byte{1}); !errors.Is(err, ErrClosed) {
+	if err := f0.Send(0, 1, nil, []byte{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v, want ErrClosed", err)
 	}
-	if _, err := f0.Recv(1, 0); !errors.Is(err, ErrClosed) {
+	if err := f0.RecvInto(1, 0, make([]byte, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("recv after close: %v, want ErrClosed", err)
 	}
 	if f0.Close() != nil {
@@ -126,8 +126,7 @@ func TestCloseUnblocksPendingRecv(t *testing.T) {
 	started.Add(1)
 	go func() {
 		started.Done()
-		_, err := f0.Recv(1, 0)
-		errCh <- err
+		errCh <- f0.RecvInto(1, 0, make([]byte, 1))
 	}()
 	started.Wait()
 	time.Sleep(10 * time.Millisecond) // let Recv block on the socket
@@ -149,7 +148,7 @@ func TestPeerDisappearingIsAnError(t *testing.T) {
 	f0, f1 := twoRankFabrics(t)
 	defer f0.Close()
 	f1.Close()
-	_, err := f0.Recv(1, 0)
+	err := f0.RecvInto(1, 0, make([]byte, 1))
 	if err == nil {
 		t.Fatal("expected an error after the peer closed")
 	}
@@ -177,7 +176,7 @@ func TestCloseDoesNotDeadlockOnStalledPeer(t *testing.T) {
 	go func() {
 		payload := make([]byte, 1<<20)
 		for {
-			if err := f0.Send(0, 1, payload); err != nil {
+			if err := f0.Send(0, 1, nil, payload); err != nil {
 				sendDone <- err
 				return
 			}
@@ -210,10 +209,10 @@ func TestTCPFabricClosedErrClosed(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Send(0, 1, []byte{1}); !errors.Is(err, ErrClosed) {
+	if err := f.Send(0, 1, nil, []byte{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v, want ErrClosed", err)
 	}
-	if _, err := f.Recv(0, 1); !errors.Is(err, ErrClosed) {
+	if err := f.RecvInto(0, 1, make([]byte, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("recv after close: %v, want ErrClosed", err)
 	}
 }
@@ -228,8 +227,7 @@ func TestTCPFabricCloseUnblocksRecvAsErrClosed(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := f.Recv(0, 1)
-		errCh <- err
+		errCh <- f.RecvInto(0, 1, make([]byte, 1))
 	}()
 	time.Sleep(10 * time.Millisecond) // let Recv block on the socket
 	f.Close()
@@ -253,7 +251,7 @@ func TestTCPFabricRankViews(t *testing.T) {
 	defer f.Close()
 	r0, r2 := f.Rank(0), f.Rank(2)
 	mustSend(t, r0, 0, 2, []byte{1, 2, 3})
-	if got := mustRecv(t, r2, 0, 2); len(got) != 3 {
+	if got := mustRecv(t, r2, 0, 2, 3); got[2] != 3 {
 		t.Fatalf("rank view received %v", got)
 	}
 	if f.TotalBytes() != 3 || r0.TotalBytes() != 3 || r2.TotalBytes() != 0 {

@@ -1,9 +1,7 @@
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/obs"
 	"repro/quant"
@@ -23,19 +21,42 @@ import (
 // "32bit" frame, so ring peers — like reduce-and-broadcast peers — need
 // no out-of-band agreement to decode.
 type Ring struct {
-	fabric Transport
-	framed bool
-	tracer *obs.Tracer
+	fabric  Transport
+	framed  bool
+	tracer  *obs.Tracer
+	workers []ringWorker // per rank; each rank's Reduce runs on its own goroutine
+}
+
+// ringWorker is one rank's state across Reduce calls, so a hop
+// allocates nothing once the buffers have met the largest chunk.
+type ringWorker struct {
+	// encs holds one "32bit" encoder per chunk length seen — an
+	// encoder's frame header is bound to its length, and a tensor cut
+	// into K chunks has at most two lengths.
+	encs map[int]quant.Encoder
+	vals []float32 // a decoded chunk awaiting accumulation
+	in   inbound   // every chunk arrives as "32bit"
+	endpoint
 }
 
 // NewRing builds the primitive over the fabric.
-func NewRing(f Transport) *Ring { return &Ring{fabric: f, framed: f.Framed()} }
+func NewRing(f Transport) *Ring {
+	r := &Ring{fabric: f, framed: f.Framed(), workers: make([]ringWorker, f.K())}
+	for i := range r.workers {
+		r.workers[i] = ringWorker{
+			encs:     map[int]quant.Encoder{},
+			in:       newInbound(quant.FP32{}, quant.Shape{}),
+			endpoint: endpoint{fabric: f, framed: r.framed},
+		}
+	}
+	return r
+}
 
 // Name implements Reducer.
 func (r *Ring) Name() string { return "nccl-ring" }
 
-// SetTracer implements Traceable: Reduce then records encode (packF32),
-// transfer and decode (unpackF32) spans per allreduce.
+// SetTracer implements Traceable: Reduce then records encode (chunk to
+// "32bit" wire form), transfer and decode spans per allreduce.
 func (r *Ring) SetTracer(tr *obs.Tracer) { r.tracer = tr }
 
 // WireBytesPerExchange returns the bytes one allreduce of n float32
@@ -67,45 +88,10 @@ func RingWireBytes(n, k int, framed bool) int64 {
 	return total
 }
 
-// chunkRange returns the element range of chunk c when n elements are
-// cut into k chunks.
-func chunkRange(n, k, c int) (lo, hi int) {
-	lo = c * n / k
-	hi = (c + 1) * n / k
-	return lo, hi
-}
-
-// packF32 serialises vals as raw little-endian float32 bytes, wrapped
-// in a self-describing "32bit" frame when framed is set.
-func packF32(vals []float32, framed bool) []byte {
-	raw := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-	if !framed {
-		return raw
-	}
-	return quant.AppendFramed(nil, "32bit", quant.Shape{Rows: 1, Cols: len(vals)}, len(vals), raw)
-}
-
-// unpackF32 reverses packF32, validating that exactly n values arrived.
-// dec is the caller's frame decoder, which remembers the "32bit" codec
-// from one message of a collective to the next.
-func unpackF32(buf []byte, n int, framed bool, dec *quant.FrameDecoder) ([]float32, error) {
-	vals := make([]float32, n)
-	if framed {
-		if _, err := dec.Decode(buf, vals); err != nil {
-			return nil, err
-		}
-		return vals, nil
-	}
-	if len(buf) != 4*n {
-		return nil, fmt.Errorf("comm: message has %d bytes, want %d", len(buf), 4*n)
-	}
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return vals, nil
+// chunk returns chunk c (taken mod k) of g cut into k chunks.
+func chunk(g []float32, k, c int) []float32 {
+	c = (c%k + k) % k
+	return g[c*len(g)/k : (c+1)*len(g)/k]
 }
 
 // Reduce implements Reducer. After it returns on all peers, g holds the
@@ -116,77 +102,54 @@ func (r *Ring) Reduce(rank, _ int, g []float32) error {
 	if k == 1 {
 		return nil
 	}
-	n := len(g)
-	right := (rank + 1) % k
-	left := (rank - 1 + k) % k
-
-	// The Ring is shared by every local rank's goroutine, so the phase
-	// accumulator lives on the stack, captured by the chunk closures.
-	tr := r.tracer
-	var acc spanAcc
-	var dec quant.FrameDecoder
-	reduceStart := tr.Now()
-
-	sendChunk := func(c int) error {
-		lo, hi := chunkRange(n, k, c)
-		t0 := tr.Now()
-		buf := packF32(g[lo:hi], r.framed)
-		acc.encode += tr.Now() - t0
-		t0 = tr.Now()
-		if err := r.fabric.Send(rank, right, buf); err != nil {
-			return fmt.Errorf("comm: ring send chunk %d: %w", c, err)
-		}
-		acc.transfer += tr.Now() - t0
-		acc.bytes += int64(len(buf))
-		return nil
-	}
-	recvChunk := func(c int, add bool) error {
-		lo, hi := chunkRange(n, k, c)
-		t0 := tr.Now()
-		buf, err := r.fabric.Recv(left, rank)
-		if err != nil {
-			return fmt.Errorf("comm: ring recv chunk %d: %w", c, err)
-		}
-		acc.transfer += tr.Now() - t0
-		acc.bytes += int64(len(buf))
-		t0 = tr.Now()
-		vals, err := unpackF32(buf, hi-lo, r.framed, &dec)
-		if err != nil {
-			return fmt.Errorf("comm: ring chunk %d: %w", c, err)
-		}
-		acc.decode += tr.Now() - t0
-		for i := lo; i < hi; i++ {
-			if add {
-				g[i] += vals[i-lo]
-			} else {
-				g[i] = vals[i-lo]
-			}
-		}
-		return nil
-	}
-
+	right, left := (rank+1)%k, (rank-1+k)%k
+	w := &r.workers[rank]
+	w.acc = spanAcc{}
+	reduceStart := r.tracer.Now()
 	// Reduce-scatter: after step s, the chunk received has s+2 partial
 	// contributions; after K−1 steps rank r owns the complete chunk
 	// (r+1) mod K.
 	for step := 0; step < k-1; step++ {
-		if err := sendChunk(((rank-step)%k + k) % k); err != nil {
-			return err
+		if err := r.send(w, rank, right, chunk(g, k, rank-step)); err != nil {
+			return fmt.Errorf("comm: ring reduce-scatter step %d: %w", step, err)
 		}
-		if err := recvChunk(((rank-step-1)%k+k)%k, true); err != nil {
-			return err
+		into := chunk(g, k, rank-step-1)
+		if cap(w.vals) < len(into) {
+			w.vals = make([]float32, len(into))
+		}
+		vals := w.vals[:len(into)]
+		if err := w.recv(r.tracer, &w.in, left, rank, vals); err != nil {
+			return fmt.Errorf("comm: ring reduce-scatter step %d: %w", step, err)
+		}
+		for i, v := range vals {
+			into[i] += v
 		}
 	}
-	// Allgather: rotate finished chunks around the ring.
+	// Allgather: rotate finished chunks around the ring; each decodes
+	// straight into place.
 	for step := 0; step < k-1; step++ {
-		if err := sendChunk(((rank-step+1)%k + k) % k); err != nil {
-			return err
+		if err := r.send(w, rank, right, chunk(g, k, rank-step+1)); err != nil {
+			return fmt.Errorf("comm: ring allgather step %d: %w", step, err)
 		}
-		if err := recvChunk(((rank-step)%k+k)%k, false); err != nil {
-			return err
+		if err := w.recv(r.tracer, &w.in, left, rank, chunk(g, k, rank-step)); err != nil {
+			return fmt.Errorf("comm: ring allgather step %d: %w", step, err)
 		}
 	}
-	acc.record(tr, rank, "ring", reduceStart)
+	w.acc.record(r.tracer, rank, "ring", reduceStart)
 	return nil
+}
+
+// send ships vals from -> to in "32bit" wire form.
+func (r *Ring) send(w *ringWorker, from, to int, vals []float32) error {
+	t0 := r.tracer.Now()
+	enc, ok := w.encs[len(vals)]
+	if !ok {
+		enc = quant.FP32{}.NewEncoder(len(vals), quant.Shape{Rows: 1, Cols: len(vals)}, 0)
+		w.encs[len(vals)] = enc
+	}
+	payload := enc.Encode(vals)
+	w.acc.encode += r.tracer.Now() - t0
+	return w.endpoint.send(r.tracer, enc, from, to, payload)
 }
 
 // SimulatedRing reproduces the paper's NCCL low-precision *simulation*
@@ -234,63 +197,3 @@ func (s *SimulatedRing) Reduce(rank, tensorID int, g []float32) error {
 // SimulatedBytes returns the cumulative wire volume a low-precision NCCL
 // would have transmitted.
 func (s *SimulatedRing) SimulatedBytes() int64 { return s.simulated }
-
-// AllGather is the naive quadratic-traffic oracle: every peer broadcasts
-// its full vector and everyone sums all K copies in rank order. It is
-// used in tests as the correctness reference for the optimised
-// primitives.
-type AllGather struct {
-	fabric Transport
-}
-
-// NewAllGather builds the oracle reducer.
-func NewAllGather(f Transport) *AllGather { return &AllGather{fabric: f} }
-
-// Name implements Reducer.
-func (a *AllGather) Name() string { return "allgather" }
-
-// Reduce implements Reducer.
-func (a *AllGather) Reduce(rank, _ int, g []float32) error {
-	k := a.fabric.K()
-	if k == 1 {
-		return nil
-	}
-	n := len(g)
-	framed := a.fabric.Framed()
-	buf := packF32(g, framed)
-	for p := 0; p < k; p++ {
-		if p != rank {
-			if err := a.fabric.Send(rank, p, buf); err != nil {
-				return fmt.Errorf("comm: allgather to %d: %w", p, err)
-			}
-		}
-	}
-	// Sum contributions in rank order for cross-peer determinism.
-	sum := make([]float64, n)
-	mine := make([]float32, n)
-	copy(mine, g)
-	var dec quant.FrameDecoder
-	for p := 0; p < k; p++ {
-		if p == rank {
-			for i, v := range mine {
-				sum[i] += float64(v)
-			}
-			continue
-		}
-		buf, err := a.fabric.Recv(p, rank)
-		if err != nil {
-			return fmt.Errorf("comm: allgather from %d: %w", p, err)
-		}
-		in, err := unpackF32(buf, n, framed, &dec)
-		if err != nil {
-			return fmt.Errorf("comm: allgather from %d: %w", p, err)
-		}
-		for i := 0; i < n; i++ {
-			sum[i] += float64(in[i])
-		}
-	}
-	for i := range g {
-		g[i] = float32(sum[i])
-	}
-	return nil
-}

@@ -1,9 +1,7 @@
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"time"
 )
@@ -13,16 +11,13 @@ import (
 // length-prefixed frames. It is the closest stdlib-only analogue of the
 // MPI transport the paper's CNTK uses: bytes cross a real kernel
 // boundary (socket buffers, copies, framing) instead of being handed
-// over via channels. The aggregation primitives run unchanged over
-// either fabric because both satisfy Transport.
+// over via channels.
 //
-// Since PR 2 the fabric is assembled from K RemoteFabrics — the same
-// single-rank mesh view the cluster rendezvous builds across OS
-// processes — so "dial yourself on loopback" is literally the
-// one-process special case of the deployable multi-process mesh: each
-// rank owns its connection ends, its writer goroutines and its byte
-// counters, and TCPFabric merely routes Send/Recv to the rank they
-// belong to.
+// The fabric is K RemoteFabrics — the single-rank mesh view the cluster
+// rendezvous builds across OS processes — so "dial yourself on
+// loopback" is the one-process special case of the deployable mesh:
+// each rank owns its connection ends, writer goroutines and byte
+// counters, and TCPFabric routes each call to the rank it belongs to.
 type TCPFabric struct {
 	k     int
 	ranks []*RemoteFabric
@@ -33,12 +28,17 @@ func NewTCPFabric(k int) (*TCPFabric, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("comm: tcp fabric needs at least one peer, got %d", k)
 	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("comm: tcp fabric listen: %w", err)
+	}
+	defer ln.Close()
 	// conns[r][p] is rank r's end of the duplex link to rank p.
 	conns := make([][]net.Conn, k)
 	for r := range conns {
 		conns[r] = make([]net.Conn, k)
 	}
-	closeAll := func() {
+	fail := func(err error) (*TCPFabric, error) {
 		for _, row := range conns {
 			for _, c := range row {
 				if c != nil {
@@ -46,97 +46,35 @@ func NewTCPFabric(k int) (*TCPFabric, error) {
 				}
 			}
 		}
+		return nil, err
 	}
-	if k > 1 {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("comm: tcp fabric listen: %w", err)
-		}
-		defer ln.Close()
-
-		// The acceptor slots each incoming connection by an 8-byte
-		// (lo, hi) pair preamble written by the dialler: the accept side
-		// becomes the lower rank's end of the link.
-		nPairs := k * (k - 1) / 2
-		acceptErr := make(chan error, 1)
-		go func() {
-			for i := 0; i < nPairs; i++ {
-				conn, err := ln.Accept()
-				if err != nil {
-					acceptErr <- err
-					return
-				}
-				var hdr [8]byte
-				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-					conn.Close()
-					acceptErr <- err
-					return
-				}
-				lo := int(binary.LittleEndian.Uint32(hdr[0:]))
-				hi := int(binary.LittleEndian.Uint32(hdr[4:]))
-				if lo < 0 || hi >= k || lo >= hi {
-					conn.Close()
-					acceptErr <- fmt.Errorf("comm: tcp fabric bad preamble %d<->%d", lo, hi)
-					return
-				}
-				conns[lo][hi] = conn
+	// One pair at a time: a loopback dial completes against the listen
+	// backlog, so the Accept that follows returns that very connection —
+	// the address check catches a stranger that raced it to the port.
+	for lo := 0; lo < k; lo++ {
+		for hi := lo + 1; hi < k; hi++ {
+			dialled, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return fail(fmt.Errorf("comm: tcp fabric dial: %w", err))
 			}
-			acceptErr <- nil
-		}()
-
-		// fail tears the half-built mesh down safely: the acceptor
-		// goroutine writes conns concurrently, so it must be stopped
-		// (listener closed) and joined (acceptErr drained) before the
-		// connection slices are walked.
-		fail := func(err error) (*TCPFabric, error) {
-			ln.Close()
-			<-acceptErr
-			closeAll()
-			return nil, err
-		}
-
-		addr := ln.Addr().String()
-		for lo := 0; lo < k; lo++ {
-			for hi := lo + 1; hi < k; hi++ {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return fail(fmt.Errorf("comm: tcp fabric dial: %w", err))
-				}
-				var hdr [8]byte
-				binary.LittleEndian.PutUint32(hdr[0:], uint32(lo))
-				binary.LittleEndian.PutUint32(hdr[4:], uint32(hi))
-				if _, err := conn.Write(hdr[:]); err != nil {
-					conn.Close()
-					return fail(fmt.Errorf("comm: tcp fabric preamble: %w", err))
-				}
-				conns[hi][lo] = conn
+			conns[hi][lo] = dialled
+			accepted, err := ln.Accept()
+			if err != nil {
+				return fail(fmt.Errorf("comm: tcp fabric accept: %w", err))
 			}
-		}
-		if err := <-acceptErr; err != nil {
-			closeAll()
-			return nil, err
+			conns[lo][hi] = accepted
+			if got, want := accepted.RemoteAddr().String(), dialled.LocalAddr().String(); got != want {
+				return fail(fmt.Errorf("comm: tcp fabric accepted a connection from %s, dialled from %s", got, want))
+			}
 		}
 	}
 	f := &TCPFabric{k: k, ranks: make([]*RemoteFabric, k)}
-	for r := 0; r < k; r++ {
-		rf, err := NewRemoteFabric(r, k, conns[r])
-		if err != nil {
-			// Close the ranks already wrapped, then the raw remainder.
-			for _, built := range f.ranks {
-				if built != nil {
-					built.Close()
-				}
-			}
-			for rr := r; rr < k; rr++ {
-				for _, c := range conns[rr] {
-					if c != nil {
-						c.Close()
-					}
-				}
-			}
-			return nil, err
+	for r := range f.ranks {
+		if f.ranks[r], err = NewRemoteFabric(r, k, conns[r]); err != nil {
+			f.ranks = f.ranks[:r]
+			f.Close() // stops the writers of the ranks already built
+			return fail(err)
 		}
-		f.ranks[r] = rf
 	}
 	return f, nil
 }
@@ -144,10 +82,8 @@ func NewTCPFabric(k int) (*TCPFabric, error) {
 // K implements Transport.
 func (f *TCPFabric) K() int { return f.k }
 
-// Framed implements Transport: socket payloads leave the process's
-// memory space, so every message carries the self-describing quant
-// frame header and a peer on the far side needs no shared codec
-// configuration.
+// Framed implements Transport: socket payloads leave the process, so
+// every message carries the self-describing quant frame header.
 func (f *TCPFabric) Framed() bool { return true }
 
 // Rank exposes one rank's single-rank view of the mesh — what a worker
@@ -159,21 +95,16 @@ func (f *TCPFabric) Rank(r int) *RemoteFabric {
 	return f.ranks[r]
 }
 
-// Send implements Transport by routing to the sending rank's mesh view.
-func (f *TCPFabric) Send(from, to int, payload []byte) error {
-	if from < 0 || from >= f.k {
-		panic(fmt.Sprintf("comm: peer out of range (%d->%d of %d)", from, to, f.k))
-	}
-	return f.ranks[from].Send(from, to, payload)
+// Send implements Transport by routing to the sending rank's mesh view
+// (an out-of-range rank panics on the index, as the contract says).
+func (f *TCPFabric) Send(from, to int, header, payload []byte) error {
+	return f.ranks[from].Send(from, to, header, payload)
 }
 
-// Recv implements Transport by routing to the receiving rank's mesh
+// RecvInto implements Transport by routing to the receiving rank's mesh
 // view.
-func (f *TCPFabric) Recv(from, to int) ([]byte, error) {
-	if to < 0 || to >= f.k {
-		panic(fmt.Sprintf("comm: peer out of range (%d->%d of %d)", from, to, f.k))
-	}
-	return f.ranks[to].Recv(from, to)
+func (f *TCPFabric) RecvInto(from, to int, dst []byte) error {
+	return f.ranks[to].RecvInto(from, to, dst)
 }
 
 // TotalBytes implements Transport: the sum over every rank's sends.

@@ -1,6 +1,11 @@
 package comm
 
-import "repro/obs"
+import (
+	"fmt"
+
+	"repro/obs"
+	"repro/quant"
+)
 
 // PeerAccounter is implemented by fabrics that keep per-peer link
 // ledgers — RemoteFabric for one rank's mesh view, TCPFabric for the
@@ -43,4 +48,77 @@ func (a *spanAcc) record(tr *obs.Tracer, rank int, op string, startNS int64) {
 	if a.decode > 0 {
 		tr.Record(rank, obs.PhaseDecode, op, -1, 0, startNS, a.decode)
 	}
+}
+
+// endpoint is one rank's end of a reducer's traffic, shared by both
+// primitives: the traced send of an encoded payload, and the traced
+// receive of a message into the rank's one receive buffer followed by
+// its decode into the caller's floats. One goroutine's at a time.
+type endpoint struct {
+	fabric Transport
+	framed bool
+	buf    []byte // receive buffer, grown to the largest message
+	acc    spanAcc
+}
+
+// inbound is what a rank knows of the messages one tensor arrives in:
+// enough to size the receive, and — for a framed transport, whose
+// messages describe themselves — a decoder of its own, which remembers
+// the codec this tensor's frames name however its neighbours are encoded.
+type inbound struct {
+	codec    quant.Codec
+	shape    quant.Shape
+	overhead int // the codec's frame header size
+	dec      quant.FrameDecoder
+}
+
+func newInbound(codec quant.Codec, shape quant.Shape) inbound {
+	return inbound{codec: codec, shape: shape, overhead: quant.FrameOverhead(codec.Name())}
+}
+
+// send ships payload from -> to: behind enc's frame header as one
+// message on a framed transport, bare otherwise.
+func (e *endpoint) send(tr *obs.Tracer, enc quant.Encoder, from, to int, payload []byte) error {
+	var header []byte
+	if e.framed {
+		header = enc.Header()
+	}
+	t0 := tr.Now()
+	err := e.fabric.Send(from, to, header, payload)
+	e.acc.transfer += tr.Now() - t0
+	if err == nil {
+		e.acc.bytes += int64(len(header) + len(payload))
+	}
+	return err
+}
+
+// recv receives the message carrying len(dst) values of the tensor in
+// describes and decodes it into dst.
+func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32) error {
+	size := in.codec.EncodedBytes(len(dst), in.shape)
+	if e.framed {
+		size += in.overhead
+	}
+	if cap(e.buf) < size {
+		e.buf = make([]byte, size)
+	}
+	wire := e.buf[:size]
+	t0 := tr.Now()
+	if err := e.fabric.RecvInto(from, to, wire); err != nil {
+		return fmt.Errorf("recv: %w", err)
+	}
+	e.acc.transfer += tr.Now() - t0
+	e.acc.bytes += int64(size)
+	t0 = tr.Now()
+	var err error
+	if e.framed {
+		_, err = in.dec.Decode(wire, dst)
+	} else {
+		err = in.codec.Decode(wire, len(dst), in.shape, dst)
+	}
+	e.acc.decode += tr.Now() - t0
+	if err != nil {
+		return fmt.Errorf("decode: %w", err)
+	}
+	return nil
 }

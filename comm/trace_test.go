@@ -20,12 +20,12 @@ func TestRemoteFabricPerPeerAccounting(t *testing.T) {
 
 	payloads := map[int][]byte{1: make([]byte, 100), 2: make([]byte, 37)}
 	for to, p := range payloads {
-		if err := f.Rank(0).Send(0, to, p); err != nil {
+		if err := f.Rank(0).Send(0, to, nil, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for to := range payloads {
-		if _, err := f.Rank(to).Recv(0, to); err != nil {
+		if _, err := f.Rank(to).Recv(0, to); err != nil { // the variable-length path keeps the same ledger
 			t.Fatal(err)
 		}
 	}

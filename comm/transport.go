@@ -1,13 +1,30 @@
 package comm
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"sync"
+)
 
-// ErrClosed is returned by Send and Recv once a fabric has been closed.
-// Orderly shutdown races — a peer tearing its sockets down while the
-// last messages of an exchange are still in flight — surface as this
-// error instead of a panic, so callers can distinguish "the run is
-// over" from a genuine transport fault.
+// ErrClosed is returned by Send and RecvInto once a fabric has been
+// closed. Orderly shutdown races — a peer tearing its sockets down
+// while the last messages of an exchange are still in flight — surface
+// as this error instead of a panic, so callers can distinguish "the run
+// is over" from a genuine transport fault.
 var ErrClosed = errors.New("comm: fabric closed")
+
+// SizeError reports a message whose length is not the one its receiver
+// posted a buffer for. A socket link is desynchronised from that point,
+// so it fails every later receive with the same error rather than parse
+// payload bytes as the next length prefix.
+type SizeError struct {
+	From            int   // sending rank
+	Announced, Want int64 // message length on the wire, length of the posted buffer
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("comm: rank %d announces a %d-byte message, receiver wants %d", e.From, e.Announced, e.Want)
+}
 
 // Transport is the byte-moving substrate beneath the aggregation
 // primitives: K peers connected by reliable, ordered, directed links.
@@ -19,21 +36,29 @@ var ErrClosed = errors.New("comm: fabric closed")
 // cluster rendezvous). Reducers are written against this interface so
 // the same aggregation code runs over any of them.
 //
+// The caller owns every slice it passes in, before and after the call
+// (see "Buffer ownership" in the package documentation): Send copies
+// into a buffer the link recycles, RecvInto fills the caller's memory.
+//
 // Addressing a peer outside [0, K) or a self-link panics — that is a
 // caller bug. Lifecycle and socket failures return errors: ErrClosed
 // after Close, a wrapped transport error otherwise.
 type Transport interface {
 	// K returns the number of peers.
 	K() int
-	// Send transmits payload from peer `from` to peer `to`. The payload
-	// is copied (or fully written) before Send returns, so callers may
-	// reuse encode buffers immediately. Sending on a closed fabric
+	// Send transmits one message, header followed by payload (either
+	// may be empty), from peer `from` to peer `to`. Both are copied
+	// before Send returns, so the caller may overwrite them — or the
+	// tensor a "32bit" payload is a view of — immediately. Send blocks
+	// only while the link's queue is full. Sending on a closed fabric
 	// returns ErrClosed.
-	Send(from, to int, payload []byte) error
-	// Recv blocks until the next message on the (from, to) link and
-	// returns it. Receiving on a closed fabric — or having the fabric
-	// closed under a blocked Recv — returns ErrClosed.
-	Recv(from, to int) ([]byte, error)
+	Send(from, to int, header, payload []byte) error
+	// RecvInto blocks until the next message on the (from, to) link and
+	// reads it into dst, which must have exactly the message's length: a
+	// message of any other size is a *SizeError and is not delivered.
+	// Receiving on a closed fabric — or having the fabric closed under a
+	// blocked RecvInto — returns ErrClosed.
+	RecvInto(from, to int, dst []byte) error
 	// TotalBytes returns cumulative bytes sent across all links this
 	// transport instance observes (for a RemoteFabric, the local rank's
 	// sends only).
@@ -42,11 +67,10 @@ type Transport interface {
 	TotalMessages() int64
 	// Framed reports whether payloads on this transport cross a process
 	// (or machine) boundary and must therefore be self-describing: when
-	// true, reducers wrap every payload in the quant framed wire format
-	// (versioned header: codec identity, shape, element count) so the
-	// receiving peer can decode with no out-of-band codec agreement.
-	// In-process transports return false and use the headerless fast
-	// path.
+	// true, reducers send every payload behind its quant frame header
+	// (codec identity, shape, element count) so the receiving peer can
+	// decode with no out-of-band codec agreement. In-process transports
+	// return false and carry bare payloads.
 	Framed() bool
 }
 
@@ -56,3 +80,49 @@ var (
 	_ Transport = (*TCPFabric)(nil)
 	_ Transport = (*RemoteFabric)(nil)
 )
+
+// maxRetainedSlabs bounds the send buffers one directed link keeps for
+// reuse; the aggregation patterns hold a handful in flight per link.
+const maxRetainedSlabs = 8
+
+// slabPool is one directed link's free list of send buffers ("slabs").
+// A slab is taken by Send, travels with the message, and is returned by
+// whoever consumes it — the socket writer once flushed, the in-process
+// receiver once copied out. The bound is on what is retained, not on
+// what is in flight: taking from an empty list allocates.
+//
+// Message sizes on one link cycle through the tensor inventory (a 4 KB
+// bias follows a 1 MB matrix every step), so a slab is never allocated
+// smaller than the link's largest message so far, and one too small for
+// its message is dropped for a new one: within a few exchanges every
+// slab in circulation fits every message.
+type slabPool struct {
+	mu      sync.Mutex
+	free    [][]byte
+	largest int // largest message so far
+}
+
+// get returns a slab of length n.
+func (p *slabPool) get(n int) []byte {
+	p.mu.Lock()
+	p.largest = max(p.largest, n)
+	size := p.largest
+	var b []byte
+	if last := len(p.free) - 1; last >= 0 {
+		b, p.free[last], p.free = p.free[last], nil, p.free[:last]
+	}
+	p.mu.Unlock()
+	if cap(b) < n {
+		b = make([]byte, size)
+	}
+	return b[:n]
+}
+
+// put returns a slab to the list. The caller must not touch it again.
+func (p *slabPool) put(b []byte) {
+	p.mu.Lock()
+	if len(p.free) < maxRetainedSlabs {
+		p.free = append(p.free, b)
+	}
+	p.mu.Unlock()
+}

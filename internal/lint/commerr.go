@@ -9,7 +9,7 @@ import (
 
 // Commerr enforces the error contract PR 2 bought by converting the
 // fabrics' shutdown-race panics into returned errors: a discarded
-// comm.Transport.Send/Recv result reintroduces exactly the silent data
+// comm.Transport.Send/RecvInto result reintroduces exactly the silent data
 // loss that change eliminated, because a rank that drops a transport
 // error keeps training on a torn mesh until the digests diverge. The
 // same applies to the framed encoders' EncodeTo (a short write
@@ -18,7 +18,7 @@ import (
 // its slow silence deadline).
 var Commerr = &analysis.Analyzer{
 	Name: "commerr",
-	Doc: "comm.Transport.Send/Recv, EncodeTo and Monitor control-plane write results must not be discarded\n\n" +
+	Doc: "comm.Transport.Send/RecvInto/Recv, EncodeTo and Monitor control-plane write results must not be discarded\n\n" +
 		"Flags calls whose result is dropped on the floor: expression\n" +
 		"statements, go/defer statements, and blank assignments of the\n" +
 		"error (or the monitor write's delivered bool).",
@@ -54,7 +54,7 @@ func runCommerr(pass *analysis.Pass) error {
 // result (always the last result) to the blank identifier.
 func checkBlankAssign(pass *analysis.Pass, n *ast.AssignStmt) {
 	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-		// v, err := t.Recv(...): error is the last LHS.
+		// v, err := f.Recv(...): error is the last LHS.
 		if name := trackedCall(pass, n.Rhs[0]); name != "" && isBlank(n.Lhs[len(n.Lhs)-1]) {
 			pass.Reportf(n.Pos(), "error from %s assigned to blank: transport failures must be handled or explicitly allowed", name)
 		}
@@ -77,8 +77,8 @@ func isBlank(e ast.Expr) bool {
 
 // trackedCall reports whether e is a call whose result the commerr
 // contract protects, returning a human-readable name for it ("" when
-// not tracked): Send/Recv on any repro/comm type (including the
-// Transport interface), EncodeTo on the quant and elastic encoders,
+// not tracked): Send/RecvInto/Recv on any repro/comm type (including
+// the Transport interface), EncodeTo on the quant and elastic encoders,
 // and the health monitor's link write.
 func trackedCall(pass *analysis.Pass, e ast.Expr) string {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
@@ -98,7 +98,7 @@ func trackedCall(pass *analysis.Pass, e ast.Expr) string {
 		return ""
 	}
 	switch sel.Sel.Name {
-	case "Send", "Recv":
+	case "Send", "RecvInto", "Recv":
 		if recvPkg == "repro/comm" {
 			return "comm." + recvName + "." + sel.Sel.Name
 		}

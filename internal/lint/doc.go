@@ -16,10 +16,11 @@
 //     randomness; its golden FNV-1a trace hashes are reproducible only
 //     on the seeded logical clock (PR 6).
 //
-//   - commerr: comm.Transport.Send/Recv, the framed encoders'
-//     EncodeTo, and health.Monitor control-plane writes return errors
-//     for a reason (PR 2 converted the shutdown-race panics); results
-//     must not be discarded or blank-assigned.
+//   - commerr: comm.Transport.Send/RecvInto (and RemoteFabric.Recv),
+//     the framed encoders' EncodeTo, and health.Monitor control-plane
+//     writes return errors for a reason (PR 2 converted the
+//     shutdown-race panics); results must not be discarded or
+//     blank-assigned.
 //
 //   - golifecycle: `go func` literals in comm, health, cluster and
 //     parallel must show a shutdown path — a done/ctx channel receive,

@@ -346,6 +346,12 @@ type Trainer struct {
 	plan     *quant.Plan
 	specs    []comm.TensorSpec
 	monitor  *health.Monitor
+	// Per-step results of the local ranks (index li, as replicas),
+	// written by the step's worker goroutines and read after they join.
+	stepLoss     []float64
+	stepErr      []error
+	stepCompute  []time.Duration
+	stepExchange []time.Duration
 
 	// stepIdx counts completed synchronous steps; statsMu guards it,
 	// the elastic cursor, and the fabric/monitor identities (which a
@@ -485,6 +491,10 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 		t.opts = append(t.opts, opt)
 		t.losses = append(t.losses, nn.NewSoftmaxCrossEntropy())
 	}
+	t.stepLoss = make([]float64, len(t.ranks))
+	t.stepErr = make([]error, len(t.ranks))
+	t.stepCompute = make([]time.Duration, len(t.ranks))
+	t.stepExchange = make([]time.Duration, len(t.ranks))
 	infos := t.replicas[0].TensorInfos()
 	t.plan = quant.NewPlan(cfg.Policy, infos)
 	switch {
@@ -1196,10 +1206,8 @@ func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
 	// Publish the step index to the tracer so the reducer's spans carry
 	// it without any per-message plumbing (nil-safe no-op when off).
 	t.tracer.SetStep(t.currentStep() + 1)
-	losses := make([]float64, len(t.ranks))
-	errs := make([]error, len(t.ranks))
-	compute := make([]time.Duration, len(t.ranks))
-	exchange := make([]time.Duration, len(t.ranks))
+	losses, errs, compute, exchange := t.stepLoss, t.stepErr, t.stepCompute, t.stepExchange
+	clear(errs)
 	var wg sync.WaitGroup
 	for li, w := range t.ranks {
 		wg.Add(1)

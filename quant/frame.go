@@ -11,9 +11,11 @@ import (
 // the tensor wire shape and the element count, followed by the codec's
 // bit-packed payload. A peer that receives a frame needs no out-of-band
 // agreement on codec, bucket size or shape — everything required to
-// decode travels in the header. The headerless Encode/Decode pair
-// remains the in-process fast path; comm switches to frames whenever a
-// transport reports Framed() (bytes leaving the process, e.g. TCP).
+// decode travels in the header. An Encoder's header is a constant
+// (Encoder.Header), so a frame is that header followed by the Encode
+// payload: comm sends the two parts as one message whenever a transport
+// reports Framed() (bytes leaving the process, e.g. TCP) and the bare
+// payload otherwise, and EncodeTo writes them as one frame.
 //
 // Frame layout (little-endian):
 //
@@ -94,15 +96,6 @@ func appendHeader(dst []byte, codecName string, shape Shape, n, payloadBytes int
 		dst = append(dst, b[:]...)
 	}
 	return dst
-}
-
-// AppendFramed appends a complete frame — header plus payload — to dst
-// and returns the extended slice. payload must be exactly the codec's
-// EncodedBytes(n, shape); violating that produces a frame the decoders
-// reject.
-func AppendFramed(dst []byte, codecName string, shape Shape, n int, payload []byte) []byte {
-	dst = appendHeader(dst, codecName, shape, n, len(payload))
-	return append(dst, payload...)
 }
 
 // parseFixed validates the six bytes every header starts with — magic,
@@ -310,11 +303,9 @@ func take(b []byte, n int) (head, tail []byte, err error) {
 
 // framer holds the precomputed frame header for one encoder. Because an
 // Encoder is bound to a fixed (codec, n, shape) triple, its header —
-// including the payload length — is a constant; EncodeTo assembles
-// header and payload into one buffer so transports see a single write.
+// including the payload length — is a constant.
 type framer struct {
-	hdr   []byte
-	frame []byte
+	hdr []byte
 }
 
 // newFramer precomputes the header for codec c encoding n elements of a
@@ -323,9 +314,12 @@ func newFramer(c Codec, n int, shape Shape) framer {
 	return framer{hdr: appendHeader(nil, c.Name(), shape, n, c.EncodedBytes(n, shape))}
 }
 
-// encodeTo writes the precomputed header followed by payload to w as a
-// single Write call and reports the bytes written.
+// Header implements Encoder.
+func (f *framer) Header() []byte { return f.hdr }
+
+// encodeTo writes the header followed by payload to w as a single Write
+// call, so a transport sees one message, and reports the bytes written.
 func (f *framer) encodeTo(w io.Writer, payload []byte) (int, error) {
-	f.frame = append(append(f.frame[:0], f.hdr...), payload...)
-	return w.Write(f.frame)
+	frame := make([]byte, 0, len(f.hdr)+len(payload))
+	return w.Write(append(append(frame, f.hdr...), payload...))
 }

@@ -90,17 +90,25 @@ type Codec interface {
 // random stream. Encoders are not safe for concurrent use.
 type Encoder interface {
 	// Encode quantises src (whose length was fixed at construction) and
-	// returns the wire bytes. The returned buffer is owned by the encoder
-	// and reused across calls; callers that retain it must copy. This is
-	// the headerless in-process fast path; peers decoding it must know
-	// the (codec, n, shape) triple out of band.
+	// returns the wire bytes: the headerless payload, which a peer that
+	// knows the (codec, n, shape) triple decodes with Codec.Decode. The
+	// returned buffer is owned by the encoder and reused across calls;
+	// callers that retain it must copy. The "32bit" codec may instead
+	// return a view of src itself (on little-endian hosts a float32
+	// slice already is its wire form), valid until src is next written.
 	Encode(src []float32) []byte
 
+	// Header returns the encoder's frame header: Header followed by the
+	// Encode payload is one self-describing frame. An encoder is bound
+	// to one (codec, n, shape) triple, so the header is a constant,
+	// shared and read-only.
+	Header() []byte
+
 	// EncodeTo quantises src and writes one self-describing frame —
-	// versioned header plus the Encode payload — to w, advancing any
-	// error-feedback or RNG state exactly as one Encode call would. The
-	// frame decodes with DecodeAny or DecodeFramed on a peer that shares
-	// no configuration. It reports the bytes written.
+	// Header plus the Encode payload — to w in a single Write, advancing
+	// any error-feedback or RNG state exactly as one Encode call would.
+	// The frame decodes with DecodeAny or DecodeFramed on a peer that
+	// shares no configuration. It reports the bytes written.
 	EncodeTo(w io.Writer, src []float32) (int, error)
 }
 
