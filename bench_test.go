@@ -80,7 +80,7 @@ func benchEpochFigure(b *testing.B, m workload.Machine, prim sim.Primitive, gpus
 	_ = fp
 	fp32, _ := sim.Run(sim.Config{Network: workload.VGG19, Machine: m, Primitive: prim, GPUs: gpus})
 	q4, _ := sim.Run(sim.Config{Network: workload.VGG19, Machine: m, Primitive: prim,
-		Codec: quant.NewQSGD(4, 512, quant.MaxNorm), GPUs: gpus})
+		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: gpus})
 	b.ReportMetric(fp32.EpochHours(), "vgg_fp32_epoch_h")
 	b.ReportMetric(fp32.EpochSec/q4.EpochSec, "vgg_q4_speedup")
 }
@@ -151,7 +151,7 @@ func BenchmarkFig12to15_Scalability(b *testing.B) {
 	fp, _ := sim.Run(sim.Config{Network: workload.AlexNet, Machine: workload.EC2P2,
 		Primitive: sim.MPI, GPUs: 16})
 	ob, _ := sim.Run(sim.Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: sim.MPI, Codec: quant.OneBit{}, GPUs: 16})
+		Primitive: sim.MPI, Policy: quant.NewPolicy(quant.OneBit{}), GPUs: 16})
 	base, _ := sim.Run(sim.Config{Network: workload.AlexNet, Machine: workload.EC2P2,
 		Primitive: sim.MPI, GPUs: 1})
 	b.ReportMetric(fp.SamplesPerSec/base.SamplesPerSec, "alexnet_fp32_scal16")
@@ -249,7 +249,7 @@ func BenchmarkAblation_Reshaping(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, err = sim.Run(sim.Config{
 					Network: workload.ResNet152, Machine: workload.EC2P2,
-					Primitive: sim.MPI, Codec: tc.codec, GPUs: 8,
+					Primitive: sim.MPI, Policy: quant.NewPolicy(tc.codec), GPUs: 8,
 				})
 				if err != nil {
 					b.Fatal(err)

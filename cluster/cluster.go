@@ -171,17 +171,6 @@ func (s *Session) PolicyName() string { return s.policyName }
 // Policy returns the negotiated precision policy.
 func (s *Session) Policy() *quant.Policy { return s.policy }
 
-// CodecName returns the negotiated policy's canonical spelling.
-//
-// Deprecated: sessions negotiate whole policies now; use PolicyName.
-func (s *Session) CodecName() string { return s.policyName }
-
-// Codec returns the negotiated policy's base codec.
-//
-// Deprecated: the base codec alone loses the policy's exemption target
-// and per-tensor rules; use Policy.
-func (s *Session) Codec() quant.Codec { return s.policy.Base }
-
 // Fabric returns the established mesh transport. The session owns it;
 // Close tears it down.
 func (s *Session) Fabric() *comm.RemoteFabric { return s.fabric }
@@ -318,7 +307,7 @@ func (c *Coordinator) Join() (*Session, error) {
 		// or out-of-range rank, unusable codec) is a real
 		// misconfiguration: a cluster that cannot agree on its own
 		// membership must not train. The reject is written at the
-		// offender's own version so an old build can display it.
+		// offender's own version so another build can display it.
 		if err := c.checkHello(h, rendConns); err != nil {
 			writeReject(conn, h.Version, err.Error())
 			conn.Close()
@@ -405,8 +394,8 @@ func (c *Coordinator) Join() (*Session, error) {
 // configuration and the ranks already joined.
 func (c *Coordinator) checkHello(h hello, rendConns []net.Conn) error {
 	if h.Version != ProtocolVersion {
-		return fmt.Errorf("cluster: rank %d speaks rendezvous protocol version %d, this build speaks %d (the health plane needs matching builds)",
-			h.Rank, h.Version, ProtocolVersion)
+		return fmt.Errorf("cluster: a worker speaks rendezvous protocol version %d, this build speaks %d (the session needs matching builds)",
+			h.Version, ProtocolVersion)
 	}
 	if h.Rejoin {
 		return fmt.Errorf("cluster: rank %d sent a rejoin hello, but this rendezvous is forming a fresh session (launch without -rejoin, or point the worker at a session that lost a rank)", h.Rank)

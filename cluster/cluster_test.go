@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -195,11 +196,11 @@ func TestRendezvousThreeRanks(t *testing.T) {
 		if s.Rank() != rank || s.World() != 3 {
 			t.Fatalf("rank %d session claims rank %d of %d", rank, s.Rank(), s.World())
 		}
-		if s.CodecName() != "qsgd4b512" {
-			t.Fatalf("rank %d negotiated %q, want qsgd4b512", rank, s.CodecName())
+		if s.PolicyName() != "qsgd4b512" {
+			t.Fatalf("rank %d negotiated %q, want qsgd4b512", rank, s.PolicyName())
 		}
-		if s.Codec().Name() != "qsgd4b512" {
-			t.Fatalf("rank %d codec object is %q", rank, s.Codec().Name())
+		if s.Policy().Base.Name() != "qsgd4b512" {
+			t.Fatalf("rank %d codec object is %q", rank, s.Policy().Base.Name())
 		}
 		if len(s.Peers()) != 3 {
 			t.Fatalf("rank %d sees %d peers", rank, len(s.Peers()))
@@ -241,8 +242,8 @@ func TestRendezvousWorldOfOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.World() != 1 || s.CodecName() != "1bit" {
-		t.Fatalf("got world %d codec %q", s.World(), s.CodecName())
+	if s.World() != 1 || s.PolicyName() != "1bit" {
+		t.Fatalf("got world %d codec %q", s.World(), s.PolicyName())
 	}
 }
 
@@ -417,8 +418,8 @@ func TestRendezvousRejectsDuplicateRank(t *testing.T) {
 func TestRendezvousNegotiatesFloorOnDisjointSets(t *testing.T) {
 	sessions := joinAll(t, 2, [][]string{{"qsgd4b512"}, {"1bit"}})
 	for rank, s := range sessions {
-		if s.CodecName() != "32bit" {
-			t.Fatalf("rank %d negotiated %q, want the 32bit floor", rank, s.CodecName())
+		if s.PolicyName() != "32bit" {
+			t.Fatalf("rank %d negotiated %q, want the 32bit floor", rank, s.PolicyName())
 		}
 	}
 }
@@ -480,123 +481,66 @@ func TestWelcomeRoundTripsHeartbeatParameters(t *testing.T) {
 	}
 }
 
-// TestRendezvousRejectsOldProtocolVersion: a v2 hello still parses
-// (the layout is unchanged), and the coordinator answers with a
-// versioned reject naming the mismatch — written at the sender's own
-// version so an old build can display it — instead of dropping the
-// connection as garbage.
+// TestRendezvousRejectsOldProtocolVersion: a hello at any version but
+// ProtocolVersion — an older build's, or a newer one's — fails the
+// rendezvous with an error naming the mismatch, and the coordinator
+// answers with a reject written at the sender's own version, so the
+// other build's readWelcome reaches the message instead of bailing on
+// the version byte.
 func TestRendezvousRejectsOldProtocolVersion(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		Addr: "127.0.0.1:0", World: 2, Timeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	joinErr := make(chan error, 1)
-	go func() {
-		s, err := coord.Join()
-		if s != nil {
-			s.Close()
-		}
-		joinErr <- err
-	}()
+	for _, version := range []byte{2, 3, 5} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			coord, err := NewCoordinator(Config{
+				Addr: "127.0.0.1:0", World: 2, Timeout: 5 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			joinErr := make(chan error, 1)
+			go func() {
+				s, err := coord.Join()
+				if s != nil {
+					s.Close()
+				}
+				joinErr <- err
+			}()
 
-	conn, err := net.Dial("tcp", coord.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Handcraft a v2 hello: same layout, older version byte.
-	msg := appendU32(nil, rendezvousMagic)
-	msg = append(msg, 2) // ProtocolVersion of a PR-3-era build
-	msg = appendU32(msg, 1)
-	msg = appendU32(msg, 2)
-	addr := "127.0.0.1:9"
-	msg = appendU16(msg, uint16(len(addr)))
-	msg = append(msg, addr...)
-	msg = appendU16(msg, 0)
-	if _, err := conn.Write(msg); err != nil {
-		t.Fatal(err)
-	}
+			conn, err := net.Dial("tcp", coord.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// Handcraft the hello prefix every version shares.
+			msg := appendU32(nil, rendezvousMagic)
+			msg = append(msg, version)
+			msg = appendU32(msg, 1)
+			msg = appendU32(msg, 2)
+			addr := "127.0.0.1:9"
+			msg = appendU16(msg, uint16(len(addr)))
+			msg = append(msg, addr...)
+			msg = appendU16(msg, 0)
+			if _, err := conn.Write(msg); err != nil {
+				t.Fatal(err)
+			}
 
-	select {
-	case err := <-joinErr:
-		if err == nil || !strings.Contains(err.Error(), "protocol version 2") {
-			t.Fatalf("expected a protocol-version rejection, got: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator hung on the old-version hello")
-	}
-	// The reject the old build reads must be written at version 2, or
-	// its readWelcome would bail on the version byte before reaching
-	// the message.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	hdr := make([]byte, 6)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		t.Fatalf("no reject on the wire: %v", err)
-	}
-	if hdr[4] != 2 || hdr[5] != 1 {
-		t.Fatalf("reject header version=%d status=%d, want version 2, status 1", hdr[4], hdr[5])
-	}
-}
-
-// TestRendezvousRejectsV3ProtocolVersion: a v3 (PR-4-era) hello still
-// parses — its layout is a strict prefix of v4's — and earns a
-// versioned reject naming the mismatch, written at the sender's own
-// version so the old build can display it. Elastic sessions must not
-// silently break the protocol for old builds.
-func TestRendezvousRejectsV3ProtocolVersion(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		Addr: "127.0.0.1:0", World: 2, Timeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	joinErr := make(chan error, 1)
-	go func() {
-		s, err := coord.Join()
-		if s != nil {
-			s.Close()
-		}
-		joinErr <- err
-	}()
-
-	conn, err := net.Dial("tcp", coord.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Handcraft a v3 hello: the v4 layout minus the elastic tail.
-	msg := appendU32(nil, rendezvousMagic)
-	msg = append(msg, 3) // ProtocolVersion of a PR-4-era build
-	msg = appendU32(msg, 1)
-	msg = appendU32(msg, 2)
-	addr := "127.0.0.1:9"
-	msg = appendU16(msg, uint16(len(addr)))
-	msg = append(msg, addr...)
-	msg = appendU16(msg, 0)
-	if _, err := conn.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case err := <-joinErr:
-		if err == nil || !strings.Contains(err.Error(), "protocol version 3") {
-			t.Fatalf("expected a protocol-version rejection, got: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator hung on the v3 hello")
-	}
-	// The reject must be written at version 3 so the old build's
-	// readWelcome reaches the message instead of bailing on the
-	// version byte.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	hdr := make([]byte, 6)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		t.Fatalf("no reject on the wire: %v", err)
-	}
-	if hdr[4] != 3 || hdr[5] != 1 {
-		t.Fatalf("reject header version=%d status=%d, want version 3, status 1", hdr[4], hdr[5])
+			want := fmt.Sprintf("protocol version %d", version)
+			select {
+			case err := <-joinErr:
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("expected a protocol-version rejection, got: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("coordinator hung on the v%d hello", version)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			hdr := make([]byte, 6)
+			if _, err := io.ReadFull(conn, hdr); err != nil {
+				t.Fatalf("no reject on the wire: %v", err)
+			}
+			if hdr[4] != version || hdr[5] != 1 {
+				t.Fatalf("reject header version=%d status=%d, want version %d, status 1", hdr[4], hdr[5], version)
+			}
+		})
 	}
 }
 

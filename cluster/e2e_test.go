@@ -214,7 +214,7 @@ func TestClusterTrainingInProcess(t *testing.T) {
 		model, train, test := trainingTask()
 		trainer, err := lpsgd.NewTrainer(model,
 			opt,
-			lpsgd.WithAcceptedCodecs("qsgd4b512", "1bit*64"),
+			lpsgd.WithAcceptedPolicies("qsgd4b512", "1bit*64"),
 			lpsgd.WithBatchSize(24),
 			lpsgd.WithEpochs(2),
 			lpsgd.WithSeed(7),
@@ -235,7 +235,7 @@ func TestClusterTrainingInProcess(t *testing.T) {
 			return
 		}
 		outcomes[rank] = outcome{
-			codec: trainer.Plan().Quantised.Name(),
+			codec: trainer.Policy().Name(),
 			ckpt:  buf.Bytes(),
 			acc:   h.FinalAccuracy,
 		}

@@ -211,8 +211,8 @@ func (s *Session) rejoinCoordinate(deadRank int, local elastic.LocalState, deadl
 // checkRejoinHello validates one hello against an open rejoin barrier.
 func (s *Session) checkRejoinHello(h hello, deadRank int) error {
 	if h.Version != ProtocolVersion {
-		return fmt.Errorf("cluster: rank %d speaks rendezvous protocol version %d, this build speaks %d (elastic rejoin needs matching builds)",
-			h.Rank, h.Version, ProtocolVersion)
+		return fmt.Errorf("cluster: a worker speaks rendezvous protocol version %d, this build speaks %d (elastic rejoin needs matching builds)",
+			h.Version, ProtocolVersion)
 	}
 	if !h.Rejoin {
 		return fmt.Errorf("cluster: rank %d sent a fresh hello to a rejoin barrier; a running session lost rank %d and only takes rejoins", h.Rank, deadRank)

@@ -14,15 +14,12 @@ import (
 //
 //	hello (worker → coordinator):
 //	  uint32  magic "LPSC"
-//	  uint8   protocol version (currently 4; the v2/v3 prefix layout is
-//	          unchanged, so an old hello still parses and earns a
-//	          versioned reject naming the mismatch instead of a silent
-//	          drop)
+//	  uint8   protocol version (ProtocolVersion; the coordinator reads
+//	          a hello at any other version no further)
 //	  uint32  rank
 //	  uint32  world size
 //	  uint16  mesh address length, then the address bytes
 //	  uint16  accepted policy count, then per policy uint8 length + string
-//	  --- v4 additions ---
 //	  uint8   hello kind (0 = fresh rendezvous, 1 = rejoin)
 //	  int64   completed synchronous steps the sender holds state for
 //	          (-1 = none; a replacement claiming a dead rank's slot)
@@ -36,8 +33,7 @@ import (
 //	            uint32 world size,
 //	            per rank uint16 address length + mesh address,
 //	            uint32 heartbeat interval (ms; 0 = health plane off),
-//	            uint32 heartbeat timeout (ms)
-//	  --- v4 additions ---
+//	            uint32 heartbeat timeout (ms),
 //	            uint32 session generation (completed rejoin rounds),
 //	            uint32 rejoin window (ms; 0 = elastic sessions off),
 //	            uint32 step-table length (0 on a fresh rendezvous),
@@ -57,30 +53,13 @@ const (
 	meshMagic uint32 = 'L' | 'P'<<8 | 'S'<<16 | 'M'<<24
 
 	// ProtocolVersion is the rendezvous wire version this package
-	// speaks. Coordinator and workers must match exactly; a mismatch is
-	// rejected during the hello exchange, before any training state is
-	// built. Version 2 changed the capability strings from bare codec
-	// names to precision policy strings (quant.ParsePolicy grammar) —
-	// structurally identical on the wire, but a v1 build cannot parse a
-	// policy with rules, so mixed builds must not rendezvous. Version 3
-	// added the health plane: the welcome carries the session's
-	// heartbeat interval and timeout, and every rank pair establishes a
-	// second, control-kind mesh link beside the data link — a v2 build
-	// would rendezvous and then hang waiting for links it does not
-	// know to dial. Version 4 added elastic sessions: hellos carry a
-	// kind byte (fresh vs rejoin) and the sender's completed-step
-	// count, and the welcome carries the session generation, the rejoin
-	// window and — on a rejoin round — the per-rank step table that
-	// picks the state donor; a v3 build would neither announce its
-	// resume position nor understand a rejoin barrier.
+	// speaks, and the only one it parses. Coordinator and workers must
+	// match exactly. A hello at any other version is read no further
+	// than its version byte and earns a reject written at the sender's
+	// own version, so the other build can display the reason; a fresh
+	// rendezvous then fails before any training state is built, while
+	// an open rejoin barrier keeps waiting for the ranks it needs.
 	ProtocolVersion = 4
-
-	// helloCompatVersion is the oldest hello layout this build can still
-	// parse. The v2/v3 prefix is a strict prefix of v4's, so an old
-	// worker gets a reject that names the version mismatch (written at
-	// its own version, so it can read it) instead of being dropped as
-	// garbage.
-	helloCompatVersion = 2
 
 	// maxAddrLen and maxCodecs bound attacker-controlled lengths in a
 	// hello so a garbage connection cannot make the coordinator allocate
@@ -89,7 +68,7 @@ const (
 	maxCodecs  = 256
 )
 
-// Hello kinds carried by the v4 byte.
+// Hello kinds.
 const (
 	helloFresh  = 0
 	helloRejoin = 1
@@ -97,15 +76,15 @@ const (
 
 // hello is the decoded rendezvous request of one worker.
 type hello struct {
-	// Version is the protocol version the worker spoke. Parsing accepts
-	// helloCompatVersion..ProtocolVersion; the coordinator rejects
-	// anything but an exact match with a message the sender can read.
+	// Version is the protocol version the worker spoke. When it is not
+	// ProtocolVersion no other field was read, and the coordinator
+	// rejects the hello with a message the sender can read.
 	Version  byte
 	Rank     int
 	World    int
 	MeshAddr string
 	Accept   []string
-	// Rejoin marks a v4 rejoin hello: the sender claims a slot of an
+	// Rejoin marks a rejoin hello: the sender claims a slot of an
 	// already-running session — a survivor re-entering after a death
 	// verdict, or a replacement for the dead rank itself.
 	Rejoin bool
@@ -138,7 +117,7 @@ type welcome struct {
 	Steps []int64
 }
 
-// Mesh-link kinds carried by the v3 preamble.
+// Mesh-link kinds carried by the preamble.
 const (
 	linkData    = 0
 	linkControl = 1
@@ -175,13 +154,15 @@ func writeHello(w io.Writer, h hello) error {
 	return err
 }
 
+// readHello decodes one hello. A hello at a version other than
+// ProtocolVersion is returned with only Version set and no error; the
+// caller rejects it.
 func readHello(r io.Reader) (hello, error) {
-	var h hello
-	v, err := readMagicVersionRange(r, rendezvousMagic, "hello", helloCompatVersion)
-	if err != nil {
+	v, err := readMagic(r, rendezvousMagic, "hello")
+	h := hello{Version: v}
+	if err != nil || v != ProtocolVersion {
 		return h, err
 	}
-	h.Version = v
 	var fixed [8]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return h, fmt.Errorf("cluster: hello header: %w", err)
@@ -208,22 +189,18 @@ func readHello(r io.Reader) (hello, error) {
 		}
 		h.Accept = append(h.Accept, name)
 	}
-	// The elastic fields exist from v4 on; an old hello ends here and
-	// is implicitly a fresh one (it will be version-rejected anyway).
-	if h.Version >= 4 {
-		var tail [9]byte
-		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			return h, fmt.Errorf("cluster: hello elastic fields: %w", err)
-		}
-		switch tail[0] {
-		case helloFresh:
-		case helloRejoin:
-			h.Rejoin = true
-		default:
-			return h, fmt.Errorf("cluster: unknown hello kind %d", tail[0])
-		}
-		h.Step = int64(binary.LittleEndian.Uint64(tail[1:]))
+	var tail [9]byte
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
+		return h, fmt.Errorf("cluster: hello elastic fields: %w", err)
 	}
+	switch tail[0] {
+	case helloFresh:
+	case helloRejoin:
+		h.Rejoin = true
+	default:
+		return h, fmt.Errorf("cluster: unknown hello kind %d", tail[0])
+	}
+	h.Step = int64(binary.LittleEndian.Uint64(tail[1:]))
 	return h, nil
 }
 
@@ -263,8 +240,8 @@ func writeWelcome(w io.Writer, wel welcome) error {
 }
 
 // writeReject sends an error welcome at the given protocol version —
-// the offender's own version when it is parseable, so an old build
-// displays the actual reason instead of a magic/version error.
+// the offender's own version when its hello had a valid magic, so
+// another build displays the actual reason instead of a version error.
 // Failures are ignored: the connection is being torn down anyway.
 func writeReject(w io.Writer, version byte, msg string) {
 	if len(msg) > 1024 {
@@ -367,23 +344,22 @@ func readMeshPreamble(r io.Reader) (from, to int, kind byte, err error) {
 // readMagicVersion consumes and validates the shared magic + version
 // prefix of a protocol message, requiring an exact version match.
 func readMagicVersion(r io.Reader, magic uint32, kind string) error {
-	_, err := readMagicVersionRange(r, magic, kind, ProtocolVersion)
+	v, err := readMagic(r, magic, kind)
+	if err == nil && v != ProtocolVersion {
+		err = fmt.Errorf("cluster: %s speaks protocol version %d, this build speaks %d", kind, v, ProtocolVersion)
+	}
 	return err
 }
 
-// readMagicVersionRange consumes the magic + version prefix, accepting
-// any version in [minVersion, ProtocolVersion] and returning the one
-// seen.
-func readMagicVersionRange(r io.Reader, magic uint32, kind string, minVersion byte) (byte, error) {
+// readMagic consumes the magic + version prefix and returns the
+// version byte.
+func readMagic(r io.Reader, magic uint32, kind string) (byte, error) {
 	var fixed [5]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
 		return 0, fmt.Errorf("cluster: %s header: %w", kind, err)
 	}
 	if got := binary.LittleEndian.Uint32(fixed[0:]); got != magic {
 		return 0, fmt.Errorf("cluster: bad %s magic %#x", kind, got)
-	}
-	if v := fixed[4]; v < minVersion || v > ProtocolVersion {
-		return 0, fmt.Errorf("cluster: %s speaks protocol version %d, this build speaks %d", kind, v, ProtocolVersion)
 	}
 	return fixed[4], nil
 }

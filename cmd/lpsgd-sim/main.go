@@ -25,9 +25,10 @@
 // Exit codes:
 //
 //	0  success
-//	1  simulation failed at run time (unknown network/machine, ...)
-//	2  usage error: bad flags, or the scenario file failed to load,
-//	   decode or validate
+//	1  simulation failed at run time (unknown network, machine or
+//	   precision, a GPU count the machine cannot host, ...)
+//	2  usage error: bad flags (an unknown -primitive included), or the
+//	   scenario file failed to load, decode or validate
 package main
 
 import (
@@ -35,9 +36,10 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/report"
+	"repro/internal/workload"
+	"repro/quant"
 	"repro/sim"
 )
 
@@ -65,22 +67,39 @@ func main() {
 		os.Exit(runScenario(*scenario, *seed, seedSet))
 	}
 
+	prim, err := sim.ParsePrimitive(*primitive)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	net, err := workload.NetworkByName(*network)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	m, err := workload.MachineByName(*machine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	labels := []string{*precision}
 	if *allPrec {
-		labels = harness.PrecisionLabels
-		if *primitive == "NCCL" {
-			labels = harness.NCCLPrecisionLabels
-		}
+		labels = harness.Ladder(prim)
 	}
 
 	t := report.New(
-		fmt.Sprintf("%s on %s, %s, %d GPUs", *network, *machine, *primitive, *gpus),
+		fmt.Sprintf("%s on %s, %s, %d GPUs", net.Name, m.Name, prim, *gpus),
 		"precision", "samples/s", "iter_ms", "compute_ms", "quant_ms", "comm_ms",
 		"epoch_h", "wire_MB", "ratio_vs_raw")
 	for _, label := range labels {
-		r, err := core.Estimate(core.EstimateOptions{
-			Network: *network, Machine: *machine, Primitive: *primitive,
-			Precision: label, GPUs: *gpus, Batch: *batch,
+		policy, err := quant.ParsePolicy(label)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		r, err := sim.Run(sim.Config{
+			Network: net, Machine: m, Primitive: prim, Policy: policy,
+			GPUs: *gpus, BatchOverride: *batch,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -4,11 +4,12 @@
 //	go build -o bin/lpsgd-vet ./cmd/lpsgd-vet
 //	go vet -vettool=bin/lpsgd-vet ./...
 //
-// The five analyzers — wirebound, simclock, commerr, golifecycle,
-// nodeprecated — mechanically enforce the wire-format, determinism and
-// concurrency invariants the repository previously stated only in
-// prose; see internal/lint's package documentation for what each one
-// checks and the //lint:allow escape hatch.
+// The five analyzers — commerr, golifecycle, obsinert, simclock,
+// wirebound — mechanically enforce the wire-format, determinism,
+// concurrency and zero-cost-observability invariants the repository
+// previously stated only in prose; see internal/lint's package
+// documentation for what each one checks and the //lint:allow escape
+// hatch.
 package main
 
 import (

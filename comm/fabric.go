@@ -160,17 +160,3 @@ type Reducer interface {
 	// Reduce aggregates tensor tensorID in place for the given rank.
 	Reduce(rank, tensorID int, g []float32) error
 }
-
-// StepKeyed is implemented by reducers whose stochastic encoder streams
-// can be repositioned per synchronous step (see
-// ReduceBroadcast.BeginStep). An elastic trainer calls BeginStep with
-// the 1-based index of the step about to run, on every rank, before
-// any Reduce of that step — the contract that keeps replicas
-// bit-identical across processes and makes the streams reconstructible
-// after an elastic rejoin. Reducers without per-step state simply
-// don't implement it.
-type StepKeyed interface {
-	// BeginStep keys the reducer's stochastic streams to the given
-	// 1-based step index.
-	BeginStep(step int64)
-}

@@ -167,8 +167,8 @@ func mixSeed(parts ...uint64) uint64 {
 // Name implements Reducer.
 func (rb *ReduceBroadcast) Name() string { return "mpi-rb" }
 
-// SetTracer implements Traceable: Reduce then records per-tensor
-// quantise/transfer/decode spans. A nil tracer disables tracing again.
+// SetTracer makes Reduce record per-tensor quantise/transfer/decode
+// spans. A nil tracer disables tracing again.
 func (rb *ReduceBroadcast) SetTracer(tr *obs.Tracer) { rb.tracer = tr }
 
 // aggStripe is the stripe coordinate reserved for a worker's aggregate
@@ -176,12 +176,12 @@ func (rb *ReduceBroadcast) SetTracer(tr *obs.Tracer) { rb.tracer = tr }
 // aggregate stream never collides with a gather stream.
 const aggStripe = 1 << 32
 
-// BeginStep implements StepKeyed: it repositions every local stochastic
-// encoder stream (quant.Reseeder — QSGD's stochastic rounding) to the
-// seed derived from (experiment seed, rank, tensor, stripe, step).
+// BeginStep repositions every local stochastic encoder stream
+// (quant.Reseeder — QSGD's stochastic rounding) to the seed derived
+// from (experiment seed, rank, tensor, stripe, step).
 //
-// An elastic trainer calls it at the top of every synchronous step,
-// which makes the random draws of step s a pure function of the step's
+// An elastic trainer calls it with the 1-based index of the step about
+// to run, on every rank, before any Reduce of that step, which makes the random draws of step s a pure function of the step's
 // coordinates instead of the cumulative draw history (non-elastic runs
 // keep the paper's original cumulative streams). That property is
 // what elastic sessions (repro/elastic) lean on: a replacement rank can

@@ -55,8 +55,9 @@ func NewRing(f Transport) *Ring {
 // Name implements Reducer.
 func (r *Ring) Name() string { return "nccl-ring" }
 
-// SetTracer implements Traceable: Reduce then records encode (chunk to
-// "32bit" wire form), transfer and decode spans per allreduce.
+// SetTracer makes Reduce record encode (chunk to "32bit" wire form),
+// transfer and decode spans per allreduce. A nil tracer disables
+// tracing again.
 func (r *Ring) SetTracer(tr *obs.Tracer) { r.tracer = tr }
 
 // WireBytesPerExchange returns the bytes one allreduce of n float32
@@ -180,7 +181,7 @@ func NewSimulatedRing(f Transport, fraction float64) *SimulatedRing {
 // Name implements Reducer.
 func (s *SimulatedRing) Name() string { return "nccl-ring-sim" }
 
-// SetTracer implements Traceable by delegating to the wrapped ring.
+// SetTracer traces the wrapped ring.
 func (s *SimulatedRing) SetTracer(tr *obs.Tracer) { s.ring.SetTracer(tr) }
 
 // Reduce implements Reducer.

@@ -14,14 +14,6 @@ type PeerAccounter interface {
 	PeerTraffic(p int) PeerTraffic
 }
 
-// Traceable is implemented by reducers that can attribute their work to
-// the step-phase tracer. The trainer type-asserts for it after building
-// a primitive; a reducer given a nil tracer must behave exactly as if
-// SetTracer was never called (the obs nil-safe contract).
-type Traceable interface {
-	SetTracer(*obs.Tracer)
-}
-
 // spanAcc accumulates one Reduce call's phase durations so the reducer
 // records a handful of coarse spans per tensor instead of one per
 // message. All fields are nanoseconds except bytes. With a nil tracer

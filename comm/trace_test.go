@@ -53,14 +53,20 @@ func TestRemoteFabricPerPeerAccounting(t *testing.T) {
 	}
 }
 
+// tracedReducer is a reducer that attributes its work to a tracer.
+type tracedReducer interface {
+	Reducer
+	SetTracer(*obs.Tracer)
+}
+
 // runTracedExchange reduces one tensor across k ranks of an in-process
 // fabric with the given reducer factory and returns the recorded spans.
-func runTracedExchange(t *testing.T, k int, build func(Transport) Reducer) []obs.Span {
+func runTracedExchange(t *testing.T, k int, build func(Transport) tracedReducer) []obs.Span {
 	t.Helper()
 	f := NewFabric(k)
 	red := build(f)
 	tr := obs.NewTracer(256)
-	red.(Traceable).SetTracer(tr)
+	red.SetTracer(tr)
 	tr.SetStep(5)
 
 	var wg sync.WaitGroup
@@ -89,12 +95,12 @@ func TestReducerSpans(t *testing.T) {
 	spec := []TensorSpec{{Name: "w", N: 64, Wire: quant.Shape{Rows: 1, Cols: 64}, Codec: codec}}
 	cases := []struct {
 		name  string
-		build func(Transport) Reducer
+		build func(Transport) tracedReducer
 		phase obs.Phase // codec-side phase the reducer must report
 	}{
-		{"reduce-broadcast", func(f Transport) Reducer { return NewReduceBroadcast(f, spec, 1) }, obs.PhaseQuantise},
-		{"ring", func(f Transport) Reducer { return NewRing(f) }, obs.PhaseEncode},
-		{"simulated-ring", func(f Transport) Reducer { return NewSimulatedRing(f, 0.5) }, obs.PhaseEncode},
+		{"reduce-broadcast", func(f Transport) tracedReducer { return NewReduceBroadcast(f, spec, 1) }, obs.PhaseQuantise},
+		{"ring", func(f Transport) tracedReducer { return NewRing(f) }, obs.PhaseEncode},
+		{"simulated-ring", func(f Transport) tracedReducer { return NewSimulatedRing(f, 0.5) }, obs.PhaseEncode},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -59,8 +59,8 @@
 // (one runner per table and figure) and lint (the project's static
 // analyzers, run as a vet tool via cmd/lpsgd-vet to machine-enforce
 // the wire-bound, sim-determinism, transport-error, goroutine-
-// lifecycle, observability-inertness and deprecation contracts); internal/simulate remains as a
-// deprecated shim over sim. See README.md for a quickstart and a tour;
+// lifecycle and observability-inertness contracts). See README.md for
+// a quickstart and a tour;
 // the top-level bench_test.go regenerates every figure as a Go
 // benchmark.
 package repro

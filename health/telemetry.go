@@ -2,6 +2,7 @@ package health
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -100,12 +101,38 @@ func appendF64w(buf []byte, v float64) []byte {
 	return appendU64w(buf, math.Float64bits(v))
 }
 
+// ErrTelemetryBounds is wrapped by every rejection of a tensor
+// inventory that telemetry snapshots cannot carry.
+var ErrTelemetryBounds = errors.New("health: tensor inventory exceeds the telemetry wire bounds")
+
+// CheckTelemetryNames reports whether telemetry snapshots over tensors
+// with these names fit the wire: at most maxTelemetryTensors tensors,
+// each name at most maxTensorNameLen bytes. Both bounds are fixed by a
+// model's tensor inventory, so a trainer checks them once up front;
+// encodeTelemetry applies the same check to every snapshot. The body
+// bound cannot be exceeded by an inventory that passes.
+func CheckTelemetryNames(names []string) error {
+	return checkTelemetryNames(len(names), func(i int) string { return names[i] })
+}
+
+func checkTelemetryNames(n int, name func(i int) string) error {
+	if n > maxTelemetryTensors {
+		return fmt.Errorf("%w: %d tensors, the bound is %d", ErrTelemetryBounds, n, maxTelemetryTensors)
+	}
+	for i := 0; i < n; i++ {
+		if nm := name(i); len(nm) > maxTensorNameLen {
+			return fmt.Errorf("%w: tensor name %q is longer than %d bytes", ErrTelemetryBounds, nm, maxTensorNameLen)
+		}
+	}
+	return nil
+}
+
 // encodeTelemetry assembles a telemetry message (header, body length,
 // body) into buf. It rejects snapshots that violate the wire bounds
 // rather than truncating silently.
 func encodeTelemetry(buf []byte, from int, s TelemetrySnapshot) ([]byte, error) {
-	if len(s.Tensors) > maxTelemetryTensors {
-		return nil, fmt.Errorf("health: telemetry snapshot has %d tensors, wire bound is %d", len(s.Tensors), maxTelemetryTensors)
+	if err := checkTelemetryNames(len(s.Tensors), func(i int) string { return s.Tensors[i].Name }); err != nil {
+		return nil, err
 	}
 	buf = appendHeader(buf[:0], kindTelemetry)
 	lenAt := len(buf)
@@ -120,9 +147,6 @@ func encodeTelemetry(buf []byte, from int, s TelemetrySnapshot) ([]byte, error) 
 	buf = appendU16w(buf, uint16(len(s.Tensors)))
 	for i := range s.Tensors {
 		t := &s.Tensors[i]
-		if len(t.Name) > maxTensorNameLen {
-			return nil, fmt.Errorf("health: telemetry tensor name %q exceeds %d bytes", t.Name, maxTensorNameLen)
-		}
 		buf = append(buf, byte(len(t.Name)))
 		buf = append(buf, t.Name...)
 		buf = appendF64w(buf, t.GradL2)

@@ -109,7 +109,7 @@ func SpeedupSweep() ([]SpeedupSweepRow, error) {
 			return nil, err
 		}
 		q8, err := sim.Run(sim.Config{Network: net, Machine: workload.EC2P2,
-			Primitive: sim.NCCL, Codec: quant.NewQSGD(8, 512, quant.MaxNorm), GPUs: 8})
+			Primitive: sim.NCCL, Policy: quant.NewPolicy(quant.NewQSGD(8, 512, quant.MaxNorm)), GPUs: 8})
 		if err != nil {
 			return nil, err
 		}

@@ -27,12 +27,8 @@ func FullGrid() ([]GridRow, error) {
 	var rows []GridRow
 	for _, m := range workload.Machines() {
 		for _, prim := range []sim.Primitive{sim.MPI, sim.NCCL} {
-			labels := PrecisionLabels
-			if prim == sim.NCCL {
-				labels = NCCLPrecisionLabels
-			}
 			for _, net := range workload.Networks() {
-				for _, label := range labels {
+				for _, label := range Ladder(prim) {
 					for _, gpus := range workload.GPUCounts {
 						if gpus > m.MaxGPUs {
 							continue

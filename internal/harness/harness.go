@@ -29,6 +29,14 @@ var PrecisionLabels = []string{"32bit", "qsgd16", "qsgd8", "qsgd4", "qsgd2", "1b
 // NCCL cannot carry them, per the paper).
 var NCCLPrecisionLabels = []string{"32bit", "qsgd16", "qsgd8", "qsgd4", "qsgd2"}
 
+// Ladder returns the precision ladder a primitive's figures sweep.
+func Ladder(prim sim.Primitive) []string {
+	if prim == sim.NCCL {
+		return NCCLPrecisionLabels
+	}
+	return PrecisionLabels
+}
+
 // CodecByLabel maps a paper row label to its codec via quant.Parse,
 // which fills in the paper's tuned bucket sizes (§4.4) when the label
 // omits them ("qsgd4" → bucket 512, "1bit*" → bucket 64).
@@ -58,6 +66,6 @@ func simRun(net workload.Network, m workload.Machine, prim sim.Primitive,
 		return sim.Result{}, err
 	}
 	return sim.Run(sim.Config{
-		Network: net, Machine: m, Primitive: prim, Codec: c, GPUs: gpus,
+		Network: net, Machine: m, Primitive: prim, Policy: quant.NewPolicy(c), GPUs: gpus,
 	})
 }

@@ -36,6 +36,11 @@ func TestEpochTimeFigurePanels(t *testing.T) {
 }
 
 func TestEpochTimeNCCLExcludesOneBit(t *testing.T) {
+	for _, label := range Ladder(sim.NCCL) {
+		if strings.HasPrefix(label, "1bit") {
+			t.Errorf("NCCL ladder contains %q", label)
+		}
+	}
 	tables, err := EpochTimeFigure(workload.EC2P2, sim.NCCL, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -14,10 +14,7 @@ import (
 // communication exactly as the paper's stacked bars are.
 func EpochTimeTable(net workload.Network, m workload.Machine,
 	prim sim.Primitive, gpus int) (*report.Table, error) {
-	labels := PrecisionLabels
-	if prim == sim.NCCL {
-		labels = NCCLPrecisionLabels
-	}
+	labels := Ladder(prim)
 	t := report.New(
 		fmt.Sprintf("%s - %s, %d GPUs (%s): time per epoch", net.Name, prim, gpus, m.Name),
 		"precision", "epoch_hours", "compute_hours", "comm_hours", "samples/sec")
@@ -62,11 +59,10 @@ func EpochTimeFigure(m workload.Machine, prim sim.Primitive, gpus int) ([]*repor
 func ThroughputTable(net workload.Network, m workload.Machine,
 	prim sim.Primitive) (*report.Table, error) {
 	paperTable := workload.PaperFig10MPI
-	labels := PrecisionLabels
 	if prim == sim.NCCL {
 		paperTable = workload.PaperFig11NCCL
-		labels = NCCLPrecisionLabels
 	}
+	labels := Ladder(prim)
 	t := report.New(
 		fmt.Sprintf("%s - samples/second (%s, %s)", net.Name, prim, m.Name),
 		"precision", "gpus", "simulated", "paper", "ratio")
@@ -120,10 +116,7 @@ func ThroughputFigure(m workload.Machine, prim sim.Primitive) ([]*report.Table, 
 // count.
 func ScalabilityTable(net workload.Network, m workload.Machine,
 	prim sim.Primitive) (*report.Table, error) {
-	labels := PrecisionLabels
-	if prim == sim.NCCL {
-		labels = NCCLPrecisionLabels
-	}
+	labels := Ladder(prim)
 	base, err := simRun(net, m, sim.MPI, "32bit", 1)
 	if err != nil {
 		return nil, err

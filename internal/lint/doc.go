@@ -28,10 +28,10 @@
 //     receives from (the property the goroutine-leak-counting tests in
 //     PR 4 assert dynamically).
 //
-//   - nodeprecated: the deprecated shims — internal/simulate,
-//     quant.NewCodecPlan, the parallel.Config Codec/
-//     MinQuantisedFraction pair (PRs 3 and 6) — must not gain callers
-//     outside the shims themselves.
+//   - obsinert: an instrumentation site costs nothing when the
+//     observability plane is off — arguments to obs.Tracer.Record and
+//     the metric handles build no strings per call, and registry
+//     series names are constants.
 //
 // # Escape hatch
 //

@@ -9,7 +9,6 @@ import "repro/internal/lint/analysis"
 var Analyzers = []*analysis.Analyzer{
 	Commerr,
 	Golifecycle,
-	Nodeprecated,
 	Obsinert,
 	Simclock,
 	Wirebound,

@@ -1,6 +1,5 @@
 // Package quant is a minimal stand-in for the real repro/quant: the
-// encoder whose EncodeTo result commerr protects, and the deprecated
-// NewCodecPlan shim nodeprecated polices.
+// encoder whose EncodeTo result commerr protects.
 package quant
 
 import "io"
@@ -24,6 +23,3 @@ type Plan struct{}
 
 // NewPlan is the supported constructor.
 func NewPlan(p *Policy, n int) *Plan { return &Plan{} }
-
-// NewCodecPlan is the deprecated shim constructor.
-func NewCodecPlan(c Codec, n int, minFrac float64) *Plan { return &Plan{} }

@@ -217,6 +217,12 @@ func TestNetworkByName(t *testing.T) {
 	if _, err := NetworkByName("LeNet"); err == nil {
 		t.Error("expected unknown-network error")
 	}
+	if m, err := MachineByName("DGX-1"); err != nil || m.Name != "DGX-1" {
+		t.Errorf("DGX-1 lookup: %v", err)
+	}
+	if _, err := MachineByName("TPU"); err == nil {
+		t.Error("expected unknown-machine error")
+	}
 }
 
 func TestSampleSpeedup(t *testing.T) {

@@ -501,14 +501,6 @@ func WithAcceptedPolicies(names ...string) Option {
 	return func(c *config) { c.accept = names }
 }
 
-// WithAcceptedCodecs sets the accepted advertisement from codec names.
-//
-// Deprecated: use WithAcceptedPolicies — every codec name is a valid
-// policy string, so this is the same option under its old name.
-func WithAcceptedCodecs(names ...string) Option {
-	return WithAcceptedPolicies(names...)
-}
-
 // WithBatchSize sets the global minibatch size, sharded over workers.
 func WithBatchSize(n int) Option {
 	return func(c *config) { c.cfg.BatchSize = n }

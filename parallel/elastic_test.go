@@ -8,6 +8,7 @@ import (
 
 	"repro/comm"
 	"repro/elastic"
+	"repro/nn"
 	"repro/quant"
 )
 
@@ -269,5 +270,43 @@ func TestLoadCheckpointClusterWarmStart(t *testing.T) {
 	defer wrong.Close()
 	if err := wrong.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err == nil {
 		t.Fatal("shape-mismatched checkpoint loaded without error")
+	}
+}
+
+// TestLoadCheckpointFansOutToLocalReplicas: in single-process mode
+// LoadCheckpoint restores every local replica, so a fresh K=2 trainer
+// loaded from a trained one evaluates identically and stays in sync.
+func TestLoadCheckpointFansOutToLocalReplicas(t *testing.T) {
+	train, test := blobData(t)
+	cfg := Config{
+		Workers: 2, BatchSize: 32, Epochs: 3, Seed: 21, Momentum: 0.9,
+		Policy:   quant.NewPolicy(quant.NewQSGD(8, 512, quant.MaxNorm)),
+		Schedule: nn.ConstantLR(0.1),
+	}
+	trained, err := NewTrainer(buildMLP(36, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trained.Close()
+	if _, err := trained.Run(train, test); err != nil {
+		t.Fatal(err)
+	}
+	var ckpt bytes.Buffer
+	if err := trained.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewTrainer(buildMLP(36, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.LoadCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := trained.Evaluate(test), fresh.Evaluate(test); a != b {
+		t.Fatalf("checkpointed model evaluates differently: %v vs %v", a, b)
+	}
+	if !fresh.ReplicasInSync() {
+		t.Fatal("LoadCheckpoint left the local replicas out of sync")
 	}
 }

@@ -2,13 +2,18 @@ package parallel
 
 import (
 	"bytes"
+	"errors"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/data"
+	"repro/health"
 	"repro/nn"
 	"repro/obs"
 	"repro/quant"
+	"repro/rng"
 )
 
 // teleRun mirrors obsRun with the convergence-telemetry sampler on.
@@ -16,7 +21,7 @@ func teleRun(t *testing.T, every int, metrics *obs.Registry, useTCP bool) ([]byt
 	t.Helper()
 	train, test := blobData(t)
 	cfg := Config{
-		Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+		Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 64, Epochs: 2,
 		Schedule: nn.ConstantLR(0.08), Momentum: 0.9, Seed: 5,
 		UseTCP:         useTCP,
@@ -102,6 +107,31 @@ func TestTelemetryEveryValidation(t *testing.T) {
 	}
 }
 
+// TestTelemetryRejectsUnwireableTensorNames: a tensor name past the
+// telemetry wire bound fails NewTrainer up front when snapshots would
+// cross the control plane, instead of failing every sample later.
+func TestTelemetryRejectsUnwireableTensorNames(t *testing.T) {
+	a, b := pairedConns(t)
+	defer b.Close()
+	mon, err := health.NewMonitor(0, 2, []net.Conn{nil, a}, health.Config{
+		Interval: 20 * time.Millisecond, Timeout: 500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layer := strings.Repeat("d", 254) // tensor "ddd…d.W" is 256 bytes
+	build := func(r *rng.RNG) *nn.Network {
+		return nn.MustNetwork(nn.NewDense(layer, 36, 4, r))
+	}
+	_, err = NewTrainer(build, Config{
+		Workers: 2, BatchSize: 8, Epochs: 1,
+		Monitor: mon, TelemetryEvery: 1,
+	})
+	if !errors.Is(err, health.ErrTelemetryBounds) {
+		t.Fatalf("NewTrainer returned %v, want health.ErrTelemetryBounds", err)
+	}
+}
+
 // BenchmarkStepTelemetryOff and BenchmarkStepTelemetryOn bound the
 // telemetry sampler's amortised cost at the default cadence (every 25
 // steps) against the same 2% bar as tracing. Compare:
@@ -133,7 +163,7 @@ func benchTelemetryTrainer(b *testing.B, every int) (*Trainer, []int, *data.Data
 	b.Helper()
 	train := benchData()
 	cfg := Config{
-		Workers: 4, Codec: quant.NewQSGD(4, 512, quant.MaxNorm),
+		Workers: 4, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
 		BatchSize: 64, Epochs: 1,
 		Schedule: nn.ConstantLR(0.08), Momentum: 0.9, Seed: 5,
 		Metrics:        obs.NewRegistry(),

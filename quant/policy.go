@@ -275,11 +275,6 @@ func globMatch(p, s string) bool {
 type Plan struct {
 	// Policy is the scheme this plan evaluates.
 	Policy *Policy
-	// Quantised is the policy's base codec.
-	//
-	// Deprecated: report via Policy (Policy.Name() identifies the whole
-	// scheme; Quantised names only its base).
-	Quantised Codec
 	// Fallback is used below the threshold (always full precision).
 	Fallback Codec
 	// Threshold is the minimum element count for base-codec
@@ -305,7 +300,6 @@ func NewPlan(policy *Policy, tensors []TensorInfo) *Plan {
 	minFrac := policy.minFrac()
 	p := &Plan{
 		Policy:      policy,
-		Quantised:   base,
 		Fallback:    FP32{},
 		MinFraction: minFrac,
 		tensors:     tensors,
@@ -371,15 +365,6 @@ func NewPlan(policy *Policy, tensors []TensorInfo) *Plan {
 		}
 	}
 	return p
-}
-
-// NewCodecPlan evaluates the pre-policy configuration pair — one codec
-// plus an exemption target — by wrapping it into the policy it is
-// shorthand for.
-//
-// Deprecated: build a Policy (ParsePolicy or NewPolicy) and use NewPlan.
-func NewCodecPlan(c Codec, tensors []TensorInfo, minFrac float64) *Plan {
-	return NewPlan(&Policy{Base: c, MinFrac: minFrac}, tensors)
 }
 
 // CodecFor returns the codec assigned to tensor index i.

@@ -21,14 +21,14 @@ func inventory() []TensorInfo {
 }
 
 func TestPlanQuantisesAtLeastMinFraction(t *testing.T) {
-	p := NewCodecPlan(NewQSGD(4, 512, MaxNorm), inventory(), 0.99)
+	p := NewPlan(NewPolicy(NewQSGD(4, 512, MaxNorm)), inventory())
 	if f := p.QuantisedFraction(); f < 0.99 {
 		t.Fatalf("quantised fraction %v < 0.99", f)
 	}
 }
 
 func TestPlanExemptsSmallTensors(t *testing.T) {
-	p := NewCodecPlan(NewQSGD(4, 512, MaxNorm), inventory(), 0.99)
+	p := NewPlan(NewPolicy(NewQSGD(4, 512, MaxNorm)), inventory())
 	small := 0
 	for i, ti := range inventory() {
 		if _, isFP := p.CodecFor(i).(FP32); isFP {
@@ -48,7 +48,7 @@ func TestPlanThresholdMaximal(t *testing.T) {
 	// The chosen threshold should be as large as possible: raising it to
 	// the next distinct size must violate the fraction constraint.
 	inv := inventory()
-	p := NewCodecPlan(NewQSGD(4, 512, MaxNorm), inv, 0.99)
+	p := NewPlan(NewPolicy(NewQSGD(4, 512, MaxNorm)), inv)
 	var total int64
 	for _, ti := range inv {
 		total += int64(ti.Shape.Len())
@@ -74,7 +74,7 @@ func TestPlanThresholdMaximal(t *testing.T) {
 }
 
 func TestPlanFullPrecisionPassThrough(t *testing.T) {
-	p := NewCodecPlan(FP32{}, inventory(), 0.99)
+	p := NewPlan(NewPolicy(FP32{}), inventory())
 	for i := range inventory() {
 		if _, isFP := p.CodecFor(i).(FP32); !isFP {
 			t.Fatalf("fp32 plan assigned non-fp32 codec to tensor %d", i)
@@ -89,7 +89,7 @@ func TestPlanFullPrecisionPassThrough(t *testing.T) {
 }
 
 func TestPlanMinFracOneQuantisesEverything(t *testing.T) {
-	p := NewCodecPlan(NewQSGD(8, 512, MaxNorm), inventory(), 1.0)
+	p := NewPlan(&Policy{Base: NewQSGD(8, 512, MaxNorm), MinFrac: 1.0}, inventory())
 	if f := p.QuantisedFraction(); f != 1 {
 		t.Fatalf("fraction = %v, want 1", f)
 	}
@@ -99,7 +99,7 @@ func TestPlanMinFracOneQuantisesEverything(t *testing.T) {
 }
 
 func TestPlanWireBytesSmaller(t *testing.T) {
-	p := NewCodecPlan(NewQSGD(4, 512, MaxNorm), inventory(), 0.99)
+	p := NewPlan(NewPolicy(NewQSGD(4, 512, MaxNorm)), inventory())
 	if p.WireBytes() >= p.RawBytes() {
 		t.Fatalf("4-bit plan did not compress: wire %d raw %d", p.WireBytes(), p.RawBytes())
 	}
@@ -110,7 +110,7 @@ func TestPlanWireBytesSmaller(t *testing.T) {
 }
 
 func TestPlanEmptyInventory(t *testing.T) {
-	p := NewCodecPlan(NewQSGD(4, 512, MaxNorm), nil, 0.99)
+	p := NewPlan(NewPolicy(NewQSGD(4, 512, MaxNorm)), nil)
 	if p.NumTensors() != 0 {
 		t.Fatal("empty inventory should have zero tensors")
 	}
@@ -120,7 +120,7 @@ func TestPlanEmptyInventory(t *testing.T) {
 }
 
 func TestPlanCodecForPanicsOutOfRange(t *testing.T) {
-	p := NewCodecPlan(NewQSGD(4, 512, MaxNorm), inventory(), 0.99)
+	p := NewPlan(NewPolicy(NewQSGD(4, 512, MaxNorm)), inventory())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -130,8 +130,9 @@ type ClusterResult struct {
 	TraceHash string `json:"trace_hash"`
 }
 
-// parsePrimitive maps a scenario's primitive string.
-func parsePrimitive(s string) (Primitive, error) {
+// ParsePrimitive maps a primitive name, case-insensitively, to its
+// Primitive; the empty string means MPI.
+func ParsePrimitive(s string) (Primitive, error) {
 	switch strings.ToUpper(s) {
 	case "", "MPI":
 		return MPI, nil
@@ -206,7 +207,7 @@ func RunScenarioTrace(sc Scenario, keepTrace bool) (*ClusterResult, []Event, err
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
 	}
-	prim, err := parsePrimitive(sc.Primitive)
+	prim, err := ParsePrimitive(sc.Primitive)
 	if err != nil {
 		return nil, nil, err
 	}

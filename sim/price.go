@@ -53,15 +53,10 @@ type Config struct {
 	Machine   workload.Machine
 	Primitive Primitive
 	// Policy is the precision policy to price: base codec, small-matrix
-	// exemption target and per-tensor pattern rules. Nil falls back to
-	// the deprecated Codec field (wrapped into a default policy with
-	// quant.DefaultMinFrac), and to full precision when that is nil too.
+	// exemption target and per-tensor pattern rules. Nil means full
+	// precision.
 	Policy *quant.Policy
-	// Codec is the gradient codec; nil means full precision.
-	//
-	// Deprecated: set Policy. Ignored when Policy is set.
-	Codec quant.Codec
-	GPUs  int
+	GPUs   int
 	// BatchOverride replaces Figure 4's batch when positive.
 	BatchOverride int
 	// Kernel overrides the kernel model when non-zero.
@@ -136,11 +131,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	policy := cfg.Policy
 	if policy == nil {
-		codec := cfg.Codec
-		if codec == nil {
-			codec = quant.FP32{}
-		}
-		policy = quant.NewPolicy(codec)
+		policy = quant.NewPolicy(quant.FP32{})
 	}
 	kernel := cfg.Kernel
 	if kernel == (KernelModel{}) {
