@@ -62,7 +62,7 @@ func BenchmarkFig5_LSTMAccuracy(b *testing.B) {
 
 // --- Figures 6–9: time per epoch ---
 
-func benchEpochFigure(b *testing.B, m workload.Machine, prim sim.Primitive, gpus int) {
+func benchEpochFigure(b *testing.B, m workload.Machine, prim comm.Primitive, gpus int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		tables, err := harness.EpochTimeFigure(m, prim, gpus)
@@ -86,19 +86,19 @@ func benchEpochFigure(b *testing.B, m workload.Machine, prim sim.Primitive, gpus
 }
 
 func BenchmarkFig6_EC2MPIEpochTime(b *testing.B) {
-	benchEpochFigure(b, workload.EC2P2, sim.MPI, 8)
+	benchEpochFigure(b, workload.EC2P2, comm.MPI, 8)
 }
 
 func BenchmarkFig7_EC2NCCLEpochTime(b *testing.B) {
-	benchEpochFigure(b, workload.EC2P2, sim.NCCL, 8)
+	benchEpochFigure(b, workload.EC2P2, comm.NCCL, 8)
 }
 
 func BenchmarkFig8_DGXMPIEpochTime(b *testing.B) {
-	benchEpochFigure(b, workload.DGX1, sim.MPI, 8)
+	benchEpochFigure(b, workload.DGX1, comm.MPI, 8)
 }
 
 func BenchmarkFig9_DGXNCCLEpochTime(b *testing.B) {
-	benchEpochFigure(b, workload.DGX1, sim.NCCL, 8)
+	benchEpochFigure(b, workload.DGX1, comm.NCCL, 8)
 }
 
 // --- Figures 10–11: samples/second tables ---
@@ -106,7 +106,7 @@ func BenchmarkFig9_DGXNCCLEpochTime(b *testing.B) {
 func BenchmarkFig10_EC2MPITables(b *testing.B) {
 	var tables int
 	for i := 0; i < b.N; i++ {
-		ts, err := harness.ThroughputFigure(workload.EC2P2, sim.MPI)
+		ts, err := harness.ThroughputFigure(workload.EC2P2, comm.MPI)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func BenchmarkFig10_EC2MPITables(b *testing.B) {
 func BenchmarkFig11_EC2NCCLTables(b *testing.B) {
 	var tables int
 	for i := 0; i < b.N; i++ {
-		ts, err := harness.ThroughputFigure(workload.EC2P2, sim.NCCL)
+		ts, err := harness.ThroughputFigure(workload.EC2P2, comm.NCCL)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,12 +132,12 @@ func BenchmarkFig11_EC2NCCLTables(b *testing.B) {
 func BenchmarkFig12to15_Scalability(b *testing.B) {
 	configs := []struct {
 		m    workload.Machine
-		prim sim.Primitive
+		prim comm.Primitive
 	}{
-		{workload.EC2P2, sim.MPI},
-		{workload.EC2P2, sim.NCCL},
-		{workload.DGX1, sim.MPI},
-		{workload.DGX1, sim.NCCL},
+		{workload.EC2P2, comm.MPI},
+		{workload.EC2P2, comm.NCCL},
+		{workload.DGX1, comm.MPI},
+		{workload.DGX1, comm.NCCL},
 	}
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range configs {
@@ -149,11 +149,11 @@ func BenchmarkFig12to15_Scalability(b *testing.B) {
 	// Surface the AlexNet MPI 16-GPU scalability contrast the paper
 	// highlights (quantised ≈8×, full precision <3×).
 	fp, _ := sim.Run(sim.Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: sim.MPI, GPUs: 16})
+		Primitive: comm.MPI, GPUs: 16})
 	ob, _ := sim.Run(sim.Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: sim.MPI, Policy: quant.NewPolicy(quant.OneBit{}), GPUs: 16})
+		Primitive: comm.MPI, Policy: quant.NewPolicy(quant.OneBit{}), GPUs: 16})
 	base, _ := sim.Run(sim.Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: sim.MPI, GPUs: 1})
+		Primitive: comm.MPI, GPUs: 1})
 	b.ReportMetric(fp.SamplesPerSec/base.SamplesPerSec, "alexnet_fp32_scal16")
 	b.ReportMetric(ob.SamplesPerSec/base.SamplesPerSec, "alexnet_1bit_scal16")
 }
@@ -249,7 +249,7 @@ func BenchmarkAblation_Reshaping(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, err = sim.Run(sim.Config{
 					Network: workload.ResNet152, Machine: workload.EC2P2,
-					Primitive: sim.MPI, Policy: quant.NewPolicy(tc.codec), GPUs: 8,
+					Primitive: comm.MPI, Policy: quant.NewPolicy(tc.codec), GPUs: 8,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -272,7 +272,7 @@ func BenchmarkAblation_Overlap(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, err = sim.Run(sim.Config{
 					Network: workload.AlexNet, Machine: workload.EC2P2,
-					Primitive: sim.MPI, GPUs: 8, Overlap: ov,
+					Primitive: comm.MPI, GPUs: 8, Overlap: ov,
 				})
 				if err != nil {
 					b.Fatal(err)

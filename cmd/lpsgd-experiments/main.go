@@ -19,10 +19,10 @@ import (
 	"io"
 	"os"
 
+	"repro/comm"
 	"repro/internal/harness"
 	"repro/internal/report"
 	"repro/internal/workload"
-	"repro/sim"
 )
 
 func main() {
@@ -58,16 +58,16 @@ func main() {
 
 	run("setup", figSetup)
 	run("5", fig5)
-	run("6", figEpoch(workload.EC2P2, sim.MPI, 8))
-	run("7", figEpoch(workload.EC2P2, sim.NCCL, 8))
-	run("8", figEpoch(workload.DGX1, sim.MPI, 8))
-	run("9", figEpoch(workload.DGX1, sim.NCCL, 8))
-	run("10", figThroughput(workload.EC2P2, sim.MPI))
-	run("11", figThroughput(workload.EC2P2, sim.NCCL))
-	run("12", figScalability(workload.EC2P2, sim.MPI))
-	run("13", figScalability(workload.EC2P2, sim.NCCL))
-	run("14", figScalability(workload.DGX1, sim.MPI))
-	run("15", figScalability(workload.DGX1, sim.NCCL))
+	run("6", figEpoch(workload.EC2P2, comm.MPI, 8))
+	run("7", figEpoch(workload.EC2P2, comm.NCCL, 8))
+	run("8", figEpoch(workload.DGX1, comm.MPI, 8))
+	run("9", figEpoch(workload.DGX1, comm.NCCL, 8))
+	run("10", figThroughput(workload.EC2P2, comm.MPI))
+	run("11", figThroughput(workload.EC2P2, comm.NCCL))
+	run("12", figScalability(workload.EC2P2, comm.MPI))
+	run("13", figScalability(workload.EC2P2, comm.NCCL))
+	run("14", figScalability(workload.DGX1, comm.MPI))
+	run("15", figScalability(workload.DGX1, comm.NCCL))
 	run("16", fig16)
 	run("claims", figClaims)
 	run("grid", figGrid)
@@ -141,7 +141,7 @@ func fig5(_ io.Writer, emit func(...*report.Table), full bool) error {
 	return nil
 }
 
-func figEpoch(m workload.Machine, prim sim.Primitive, gpus int) func(io.Writer, func(...*report.Table), bool) error {
+func figEpoch(m workload.Machine, prim comm.Primitive, gpus int) func(io.Writer, func(...*report.Table), bool) error {
 	return func(_ io.Writer, emit func(...*report.Table), _ bool) error {
 		tables, err := harness.EpochTimeFigure(m, prim, gpus)
 		if err != nil {
@@ -152,7 +152,7 @@ func figEpoch(m workload.Machine, prim sim.Primitive, gpus int) func(io.Writer, 
 	}
 }
 
-func figThroughput(m workload.Machine, prim sim.Primitive) func(io.Writer, func(...*report.Table), bool) error {
+func figThroughput(m workload.Machine, prim comm.Primitive) func(io.Writer, func(...*report.Table), bool) error {
 	return func(_ io.Writer, emit func(...*report.Table), _ bool) error {
 		tables, err := harness.ThroughputFigure(m, prim)
 		if err != nil {
@@ -163,7 +163,7 @@ func figThroughput(m workload.Machine, prim sim.Primitive) func(io.Writer, func(
 	}
 }
 
-func figScalability(m workload.Machine, prim sim.Primitive) func(io.Writer, func(...*report.Table), bool) error {
+func figScalability(m workload.Machine, prim comm.Primitive) func(io.Writer, func(...*report.Table), bool) error {
 	return func(_ io.Writer, emit func(...*report.Table), _ bool) error {
 		tables, err := harness.ScalabilityFigure(m, prim)
 		if err != nil {

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/comm"
 	"repro/internal/harness"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -67,7 +68,7 @@ func main() {
 		os.Exit(runScenario(*scenario, *seed, seedSet))
 	}
 
-	prim, err := sim.ParsePrimitive(*primitive)
+	prim, err := comm.ParsePrimitive(*primitive)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

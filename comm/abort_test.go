@@ -177,9 +177,9 @@ func TestMidExchangePeerDeathQuantisedAllReduce(t *testing.T) {
 	const n = 8192
 	shape := quant.Shape{Rows: 64, Cols: 128}
 	specs := []TensorSpec{{Name: "w", N: n, Wire: shape, Codec: codec}}
-	rbs := make([]*ReduceBroadcast, k)
+	rbs := make([]*Collective, k)
 	for r := 0; r < k; r++ {
-		rbs[r] = NewReduceBroadcastLocal(fabs[r], specs, 99, []int{r})
+		rbs[r] = NewCollective(fabs[r], MPI, specs, 99, []int{r})
 	}
 
 	grads := make([][]float32, k)

@@ -30,6 +30,17 @@ func exchangeAllocs(t *testing.T, red Reducer, k int) float64 {
 	return testing.AllocsPerRun(10, exchange)
 }
 
+// policySpecs is the MLP inventory under a codec, or under two joined
+// by "+": the first for the matrices, the second for the biases.
+func policySpecs(codec string) []TensorSpec {
+	matrices, biases, _ := strings.Cut(codec, "+")
+	specs := mlpSpecs(quant.MustParse(matrices))
+	for i := 1; biases != "" && i < len(specs); i += 2 {
+		specs[i].Codec = quant.MustParse(biases)
+	}
+	return specs
+}
+
 // TestReduceBroadcastExchangeAllocs: in steady state a
 // reduce-and-broadcast exchange allocates nothing — not per message,
 // not per tensor — for every codec family on every fabric, nor when a
@@ -40,12 +51,7 @@ func TestReduceBroadcastExchangeAllocs(t *testing.T) {
 	for _, codec := range []string{"32bit", "qsgd4b512", "1bit", "qsgd4b512+32bit"} {
 		for _, kind := range []string{"chan", "framed", "tcp"} {
 			t.Run(codec+"/"+kind, func(t *testing.T) {
-				matrices, biases, _ := strings.Cut(codec, "+")
-				specs := mlpSpecs(quant.MustParse(matrices))
-				for i := 1; biases != "" && i < len(specs); i += 2 {
-					specs[i].Codec = quant.MustParse(biases)
-				}
-				rb := NewReduceBroadcast(benchFabric(t, kind, k), specs, 3)
+				rb := NewReduceBroadcast(benchFabric(t, kind, k), policySpecs(codec), 3)
 				if allocs := exchangeAllocs(t, rb, k); allocs != 0 {
 					t.Errorf("steady-state exchange allocates %v times, want 0", allocs)
 				}
@@ -54,16 +60,28 @@ func TestReduceBroadcastExchangeAllocs(t *testing.T) {
 	}
 }
 
-// TestRingExchangeAllocs: the same for the ring, whose hops used to
-// allocate a packed chunk and a decoded chunk each, K=4.
+// TestRingExchangeAllocs: the same for the ring, K=4 — the full-precision
+// NewRing (subtests named by fabric alone) and the ring carrying a
+// codec, whose hops re-encode partial sums and relay received bytes.
 func TestRingExchangeAllocs(t *testing.T) {
 	const k = 4
-	for _, kind := range []string{"chan", "tcp"} {
-		t.Run(kind, func(t *testing.T) {
-			if allocs := exchangeAllocs(t, NewRing(benchFabric(t, kind, k)), k); allocs != 0 {
-				t.Errorf("steady-state ring exchange allocates %v times, want 0", allocs)
+	for _, codec := range []string{"", "qsgd4b512", "1bit*64", "qsgd4b512+32bit"} {
+		for _, kind := range []string{"chan", "tcp"} {
+			name := kind
+			if codec != "" {
+				name = codec + "/" + kind
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				f := benchFabric(t, kind, k)
+				ring := NewRing(f)
+				if codec != "" {
+					ring = NewCollective(f, NCCL, policySpecs(codec), 3, nil)
+				}
+				if allocs := exchangeAllocs(t, ring, k); allocs != 0 {
+					t.Errorf("steady-state ring exchange allocates %v times, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

@@ -151,21 +151,17 @@ func BenchmarkTransport(b *testing.B) {
 
 // BenchmarkExchange is the go-test twin of the ledger's
 // comm.exchange_us.* rows: one whole-inventory exchange of the MLP's
-// gradients per iteration, K=2.
+// gradients per iteration, K=2, for both schedules.
 func BenchmarkExchange(b *testing.B) {
 	const k = 2
-	for _, prim := range []string{"rb", "ring"} {
+	for _, prim := range []struct {
+		name string
+		p    Primitive
+	}{{"rb", MPI}, {"ring", NCCL}} {
 		for _, kind := range []string{"chan", "tcp"} {
 			for _, name := range []string{"32bit", "qsgd4b512"} {
-				if prim == "ring" && name != "32bit" {
-					continue // the ring has no codec hook
-				}
-				b.Run(prim+"/"+kind+"/"+name, func(b *testing.B) {
-					f := benchFabric(b, kind, k)
-					var red Reducer = NewRing(f)
-					if prim == "rb" {
-						red = NewReduceBroadcast(f, mlpSpecs(quant.MustParse(name)), 1)
-					}
+				b.Run(prim.name+"/"+kind+"/"+name, func(b *testing.B) {
+					red := NewCollective(benchFabric(b, kind, k), prim.p, mlpSpecs(quant.MustParse(name)), 1, nil)
 					d := newExchangeDriver(red, k, mlpInventory)
 					defer d.stop()
 					var wire int64

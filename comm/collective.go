@@ -1,0 +1,277 @@
+package comm
+
+import (
+	"fmt"
+
+	"repro/obs"
+	"repro/quant"
+)
+
+// Collective is the gradient-aggregation engine: each tensor compiles,
+// per local rank, into prim's schedule, and Reduce runs it, encoding
+// every send with the tensor's codec. Over a framed transport
+// (Transport.Framed) every message is the encoder's self-describing
+// quant frame header followed by its payload, so peers need no
+// out-of-band codec agreement; in-process the bare payload travels.
+// The decoded values are identical either way.
+type Collective struct {
+	fabric Transport
+	framed bool
+	prim   Primitive
+	seed   uint64
+	// specs describes the tensors; nil means any tensor, carried as
+	// 32bit and compiled on its first Reduce (NewRing).
+	specs   []TensorSpec
+	workers []*worker // per rank; nil for ranks another process drives
+	tracer  *obs.Tracer
+}
+
+// worker is one rank's state across Reduce calls, so a step allocates
+// nothing once the buffers have met the largest message.
+type worker struct {
+	tensors []compiled
+	tmp     []float32 // a decoded contribution awaiting accumulation
+	endpoint
+}
+
+// compiled is one rank's schedule for one tensor: the steps over its
+// chunks, the encoder behind each encodeSend step (nil elsewhere), and
+// what the rank knows of the tensor's incoming messages.
+type compiled struct {
+	spec      TensorSpec
+	chunks    []chunk
+	steps     []step
+	encs      []quant.Encoder
+	in        inbound
+	quantises bool // encoding is quantisation, not a 32bit byte view (for spans)
+}
+
+// NewCollective builds prim's collective for the given tensors over the
+// fabric, with encoder state for the given local ranks — nil means
+// every rank. A cluster worker process passes its one rank: the other
+// ranks' error-feedback residuals and RNG streams live in their own
+// processes. Seeds derive from (seed, rank, tensor, slot) coordinates,
+// so a rank's encoders are the same whichever ranks are local.
+func NewCollective(f Transport, prim Primitive, specs []TensorSpec, seed uint64, ranks []int) *Collective {
+	if prim != MPI && prim != NCCL {
+		panic(fmt.Sprintf("comm: unknown primitive %d", prim))
+	}
+	k := f.K()
+	c := &Collective{fabric: f, framed: f.Framed(), prim: prim, seed: seed, specs: specs, workers: make([]*worker, k)}
+	if ranks == nil {
+		ranks = make([]int, k)
+		for r := range ranks {
+			ranks[r] = r
+		}
+	}
+	for _, r := range ranks {
+		if r < 0 || r >= k {
+			panic(fmt.Sprintf("comm: local rank %d outside world of %d", r, k))
+		}
+		w := &worker{endpoint: endpoint{fabric: f, framed: c.framed}}
+		for t, spec := range specs {
+			w.tensors = append(w.tensors, c.compile(spec, t, r))
+		}
+		c.workers[r] = w
+	}
+	return c
+}
+
+// NewReduceBroadcast builds the MPI collective with encoder state for
+// every rank. seed separates the stochastic quantisation streams of
+// different experiments.
+func NewReduceBroadcast(f Transport, specs []TensorSpec, seed uint64) *Collective {
+	return NewCollective(f, MPI, specs, seed, nil)
+}
+
+// NewRing builds the full-precision NCCL collective for tensors it
+// learns as they come: tensor i is whatever length its first Reduce
+// brings, carried as 32bit.
+func NewRing(f Transport) *Collective {
+	return NewCollective(f, NCCL, nil, 0, nil)
+}
+
+// compile builds rank's schedule for tensor t.
+func (c *Collective) compile(spec TensorSpec, t, rank int) compiled {
+	k := c.fabric.K()
+	ct := compiled{
+		spec:      spec,
+		chunks:    chunks(c.prim, spec, k),
+		in:        newInbound(spec.Codec, spec.Wire),
+		quantises: !isFP32(spec.Codec),
+	}
+	schedule(c.prim, ct.chunks, k, rank, func(st step) {
+		var enc quant.Encoder
+		if st.op == encodeSend {
+			n, shape := ct.chunks[st.chunk].n, spec.Wire
+			if c.prim == NCCL && !ct.quantises {
+				shape = quant.Shape{Rows: 1, Cols: n} // a ring chunk of a 32bit tensor frames as a flat vector
+			}
+			enc = spec.Codec.NewEncoder(n, shape, mixSeed(c.seed, uint64(rank), uint64(t), st.slot))
+		}
+		ct.steps = append(ct.steps, st)
+		ct.encs = append(ct.encs, enc)
+	})
+	return ct
+}
+
+// mixSeed derives a distinct stream seed from identifying coordinates.
+func mixSeed(parts ...uint64) uint64 {
+	var z uint64 = 0x9e3779b97f4a7c15
+	for _, p := range parts {
+		z ^= p + 0x9e3779b97f4a7c15 + (z << 6) + (z >> 2)
+		z *= 0xbf58476d1ce4e5b9
+	}
+	return z
+}
+
+// Name implements Reducer.
+func (c *Collective) Name() string {
+	if c.prim == NCCL {
+		return "nccl-ring"
+	}
+	return "mpi-rb"
+}
+
+// SetTracer makes Reduce record per-tensor quantise (or, for 32bit,
+// encode), transfer and decode spans. A nil tracer disables tracing
+// again.
+func (c *Collective) SetTracer(tr *obs.Tracer) { c.tracer = tr }
+
+// BeginStep repositions every local stochastic encoder stream
+// (quant.Reseeder — QSGD's stochastic rounding) to the seed derived
+// from (experiment seed, rank, tensor, slot, step). An elastic trainer
+// calls it on every rank before the step's first Reduce, making step
+// s's draws a pure function of its coordinates rather than of the draw
+// history (non-elastic runs keep the paper's cumulative streams): a
+// replacement rank reconstructs the dead rank's streams, and a survivor
+// rewinds an aborted half-step by re-entering it. Error-feedback
+// residuals are data-dependent and not covered (see repro/elastic).
+// Byte volumes do not depend on the draws.
+func (c *Collective) BeginStep(step int64) {
+	for rank, w := range c.workers {
+		if w == nil {
+			continue
+		}
+		for t := range w.tensors {
+			ct := &w.tensors[t]
+			for i, enc := range ct.encs {
+				if r, ok := enc.(quant.Reseeder); ok {
+					r.Reseed(mixSeed(c.seed, uint64(rank), uint64(t), ct.steps[i].slot, uint64(step)))
+				}
+			}
+		}
+	}
+}
+
+// WireBytesPerExchange returns the bytes one exchange of the
+// collective's tensors puts on the fabric (see WireBytes); zero for a
+// NewRing collective, which learns its tensors as they come.
+func (c *Collective) WireBytesPerExchange() int64 {
+	return WireBytes(c.prim, c.specs, c.fabric.K(), c.framed)
+}
+
+// Reduce implements Reducer: it runs rank's schedule for the tensor.
+// After it returns on every rank, all hold bit-identical values: each
+// chunk's final value is encoded once, by its owner, and every rank —
+// the owner included — decodes those same bytes.
+func (c *Collective) Reduce(rank, tensorID int, g []float32) error {
+	if c.specs != nil {
+		if tensorID < 0 || tensorID >= len(c.specs) {
+			return fmt.Errorf("comm: unknown tensor %d", tensorID)
+		}
+		if spec := c.specs[tensorID]; len(g) != spec.N {
+			return fmt.Errorf("comm: tensor %s has %d elements, got %d", spec.Name, spec.N, len(g))
+		}
+	} else if tensorID < 0 {
+		return fmt.Errorf("comm: unknown tensor %d", tensorID)
+	}
+	k := c.fabric.K()
+	if k == 1 {
+		return nil
+	}
+	if rank < 0 || rank >= k || c.workers[rank] == nil {
+		return fmt.Errorf("comm: rank %d has no local %s state", rank, c.Name())
+	}
+	w := c.workers[rank]
+	if c.specs == nil {
+		for len(w.tensors) <= tensorID {
+			w.tensors = append(w.tensors, compiled{spec: TensorSpec{N: -1}})
+		}
+		if w.tensors[tensorID].spec.N != len(g) {
+			w.tensors[tensorID] = c.compile(fp32Spec(len(g)), tensorID, rank)
+		}
+	}
+	ct := &w.tensors[tensorID]
+	tr := c.tracer
+	w.acc = spanAcc{}
+	start := tr.Now()
+	for i, st := range ct.steps {
+		ch := ct.chunks[st.chunk]
+		if err := w.run(tr, rank, k, ct, st, ct.encs[i], g[ch.off:ch.off+ch.n]); err != nil {
+			return fmt.Errorf("comm: %s step %d of %s (chunk %d): %w", c.Name(), i, ct.spec.Name, st.chunk, err)
+		}
+	}
+	w.acc.record(tr, rank, ct.spec.Name, start)
+	return nil
+}
+
+// run executes one step on vals, the rank's copy of the step's chunk.
+func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, enc quant.Encoder, vals []float32) error {
+	switch st.op {
+	case encodeSend:
+		t0 := tr.Now()
+		wire := enc.Encode(vals)
+		if ct.quantises {
+			w.acc.quantise += tr.Now() - t0
+		} else {
+			w.acc.encode += tr.Now() - t0
+		}
+		var header []byte
+		if w.framed {
+			header = enc.Header()
+		}
+		lo, hi := st.to, st.to+1
+		if st.to == everyPeer {
+			lo, hi = 0, k
+		}
+		for p := lo; p < hi; p++ {
+			if p == rank {
+				continue
+			}
+			if err := w.send(tr, header, rank, p, wire); err != nil {
+				return fmt.Errorf("send to %d: %w", p, err)
+			}
+		}
+		if st.adopt {
+			t0 = tr.Now()
+			err := ct.in.codec.Decode(wire, len(vals), ct.in.shape, vals)
+			w.acc.decode += tr.Now() - t0
+			if err != nil {
+				return fmt.Errorf("decode own wire: %w", err)
+			}
+		}
+	case recvAdd:
+		if cap(w.tmp) < len(vals) {
+			w.tmp = make([]float32, len(vals))
+		}
+		tmp := w.tmp[:len(vals)]
+		if _, err := w.recv(tr, &ct.in, st.from, rank, tmp); err != nil {
+			return fmt.Errorf("from %d: %w", st.from, err)
+		}
+		for i, v := range tmp {
+			vals[i] += v
+		}
+	case recvPlace:
+		wire, err := w.recv(tr, &ct.in, st.from, rank, vals)
+		if err != nil {
+			return fmt.Errorf("from %d: %w", st.from, err)
+		}
+		if st.to != rank {
+			if err := w.send(tr, nil, rank, st.to, wire); err != nil {
+				return fmt.Errorf("relay to %d: %w", st.to, err)
+			}
+		}
+	}
+	return nil
+}

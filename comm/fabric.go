@@ -2,18 +2,38 @@
 // three Transport fabrics — in-process channels standing in for the
 // PCIe/NVLink interconnect, a loopback TCP mesh (TCPFabric), and the
 // single-rank RemoteFabric view of a multi-process mesh built by the
-// cluster rendezvous — plus the two gradient-aggregation primitives
-// the paper compares: the MPI-style reduce-and-broadcast pattern
-// (§2.4.1), which can carry quantised payloads, and the NCCL-style
-// ring allreduce (§2.4.2), whose reduction semantics are hardwired to
-// full-precision sums exactly as NCCL's are.
+// cluster rendezvous — plus Collective, the one engine behind both
+// aggregation primitives the paper compares. A primitive is a schedule
+// generator: each rank's schedule for a tensor is an ordered list of
+// encode-and-send, receive-and-accumulate and receive-and-place steps
+// over group-aligned chunks, which one executor runs with the tensor's
+// codec on every send.
 //
-// Every byte that crosses a link is counted, so tests and experiments can
-// verify that the quantised wire volumes match quant.Codec.EncodedBytes —
-// the quantity the performance model prices. Framed transports (those
-// whose payloads leave the process, e.g. TCPFabric) additionally carry
-// one self-describing quant frame header per message; the reducers'
-// WireBytesPerExchange predictions account for it.
+// # What a quantised sum means
+//
+// MPI runs the direct schedule, reduce-and-broadcast (§2.4.1): each
+// contribution is quantised once on its way to the stripe's owner,
+// which sums the decoded contributions in rank order (its own decoded
+// from its own encoding) and quantises the sum once for the broadcast.
+//
+// NCCL runs the ring (§2.4.2) with the codec the paper could only
+// simulate (§4.4). Each of the K−1 reduce-scatter hops re-quantises the
+// partial sum it forwards, with that hop's own encoder, and the
+// receiver adds the decoded partial to its raw contribution; the
+// chunk's owner quantises the finished chunk once and adopts the
+// decoded value; the all-gather hops relay those bytes verbatim. A
+// chunk's first contribution thus passes through K quantisations
+// against the direct schedule's two, so error compounds with K
+// (TestRingErrorCompounds). Under 32bit every encode is exact and this
+// is the full-precision ring allreduce, byte for byte. Every replica
+// decodes the same bytes for every chunk, so replicas stay
+// bit-identical.
+//
+// Every byte that crosses a link is counted, so tests can check it
+// against WireBytes, the volume the performance model prices — on a
+// framed transport (one whose payloads leave the process, e.g.
+// TCPFabric) including one self-describing quant frame header per
+// message.
 //
 // # Buffer ownership
 //
@@ -26,8 +46,8 @@
 // list allocates rather than blocks (the pool must never be able to
 // deadlock an exchange); a link retains at most maxRetainedSlabs
 // buffers, each as large as its largest message. Receives land in
-// memory the caller owns (Transport.RecvInto): the reducers know the
-// size of every message they expect and keep one receive buffer per
+// memory the caller owns (Transport.RecvInto): a Collective knows the
+// size of every message it expects and keeps one receive buffer per
 // rank, and a message of any other size is an error before a byte of
 // it is read. Slices passed to Send and RecvInto stay the caller's.
 package comm
@@ -154,8 +174,9 @@ func (f *Fabric) ResetCounters() {
 // same tensor, every peer's g holds the (possibly re-quantised) sum of
 // all peers' inputs. Reduce must be called by all K peers, each from its
 // own goroutine, with tensors presented in the same order everywhere.
+// Collective is the implementation.
 type Reducer interface {
-	// Name identifies the primitive ("mpi-rb", "nccl-ring", ...).
+	// Name identifies the primitive ("mpi-rb" or "nccl-ring").
 	Name() string
 	// Reduce aggregates tensor tensorID in place for the given rank.
 	Reduce(rank, tensorID int, g []float32) error

@@ -220,7 +220,7 @@ func TestFramedRingOverTCP(t *testing.T) {
 	ring := NewRing(tcp)
 	out := runExchange(t, ring, inputs)
 	sums := exactSums(inputs)
-	if got, want := tcp.TotalBytes(), ring.WireBytesPerExchange(n); got != want {
+	if got, want := tcp.TotalBytes(), RingWireBytes(n, k, true); got != want {
 		t.Fatalf("framed ring moved %d bytes, predicted %d", got, want)
 	}
 	for i := range sums[0] {

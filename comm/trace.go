@@ -42,10 +42,10 @@ func (a *spanAcc) record(tr *obs.Tracer, rank int, op string, startNS int64) {
 	}
 }
 
-// endpoint is one rank's end of a reducer's traffic, shared by both
-// primitives: the traced send of an encoded payload, and the traced
-// receive of a message into the rank's one receive buffer followed by
-// its decode into the caller's floats. One goroutine's at a time.
+// endpoint is one rank's end of a collective's traffic: the traced send
+// of a message, and the traced receive of a message into the rank's one
+// receive buffer followed by its decode into the caller's floats. One
+// goroutine's at a time.
 type endpoint struct {
 	fabric Transport
 	framed bool
@@ -68,13 +68,8 @@ func newInbound(codec quant.Codec, shape quant.Shape) inbound {
 	return inbound{codec: codec, shape: shape, overhead: quant.FrameOverhead(codec.Name())}
 }
 
-// send ships payload from -> to: behind enc's frame header as one
-// message on a framed transport, bare otherwise.
-func (e *endpoint) send(tr *obs.Tracer, enc quant.Encoder, from, to int, payload []byte) error {
-	var header []byte
-	if e.framed {
-		header = enc.Header()
-	}
+// send ships header followed by payload from -> to as one message.
+func (e *endpoint) send(tr *obs.Tracer, header []byte, from, to int, payload []byte) error {
 	t0 := tr.Now()
 	err := e.fabric.Send(from, to, header, payload)
 	e.acc.transfer += tr.Now() - t0
@@ -85,8 +80,9 @@ func (e *endpoint) send(tr *obs.Tracer, enc quant.Encoder, from, to int, payload
 }
 
 // recv receives the message carrying len(dst) values of the tensor in
-// describes and decodes it into dst.
-func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32) error {
+// describes, decodes it into dst, and returns the message as it arrived
+// (valid until the next recv).
+func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32) ([]byte, error) {
 	size := in.codec.EncodedBytes(len(dst), in.shape)
 	if e.framed {
 		size += in.overhead
@@ -97,7 +93,7 @@ func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32
 	wire := e.buf[:size]
 	t0 := tr.Now()
 	if err := e.fabric.RecvInto(from, to, wire); err != nil {
-		return fmt.Errorf("recv: %w", err)
+		return nil, fmt.Errorf("recv: %w", err)
 	}
 	e.acc.transfer += tr.Now() - t0
 	e.acc.bytes += int64(size)
@@ -110,7 +106,7 @@ func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32
 	}
 	e.acc.decode += tr.Now() - t0
 	if err != nil {
-		return fmt.Errorf("decode: %w", err)
+		return nil, fmt.Errorf("decode: %w", err)
 	}
-	return nil
+	return wire, nil
 }

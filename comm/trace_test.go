@@ -53,15 +53,9 @@ func TestRemoteFabricPerPeerAccounting(t *testing.T) {
 	}
 }
 
-// tracedReducer is a reducer that attributes its work to a tracer.
-type tracedReducer interface {
-	Reducer
-	SetTracer(*obs.Tracer)
-}
-
 // runTracedExchange reduces one tensor across k ranks of an in-process
-// fabric with the given reducer factory and returns the recorded spans.
-func runTracedExchange(t *testing.T, k int, build func(Transport) tracedReducer) []obs.Span {
+// fabric with the given collective and returns the recorded spans.
+func runTracedExchange(t *testing.T, k int, build func(Transport) *Collective) []obs.Span {
 	t.Helper()
 	f := NewFabric(k)
 	red := build(f)
@@ -88,19 +82,18 @@ func runTracedExchange(t *testing.T, k int, build func(Transport) tracedReducer)
 }
 
 func TestReducerSpans(t *testing.T) {
-	codec, err := quant.ByName("32bit")
-	if err != nil {
-		t.Fatal(err)
+	spec := func(codec string) []TensorSpec {
+		return []TensorSpec{{Name: "w", N: 64, Wire: quant.Shape{Rows: 1, Cols: 64}, Codec: quant.MustParse(codec)}}
 	}
-	spec := []TensorSpec{{Name: "w", N: 64, Wire: quant.Shape{Rows: 1, Cols: 64}, Codec: codec}}
 	cases := []struct {
 		name  string
-		build func(Transport) tracedReducer
+		build func(Transport) *Collective
 		phase obs.Phase // codec-side phase the reducer must report
 	}{
-		{"reduce-broadcast", func(f Transport) tracedReducer { return NewReduceBroadcast(f, spec, 1) }, obs.PhaseQuantise},
-		{"ring", func(f Transport) tracedReducer { return NewRing(f) }, obs.PhaseEncode},
-		{"simulated-ring", func(f Transport) tracedReducer { return NewSimulatedRing(f, 0.5) }, obs.PhaseEncode},
+		{"reduce-broadcast", func(f Transport) *Collective { return NewReduceBroadcast(f, spec("qsgd4b512"), 1) }, obs.PhaseQuantise},
+		{"reduce-broadcast-32bit", func(f Transport) *Collective { return NewReduceBroadcast(f, spec("32bit"), 1) }, obs.PhaseEncode},
+		{"ring", func(f Transport) *Collective { return NewRing(f) }, obs.PhaseEncode},
+		{"quantised-ring", func(f Transport) *Collective { return NewCollective(f, NCCL, spec("qsgd4b512"), 1, nil) }, obs.PhaseQuantise},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

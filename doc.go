@@ -13,7 +13,8 @@
 // quant.NewPlan evaluates a policy against a model's tensor inventory
 // as the single source of truth for per-tensor codecs, wire bytes and
 // kernel pricing), comm/parallel (the synchronous data-parallel engine
-// with MPI-style and NCCL-style aggregation over in-process,
+// with MPI-style and NCCL-style aggregation — two schedules over one
+// collective, both carrying the policy's codecs — over in-process,
 // loopback-TCP or remote mesh fabrics), cluster (the multi-process
 // runtime: TCP rendezvous, per-session policy negotiation with a 32bit
 // floor, and mesh establishment across machine boundaries — launched

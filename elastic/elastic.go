@@ -29,8 +29,9 @@
 //     position in the epoch's batch permutation.
 //   - Per-rank stochastic streams are step-keyed, not cumulative. In
 //     an elastic session the aggregation layer reseeds every
-//     stochastic encoder from (seed, rank, tensor, stripe, step) at
-//     each step barrier (comm.ReduceBroadcast.BeginStep), so a
+//     stochastic encoder from (seed, rank, tensor, chunk, step) at
+//     each step barrier (comm.Collective.BeginStep), under either
+//     schedule, so a
 //     replacement reconstructs exactly the stream the dead rank would
 //     have used, and a survivor whose aborted half-step consumed draws
 //     simply re-enters the step. No RNG bytes need to cross the wire —

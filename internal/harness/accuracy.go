@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/comm"
 	"repro/data"
 	"repro/internal/report"
 	"repro/nn"
@@ -328,7 +329,7 @@ func runStudy(task string, build func(r *rng.RNG) *nn.Network,
 		tr, err := parallel.NewTrainer(build, parallel.Config{
 			Workers:   opts.Workers,
 			Policy:    &quant.Policy{Base: lc.Codec},
-			Primitive: parallel.MPI,
+			Primitive: comm.MPI,
 			BatchSize: opts.BatchSize,
 			Epochs:    opts.Epochs,
 			Schedule:  nn.ConstantLR(lr),

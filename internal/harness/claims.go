@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"repro/comm"
 	"repro/internal/report"
 	"repro/internal/workload"
-	"repro/sim"
 )
 
 // Claim is one of the paper's §5 quantitative claims evaluated against
@@ -31,7 +31,7 @@ func paperRatio(table []workload.PaperRow, net, precA, precB string, gpus int) f
 }
 
 // simRatio divides simulated throughputs of two precisions.
-func simRatio(net workload.Network, m workload.Machine, prim sim.Primitive,
+func simRatio(net workload.Network, m workload.Machine, prim comm.Primitive,
 	precA, precB string, gpus int) (float64, error) {
 	a, err := simRun(net, m, prim, precA, gpus)
 	if err != nil {
@@ -53,7 +53,7 @@ func Claims() ([]Claim, error) {
 	}
 
 	// 1. MPI + 4-bit speeds up AlexNet ~3.5× at 8 GPUs.
-	r, err := simRatio(workload.AlexNet, workload.EC2P2, sim.MPI, "qsgd4", "32bit", 8)
+	r, err := simRatio(workload.AlexNet, workload.EC2P2, comm.MPI, "qsgd4", "32bit", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -61,11 +61,11 @@ func Claims() ([]Claim, error) {
 		r, paperRatio(workload.PaperFig10MPI, "AlexNet", "qsgd4", "32bit", 8), r > 2.5)
 
 	// 2. 32-bit NCCL beats 4-bit MPI on AlexNet at 8 GPUs.
-	nccl32, err := simRun(workload.AlexNet, workload.EC2P2, sim.NCCL, "32bit", 8)
+	nccl32, err := simRun(workload.AlexNet, workload.EC2P2, comm.NCCL, "32bit", 8)
 	if err != nil {
 		return nil, err
 	}
-	mpi4, err := simRun(workload.AlexNet, workload.EC2P2, sim.MPI, "qsgd4", 8)
+	mpi4, err := simRun(workload.AlexNet, workload.EC2P2, comm.MPI, "qsgd4", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -76,14 +76,14 @@ func Claims() ([]Claim, error) {
 		nccl32.SamplesPerSec > mpi4.SamplesPerSec)
 
 	// 3. NCCL quantisation gains are small; VGG19 benefits most.
-	r, err = simRatio(workload.VGG19, workload.EC2P2, sim.NCCL, "qsgd4", "32bit", 8)
+	r, err = simRatio(workload.VGG19, workload.EC2P2, comm.NCCL, "qsgd4", "32bit", 8)
 	if err != nil {
 		return nil, err
 	}
 	add("VGG19 NCCL@8: QSGD-4bit speedup",
 		r, paperRatio(workload.PaperFig11NCCL, "VGG19", "qsgd4", "32bit", 8),
 		r > 1.02 && r < 1.6)
-	r, err = simRatio(workload.ResNet50, workload.EC2P2, sim.NCCL, "qsgd4", "32bit", 8)
+	r, err = simRatio(workload.ResNet50, workload.EC2P2, comm.NCCL, "qsgd4", "32bit", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func Claims() ([]Claim, error) {
 		r < 1.25)
 
 	// 4. Classic 1bitSGD is slower than full precision on ResNets.
-	r, err = simRatio(workload.ResNet50, workload.EC2P2, sim.MPI, "1bit", "32bit", 8)
+	r, err = simRatio(workload.ResNet50, workload.EC2P2, comm.MPI, "1bit", "32bit", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func Claims() ([]Claim, error) {
 		r, paperRatio(workload.PaperFig10MPI, "ResNet50", "1bit", "32bit", 8), r < 1)
 
 	// 5. Reshaping fixes it (up to ~4×).
-	r, err = simRatio(workload.ResNet152, workload.EC2P2, sim.MPI, "1bit*", "1bit", 8)
+	r, err = simRatio(workload.ResNet152, workload.EC2P2, comm.MPI, "1bit*", "1bit", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func Claims() ([]Claim, error) {
 		r, paperRatio(workload.PaperFig10MPI, "ResNet152", "1bit*", "1bit", 8), r > 2)
 
 	// 6. Diminishing returns below 4 bits.
-	r, err = simRatio(workload.AlexNet, workload.EC2P2, sim.MPI, "qsgd2", "qsgd4", 8)
+	r, err = simRatio(workload.AlexNet, workload.EC2P2, comm.MPI, "qsgd2", "qsgd4", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -116,11 +116,11 @@ func Claims() ([]Claim, error) {
 		r, paperRatio(workload.PaperFig10MPI, "AlexNet", "qsgd2", "qsgd4", 8), r < 1.3)
 
 	// 7. 16 GPUs rarely pay off: AlexNet fp32 slows down 8→16.
-	r16, err := simRun(workload.AlexNet, workload.EC2P2, sim.MPI, "32bit", 16)
+	r16, err := simRun(workload.AlexNet, workload.EC2P2, comm.MPI, "32bit", 16)
 	if err != nil {
 		return nil, err
 	}
-	r8, err := simRun(workload.AlexNet, workload.EC2P2, sim.MPI, "32bit", 8)
+	r8, err := simRun(workload.AlexNet, workload.EC2P2, comm.MPI, "32bit", 8)
 	if err != nil {
 		return nil, err
 	}

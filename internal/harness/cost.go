@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/comm"
 	"repro/internal/report"
 	"repro/internal/workload"
 	"repro/quant"
@@ -38,9 +39,9 @@ func CheapestTraining(net workload.Network) (CostAccuracyRow, error) {
 				continue
 			}
 			for _, label := range []string{"32bit", "qsgd8"} {
-				prim := sim.NCCL
+				prim := comm.NCCL
 				if !workload.EC2P2.SupportsNCCL(gpus) {
-					prim = sim.MPI
+					prim = comm.MPI
 				}
 				r, err := simRun(net, workload.EC2P2, prim, label, gpus)
 				if err != nil {
@@ -104,12 +105,12 @@ func SpeedupSweep() ([]SpeedupSweepRow, error) {
 	for _, extra := range extras {
 		net := sim.WithDummyParams(workload.AlexNet, extra)
 		fp, err := sim.Run(sim.Config{Network: net, Machine: workload.EC2P2,
-			Primitive: sim.NCCL, GPUs: 8})
+			Primitive: comm.NCCL, GPUs: 8})
 		if err != nil {
 			return nil, err
 		}
 		q8, err := sim.Run(sim.Config{Network: net, Machine: workload.EC2P2,
-			Primitive: sim.NCCL, Policy: quant.NewPolicy(quant.NewQSGD(8, 512, quant.MaxNorm)), GPUs: 8})
+			Primitive: comm.NCCL, Policy: quant.NewPolicy(quant.NewQSGD(8, 512, quant.MaxNorm)), GPUs: 8})
 		if err != nil {
 			return nil, err
 		}

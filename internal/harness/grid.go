@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/comm"
 	"repro/internal/report"
 	"repro/internal/workload"
 	"repro/sim"
@@ -26,14 +27,14 @@ type GridRow struct {
 func FullGrid() ([]GridRow, error) {
 	var rows []GridRow
 	for _, m := range workload.Machines() {
-		for _, prim := range []sim.Primitive{sim.MPI, sim.NCCL} {
+		for _, prim := range []comm.Primitive{comm.MPI, comm.NCCL} {
 			for _, net := range workload.Networks() {
 				for _, label := range Ladder(prim) {
 					for _, gpus := range workload.GPUCounts {
 						if gpus > m.MaxGPUs {
 							continue
 						}
-						if prim == sim.NCCL && !m.SupportsNCCL(gpus) {
+						if prim == comm.NCCL && !m.SupportsNCCL(gpus) {
 							continue
 						}
 						if _, ok := net.BatchFor(gpus); !ok {

@@ -16,6 +16,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/comm"
 	"repro/internal/workload"
 	"repro/quant"
 	"repro/sim"
@@ -26,12 +27,12 @@ import (
 var PrecisionLabels = []string{"32bit", "qsgd16", "qsgd8", "qsgd4", "qsgd2", "1bit*", "1bit"}
 
 // NCCLPrecisionLabels is the ladder for NCCL figures (no 1-bit rows:
-// NCCL cannot carry them, per the paper).
+// the paper's simulated low-precision NCCL carried QSGD only).
 var NCCLPrecisionLabels = []string{"32bit", "qsgd16", "qsgd8", "qsgd4", "qsgd2"}
 
 // Ladder returns the precision ladder a primitive's figures sweep.
-func Ladder(prim sim.Primitive) []string {
-	if prim == sim.NCCL {
+func Ladder(prim comm.Primitive) []string {
+	if prim == comm.NCCL {
 		return NCCLPrecisionLabels
 	}
 	return PrecisionLabels
@@ -59,7 +60,7 @@ func mustCodec(label string) quant.Codec {
 
 // simRun wraps sim.Run for a (net, machine, prim, label, gpus)
 // tuple.
-func simRun(net workload.Network, m workload.Machine, prim sim.Primitive,
+func simRun(net workload.Network, m workload.Machine, prim comm.Primitive,
 	label string, gpus int) (sim.Result, error) {
 	c, err := CodecByLabel(label)
 	if err != nil {

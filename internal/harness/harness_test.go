@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/comm"
 	"repro/internal/workload"
-	"repro/sim"
 )
 
 func TestCodecByLabel(t *testing.T) {
@@ -21,7 +21,7 @@ func TestCodecByLabel(t *testing.T) {
 }
 
 func TestEpochTimeFigurePanels(t *testing.T) {
-	tables, err := EpochTimeFigure(workload.EC2P2, sim.MPI, 8)
+	tables, err := EpochTimeFigure(workload.EC2P2, comm.MPI, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +36,12 @@ func TestEpochTimeFigurePanels(t *testing.T) {
 }
 
 func TestEpochTimeNCCLExcludesOneBit(t *testing.T) {
-	for _, label := range Ladder(sim.NCCL) {
+	for _, label := range Ladder(comm.NCCL) {
 		if strings.HasPrefix(label, "1bit") {
 			t.Errorf("NCCL ladder contains %q", label)
 		}
 	}
-	tables, err := EpochTimeFigure(workload.EC2P2, sim.NCCL, 8)
+	tables, err := EpochTimeFigure(workload.EC2P2, comm.NCCL, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestEpochTimeNCCLExcludesOneBit(t *testing.T) {
 // gains (paper §5.2).
 func TestFig6ShapeVGGBenefitsMost(t *testing.T) {
 	gain := func(net workload.Network) float64 {
-		fp, err := simRun(net, workload.EC2P2, sim.MPI, "32bit", 8)
+		fp, err := simRun(net, workload.EC2P2, comm.MPI, "32bit", 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q4, err := simRun(net, workload.EC2P2, sim.MPI, "qsgd4", 8)
+		q4, err := simRun(net, workload.EC2P2, comm.MPI, "qsgd4", 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestFig6ShapeVGGBenefitsMost(t *testing.T) {
 }
 
 func TestThroughputFigureIncludesPaperComparison(t *testing.T) {
-	tables, err := ThroughputFigure(workload.EC2P2, sim.MPI)
+	tables, err := ThroughputFigure(workload.EC2P2, comm.MPI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestThroughputFigureIncludesPaperComparison(t *testing.T) {
 }
 
 func TestThroughputFigureNCCL(t *testing.T) {
-	tables, err := ThroughputFigure(workload.EC2P2, sim.NCCL)
+	tables, err := ThroughputFigure(workload.EC2P2, comm.NCCL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,12 @@ func TestThroughputFigureNCCL(t *testing.T) {
 func TestScalabilityFigure(t *testing.T) {
 	for _, tc := range []struct {
 		m    workload.Machine
-		prim sim.Primitive
+		prim comm.Primitive
 	}{
-		{workload.EC2P2, sim.MPI},
-		{workload.EC2P2, sim.NCCL},
-		{workload.DGX1, sim.MPI},
-		{workload.DGX1, sim.NCCL},
+		{workload.EC2P2, comm.MPI},
+		{workload.EC2P2, comm.NCCL},
+		{workload.DGX1, comm.MPI},
+		{workload.DGX1, comm.NCCL},
 	} {
 		tables, err := ScalabilityFigure(tc.m, tc.prim)
 		if err != nil {
@@ -133,11 +133,11 @@ func TestScalabilityFigure(t *testing.T) {
 // consistently improves MPI scalability (paper §5.3).
 func TestScalabilityQuantisedBeatsFullPrecisionOnMPI(t *testing.T) {
 	for _, net := range []workload.Network{workload.AlexNet, workload.ResNet152, workload.VGG19} {
-		fp, err := simRun(net, workload.EC2P2, sim.MPI, "32bit", 16)
+		fp, err := simRun(net, workload.EC2P2, comm.MPI, "32bit", 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q4, err := simRun(net, workload.EC2P2, sim.MPI, "qsgd4", 16)
+		q4, err := simRun(net, workload.EC2P2, comm.MPI, "qsgd4", 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"repro/comm"
 	"repro/internal/report"
 	"repro/internal/workload"
-	"repro/sim"
 )
 
 // EpochTimeTable regenerates one panel of Figures 6–9: time per epoch
@@ -13,7 +13,7 @@ import (
 // count, split into computation (including quantisation kernels) and
 // communication exactly as the paper's stacked bars are.
 func EpochTimeTable(net workload.Network, m workload.Machine,
-	prim sim.Primitive, gpus int) (*report.Table, error) {
+	prim comm.Primitive, gpus int) (*report.Table, error) {
 	labels := Ladder(prim)
 	t := report.New(
 		fmt.Sprintf("%s - %s, %d GPUs (%s): time per epoch", net.Name, prim, gpus, m.Name),
@@ -36,7 +36,7 @@ func EpochTimeTable(net workload.Network, m workload.Machine,
 // EpochTimeFigure regenerates a whole figure (all panels) for the given
 // machine/primitive/GPU count: Figure 6 is (EC2, MPI, 8), Figure 7
 // (EC2, NCCL, 8), Figures 8–9 the DGX-1 versions.
-func EpochTimeFigure(m workload.Machine, prim sim.Primitive, gpus int) ([]*report.Table, error) {
+func EpochTimeFigure(m workload.Machine, prim comm.Primitive, gpus int) ([]*report.Table, error) {
 	nets := []workload.Network{
 		workload.AlexNet, workload.VGG19, workload.ResNet152,
 		workload.ResNet50, workload.BNInception,
@@ -57,9 +57,9 @@ func EpochTimeFigure(m workload.Machine, prim sim.Primitive, gpus int) ([]*repor
 // with the paper's measured value and the simulated/paper ratio beside
 // every reported cell.
 func ThroughputTable(net workload.Network, m workload.Machine,
-	prim sim.Primitive) (*report.Table, error) {
+	prim comm.Primitive) (*report.Table, error) {
 	paperTable := workload.PaperFig10MPI
-	if prim == sim.NCCL {
+	if prim == comm.NCCL {
 		paperTable = workload.PaperFig11NCCL
 	}
 	labels := Ladder(prim)
@@ -71,7 +71,7 @@ func ThroughputTable(net workload.Network, m workload.Machine,
 			if gpus == 1 && label != "32bit" {
 				continue // "/" cells in the paper
 			}
-			if prim == sim.NCCL && !m.SupportsNCCL(gpus) {
+			if prim == comm.NCCL && !m.SupportsNCCL(gpus) {
 				continue
 			}
 			if _, ok := net.BatchFor(gpus); !ok {
@@ -96,10 +96,10 @@ func ThroughputTable(net workload.Network, m workload.Machine,
 func paperLabel(label string) string { return label }
 
 // ThroughputFigure regenerates Figure 10 or 11 in full.
-func ThroughputFigure(m workload.Machine, prim sim.Primitive) ([]*report.Table, error) {
+func ThroughputFigure(m workload.Machine, prim comm.Primitive) ([]*report.Table, error) {
 	var out []*report.Table
 	for _, net := range workload.PerformanceNetworks() {
-		if prim == sim.NCCL && net.Name == "ResNet110" {
+		if prim == comm.NCCL && net.Name == "ResNet110" {
 			continue // Figure 11 omits the CIFAR model
 		}
 		t, err := ThroughputTable(net, m, prim)
@@ -115,9 +115,9 @@ func ThroughputFigure(m workload.Machine, prim sim.Primitive) ([]*report.Table, 
 // relative to the 1-GPU full-precision run, per precision and GPU
 // count.
 func ScalabilityTable(net workload.Network, m workload.Machine,
-	prim sim.Primitive) (*report.Table, error) {
+	prim comm.Primitive) (*report.Table, error) {
 	labels := Ladder(prim)
-	base, err := simRun(net, m, sim.MPI, "32bit", 1)
+	base, err := simRun(net, m, comm.MPI, "32bit", 1)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +127,7 @@ func ScalabilityTable(net workload.Network, m workload.Machine,
 	for _, label := range labels {
 		row := []string{label}
 		for _, gpus := range workload.GPUCounts {
-			if gpus > m.MaxGPUs || (prim == sim.NCCL && !m.SupportsNCCL(gpus)) {
+			if gpus > m.MaxGPUs || (prim == comm.NCCL && !m.SupportsNCCL(gpus)) {
 				continue
 			}
 			if _, ok := net.BatchFor(gpus); !ok {
@@ -145,10 +145,10 @@ func ScalabilityTable(net workload.Network, m workload.Machine,
 	return t, nil
 }
 
-func gpuHeaders(m workload.Machine, prim sim.Primitive) []string {
+func gpuHeaders(m workload.Machine, prim comm.Primitive) []string {
 	var hs []string
 	for _, gpus := range workload.GPUCounts {
-		if gpus > m.MaxGPUs || (prim == sim.NCCL && !m.SupportsNCCL(gpus)) {
+		if gpus > m.MaxGPUs || (prim == comm.NCCL && !m.SupportsNCCL(gpus)) {
 			continue
 		}
 		hs = append(hs, fmt.Sprintf("%dGPU", gpus))
@@ -158,7 +158,7 @@ func gpuHeaders(m workload.Machine, prim sim.Primitive) []string {
 
 // ScalabilityFigure regenerates Figure 12, 13, 14 or 15 (selected by
 // machine and primitive).
-func ScalabilityFigure(m workload.Machine, prim sim.Primitive) ([]*report.Table, error) {
+func ScalabilityFigure(m workload.Machine, prim comm.Primitive) ([]*report.Table, error) {
 	var out []*report.Table
 	for _, net := range workload.PerformanceNetworks() {
 		if net.Name == "ResNet110" {

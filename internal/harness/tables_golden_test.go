@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/comm"
 	"repro/internal/report"
 	"repro/internal/workload"
-	"repro/sim"
 )
 
 var updateTables = flag.Bool("update-golden", false, "regenerate testdata/paper_tables.golden")
@@ -30,11 +30,11 @@ func renderPaperTables(t *testing.T) []byte {
 			buf.WriteByte('\n')
 		}
 	}
-	render(ThroughputFigure(workload.EC2P2, sim.MPI))
-	render(ThroughputFigure(workload.EC2P2, sim.NCCL))
-	render(EpochTimeFigure(workload.EC2P2, sim.MPI, 8))
-	render(EpochTimeFigure(workload.DGX1, sim.NCCL, 8))
-	render(ScalabilityFigure(workload.EC2P2, sim.MPI))
+	render(ThroughputFigure(workload.EC2P2, comm.MPI))
+	render(ThroughputFigure(workload.EC2P2, comm.NCCL))
+	render(EpochTimeFigure(workload.EC2P2, comm.MPI, 8))
+	render(EpochTimeFigure(workload.DGX1, comm.NCCL, 8))
+	render(ScalabilityFigure(workload.EC2P2, comm.MPI))
 	return buf.Bytes()
 }
 

@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"repro/cluster"
+	"repro/comm"
 	"repro/elastic"
 	"repro/health"
 	"repro/nn"
@@ -79,15 +80,17 @@ type Trainer = parallel.Trainer
 type History = parallel.History
 
 // Primitive selects the aggregation algorithm.
-type Primitive = parallel.Primitive
+type Primitive = comm.Primitive
 
-// Aggregation primitives, re-exported from repro/parallel.
+// Aggregation primitives, re-exported from repro/comm. Both carry
+// every tensor under the policy's codec.
 const (
-	// MPI is reduce-and-broadcast; it carries quantised payloads
-	// natively.
-	MPI = parallel.MPI
-	// NCCL is the ring allreduce with full-precision sums.
-	NCCL = parallel.NCCL
+	// MPI is reduce-and-broadcast: each contribution and each stripe's
+	// sum is quantised once.
+	MPI = comm.MPI
+	// NCCL is the ring allreduce: each hop re-quantises the partial sum
+	// it forwards (see the comm package documentation).
+	NCCL = comm.NCCL
 )
 
 // Transport selects the byte-moving substrate beneath the aggregation

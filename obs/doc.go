@@ -26,7 +26,7 @@
 //
 //	compute   forward+backward of one rank's shard
 //	quantise  gradient codec Encode on the sending side
-//	encode    full-precision packing (the NCCL ring's packF32)
+//	encode    full-precision packing (a 32bit tensor's byte view)
 //	transfer  bytes moving through the fabric (Send/Recv wall time)
 //	decode    codec Decode / frame decode on the receiving side
 //	barrier   the whole blocking exchange of one rank (the collective

@@ -36,27 +36,6 @@ import (
 	"repro/quant"
 )
 
-// Primitive selects the aggregation algorithm.
-type Primitive int
-
-const (
-	// MPI is the reduce-and-broadcast pattern; it carries quantised
-	// payloads natively (§2.4.1).
-	MPI Primitive = iota
-	// NCCL is the ring allreduce; its sum is hardwired to full precision,
-	// so quantised configurations run the paper's byte-volume simulation
-	// (§4.4) while reducing exactly.
-	NCCL
-)
-
-// String names the primitive as the paper does.
-func (p Primitive) String() string {
-	if p == NCCL {
-		return "NCCL"
-	}
-	return "MPI"
-}
-
 // Config describes a data-parallel training run.
 type Config struct {
 	// Workers is K, the number of simulated GPUs.
@@ -65,8 +44,9 @@ type Config struct {
 	// exemption target and per-tensor pattern rules (see quant.Policy
 	// and quant.ParsePolicy). Nil means full precision.
 	Policy *quant.Policy
-	// Primitive selects MPI reduce-and-broadcast or NCCL ring.
-	Primitive Primitive
+	// Primitive selects MPI reduce-and-broadcast or the NCCL ring; both
+	// carry every tensor under the policy's codec (see comm).
+	Primitive comm.Primitive
 	// BatchSize is the global minibatch size, sharded over workers.
 	BatchSize int
 	// Epochs is the number of passes over the training set.
@@ -181,6 +161,9 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Epochs <= 0 {
 		return fmt.Errorf("parallel: Epochs must be positive")
+	}
+	if c.Primitive != comm.MPI && c.Primitive != comm.NCCL {
+		return fmt.Errorf("parallel: unknown primitive %d", c.Primitive)
 	}
 	// Defaults are filled into a copy, never through the caller's
 	// pointer: the same policy value may configure several trainers.

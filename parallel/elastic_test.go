@@ -24,9 +24,10 @@ func (stubRejoiner) Rejoin(verdict error, _ elastic.LocalState) (*elastic.Outcom
 
 // elasticClusterRun drives a k-rank cluster-topology world (one trainer
 // per rank over a shared TCP mesh, elastic semantics on) for the given
-// epochs, optionally restoring every rank from state bytes first, and
-// returns each rank's final weights checkpoint and full session state.
-func elasticClusterRun(t *testing.T, k, epochs int, state []byte) (ckpts, states [][]byte) {
+// epochs under prim and policy, optionally restoring every rank from
+// state bytes first, and returns each rank's final weights checkpoint
+// and full session state.
+func elasticClusterRun(t *testing.T, prim comm.Primitive, policy string, k, epochs int, state []byte) (ckpts, states [][]byte) {
 	t.Helper()
 	train, test := blobData(t)
 	mesh, err := comm.NewTCPFabric(k)
@@ -37,7 +38,8 @@ func elasticClusterRun(t *testing.T, k, epochs int, state []byte) (ckpts, states
 	for rank := 0; rank < k; rank++ {
 		cfg := Config{
 			Workers:   k,
-			Policy:    &quant.Policy{Base: quant.MustParse("qsgd4b512")},
+			Policy:    quant.MustParsePolicy(policy),
+			Primitive: prim,
 			BatchSize: 48,
 			Epochs:    epochs,
 			Seed:      5,
@@ -97,25 +99,30 @@ func elasticClusterRun(t *testing.T, k, epochs int, state []byte) (ckpts, states
 // a fresh cluster loads that state on every rank and trains to epoch 4;
 // the final weights must be bit-identical to a single uninterrupted
 // 4-epoch run — momentum, batch order and stochastic rounding streams
-// all resume exactly.
+// all resume exactly, under either schedule (the ring's per-hop
+// encoders are step-keyed as the direct schedule's are) and under a
+// mixed residual-free policy.
 func TestElasticStateResumeEquivalence(t *testing.T) {
 	const k = 2
-	straight, _ := elasticClusterRun(t, k, 4, nil)
-
-	halfCkpt, halfState := elasticClusterRun(t, k, 2, nil)
-	if !bytes.Equal(halfState[0], halfState[1]) {
-		t.Fatal("ranks saved different session states from one run")
-	}
-	_ = halfCkpt
-	resumed, _ := elasticClusterRun(t, k, 4, halfState[0])
-
-	for rank := 0; rank < k; rank++ {
-		if !bytes.Equal(resumed[rank], straight[rank]) {
-			t.Fatalf("rank %d: resumed run diverged from the uninterrupted one", rank)
+	for _, prim := range []comm.Primitive{comm.MPI, comm.NCCL} {
+		for _, policy := range []string{"qsgd4b512", "qsgd4b512;minfrac=1;d1=qsgd8b512;*.b=32bit"} {
+			t.Run(prim.String()+"/"+policy, func(t *testing.T) {
+				straight, _ := elasticClusterRun(t, prim, policy, k, 4, nil)
+				_, halfState := elasticClusterRun(t, prim, policy, k, 2, nil)
+				if !bytes.Equal(halfState[0], halfState[1]) {
+					t.Fatal("ranks saved different session states from one run")
+				}
+				resumed, _ := elasticClusterRun(t, prim, policy, k, 4, halfState[0])
+				for rank := 0; rank < k; rank++ {
+					if !bytes.Equal(resumed[rank], straight[rank]) {
+						t.Fatalf("rank %d: resumed run diverged from the uninterrupted one", rank)
+					}
+				}
+				if !bytes.Equal(straight[0], straight[1]) {
+					t.Fatal("uninterrupted run's replicas diverged")
+				}
+			})
 		}
-	}
-	if !bytes.Equal(straight[0], straight[1]) {
-		t.Fatal("uninterrupted run's replicas diverged")
 	}
 }
 

@@ -32,13 +32,10 @@ type Trainer struct {
 	opts     []*nn.SGD
 	losses   []*nn.SoftmaxCrossEntropy
 	fabric   comm.Transport
-	reducer  comm.Reducer
+	reducer  *comm.Collective
 	plan     *quant.Plan
 	specs    []comm.TensorSpec
 	monitor  *health.Monitor
-	// keyed is the reducer again when its stochastic streams are keyed
-	// per step (elastic runs over reduce-and-broadcast); nil otherwise.
-	keyed *comm.ReduceBroadcast
 	// Per-step results of the local ranks (index li, as replicas),
 	// written by the step's worker goroutines and read after they join.
 	stepLoss     []float64
@@ -171,10 +168,7 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 			Codec: c,
 		})
 	}
-	if err := t.buildReducer(); err != nil {
-		t.Close()
-		return nil, err
-	}
+	t.buildReducer()
 	if cfg.Elastic != nil && cfg.Fabric == nil {
 		t.Close()
 		return nil, fmt.Errorf("parallel: elastic sessions need cluster mode (Config.Fabric); a single-process trainer has no rank to lose")
@@ -198,40 +192,15 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 	return t, nil
 }
 
-// buildReducer (re)builds the aggregation primitive over the current
-// fabric — at construction, and again after a rejoin round replaced
-// the mesh. Encoder state starts fresh either way: elastic runs key the
-// stochastic streams per step (ReduceBroadcast.BeginStep), and
-// error-feedback residuals reset to zero on every rank in lockstep.
-func (t *Trainer) buildReducer() error {
-	cfg := t.cfg
-	t.keyed = nil
-	switch cfg.Primitive {
-	case MPI:
-		rb := comm.NewReduceBroadcastLocal(t.fabric, t.specs, cfg.Seed, t.ranks)
-		rb.SetTracer(t.tracer)
-		if cfg.Elastic != nil {
-			t.keyed = rb
-		}
-		t.reducer = rb
-	case NCCL:
-		if t.plan.FullPrecision() || cfg.Workers == 1 {
-			r := comm.NewRing(t.fabric)
-			r.SetTracer(t.tracer)
-			t.reducer = r
-		} else {
-			frac := float64(t.plan.WireBytes()) / float64(t.plan.RawBytes())
-			if frac > 1 {
-				return fmt.Errorf("parallel: policy %s expands this model's wire volume (%.2fx raw); the NCCL byte-volume simulation needs a compressing policy — use the MPI primitive instead", cfg.Policy.Name(), frac)
-			}
-			s := comm.NewSimulatedRing(t.fabric, frac)
-			s.SetTracer(t.tracer)
-			t.reducer = s
-		}
-	default:
-		return fmt.Errorf("parallel: unknown primitive %d", cfg.Primitive)
-	}
-	return nil
+// buildReducer (re)builds the collective over the current fabric — at
+// construction, and again after a rejoin round replaced the mesh — with
+// encoder state for the local ranks only. Encoder state starts fresh
+// either way: elastic runs key the stochastic streams per step
+// (Collective.BeginStep), and error-feedback residuals reset to zero on
+// every rank in lockstep.
+func (t *Trainer) buildReducer() {
+	t.reducer = comm.NewCollective(t.fabric, t.cfg.Primitive, t.specs, t.cfg.Seed, t.ranks)
+	t.reducer.SetTracer(t.tracer)
 }
 
 // Close releases the fabric's resources (socket connections for the
@@ -300,8 +269,8 @@ func (t *Trainer) Rank() int { return t.ranks[0] }
 // this process or across a cluster.
 func (t *Trainer) World() int { return t.cfg.Workers }
 
-// Reducer exposes the aggregation primitive (for reporting).
-func (t *Trainer) Reducer() comm.Reducer { return t.reducer }
+// Reducer exposes the collective (for reporting).
+func (t *Trainer) Reducer() *comm.Collective { return t.reducer }
 
 // Monitor exposes the attached health monitor (nil outside cluster
 // mode) — for registering verdict handlers or reading raw peer
@@ -525,8 +494,8 @@ func (t *Trainer) awaitVerdict() error {
 // batch; the loss it reports averages its local shards only.
 func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
 	k := t.cfg.Workers
-	// Elastic sessions key the reducer's stochastic streams to the step
-	// about to run — once, before any worker encodes. Every rank
+	// Elastic sessions key the collective's stochastic streams to the
+	// step about to run — once, before any worker encodes. Every rank
 	// derives the same index from its own completed-step counter, so
 	// the streams agree across processes; re-entering an aborted step
 	// re-keys to the same index, which is what lets a rejoin re-run it
@@ -535,8 +504,8 @@ func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
 	// paper's original cumulative streams, so enabling elasticity is
 	// the one switch that changes (reproducibly) which random draws a
 	// quantised run sees.
-	if t.keyed != nil {
-		t.keyed.BeginStep(t.currentStep() + 1)
+	if t.cfg.Elastic != nil {
+		t.reducer.BeginStep(t.currentStep() + 1)
 	}
 	// Publish the step index to the tracer so the reducer's spans carry
 	// it without any per-message plumbing (nil-safe no-op when off).

@@ -33,7 +33,7 @@ func buildSmallCNN() func(r *rng.RNG) *nn.Network {
 }
 
 // TestWireBytesMatchReducerPrediction: real fabric bytes per iteration
-// == ReduceBroadcast.WireBytesPerExchange, for several codecs.
+// == Collective.WireBytesPerExchange, for several codecs.
 func TestWireBytesMatchReducerPrediction(t *testing.T) {
 	train, test := data.MakeImages(data.ImageConfig{
 		Classes: 4, Channels: 1, H: 8, W: 8,
@@ -59,10 +59,7 @@ func TestWireBytesMatchReducerPrediction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, ok := tr.Reducer().(*comm.ReduceBroadcast)
-		if !ok {
-			t.Fatal("expected reduce-broadcast")
-		}
+		rb := tr.Reducer()
 		iters := int64(64 / 32) // full batches per epoch
 		want := rb.WireBytesPerExchange() * iters
 		if h.TotalWireBytes != want {
@@ -91,7 +88,7 @@ func TestEngineBytesConsistentWithPlanArithmetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := tr.Plan()
-	rb := tr.Reducer().(*comm.ReduceBroadcast)
+	rb := tr.Reducer()
 	// Stripe-granular totals can only differ from whole-tensor totals
 	// by per-stripe partial-group padding; with bucket-aligned stripes
 	// they must be within one bucket header per (tensor, stripe).
@@ -114,7 +111,7 @@ func TestEngineBytesConsistentWithPlanArithmetic(t *testing.T) {
 func TestSimulatorAndEngineAgreeOnModelBytes(t *testing.T) {
 	r, err := sim.Run(sim.Config{
 		Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: sim.MPI, GPUs: 2,
+		Primitive: comm.MPI, GPUs: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -234,8 +234,6 @@ func (t *Trainer) tryRejoin(stepErr error) (*elastic.Snapshot, error) {
 		now := t.tracer.Now()
 		t.tracer.Record(t.ranks[0], obs.PhaseControl, "rejoin", -1, 0, now, 0)
 	}
-	if err := t.buildReducer(); err != nil {
-		return nil, err
-	}
+	t.buildReducer()
 	return t.takeRestored(), nil
 }

@@ -378,19 +378,6 @@ func (p *Plan) CodecFor(i int) Codec {
 // NumTensors returns the number of tensors in the plan.
 func (p *Plan) NumTensors() int { return len(p.codecs) }
 
-// FullPrecision reports whether every tensor travels as raw float32 —
-// the condition under which a transport may skip quantisation entirely
-// (e.g. the real full-precision ring instead of the byte-volume
-// simulation).
-func (p *Plan) FullPrecision() bool {
-	for _, c := range p.codecs {
-		if _, isFP := c.(FP32); !isFP {
-			return false
-		}
-	}
-	return true
-}
-
 // QuantisedFraction returns the fraction of parameters carried as the
 // policy directs — everything except the tensors the small-matrix
 // exemption demoted to full precision. Rule-assigned tensors count as

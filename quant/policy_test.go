@@ -83,9 +83,6 @@ func TestPlanFullPrecisionPassThrough(t *testing.T) {
 	if p.WireBytes() != p.RawBytes() {
 		t.Fatal("fp32 plan should have wire == raw bytes")
 	}
-	if !p.FullPrecision() {
-		t.Fatal("fp32 plan must report FullPrecision")
-	}
 }
 
 func TestPlanMinFracOneQuantisesEverything(t *testing.T) {
@@ -93,8 +90,10 @@ func TestPlanMinFracOneQuantisesEverything(t *testing.T) {
 	if f := p.QuantisedFraction(); f != 1 {
 		t.Fatalf("fraction = %v, want 1", f)
 	}
-	if p.FullPrecision() {
-		t.Fatal("an all-quantised plan must not report FullPrecision")
+	for i := range inventory() {
+		if _, isFP := p.CodecFor(i).(FP32); isFP {
+			t.Fatalf("minfrac=1 left tensor %d at full precision", i)
+		}
 	}
 }
 
@@ -334,8 +333,8 @@ func TestPlanRuleAssignedFP32NotCountedAsExempt(t *testing.T) {
 
 func TestPlanNilPolicyIsFullPrecision(t *testing.T) {
 	p := NewPlan(nil, inventory())
-	if !p.FullPrecision() {
-		t.Fatal("nil policy must evaluate as full precision")
+	if p.WireBytes() != p.RawBytes() {
+		t.Fatalf("nil policy moves %d wire bytes for %d raw — not full precision", p.WireBytes(), p.RawBytes())
 	}
 }
 

@@ -266,8 +266,4 @@ func BenchmarkDecodeQSGD(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeQSGD4(b *testing.B) { benchEncode(b, NewQSGD(4, 512, MaxNorm)) }
-
 func BenchmarkEncodeOneBit(b *testing.B) { benchEncode(b, NewOneBitReshaped(64)) }
-
-func BenchmarkDecodeQSGD4(b *testing.B) { benchDecode(b, NewQSGD(4, 512, MaxNorm)) }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
+	"repro/comm"
 	"repro/internal/workload"
 	"repro/quant"
 	"repro/rng"
@@ -21,9 +21,8 @@ import (
 // The rank whose transfer finishes last gates the barrier — the
 // step's straggler. Compute time is anchored to the same calibrated
 // throughput the single-exchange model uses; exchange bytes go through
-// comm.ReduceBroadcastWireBytes / RingWireBytes so simulated volumes
-// match live TCP measurements exactly; transfer time flows through the
-// Topology's link classes.
+// comm.WireBytes so simulated volumes match live TCP measurements
+// exactly; transfer time flows through the Topology's link classes.
 //
 // A FailureEvent suspends the DAG mid-step and replays the live
 // subsystems' recovery analytically: the victim dies during compute,
@@ -130,18 +129,6 @@ type ClusterResult struct {
 	TraceHash string `json:"trace_hash"`
 }
 
-// ParsePrimitive maps a primitive name, case-insensitively, to its
-// Primitive; the empty string means MPI.
-func ParsePrimitive(s string) (Primitive, error) {
-	switch strings.ToUpper(s) {
-	case "", "MPI":
-		return MPI, nil
-	case "NCCL":
-		return NCCL, nil
-	}
-	return MPI, fmt.Errorf("sim: unknown primitive %q", s)
-}
-
 // runner holds one simulation's state while the engine drains.
 type runner struct {
 	sc   Scenario
@@ -207,7 +194,7 @@ func RunScenarioTrace(sc Scenario, keepTrace bool) (*ClusterResult, []Event, err
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
 	}
-	prim, err := ParsePrimitive(sc.Primitive)
+	prim, err := comm.ParsePrimitive(sc.Primitive)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -260,15 +247,15 @@ func RunScenarioTrace(sc Scenario, keepTrace bool) (*ClusterResult, []Event, err
 	if k > 1 {
 		perStepBytes = exchangeBytes(plan, infos, prim, k, sc.Framed)
 		switch prim {
-		case MPI:
+		case comm.MPI:
 			perRankXferBytes = float64(perStepBytes) / float64(k)
-		case NCCL:
+		case comm.NCCL:
 			// A ring peer transmits 2(K−1)/K of one buffer; time is
-			// priced on the (possibly quantised) simulated volume, as
-			// in the paper's low-precision NCCL accounting.
+			// priced on the plan's encoded model copy, the paper's
+			// low-precision NCCL accounting.
 			wireCopy := plan.WireBytes()
 			if sc.Framed {
-				raw := exchangeBytes(plan, infos, NCCL, k, false)
+				raw := exchangeBytes(plan, infos, comm.NCCL, k, false)
 				wireCopy += (perStepBytes - raw) / int64(2*(k-1))
 			}
 			perRankXferBytes = 2 * float64(k-1) / float64(k) * float64(wireCopy)
@@ -278,7 +265,7 @@ func RunScenarioTrace(sc Scenario, keepTrace bool) (*ClusterResult, []Event, err
 	topo := sc.Topology
 	if topo == nil {
 		link := m.MPI
-		if prim == NCCL {
+		if prim == comm.NCCL {
 			link = m.NCCL
 		}
 		topo = defaultTopology(LinkParams{GBps: link.BaseGBps, LatencyUS: link.LatencyPerMsg * 1e6})

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/comm"
@@ -154,67 +153,12 @@ func TestClusterExchangeBytesMatchTCP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			policy := quant.MustParsePolicy(sc.Policy)
-			plan := quant.NewPlan(policy, infos)
-			k := sc.Ranks
-			tcp, err := comm.NewTCPFabric(k)
+			prim, err := comm.ParsePrimitive(sc.Primitive)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer tcp.Close()
-
-			var wg sync.WaitGroup
-			errs := make([]error, k)
-			switch sc.Primitive {
-			case "MPI":
-				specs := make([]comm.TensorSpec, len(infos))
-				for i, ti := range infos {
-					specs[i] = comm.TensorSpec{Name: ti.Name, N: ti.Shape.Len(),
-						Wire: ti.Shape, Codec: plan.CodecFor(i)}
-				}
-				rb := comm.NewReduceBroadcast(tcp, specs, 5)
-				for w := 0; w < k; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for ti := range specs {
-							g := make([]float32, specs[ti].N)
-							for i := range g {
-								g[i] = float32(i%7) - 3
-							}
-							if err := rb.Reduce(w, ti, g); err != nil {
-								errs[w] = err
-								return
-							}
-						}
-					}(w)
-				}
-			case "NCCL":
-				ring := comm.NewRing(tcp)
-				for w := 0; w < k; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for ti, info := range infos {
-							g := make([]float32, info.Shape.Len())
-							if err := ring.Reduce(w, ti, g); err != nil {
-								errs[w] = err
-								return
-							}
-						}
-					}(w)
-				}
-			default:
-				t.Fatalf("unexpected primitive %q", sc.Primitive)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			measured := tcp.TotalBytes()
+			measured := measureTCPExchange(t, prim, quant.MustParsePolicy(sc.Policy),
+				workload.Network{Name: sc.Name, Tensors: infos}, sc.Ranks)
 			if res.ExchangeBytesPerStep != measured {
 				t.Errorf("simulator predicts %d exchange bytes per step, TCP moved %d",
 					res.ExchangeBytesPerStep, measured)
@@ -234,7 +178,7 @@ func TestClusterMatchesSingleExchangeBytes(t *testing.T) {
 	sc := Scenario{Name: "agree", Ranks: 8, Steps: 3, Policy: "qsgd4b512"}
 	res := mustRunScenario(t, sc)
 	single, err := Run(Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, Policy: quant.MustParsePolicy("qsgd4b512"), GPUs: 8})
+		Primitive: comm.MPI, Policy: quant.MustParsePolicy("qsgd4b512"), GPUs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

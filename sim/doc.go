@@ -31,10 +31,14 @@
 //     analytically.
 //
 // Both layers share one byte-accounting spine: exchange volumes come
-// from comm.ReduceBroadcastWireBytes and comm.RingWireBytes — the same
-// arithmetic the live fabrics' byte counters are tested against — so a
-// simulated scenario's exchange bytes equal a live TCP run's measured
-// bytes exactly (asserted in this package's cross-validation tests).
+// from comm.WireBytes — the function the live collective's byte
+// counters are tested against, for the direct schedule and the ring
+// alike, quantised or not — so a simulated scenario's exchange bytes
+// equal a live TCP run's measured bytes exactly (asserted in this
+// package's cross-validation tests). Time is priced separately: both
+// primitives' link models charge the plan's encoded model copy, the
+// paper's accounting (its low-precision NCCL numbers were a simulated
+// byte volume, §4.4).
 //
 // Scenario outputs are regression-locked by golden datasets under
 // testdata/ (regenerate with `go test ./sim -run Golden -update-golden`)

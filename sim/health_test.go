@@ -70,7 +70,7 @@ func controlMonitors(t testing.TB, world int, cfg health.Config) []*health.Monit
 
 // runExchange pushes every tensor of the spec set through one full
 // reduce-and-broadcast over the fabric, once per rank.
-func runExchange(t testing.TB, tcp *comm.TCPFabric, rb *comm.ReduceBroadcast, specs []comm.TensorSpec) {
+func runExchange(t testing.TB, tcp *comm.TCPFabric, rb *comm.Collective, specs []comm.TensorSpec) {
 	t.Helper()
 	k := tcp.K()
 	var wg sync.WaitGroup
@@ -109,7 +109,7 @@ func TestControlPlaneDoesNotPerturbExchangeBytes(t *testing.T) {
 	net := frameNet()
 	policy := quant.MustParsePolicy("qsgd4b512;conv.W=topk0.01;*.b=32bit")
 	res := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
-		Primitive: MPI, Policy: policy, GPUs: k, BatchOverride: 3 * k, Framed: true})
+		Primitive: comm.MPI, Policy: policy, GPUs: k, BatchOverride: 3 * k, Framed: true})
 
 	// The control plane pings hard (1 ms interval) for the whole
 	// exchange window so heartbeat traffic provably overlaps it.

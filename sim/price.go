@@ -8,25 +8,6 @@ import (
 	"repro/quant"
 )
 
-// Primitive selects the communication path.
-type Primitive int
-
-const (
-	// MPI is the reduce-and-broadcast path (quantisation-capable).
-	MPI Primitive = iota
-	// NCCL is the ring-allreduce path; low-precision NCCL is the
-	// paper's byte-volume simulation (§4.4).
-	NCCL
-)
-
-// String names the primitive as the paper does.
-func (p Primitive) String() string {
-	if p == NCCL {
-		return "NCCL"
-	}
-	return "MPI"
-}
-
 // KernelModel prices the GPU quantisation kernels. Costs are seconds on
 // a K80; the machine's ComputeScale divides them.
 type KernelModel struct {
@@ -51,7 +32,7 @@ var DefaultKernel = KernelModel{
 type Config struct {
 	Network   workload.Network
 	Machine   workload.Machine
-	Primitive Primitive
+	Primitive comm.Primitive
 	// Policy is the precision policy to price: base codec, small-matrix
 	// exemption target and per-tensor pattern rules. Nil means full
 	// precision.
@@ -70,10 +51,9 @@ type Config struct {
 	// Framed prices the transport as a framed one (comm.Transport.
 	// Framed, e.g. the TCP mesh): every message carries a
 	// self-describing quant frame header on top of the codec payload.
-	// The overhead arithmetic is shared with comm — the same
-	// ReduceBroadcastWireBytes / RingWireBytes the fabrics' byte
-	// counters are tested against — so the simulated and measured TCP
-	// byte volumes agree exactly.
+	// The overhead arithmetic is shared with comm — the same WireBytes
+	// the fabrics' byte counters are tested against — so the simulated
+	// and measured TCP byte volumes agree exactly.
 	Framed bool
 }
 
@@ -125,7 +105,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("sim: %d GPUs outside 1..%d on %s",
 			cfg.GPUs, m.MaxGPUs, m.Name)
 	}
-	if cfg.Primitive == NCCL && !m.SupportsNCCL(cfg.GPUs) {
+	if cfg.Primitive == comm.NCCL && !m.SupportsNCCL(cfg.GPUs) {
 		return Result{}, fmt.Errorf("sim: NCCL supports at most %d GPUs on %s",
 			m.NCCLMaxGPUs, m.Name)
 	}
@@ -188,14 +168,13 @@ func Run(cfg Config) (Result, error) {
 			res.WireBytes = wireBytes
 			res.ExchangeBytes = framedTotal
 		}
-		switch cfg.Primitive {
-		case MPI:
-			res.CommSec = m.MPI.TransferTime(wireBytes, cfg.GPUs, len(net.Tensors))
-		case NCCL:
-			// NCCL ships the quantised volume in the paper's simulation
-			// and the raw volume at full precision.
-			res.CommSec = m.NCCL.TransferTime(wireBytes, cfg.GPUs, len(net.Tensors))
+		// Both links price one encoded model copy — the paper's
+		// accounting, which its NCCL numbers sent as a byte volume.
+		link := m.MPI
+		if cfg.Primitive == comm.NCCL {
+			link = m.NCCL
 		}
+		res.CommSec = link.TransferTime(wireBytes, cfg.GPUs, len(net.Tensors))
 	}
 
 	if cfg.Overlap < 0 || cfg.Overlap >= 1 {
@@ -216,20 +195,9 @@ func Run(cfg Config) (Result, error) {
 }
 
 // exchangeBytes predicts the bytes one full gradient exchange moves
-// across all k peers, through the same arithmetic comm's fabrics are
-// tested against. For MPI that is the reduce-and-broadcast stripe
-// pattern under the plan's per-tensor codecs; for NCCL it is the
-// full-precision ring (the volume a real ring actually ships — the
-// paper's low-precision NCCL numbers scale it by the codec's
-// compression, see comm.SimulatedRing).
-func exchangeBytes(plan *quant.Plan, tensors []quant.TensorInfo, prim Primitive, k int, framed bool) int64 {
-	if prim == NCCL {
-		var total int64
-		for _, ti := range tensors {
-			total += comm.RingWireBytes(ti.Shape.Len(), k, framed)
-		}
-		return total
-	}
+// across all k peers under the plan's per-tensor codecs: comm.WireBytes,
+// the function comm's fabrics are tested against, for either schedule.
+func exchangeBytes(plan *quant.Plan, tensors []quant.TensorInfo, prim comm.Primitive, k int, framed bool) int64 {
 	specs := make([]comm.TensorSpec, len(tensors))
 	for i, ti := range tensors {
 		specs[i] = comm.TensorSpec{
@@ -239,18 +207,19 @@ func exchangeBytes(plan *quant.Plan, tensors []quant.TensorInfo, prim Primitive,
 			Codec: plan.CodecFor(i),
 		}
 	}
-	return comm.ReduceBroadcastWireBytes(specs, k, framed)
+	return comm.WireBytes(prim, specs, k, framed)
 }
 
 // quantTime prices encode/decode work for one exchange. Per worker, the
 // MPI path touches each element three times (encode local stripes,
 // decode/sum at the owner, re-encode the aggregate, decode the
-// broadcast: n + (K−1)/K·n + n/K + n = 3n element passes), the NCCL
-// simulation twice (encode + decode).
+// broadcast: n + (K−1)/K·n + n/K + n = 3n element passes); NCCL is
+// priced at two passes (encode + decode), the paper's simulated
+// low-precision NCCL.
 func quantTime(plan *quant.Plan, tensors []quant.TensorInfo, k KernelModel,
-	prim Primitive, computeScale float64) float64 {
+	prim comm.Primitive, computeScale float64) float64 {
 	passes := 3.0
-	if prim == NCCL {
+	if prim == comm.NCCL {
 		passes = 2.0
 	}
 	var total float64
@@ -276,7 +245,7 @@ func quantTime(plan *quant.Plan, tensors []quant.TensorInfo, k KernelModel,
 // run of the same network on the same machine — the y-axis of
 // Figures 12–15.
 func Scalability(r Result, net workload.Network, m workload.Machine) (float64, error) {
-	base, err := Run(Config{Network: net, Machine: m, Primitive: MPI, GPUs: 1})
+	base, err := Run(Config{Network: net, Machine: m, Primitive: comm.MPI, GPUs: 1})
 	if err != nil {
 		return 0, err
 	}

@@ -46,7 +46,7 @@ func codecByPrecision(t *testing.T, prec string, bucket int) quant.Codec {
 
 func TestSingleGPUMatchesCalibration(t *testing.T) {
 	for _, net := range workload.PerformanceNetworks() {
-		r := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI, GPUs: 1})
+		r := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 1})
 		if math.Abs(r.SamplesPerSec-net.ThroughputK80)/net.ThroughputK80 > 1e-6 {
 			t.Errorf("%s 1-GPU: %v samples/s, anchor %v", net.Name, r.SamplesPerSec, net.ThroughputK80)
 		}
@@ -79,7 +79,7 @@ func TestCalibrationAgainstFigure10(t *testing.T) {
 				continue
 			}
 			r := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
-				Primitive: MPI, Policy: quant.NewPolicy(codecByPrecision(t, row.Precision, row.Bucket)), GPUs: k})
+				Primitive: comm.MPI, Policy: quant.NewPolicy(codecByPrecision(t, row.Precision, row.Bucket)), GPUs: k})
 			ratio := r.SamplesPerSec / paper
 			ratios = append(ratios, ratio)
 			if ratio < 0.5 || ratio > 2.1 {
@@ -110,7 +110,7 @@ func TestCalibrationAgainstFigure11(t *testing.T) {
 				continue
 			}
 			r := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
-				Primitive: NCCL, Policy: quant.NewPolicy(codecByPrecision(t, row.Precision, row.Bucket)), GPUs: k})
+				Primitive: comm.NCCL, Policy: quant.NewPolicy(codecByPrecision(t, row.Precision, row.Bucket)), GPUs: k})
 			if ratio := r.SamplesPerSec / paper; ratio < 0.5 || ratio > 2.0 {
 				t.Errorf("%s %s @%d: NCCL ratio %.2f outside [0.5, 2.0]",
 					row.Network, row.Precision, k, ratio)
@@ -124,8 +124,8 @@ func TestCalibrationAgainstFigure11(t *testing.T) {
 // Claim: with MPI, low precision helps a lot on communication-dominated
 // networks — ~3.5× on AlexNet at 8 GPUs with 4-bit QSGD.
 func TestClaimMPIQuantisationSpeedsUpAlexNet(t *testing.T) {
-	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
-	q4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI,
+	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8})
+	q4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.MPI,
 		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	speedup := q4.SamplesPerSec / fp.SamplesPerSec
 	if speedup < 2.5 || speedup > 4.5 {
@@ -135,8 +135,8 @@ func TestClaimMPIQuantisationSpeedsUpAlexNet(t *testing.T) {
 
 // Claim: quantisation slashes communication time ~5× (AlexNet, 4-bit).
 func TestClaimCommunicationReduction(t *testing.T) {
-	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
-	q4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI,
+	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8})
+	q4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.MPI,
 		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	red := fp.CommSec / q4.CommSec
 	if red < 4 || red > 9 {
@@ -147,8 +147,8 @@ func TestClaimCommunicationReduction(t *testing.T) {
 // Claim: on computation-dominated networks quantisation barely helps
 // end-to-end (BN-Inception ≤ ~1.4× even at 16 GPUs with MPI).
 func TestClaimComputationDominatedNetworksGainLittle(t *testing.T) {
-	fp := mustRun(t, Config{Network: workload.BNInception, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
-	q4 := mustRun(t, Config{Network: workload.BNInception, Machine: workload.EC2P2, Primitive: MPI,
+	fp := mustRun(t, Config{Network: workload.BNInception, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8})
+	q4 := mustRun(t, Config{Network: workload.BNInception, Machine: workload.EC2P2, Primitive: comm.MPI,
 		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if speedup := q4.SamplesPerSec / fp.SamplesPerSec; speedup > 1.5 {
 		t.Errorf("BN-Inception MPI speedup %.2f, paper shows ≈1.3", speedup)
@@ -158,8 +158,8 @@ func TestClaimComputationDominatedNetworksGainLittle(t *testing.T) {
 // Claim (§5.2, "NCCL vs MPI"): full-precision NCCL beats even
 // low-precision MPI on AlexNet at 8 GPUs.
 func TestClaimNCCLFullPrecisionBeatsMPILowPrecision(t *testing.T) {
-	nccl32 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
-	mpiQ4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI,
+	nccl32 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.NCCL, GPUs: 8})
+	mpiQ4 := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.MPI,
 		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if nccl32.SamplesPerSec <= mpiQ4.SamplesPerSec {
 		t.Errorf("NCCL 32-bit (%.0f) should beat MPI 4-bit (%.0f) on AlexNet@8",
@@ -171,15 +171,15 @@ func TestClaimNCCLFullPrecisionBeatsMPILowPrecision(t *testing.T) {
 // noticeable only on VGG.
 func TestClaimNCCLQuantisationGainsAreSmall(t *testing.T) {
 	for _, net := range []workload.Network{workload.ResNet50, workload.ResNet152, workload.BNInception} {
-		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
-		q4 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: NCCL,
+		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.NCCL, GPUs: 8})
+		q4 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.NCCL,
 			Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 		if speedup := q4.SamplesPerSec / fp.SamplesPerSec; speedup > 1.25 {
 			t.Errorf("%s NCCL speedup %.2f — paper calls these negligible", net.Name, speedup)
 		}
 	}
-	fp := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
-	q4 := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: NCCL,
+	fp := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: comm.NCCL, GPUs: 8})
+	q4 := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: comm.NCCL,
 		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if speedup := q4.SamplesPerSec / fp.SamplesPerSec; speedup < 1.05 || speedup > 1.6 {
 		t.Errorf("VGG19 NCCL speedup %.2f, paper shows 1.1–1.5×", speedup)
@@ -190,10 +190,10 @@ func TestClaimNCCLQuantisationGainsAreSmall(t *testing.T) {
 // heavily convolutional networks; the reshaped variant fixes it.
 func TestClaimClassicOneBitSlowerOnConvNets(t *testing.T) {
 	for _, net := range []workload.Network{workload.ResNet50, workload.ResNet152, workload.BNInception} {
-		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
-		classic := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI,
+		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8})
+		classic := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.MPI,
 			Policy: quant.NewPolicy(quant.OneBit{}), GPUs: 8})
-		reshaped := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI,
+		reshaped := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.MPI,
 			Policy: quant.NewPolicy(quant.NewOneBitReshaped(64)), GPUs: 8})
 		if classic.SamplesPerSec >= fp.SamplesPerSec {
 			t.Errorf("%s: classic 1bit (%.0f) should be slower than fp32 (%.0f)",
@@ -210,8 +210,8 @@ func TestClaimClassicOneBitSlowerOnConvNets(t *testing.T) {
 
 // Claim: classic 1bitSGD is fine on FC-dominated AlexNet.
 func TestClaimClassicOneBitFastOnAlexNet(t *testing.T) {
-	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
-	classic := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI,
+	fp := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8})
+	classic := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.MPI,
 		Policy: quant.NewPolicy(quant.OneBit{}), GPUs: 8})
 	if classic.SamplesPerSec < 2*fp.SamplesPerSec {
 		t.Errorf("AlexNet classic 1bit (%.0f) should be ≥2× fp32 (%.0f)",
@@ -223,9 +223,9 @@ func TestClaimClassicOneBitFastOnAlexNet(t *testing.T) {
 // returns — 2-bit rarely beats 4-bit by much, even on MPI.
 func TestClaimDiminishingReturnsBelow4Bit(t *testing.T) {
 	for _, net := range workload.PerformanceNetworks() {
-		q4 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI,
+		q4 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.MPI,
 			Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
-		q2 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI,
+		q2 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.MPI,
 			Policy: quant.NewPolicy(quant.NewQSGD(2, 128, quant.MaxNorm)), GPUs: 8})
 		if gain := q2.SamplesPerSec / q4.SamplesPerSec; gain > 1.25 {
 			t.Errorf("%s: 2-bit over 4-bit gain %.2f — paper reports diminishing returns", net.Name, gain)
@@ -238,8 +238,8 @@ func TestClaimDiminishingReturnsBelow4Bit(t *testing.T) {
 func TestClaim16GPUsRarelyWorthIt(t *testing.T) {
 	slowdowns := 0
 	for _, net := range []workload.Network{workload.AlexNet, workload.VGG19, workload.ResNet110} {
-		r8 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
-		r16 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: MPI, GPUs: 16})
+		r8 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8})
+		r16 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 16})
 		if r16.SamplesPerSec < r8.SamplesPerSec {
 			slowdowns++
 		}
@@ -256,8 +256,8 @@ func TestClaim16GPUsRarelyWorthIt(t *testing.T) {
 // Claim (DGX-1 §5.2): on the fast interconnect, MPI still benefits from
 // quantisation (up to ~5× on VGG) but NCCL gains stay modest.
 func TestClaimDGXBehaviour(t *testing.T) {
-	fpMPI := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: MPI, GPUs: 8})
-	q4MPI := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: MPI,
+	fpMPI := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: comm.MPI, GPUs: 8})
+	q4MPI := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: comm.MPI,
 		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	// The paper reports "up to 5×"; an additive cost model caps the
 	// gain at (compute+comm)/compute ≈ 3.5, so we assert a substantial
@@ -265,14 +265,14 @@ func TestClaimDGXBehaviour(t *testing.T) {
 	if speedup := q4MPI.SamplesPerSec / fpMPI.SamplesPerSec; speedup < 2.5 {
 		t.Errorf("DGX VGG19 MPI 4-bit speedup %.2f, paper shows up to ~5×", speedup)
 	}
-	fpN := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: NCCL, GPUs: 8})
-	q4N := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: NCCL,
+	fpN := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: comm.NCCL, GPUs: 8})
+	q4N := mustRun(t, Config{Network: workload.VGG19, Machine: workload.DGX1, Primitive: comm.NCCL,
 		Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if speedup := q4N.SamplesPerSec / fpN.SamplesPerSec; speedup < 1.05 || speedup > 1.8 {
 		t.Errorf("DGX VGG19 NCCL speedup %.2f, paper shows ≈1.6×", speedup)
 	}
 	// The DGX runs faster than EC2 overall (newer GPUs + interconnect).
-	ec2 := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
+	ec2 := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: comm.NCCL, GPUs: 8})
 	if fpN.SamplesPerSec <= ec2.SamplesPerSec {
 		t.Error("DGX-1 should outperform the EC2 instance")
 	}
@@ -281,7 +281,7 @@ func TestClaimDGXBehaviour(t *testing.T) {
 // Claim (VGG19 super-linear scaling): per-GPU batch 16 processes
 // samples faster, producing super-linear NCCL scaling at 8 GPUs.
 func TestClaimVGGSuperLinearScaling(t *testing.T) {
-	r := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
+	r := mustRun(t, Config{Network: workload.VGG19, Machine: workload.EC2P2, Primitive: comm.NCCL, GPUs: 8})
 	scal, err := Scalability(r, workload.VGG19, workload.EC2P2)
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +301,8 @@ func TestClaimSpeedupGrowsWithModelSizeRatio(t *testing.T) {
 	var first, prev float64
 	for i, extra := range []int64{0, 200e6, 2e9, 20e9} {
 		net := WithDummyParams(workload.AlexNet, extra)
-		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 8})
-		q8 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: NCCL,
+		fp := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.NCCL, GPUs: 8})
+		q8 := mustRun(t, Config{Network: net, Machine: workload.EC2P2, Primitive: comm.NCCL,
 			Policy: quant.NewPolicy(quant.NewQSGD(8, 512, quant.MaxNorm)), GPUs: 8})
 		speedup := q8.SamplesPerSec / fp.SamplesPerSec
 		if i == 0 {
@@ -328,20 +328,20 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Network: workload.AlexNet, Machine: workload.EC2P2, GPUs: 0}); err == nil {
 		t.Error("expected error for 0 GPUs")
 	}
-	if _, err := Run(Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: NCCL, GPUs: 16}); err == nil {
+	if _, err := Run(Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.NCCL, GPUs: 16}); err == nil {
 		t.Error("expected error for NCCL@16")
 	}
-	if _, err := Run(Config{Network: workload.LSTMSpeech, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8}); err == nil {
+	if _, err := Run(Config{Network: workload.LSTMSpeech, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8}); err == nil {
 		t.Error("expected error: LSTM has no 8-GPU batch in Figure 4")
 	}
 	if _, err := Run(Config{Network: workload.LSTMSpeech, Machine: workload.EC2P2,
-		Primitive: MPI, GPUs: 8, BatchOverride: 64}); err != nil {
+		Primitive: comm.MPI, GPUs: 8, BatchOverride: 64}); err != nil {
 		t.Errorf("batch override should permit the run: %v", err)
 	}
 }
 
 func TestEpochTimeConsistency(t *testing.T) {
-	r := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
+	r := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8})
 	wantEpoch := 1_300_000 / r.SamplesPerSec
 	if math.Abs(r.EpochSec-wantEpoch) > 1e-6 {
 		t.Errorf("epoch time %v, want %v", r.EpochSec, wantEpoch)
@@ -366,7 +366,7 @@ func TestWithDummyParams(t *testing.T) {
 }
 
 func TestQuantTimeZeroForFP32(t *testing.T) {
-	r := mustRun(t, Config{Network: workload.ResNet50, Machine: workload.EC2P2, Primitive: MPI, GPUs: 8})
+	r := mustRun(t, Config{Network: workload.ResNet50, Machine: workload.EC2P2, Primitive: comm.MPI, GPUs: 8})
 	if r.QuantSec != 0 {
 		t.Error("fp32 must not pay quantisation kernels")
 	}
@@ -378,7 +378,7 @@ func TestOverlapReducesIterTime(t *testing.T) {
 	var prev float64 = math.Inf(1)
 	for _, ov := range []float64{0, 0.25, 0.5, 0.9} {
 		r := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-			Primitive: MPI, GPUs: 8, Overlap: ov})
+			Primitive: comm.MPI, GPUs: 8, Overlap: ov})
 		if r.IterSec >= prev {
 			t.Fatalf("overlap %v did not reduce iteration time (%v >= %v)", ov, r.IterSec, prev)
 		}
@@ -389,7 +389,7 @@ func TestOverlapReducesIterTime(t *testing.T) {
 		prev = r.IterSec
 	}
 	if _, err := Run(Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, GPUs: 8, Overlap: 1.5}); err == nil {
+		Primitive: comm.MPI, GPUs: 8, Overlap: 1.5}); err == nil {
 		t.Fatal("expected error for overlap outside [0,1)")
 	}
 }
@@ -398,7 +398,7 @@ func TestOverlapReducesIterTime(t *testing.T) {
 // cost model (its index overhead shows in the wire bytes).
 func TestTopKInSimulator(t *testing.T) {
 	r := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, Policy: quant.NewPolicy(quant.NewTopK(0.01)), GPUs: 8})
+		Primitive: comm.MPI, Policy: quant.NewPolicy(quant.NewTopK(0.01)), GPUs: 8})
 	ratio := float64(r.RawBytes) / float64(r.WireBytes)
 	if ratio < 40 || ratio > 60 {
 		t.Fatalf("top-k 1%% whole-model ratio %.1f, want ≈50 (index overhead)", ratio)
@@ -441,48 +441,9 @@ func TestFramedSimulatedVolumeMatchesMeasuredTCP(t *testing.T) {
 		quant.MustParsePolicy("1bit*64;minfrac=1;fc.W=qsgd8b512"),
 	} {
 		res := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
-			Primitive: MPI, Policy: policy, GPUs: k, BatchOverride: 3 * k, Framed: true})
+			Primitive: comm.MPI, Policy: policy, GPUs: k, BatchOverride: 3 * k, Framed: true})
 
-		// Measure: run one real exchange over a loopback TCP mesh with
-		// the same plan.
-		plan := quant.NewPlan(policy, net.Tensors)
-		specs := make([]comm.TensorSpec, len(net.Tensors))
-		for i, ti := range net.Tensors {
-			specs[i] = comm.TensorSpec{Name: ti.Name, N: ti.Shape.Len(),
-				Wire: ti.Shape, Codec: plan.CodecFor(i)}
-		}
-		tcp, err := comm.NewTCPFabric(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb := comm.NewReduceBroadcast(tcp, specs, 5)
-		var wg sync.WaitGroup
-		errs := make([]error, k)
-		for w := 0; w < k; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for ti := range specs {
-					g := make([]float32, specs[ti].N)
-					for i := range g {
-						g[i] = float32(i%7) - 3
-					}
-					if err := rb.Reduce(w, ti, g); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		measured := tcp.TotalBytes()
-		tcp.Close()
-		if res.ExchangeBytes != measured {
+		if measured := measureTCPExchange(t, comm.MPI, policy, net, k); res.ExchangeBytes != measured {
 			t.Errorf("%s: simulator predicts %d exchange bytes, TCP moved %d",
 				policy.Name(), res.ExchangeBytes, measured)
 		}
@@ -490,7 +451,7 @@ func TestFramedSimulatedVolumeMatchesMeasuredTCP(t *testing.T) {
 		// And the framed prediction must exceed the headerless one by
 		// exactly the per-copy header share.
 		raw := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
-			Primitive: MPI, Policy: policy, GPUs: k, BatchOverride: 3 * k})
+			Primitive: comm.MPI, Policy: policy, GPUs: k, BatchOverride: 3 * k})
 		wantPerCopy := (res.ExchangeBytes - raw.ExchangeBytes) / int64(2*(k-1))
 		if res.WireBytes != raw.WireBytes+wantPerCopy {
 			t.Errorf("%s: framed WireBytes %d, want %d + %d",
@@ -508,7 +469,7 @@ func TestFramedSimulatedVolumeMatchesMeasuredTCP(t *testing.T) {
 // 0.99.
 func TestPolicyPlumbedThroughSimulator(t *testing.T) {
 	viaPolicy := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
+		Primitive: comm.MPI, Policy: quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)), GPUs: 8})
 	if viaPolicy.Codec != "qsgd4b512" {
 		t.Fatalf("result names policy %q, want qsgd4b512", viaPolicy.Codec)
 	}
@@ -516,53 +477,47 @@ func TestPolicyPlumbedThroughSimulator(t *testing.T) {
 	// as the default target, and a rule forcing a tensor to 32bit must
 	// show up in the priced volume.
 	all := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, Policy: quant.MustParsePolicy("qsgd4b512;minfrac=1"), GPUs: 8})
+		Primitive: comm.MPI, Policy: quant.MustParsePolicy("qsgd4b512;minfrac=1"), GPUs: 8})
 	if all.WireBytes > viaPolicy.WireBytes {
 		t.Fatalf("minfrac=1 (%d bytes) must not exceed the default exemption (%d bytes)",
 			all.WireBytes, viaPolicy.WireBytes)
 	}
 	ruled := mustRun(t, Config{Network: workload.AlexNet, Machine: workload.EC2P2,
-		Primitive: MPI, Policy: quant.MustParsePolicy("qsgd4b512;minfrac=1;fc6=32bit"), GPUs: 8})
+		Primitive: comm.MPI, Policy: quant.MustParsePolicy("qsgd4b512;minfrac=1;fc6=32bit"), GPUs: 8})
 	if ruled.WireBytes <= all.WireBytes {
 		t.Fatalf("an fc6=32bit rule must increase the priced volume (%d <= %d)",
 			ruled.WireBytes, all.WireBytes)
 	}
 }
 
-func TestParsePrimitive(t *testing.T) {
-	for in, want := range map[string]Primitive{"": MPI, "mpi": MPI, "MPI": MPI, "nccl": NCCL, "NCCL": NCCL} {
-		if got, err := ParsePrimitive(in); err != nil || got != want {
-			t.Errorf("ParsePrimitive(%q) = %v, %v; want %v", in, got, err, want)
-		}
+// measureTCPExchange runs one real exchange of net's tensors under the
+// policy's plan over a loopback TCP mesh and returns the bytes it moved.
+func measureTCPExchange(t *testing.T, prim comm.Primitive, policy *quant.Policy, net workload.Network, k int) int64 {
+	t.Helper()
+	plan := quant.NewPlan(policy, net.Tensors)
+	specs := make([]comm.TensorSpec, len(net.Tensors))
+	for i, ti := range net.Tensors {
+		specs[i] = comm.TensorSpec{Name: ti.Name, N: ti.Shape.Len(),
+			Wire: ti.Shape, Codec: plan.CodecFor(i)}
 	}
-	if _, err := ParsePrimitive("ring"); err == nil {
-		t.Error(`ParsePrimitive("ring") accepted an unknown primitive`)
-	}
-}
-
-// TestFramedRingVolumeMatchesMeasuredTCP: same agreement for the
-// NCCL-style full-precision ring.
-func TestFramedRingVolumeMatchesMeasuredTCP(t *testing.T) {
-	const k = 3
-	net := frameNet()
-	res := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
-		Primitive: NCCL, GPUs: k, BatchOverride: 3 * k, Framed: true})
-
 	tcp, err := comm.NewTCPFabric(k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	ring := comm.NewRing(tcp)
+	red := comm.NewCollective(tcp, prim, specs, 5, nil)
 	var wg sync.WaitGroup
 	errs := make([]error, k)
 	for w := 0; w < k; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for ti, info := range net.Tensors {
-				g := make([]float32, info.Shape.Len())
-				if err := ring.Reduce(w, ti, g); err != nil {
+			for ti := range specs {
+				g := make([]float32, specs[ti].N)
+				for i := range g {
+					g[i] = float32(i%7) - 3
+				}
+				if err := red.Reduce(w, ti, g); err != nil {
 					errs[w] = err
 					return
 				}
@@ -575,8 +530,25 @@ func TestFramedRingVolumeMatchesMeasuredTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if measured := tcp.TotalBytes(); res.ExchangeBytes != measured {
-		t.Errorf("ring: simulator predicts %d exchange bytes, TCP moved %d",
-			res.ExchangeBytes, measured)
+	return tcp.TotalBytes()
+}
+
+// TestFramedRingVolumeMatchesMeasuredTCP: the same agreement for the
+// NCCL ring, at full precision and carrying the plan's codecs.
+func TestFramedRingVolumeMatchesMeasuredTCP(t *testing.T) {
+	const k = 3
+	net := frameNet()
+	for _, policy := range []*quant.Policy{
+		quant.NewPolicy(quant.FP32{}),
+		quant.NewPolicy(quant.NewQSGD(4, 512, quant.MaxNorm)),
+		quant.MustParsePolicy("qsgd4b512;conv.W=topk0.01;*.b=32bit"),
+		quant.MustParsePolicy("1bit*64;minfrac=1;fc.W=qsgd8b512"),
+	} {
+		res := mustRun(t, Config{Network: net, Machine: workload.EC2P2,
+			Primitive: comm.NCCL, Policy: policy, GPUs: k, BatchOverride: 3 * k, Framed: true})
+		if measured := measureTCPExchange(t, comm.NCCL, policy, net, k); res.ExchangeBytes != measured {
+			t.Errorf("%s ring: simulator predicts %d exchange bytes, TCP moved %d",
+				policy.Name(), res.ExchangeBytes, measured)
+		}
 	}
 }

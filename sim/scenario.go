@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 
+	"repro/comm"
 	"repro/internal/workload"
 	"repro/quant"
 )
@@ -182,10 +182,8 @@ func (sc *Scenario) Validate() error {
 	if sc.PerRankBatch < 0 {
 		return fmt.Errorf("sim: per_rank_batch %d must be >= 0", sc.PerRankBatch)
 	}
-	switch strings.ToUpper(sc.Primitive) {
-	case "", "MPI", "NCCL":
-	default:
-		return fmt.Errorf("sim: unknown primitive %q", sc.Primitive)
+	if _, err := comm.ParsePrimitive(sc.Primitive); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if len(sc.Tensors) > maxTensors {
 		return fmt.Errorf("sim: %d synthetic tensors, limit %d", len(sc.Tensors), maxTensors)
