@@ -5,6 +5,7 @@ import (
 
 	"repro/obs"
 	"repro/quant"
+	"repro/tensor"
 )
 
 // Collective is the gradient-aggregation engine: each tensor compiles,
@@ -259,9 +260,7 @@ func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, enc qua
 		if _, err := w.recv(tr, &ct.in, st.from, rank, tmp); err != nil {
 			return fmt.Errorf("from %d: %w", st.from, err)
 		}
-		for i, v := range tmp {
-			vals[i] += v
-		}
+		tensor.Add(vals, tmp)
 	case recvPlace:
 		wire, err := w.recv(tr, &ct.in, st.from, rank, vals)
 		if err != nil {

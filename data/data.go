@@ -214,7 +214,9 @@ func MakeSequences(cfg SequenceConfig) (train, test *Dataset) {
 		}
 		for t := 0; t < cfg.Frames; t++ {
 			for j := 0; j < cfg.Features; j++ {
-				cur[j] = 0.8*cur[j] + 0.2*pr.Norm(1)
+				// Products rounded before the add: no FMA on arm64, so
+				// every architecture generates the same data.
+				cur[j] = float32(0.8*cur[j]) + float32(0.2*pr.Norm(1))
 				p[t*cfg.Features+j] = cur[j]
 			}
 		}
@@ -233,7 +235,7 @@ func MakeSequences(cfg SequenceConfig) (train, test *Dataset) {
 			gain := 1 + rr.Norm(0.1)
 			row := d.X.Row(i)
 			for j, v := range profiles[c] {
-				row[j] = gain*v + rr.Norm(cfg.Noise)
+				row[j] = float32(gain*v) + rr.Norm(cfg.Noise)
 			}
 		}
 		return d

@@ -87,7 +87,7 @@ func (t *Tanh) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		t.dx = tensor.New(dout.Rows, dout.Cols)
 	}
 	for i, y := range t.y.Data {
-		t.dx.Data[i] = dout.Data[i] * (1 - y*y)
+		t.dx.Data[i] = dout.Data[i] * (1 - float32(y*y))
 	}
 	return t.dx
 }

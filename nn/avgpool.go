@@ -89,7 +89,7 @@ func (p *AvgPool2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			chOff := ch * p.h * p.w
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					g := dOut[(ch*oh+oy)*ow+ox] * inv
+					g := float32(dOut[(ch*oh+oy)*ow+ox] * inv)
 					for ky := 0; ky < p.kh; ky++ {
 						rowOff := chOff + (oy*p.strideH+ky)*p.w
 						for kx := 0; kx < p.kw; kx++ {

@@ -91,12 +91,12 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 				row := x.Row(s)
 				for p := 0; p < b.spatial; p++ {
 					d := float64(row[base+p] - mean)
-					sq += d * d
+					sq += float64(d * d)
 				}
 			}
 			variance = float32(sq / count)
-			b.runMean[ch] = b.momentum*b.runMean[ch] + (1-b.momentum)*mean
-			b.runVar[ch] = b.momentum*b.runVar[ch] + (1-b.momentum)*variance
+			b.runMean[ch] = float32(b.momentum*b.runMean[ch]) + float32((1-b.momentum)*mean)
+			b.runVar[ch] = float32(b.momentum*b.runVar[ch]) + float32((1-b.momentum)*variance)
 		} else {
 			mean, variance = b.runMean[ch], b.runVar[ch]
 		}
@@ -110,7 +110,7 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 			for p := 0; p < b.spatial; p++ {
 				h := (row[base+p] - mean) * inv
 				xh[base+p] = h
-				out[base+p] = g*h + bt
+				out[base+p] = float32(g*h) + bt
 			}
 		}
 	}
@@ -135,7 +135,7 @@ func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			for p := 0; p < b.spatial; p++ {
 				dy := float64(row[base+p])
 				sumDy += dy
-				sumDyXhat += dy * float64(xh[base+p])
+				sumDyXhat += float64(dy * float64(xh[base+p]))
 			}
 		}
 		b.beta.Grad.Data[ch] += float32(sumDy)
@@ -149,7 +149,7 @@ func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			xh := b.xhat.Row(s)
 			dIn := b.dx.Row(s)
 			for p := 0; p < b.spatial; p++ {
-				dIn[base+p] = g * inv * (row[base+p] - meanDy - xh[base+p]*meanDyXhat)
+				dIn[base+p] = g * inv * (row[base+p] - meanDy - float32(xh[base+p]*meanDyXhat))
 			}
 		}
 	}

@@ -102,7 +102,7 @@ func (l *LSTM) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 				f := sigmoidScalar(zr[l.h+j])
 				g := float32(math.Tanh(float64(zr[2*l.h+j])))
 				o := sigmoidScalar(zr[3*l.h+j])
-				c := f*cp[j] + i*g
+				c := float32(f*cp[j]) + float32(i*g)
 				th := float32(math.Tanh(float64(c)))
 				ir[j], fr[j], gr[j], or[j] = i, f, g, o
 				cn[j], tc[j] = c, th
@@ -131,13 +131,13 @@ func (l *LSTM) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			dzr := dz.Row(s)
 			for j := 0; j < l.h; j++ {
 				do := dhr[j] * tc[j]
-				dcj := dcr[j] + dhr[j]*or[j]*(1-tc[j]*tc[j])
+				dcj := dcr[j] + float32(dhr[j]*or[j]*(1-float32(tc[j]*tc[j])))
 				di := dcj * gr[j]
 				df := dcj * cp[j]
 				dg := dcj * ir[j]
 				dzr[j] = di * ir[j] * (1 - ir[j])
 				dzr[l.h+j] = df * fr[j] * (1 - fr[j])
-				dzr[2*l.h+j] = dg * (1 - gr[j]*gr[j])
+				dzr[2*l.h+j] = dg * (1 - float32(gr[j]*gr[j]))
 				dzr[3*l.h+j] = do * or[j] * (1 - or[j])
 				dcr[j] = dcj * fr[j] // carried to t-1
 			}

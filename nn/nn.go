@@ -8,6 +8,12 @@
 // matrices together with a CNTK-layout wire shape (first tensor dimension
 // = rows), because classic 1bitSGD quantises per column of exactly that
 // layout — the source of the paper's reshaping discussion (§3.2).
+//
+// A product that feeds an addition is wrapped in float32(...) (or
+// float64(...)): the conversion forbids the compiler to fuse the two
+// into one FMA, which arm64 would otherwise do, rounding once where
+// amd64 rounds twice. Ranks on different architectures thus compute the
+// same bits; scripts/check_nofma.sh keeps it so.
 package nn
 
 import (

@@ -51,24 +51,27 @@ func (s *SGD) SetLR(lr float32) { s.lr = lr }
 // effective gradient becomes g + λ·w, as in CNTK's SGD recipes.
 func (s *SGD) SetWeightDecay(wd float32) { s.weightDecay = wd }
 
-// Step applies one update: v ← μ·v − η·(g + λ·w); w ← w + v. Gradients
-// are consumed as currently stored in each Param.Grad; the caller
-// zeroes them afterwards.
-func (s *SGD) Step() {
+// Step applies one update to the gradients as stored: StepScaled(1),
+// multiplying by 1 being exact.
+func (s *SGD) Step() { s.StepScaled(1) }
+
+// StepScaled applies one update with every gradient first multiplied by
+// a — a data-parallel step passes its 1/K average here, folding it into
+// the update pass instead of a pass of its own. Per element, in this
+// order, each operation rounded to float32 and none fused
+// (tensor.MomentumStep):
+//
+//	g ← a·g
+//	d ← g + λ·w     (only when λ ≠ 0; otherwise d is g)
+//	v ← μ·v − η·d
+//	w ← w + v
+//
+// The scaled gradient a·g is stored back in Param.Grad, so after the
+// step it holds the gradient the update consumed; the caller zeroes it
+// before the next backward pass.
+func (s *SGD) StepScaled(a float32) {
 	for i, p := range s.params {
-		v := s.velocity[i]
-		if s.weightDecay != 0 {
-			for j := range v.Data {
-				g := p.Grad.Data[j] + s.weightDecay*p.Value.Data[j]
-				v.Data[j] = s.momentum*v.Data[j] - s.lr*g
-				p.Value.Data[j] += v.Data[j]
-			}
-			continue
-		}
-		for j := range v.Data {
-			v.Data[j] = s.momentum*v.Data[j] - s.lr*p.Grad.Data[j]
-			p.Value.Data[j] += v.Data[j]
-		}
+		tensor.MomentumStep(p.Value.Data, s.velocity[i].Data, p.Grad.Data, a, s.momentum, s.lr, s.weightDecay)
 	}
 }
 
@@ -83,7 +86,7 @@ func ClipGradNorm(params []*Param, maxNorm float32) float64 {
 	var sq float64
 	for _, p := range params {
 		for _, v := range p.Grad.Data {
-			sq += float64(v) * float64(v)
+			sq += float64(float64(v) * float64(v))
 		}
 	}
 	norm := math.Sqrt(sq)

@@ -410,6 +410,7 @@ func (t *Trainer) runStep(train *data.Dataset, batch []int) (float64, error) {
 		loss float64
 		err  error
 	}
+	step, start := t.currentStep()+1, time.Now()
 	done := make(chan result, 1)
 	go func() {
 		loss, err := t.step(train, batch)
@@ -441,9 +442,17 @@ func (t *Trainer) runStep(train *data.Dataset, batch []int) (float64, error) {
 				return 0, v
 			}
 		}
+		if r.err == nil && deadline > 0 && time.Since(start) > deadline {
+			// The step finished past its bound. The result and the timer
+			// raced, and select picks among ready cases at random; the
+			// bound is on wall time, so the overrun decides either way.
+			err := ErrStepDeadline{Rank: t.ranks[0], Step: step, Deadline: deadline}
+			t.abortFabric(err)
+			return 0, err
+		}
 		return r.loss, r.err
 	case <-expire:
-		err := ErrStepDeadline{Rank: t.ranks[0], Step: t.currentStep() + 1, Deadline: deadline}
+		err := ErrStepDeadline{Rank: t.ranks[0], Step: step, Deadline: deadline}
 		// Join the step unconditionally: on an abortable fabric the
 		// teardown unwinds it promptly; on the in-process channel fabric
 		// (which cannot be interrupted) the exchange is still making
@@ -528,28 +537,38 @@ func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
 			net.Backward(loss.Backward(labels))
 			compute[li] = time.Since(start)
 			t.tracer.Record(w, obs.PhaseCompute, "step", -1, 0, c0, int64(compute[li]))
-			// Exchange every tensor, then average over workers: the
-			// paper's x ← x − (η/K)·Σ g̃. The barrier span covers the
-			// whole blocking exchange; the reducer's fine spans break it
-			// down, and the remainder is straggler wait.
+			// Exchange every tensor; the barrier span covers the whole
+			// blocking exchange, the reducer's fine spans break it down,
+			// and the remainder is straggler wait.
 			e0 := t.tracer.Now()
 			exchStart := time.Now()
-			invK := 1 / float32(k)
 			for i, p := range net.Params() {
 				if err := t.reducer.Reduce(w, i, p.Grad.Data); err != nil {
 					errs[li] = err
 					return
 				}
-				if k > 1 {
-					p.Grad.Scale(invK)
-				}
 			}
 			exchange[li] = time.Since(exchStart)
 			t.tracer.Record(w, obs.PhaseBarrier, "exchange", -1, 0, e0, int64(exchange[li]))
-			if t.cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(net.Params(), t.cfg.ClipNorm)
+			// Average over workers — the paper's x ← x − (η/K)·Σ g̃ —
+			// inside the optimiser's one update pass, which stores the
+			// averaged gradient back. Clipping bounds the norm of the
+			// averaged gradient, so with a clip the average is its own
+			// pass before it and the update multiplies by 1.
+			avg := float32(1)
+			if k > 1 {
+				avg = 1 / float32(k)
 			}
-			t.opts[li].Step()
+			if t.cfg.ClipNorm > 0 {
+				if avg != 1 {
+					for _, p := range net.Params() {
+						p.Grad.Scale(avg)
+					}
+				}
+				nn.ClipGradNorm(net.Params(), t.cfg.ClipNorm)
+				avg = 1
+			}
+			t.opts[li].StepScaled(avg)
 		}(li, w)
 	}
 	wg.Wait()

@@ -159,9 +159,11 @@ func (t *Trainer) wireMonitorObs() {
 // gradient norms, and the distortion the negotiated codec would
 // introduce on exactly those gradients (quant.MeasureError with a
 // step-keyed seed, so the sample is deterministic per step). It runs
-// on the step driver after the worker goroutines joined — the
-// aggregated gradients are stable until the next step's ZeroGrads —
-// and probes the codecs over a scratch copy, so training state is
+// on the step driver after the worker goroutines joined. The 1/K
+// average happens in the optimiser's update pass (nn.SGD.StepScaled),
+// which stores the averaged gradient back, so what it reads is the
+// averaged gradient, stable until the next step's ZeroGrads. It
+// probes the codecs over a scratch copy, so training state is
 // bit-for-bit untouched and no byte reaches the data mesh; the
 // snapshot travels the control plane only (ControlBytes).
 func (t *Trainer) captureTelemetry(step int64, loss float64, compute, exchange time.Duration) {

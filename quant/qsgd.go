@@ -360,7 +360,9 @@ func encodeLinear(sc *qsgdScratch, vals []float32, shift, width, s float64, sign
 		// v < 0 is b's sign bit unless the magnitude is zero (−0
 		// encodes like +0): −mag has its top bit set iff mag ≠ 0.
 		neg := uint32(int32(b&-mag) >> 31)
-		x := (float64(math.Float32frombits(mag)) + shift) / width * s
+		// Rounded here: frac below would otherwise fuse the product
+		// into an FMA on arm64 and draw differently than on amd64.
+		x := float64((float64(math.Float32frombits(mag)) + shift) / width * s)
 		l := int(x) // ⌊x⌋, as x ≥ 0
 		var above, below uint8
 		if x > 0 {
@@ -431,7 +433,7 @@ func bucketScale(grp []float32, n Norm) float32 {
 	if n == TwoNorm {
 		var s float64
 		for _, v := range grp {
-			s += float64(v) * float64(v)
+			s += float64(float64(v) * float64(v))
 		}
 		return float32(math.Sqrt(s))
 	}

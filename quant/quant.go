@@ -33,6 +33,11 @@
 // header — magic, format version, codec name, shape, element count —
 // that DecodeAny reconstructs without any shared configuration; see
 // frame.go.
+//
+// Products that feed an addition are rounded explicitly (float64(...))
+// so that arm64 does not fuse them into an FMA: encoders must pick the
+// same levels, and so put the same bytes on the wire, on every
+// architecture (scripts/check_nofma.sh).
 package quant
 
 import (

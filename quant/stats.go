@@ -44,7 +44,7 @@ func MeasureError(c Codec, src []float32, shape Shape, rounds int, seed uint64) 
 		}
 		for i, v := range dst {
 			d := float64(v) - float64(src[i])
-			sqErr += d * d
+			sqErr += float64(d * d)
 			sum[i] += float64(v)
 		}
 	}
@@ -72,7 +72,7 @@ func GradNorms(src []float32) (l2, inf float64) {
 	var sq float64
 	for _, v := range src {
 		f := float64(v)
-		sq += f * f
+		sq += float64(f * f)
 		if a := math.Abs(f); a > inf {
 			inf = a
 		}

@@ -84,9 +84,10 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float32 returns a uniformly random float32 in [0, 1).
+// Float32 returns a uniformly random float32 in [0, 1). The product is
+// rounded explicitly so that no caller's arithmetic fuses with it.
 func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
+	return float32(float32(r.Uint64()>>40) * (1.0 / (1 << 24)))
 }
 
 // Float64 returns a uniformly random float64 in [0, 1).

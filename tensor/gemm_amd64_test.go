@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestDispatchSelectsAVX2 keeps the parity suite honest: on a CPU the
-// kernel reports AVX2 for, the dispatcher must have chosen the kernels
-// (else the suite compares the portable loops with themselves), and the
+// TestDispatchSelectsAVX2 keeps the parity suites honest: on a CPU the
+// kernel reports AVX2 for, the dispatchers must have chosen the kernels
+// (else the suites compare the portable loops with themselves), and the
 // switch must really move work between the two paths.
 func TestDispatchSelectsAVX2(t *testing.T) {
 	if info, err := os.ReadFile("/proc/cpuinfo"); err != nil {
@@ -33,6 +33,16 @@ func TestDispatchSelectsAVX2(t *testing.T) {
 			if gemmAsm(kind, dst, a, b) {
 				t.Errorf("%v ran on the AVX2 kernels with the switch off", c)
 			}
+		}
+	}
+	// The vector kernels share the switch.
+	for _, c := range []struct {
+		avx2    bool
+		n, want int
+	}{{true, 23, 16}, {true, 7, 0}, {false, 23, 0}} {
+		useAVX2 = c.avx2
+		if got := vecBody(c.n); got != c.want {
+			t.Errorf("avx2=%v: the vector kernels take %d of %d elements, want %d", c.avx2, got, c.n, c.want)
 		}
 	}
 }

@@ -51,6 +51,22 @@
 // Everywhere else — other architectures, CPUs without AVX2 — the
 // portable Go loops in gemm.go run; they are also the reference the
 // kernels are tested against bit for bit (gemm_test.go).
+//
+// # The vector kernels
+//
+// Add, Scale and MomentumStep (the whole SGD-with-momentum update,
+// gradient average and weight decay included, in one pass) are
+// element-wise, so the same rule is simpler to keep: each element is
+// the scalar chain of separately rounded float32 operations vec.go
+// documents, a vector lane per element, nothing fused. They share the
+// GEMM's switch: AVX2 kernels in vec_amd64.s take whole vectors of
+// eight and the portable loops in vec.go the last len%8 elements
+// (there is no pull-back here, an update is not idempotent); without
+// AVX2 the portable loops take everything. One kernel call covers at
+// most 64 Ki elements. The portable loops wrap every product in an
+// explicit float32 conversion, which forbids the compiler to fuse it
+// with the following add — arm64 otherwise would — so every
+// architecture computes the same bits (scripts/check_nofma.sh).
 package tensor
 
 import (
@@ -111,11 +127,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 }
 
 // Zero sets every element to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Matrix) Zero() { clear(m.Data) }
 
 // Fill sets every element to v.
 func (m *Matrix) Fill(v float32) {
@@ -138,21 +150,16 @@ func (m *Matrix) FillUniform(r *rng.RNG, a float32) {
 	}
 }
 
-// Scale multiplies every element by a.
-func (m *Matrix) Scale(a float32) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
+// Scale multiplies every element by a (the vector kernel Scale).
+func (m *Matrix) Scale(a float32) { Scale(m.Data, a) }
 
-// Add accumulates src into m element-wise. Shapes must match.
+// Add accumulates src into m element-wise (the vector kernel Add).
+// Shapes must match.
 func (m *Matrix) Add(src *Matrix) {
 	if m.Len() != src.Len() {
 		panic("tensor: Add size mismatch")
 	}
-	for i, v := range src.Data {
-		m.Data[i] += v
-	}
+	Add(m.Data, src.Data)
 }
 
 // AddScaled accumulates a*src into m element-wise (axpy).
@@ -161,7 +168,7 @@ func (m *Matrix) AddScaled(a float32, src *Matrix) {
 		panic("tensor: AddScaled size mismatch")
 	}
 	for i, v := range src.Data {
-		m.Data[i] += a * v
+		m.Data[i] += float32(a * v)
 	}
 }
 
@@ -179,7 +186,7 @@ func (m *Matrix) Sum() float64 {
 func (m *Matrix) Norm2() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
