@@ -26,9 +26,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	r.x = x
-	if r.y == nil || r.y.Rows != x.Rows || r.y.Cols != x.Cols {
-		r.y = tensor.New(x.Rows, x.Cols)
-	}
+	r.y = tensor.Reuse(r.y, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v > 0 {
 			r.y.Data[i] = v
@@ -41,9 +39,7 @@ func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if r.dx == nil || r.dx.Rows != dout.Rows || r.dx.Cols != dout.Cols {
-		r.dx = tensor.New(dout.Rows, dout.Cols)
-	}
+	r.dx = tensor.Reuse(r.dx, dout.Rows, dout.Cols)
 	for i, v := range r.x.Data {
 		if v > 0 {
 			r.dx.Data[i] = dout.Data[i]
@@ -72,9 +68,7 @@ func (t *Tanh) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	if t.y == nil || t.y.Rows != x.Rows || t.y.Cols != x.Cols {
-		t.y = tensor.New(x.Rows, x.Cols)
-	}
+	t.y = tensor.Reuse(t.y, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		t.y.Data[i] = float32(math.Tanh(float64(v)))
 	}
@@ -83,9 +77,7 @@ func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (t *Tanh) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if t.dx == nil || t.dx.Rows != dout.Rows || t.dx.Cols != dout.Cols {
-		t.dx = tensor.New(dout.Rows, dout.Cols)
-	}
+	t.dx = tensor.Reuse(t.dx, dout.Rows, dout.Cols)
 	for i, y := range t.y.Data {
 		t.dx.Data[i] = dout.Data[i] * (1 - float32(y*y))
 	}
@@ -115,9 +107,7 @@ func (s *Sigmoid) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	if s.y == nil || s.y.Rows != x.Rows || s.y.Cols != x.Cols {
-		s.y = tensor.New(x.Rows, x.Cols)
-	}
+	s.y = tensor.Reuse(s.y, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		s.y.Data[i] = sigmoidScalar(v)
 	}
@@ -126,9 +116,7 @@ func (s *Sigmoid) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (s *Sigmoid) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if s.dx == nil || s.dx.Rows != dout.Rows || s.dx.Cols != dout.Cols {
-		s.dx = tensor.New(dout.Rows, dout.Cols)
-	}
+	s.dx = tensor.Reuse(s.dx, dout.Rows, dout.Cols)
 	for i, y := range s.y.Data {
 		s.dx.Data[i] = dout.Data[i] * y * (1 - y)
 	}

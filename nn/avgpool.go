@@ -48,9 +48,7 @@ func (p *AvgPool2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", p.name, p.c*p.h*p.w, x.Cols))
 	}
 	oh, ow := p.OutH(), p.OutW()
-	if p.y == nil || p.y.Rows != x.Rows {
-		p.y = tensor.New(x.Rows, p.OutLen())
-	}
+	p.y = tensor.Reuse(p.y, x.Rows, p.OutLen())
 	inv := 1 / float32(p.kh*p.kw)
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
@@ -77,9 +75,7 @@ func (p *AvgPool2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // Backward implements Layer.
 func (p *AvgPool2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	oh, ow := p.OutH(), p.OutW()
-	if p.dx == nil || p.dx.Rows != dout.Rows {
-		p.dx = tensor.New(dout.Rows, p.c*p.h*p.w)
-	}
+	p.dx = tensor.Reuse(p.dx, dout.Rows, p.c*p.h*p.w)
 	p.dx.Zero()
 	inv := 1 / float32(p.kh*p.kw)
 	for s := 0; s < dout.Rows; s++ {
@@ -154,9 +150,7 @@ func (c *Concat) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		c.widths[ti] = h.Cols
 		total += h.Cols
 	}
-	if c.y == nil || c.y.Rows != x.Rows || c.y.Cols != total {
-		c.y = tensor.New(x.Rows, total)
-	}
+	c.y = tensor.Reuse(c.y, x.Rows, total)
 	for s := 0; s < x.Rows; s++ {
 		dst := c.y.Row(s)
 		off := 0

@@ -69,10 +69,8 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != b.c*b.spatial {
 		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", b.name, b.c*b.spatial, x.Cols))
 	}
-	if b.y == nil || b.y.Rows != x.Rows {
-		b.y = tensor.New(x.Rows, x.Cols)
-		b.xhat = tensor.New(x.Rows, x.Cols)
-	}
+	b.y = tensor.Reuse(b.y, x.Rows, x.Cols)
+	b.xhat = tensor.Reuse(b.xhat, x.Rows, x.Cols)
 	count := float64(x.Rows * b.spatial)
 	for ch := 0; ch < b.c; ch++ {
 		base := ch * b.spatial
@@ -122,9 +120,7 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 //	dβ = Σ dy, dγ = Σ dy·x̂,
 //	dx = (γ/σ)·(dy − mean(dy) − x̂·mean(dy·x̂))
 func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if b.dx == nil || b.dx.Rows != dout.Rows {
-		b.dx = tensor.New(dout.Rows, dout.Cols)
-	}
+	b.dx = tensor.Reuse(b.dx, dout.Rows, dout.Cols)
 	count := float32(dout.Rows * b.spatial)
 	for ch := 0; ch < b.c; ch++ {
 		base := ch * b.spatial

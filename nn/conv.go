@@ -70,9 +70,7 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	c.x = x
 	outHW := c.shape.OutH() * c.shape.OutW()
-	if c.y == nil || c.y.Rows != x.Rows {
-		c.y = tensor.New(x.Rows, c.OutLen())
-	}
+	c.y = tensor.Reuse(c.y, x.Rows, c.OutLen())
 	if c.cols == nil {
 		patch := c.shape.PatchLen()
 		c.cols = tensor.New(patch, outHW)
@@ -101,9 +99,7 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	outHW := c.shape.OutH() * c.shape.OutW()
-	if c.dx == nil || c.dx.Rows != dout.Rows {
-		c.dx = tensor.New(dout.Rows, c.shape.InC*c.shape.InH*c.shape.InW)
-	}
+	c.dx = tensor.Reuse(c.dx, dout.Rows, c.shape.InC*c.shape.InH*c.shape.InW)
 	c.dx.Zero()
 	dOutS, dW, dCols := c.dOut, c.dW, c.dCols
 	for s := 0; s < dout.Rows; s++ {

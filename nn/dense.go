@@ -50,9 +50,7 @@ func (d *Dense) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", d.name, d.in, x.Cols))
 	}
 	d.x = x
-	if d.y == nil || d.y.Rows != x.Rows {
-		d.y = tensor.New(x.Rows, d.out)
-	}
+	d.y = tensor.Reuse(d.y, x.Rows, d.out)
 	tensor.MatMulAddBias(d.y, x, d.w.Value, d.b.Value)
 	return d.y
 }
@@ -74,9 +72,7 @@ func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	// dx = dout · Wᵀ
-	if d.dx == nil || d.dx.Rows != dout.Rows {
-		d.dx = tensor.New(dout.Rows, d.in)
-	}
+	d.dx = tensor.Reuse(d.dx, dout.Rows, d.in)
 	tensor.MatMulTransB(d.dx, dout, d.w.Value)
 	return d.dx
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/rng"
 	"repro/tensor"
@@ -35,10 +36,8 @@ func (d *Dropout) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if d.y == nil || d.y.Rows != x.Rows || d.y.Cols != x.Cols {
-		d.y = tensor.New(x.Rows, x.Cols)
-		d.mask = make([]float32, x.Len())
-	}
+	d.y = tensor.Reuse(d.y, x.Rows, x.Cols)
+	d.mask = slices.Grow(d.mask[:0], x.Len())[:x.Len()]
 	if !train || d.p == 0 {
 		copy(d.y.Data, x.Data)
 		for i := range d.mask {
@@ -61,9 +60,7 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (d *Dropout) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if d.dx == nil || d.dx.Rows != dout.Rows || d.dx.Cols != dout.Cols {
-		d.dx = tensor.New(dout.Rows, dout.Cols)
-	}
+	d.dx = tensor.Reuse(d.dx, dout.Rows, dout.Cols)
 	for i, g := range dout.Data {
 		d.dx.Data[i] = g * d.mask[i]
 	}

@@ -27,9 +27,7 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Matrix, labels []int) float
 	if len(labels) != logits.Rows {
 		panic(fmt.Sprintf("nn: %d labels for %d logits rows", len(labels), logits.Rows))
 	}
-	if l.probs == nil || l.probs.Rows != logits.Rows || l.probs.Cols != logits.Cols {
-		l.probs = tensor.New(logits.Rows, logits.Cols)
-	}
+	l.probs = tensor.Reuse(l.probs, logits.Rows, logits.Cols)
 	var loss float64
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)
@@ -63,9 +61,7 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Matrix, labels []int) float
 // Backward returns the gradient of the mean loss with respect to the
 // logits: (softmax − onehot)/batch.
 func (l *SoftmaxCrossEntropy) Backward(labels []int) *tensor.Matrix {
-	if l.dx == nil || l.dx.Rows != l.probs.Rows || l.dx.Cols != l.probs.Cols {
-		l.dx = tensor.New(l.probs.Rows, l.probs.Cols)
-	}
+	l.dx = tensor.Reuse(l.dx, l.probs.Rows, l.probs.Cols)
 	inv := 1 / float32(l.probs.Rows)
 	for i := 0; i < l.probs.Rows; i++ {
 		p := l.probs.Row(i)

@@ -168,28 +168,30 @@ func (l *LSTM) ensureCaches(batch int) {
 	if len(l.xs) == l.t && l.xs[0].Rows == batch {
 		return
 	}
-	l.xs = make([]*tensor.Matrix, l.t)
-	l.gi = make([]*tensor.Matrix, l.t)
-	l.gf = make([]*tensor.Matrix, l.t)
-	l.gg = make([]*tensor.Matrix, l.t)
-	l.go_ = make([]*tensor.Matrix, l.t)
-	l.tanhC = make([]*tensor.Matrix, l.t)
-	l.hs = make([]*tensor.Matrix, l.t+1)
-	l.cs = make([]*tensor.Matrix, l.t+1)
+	if len(l.xs) != l.t {
+		l.xs = make([]*tensor.Matrix, l.t)
+		l.gi = make([]*tensor.Matrix, l.t)
+		l.gf = make([]*tensor.Matrix, l.t)
+		l.gg = make([]*tensor.Matrix, l.t)
+		l.go_ = make([]*tensor.Matrix, l.t)
+		l.tanhC = make([]*tensor.Matrix, l.t)
+		l.hs = make([]*tensor.Matrix, l.t+1)
+		l.cs = make([]*tensor.Matrix, l.t+1)
+		l.dwx, l.dwh = tensor.New(l.d, 4*l.h), tensor.New(l.h, 4*l.h)
+	}
 	for t := 0; t < l.t; t++ {
-		l.xs[t] = tensor.New(batch, l.d)
-		l.gi[t] = tensor.New(batch, l.h)
-		l.gf[t] = tensor.New(batch, l.h)
-		l.gg[t] = tensor.New(batch, l.h)
-		l.go_[t] = tensor.New(batch, l.h)
-		l.tanhC[t] = tensor.New(batch, l.h)
+		l.xs[t] = tensor.Reuse(l.xs[t], batch, l.d)
+		l.gi[t] = tensor.Reuse(l.gi[t], batch, l.h)
+		l.gf[t] = tensor.Reuse(l.gf[t], batch, l.h)
+		l.gg[t] = tensor.Reuse(l.gg[t], batch, l.h)
+		l.go_[t] = tensor.Reuse(l.go_[t], batch, l.h)
+		l.tanhC[t] = tensor.Reuse(l.tanhC[t], batch, l.h)
 	}
 	for t := 0; t <= l.t; t++ {
-		l.hs[t] = tensor.New(batch, l.h)
-		l.cs[t] = tensor.New(batch, l.h)
+		l.hs[t] = tensor.Reuse(l.hs[t], batch, l.h)
+		l.cs[t] = tensor.Reuse(l.cs[t], batch, l.h)
 	}
-	l.z, l.zh, l.dz = tensor.New(batch, 4*l.h), tensor.New(batch, 4*l.h), tensor.New(batch, 4*l.h)
-	l.dh, l.dc, l.dhPrev = tensor.New(batch, l.h), tensor.New(batch, l.h), tensor.New(batch, l.h)
-	l.dxt, l.dx = tensor.New(batch, l.d), tensor.New(batch, l.t*l.d)
-	l.dwx, l.dwh = tensor.New(l.d, 4*l.h), tensor.New(l.h, 4*l.h)
+	l.z, l.zh, l.dz = tensor.Reuse(l.z, batch, 4*l.h), tensor.Reuse(l.zh, batch, 4*l.h), tensor.Reuse(l.dz, batch, 4*l.h)
+	l.dh, l.dc, l.dhPrev = tensor.Reuse(l.dh, batch, l.h), tensor.Reuse(l.dc, batch, l.h), tensor.Reuse(l.dhPrev, batch, l.h)
+	l.dxt, l.dx = tensor.Reuse(l.dxt, batch, l.d), tensor.Reuse(l.dx, batch, l.t*l.d)
 }

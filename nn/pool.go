@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/tensor"
 )
@@ -50,10 +51,8 @@ func (p *MaxPool2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	oh, ow := p.OutH(), p.OutW()
 	outLen := p.OutLen()
-	if p.y == nil || p.y.Rows != x.Rows {
-		p.y = tensor.New(x.Rows, outLen)
-		p.argmax = make([]int32, x.Rows*outLen)
-	}
+	p.y = tensor.Reuse(p.y, x.Rows, outLen)
+	p.argmax = slices.Grow(p.argmax[:0], x.Rows*outLen)[:x.Rows*outLen]
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
 		out := p.y.Row(s)
@@ -87,9 +86,7 @@ func (p *MaxPool2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if p.dx == nil || p.dx.Rows != dout.Rows {
-		p.dx = tensor.New(dout.Rows, p.c*p.h*p.w)
-	}
+	p.dx = tensor.Reuse(p.dx, dout.Rows, p.c*p.h*p.w)
 	p.dx.Zero()
 	outLen := p.OutLen()
 	for s := 0; s < dout.Rows; s++ {
@@ -130,9 +127,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	if x.Cols != g.c*hw {
 		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", g.name, g.c*hw, x.Cols))
 	}
-	if g.y == nil || g.y.Rows != x.Rows {
-		g.y = tensor.New(x.Rows, g.c)
-	}
+	g.y = tensor.Reuse(g.y, x.Rows, g.c)
 	inv := 1 / float32(hw)
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
@@ -152,9 +147,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	hw := g.h * g.w
-	if g.dx == nil || g.dx.Rows != dout.Rows {
-		g.dx = tensor.New(dout.Rows, g.c*hw)
-	}
+	g.dx = tensor.Reuse(g.dx, dout.Rows, g.c*hw)
 	inv := 1 / float32(hw)
 	for s := 0; s < dout.Rows; s++ {
 		dIn := g.dx.Row(s)

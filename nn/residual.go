@@ -46,9 +46,7 @@ func (r *Residual) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: residual %s body changed shape %dx%d -> %dx%d",
 			r.name, x.Rows, x.Cols, h.Rows, h.Cols))
 	}
-	if r.y == nil || r.y.Rows != x.Rows || r.y.Cols != x.Cols {
-		r.y = tensor.New(x.Rows, x.Cols)
-	}
+	r.y = tensor.Reuse(r.y, x.Rows, x.Cols)
 	r.y.CopyFrom(h)
 	r.y.Add(x)
 	return r.y
@@ -60,9 +58,7 @@ func (r *Residual) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	for i := len(r.body) - 1; i >= 0; i-- {
 		d = r.body[i].Backward(d)
 	}
-	if r.dx == nil || r.dx.Rows != dout.Rows || r.dx.Cols != dout.Cols {
-		r.dx = tensor.New(dout.Rows, dout.Cols)
-	}
+	r.dx = tensor.Reuse(r.dx, dout.Rows, dout.Cols)
 	r.dx.CopyFrom(d)
 	r.dx.Add(dout)
 	return r.dx

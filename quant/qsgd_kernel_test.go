@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -36,6 +37,23 @@ func forEachKernelConfig(fn func(q QSGD)) {
 				}
 			}
 		}
+	}
+}
+
+// forEachPath runs fn once per encoder path this machine has: the AVX2
+// kernels of qsgd_amd64.s when the CPU has them, then the portable
+// loops, with quant's switch set accordingly and restored afterwards.
+func forEachPath(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	for _, avx2 := range []bool{true, false} {
+		if avx2 && !useAVX2 {
+			continue
+		}
+		t.Run(fmt.Sprintf("avx2=%v", avx2), func(t *testing.T) {
+			defer func(was bool) { useAVX2 = was }(useAVX2)
+			useAVX2 = avx2
+			fn(t)
+		})
 	}
 }
 
@@ -126,8 +144,12 @@ func assertKernelParity(t *testing.T, q QSGD, label string, enc Encoder, ref *re
 // TestQSGDKernelParity: every configuration, over every input class
 // and length, three consecutive Encode calls on one stream (the stream
 // position after a call is part of the contract) and a Reseed between
-// rounds.
+// rounds, on each path.
 func TestQSGDKernelParity(t *testing.T) {
+	forEachPath(t, testQSGDKernelParity)
+}
+
+func testQSGDKernelParity(t *testing.T) {
 	forEachKernelConfig(func(q QSGD) {
 		for _, n := range kernelLengths(q.bucket) {
 			shape := Shape{Rows: 1, Cols: n}
@@ -180,8 +202,12 @@ func TestQSGDDecodeParityOnArbitraryWire(t *testing.T) {
 // the same stream as rng.RNG — one Float64 per element with 0 < x < s,
 // none for zeros, the bucket maximum or a zero-scale bucket — so the
 // encoder's position after Encode equals that of an rng.RNG advanced by
-// the same number of draws.
+// the same number of draws. On each path.
 func TestQSGDKernelDrawsMatchRNG(t *testing.T) {
+	forEachPath(t, testQSGDKernelDrawsMatchRNG)
+}
+
+func testQSGDKernelDrawsMatchRNG(t *testing.T) {
 	const seed = 99
 	// Bucket 0: maximum 4 plus three interior values and two zeros (3
 	// draws). Bucket 1: all zero (0 draws). Bucket 2, ragged: the
@@ -230,42 +256,52 @@ func FuzzQSGDKernelParity(f *testing.F) {
 	f.Add(uint64(3), []byte{255, 255, 127, 127, 1, 0, 0, 0, 0, 0, 0, 128, 255, 255, 255, 255, 9, 9, 9})
 	f.Add(uint64(4), bytes.Repeat([]byte{0xcd, 0xcc, 0x4c, 0x3e, 0xcd, 0xcc, 0x4c, 0xbe}, 40))
 	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
-		n := len(raw) / 4
+		src := fuzzFloats(raw)
+		n := len(src)
 		if n == 0 || n > 4096 {
 			return
 		}
-		src := make([]float32, n)
 		finite := true
-		for i := range src {
-			b := uint32(raw[4*i]) | uint32(raw[4*i+1])<<8 | uint32(raw[4*i+2])<<16 | uint32(raw[4*i+3])<<24
-			src[i] = math.Float32frombits(b)
-			if b&0x7f800000 == 0x7f800000 {
+		for _, v := range src {
+			if math.IsInf(float64(v), 0) || v != v {
 				finite = false
 			}
 		}
 		shape := Shape{Rows: 1, Cols: n}
 		bits := kernelBits[seed%4]
 		bucket := []int{1, 5, 16, 512}[seed>>2%4]
-		for _, scheme := range kernelSchemes {
-			for _, norm := range kernelNorms {
-				q := NewQSGDScheme(bits, bucket, norm, scheme)
-				enc := q.NewEncoder(n, shape, seed)
-				if finite {
-					ref := newRefQSGDEncoder(q, n, shape, seed)
-					assertKernelParity(t, q, "fuzz", enc, ref, src)
-					assertKernelParity(t, q, "fuzz second call", enc, ref, src)
-					continue
-				}
-				wire := enc.Encode(src)
-				if len(wire) != q.EncodedBytes(n, shape) {
-					t.Fatalf("%s: wire length %d, want %d", q.Name(), len(wire), q.EncodedBytes(n, shape))
-				}
-				if err := q.Decode(wire, n, shape, make([]float32, n)); err != nil {
-					t.Fatalf("%s: decode of own wire: %v", q.Name(), err)
+		forEachPath(t, func(t *testing.T) {
+			for _, scheme := range kernelSchemes {
+				for _, norm := range kernelNorms {
+					q := NewQSGDScheme(bits, bucket, norm, scheme)
+					enc := q.NewEncoder(n, shape, seed)
+					if finite {
+						ref := newRefQSGDEncoder(q, n, shape, seed)
+						assertKernelParity(t, q, "fuzz", enc, ref, src)
+						assertKernelParity(t, q, "fuzz second call", enc, ref, src)
+						continue
+					}
+					wire := enc.Encode(src)
+					if len(wire) != q.EncodedBytes(n, shape) {
+						t.Fatalf("%s: wire length %d, want %d", q.Name(), len(wire), q.EncodedBytes(n, shape))
+					}
+					if err := q.Decode(wire, n, shape, make([]float32, n)); err != nil {
+						t.Fatalf("%s: decode of own wire: %v", q.Name(), err)
+					}
 				}
 			}
-		}
+		})
 	})
+}
+
+// fuzzFloats reads raw as little-endian float32 bits, ignoring a
+// partial last word.
+func fuzzFloats(raw []byte) []float32 {
+	src := make([]float32, len(raw)/4)
+	for i := range src {
+		src[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return src
 }
 
 var updateGolden = flag.Bool("update", false, "rewrite quant/testdata/qsgd_wire.golden")
@@ -276,6 +312,10 @@ var updateGolden = flag.Bool("update", false, "rewrite quant/testdata/qsgd_wire.
 // together. Regenerate with `go test ./quant -run Golden -update` only
 // in a PR that says it changes QSGD arithmetic.
 func TestQSGDWireGolden(t *testing.T) {
+	forEachPath(t, testQSGDWireGolden)
+}
+
+func testQSGDWireGolden(t *testing.T) {
 	const path = "testdata/qsgd_wire.golden"
 	var got strings.Builder
 	forEachKernelConfig(func(q QSGD) {

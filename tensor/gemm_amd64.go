@@ -1,9 +1,19 @@
 package tensor
 
-// useAVX2 routes the three GEMM entry points through the kernels in
-// gemm_amd64.s. It is decided once, here; tests flip it to run the
-// portable loops on the same machine.
-var useAVX2 = detectAVX2()
+// hasAVX2 is the CPU probe, run once. useAVX2 routes the three GEMM
+// entry points through the kernels in gemm_amd64.s; it starts as the
+// probe says and tests flip it to run the portable loops on the same
+// machine.
+var (
+	hasAVX2 = detectAVX2()
+	useAVX2 = hasAVX2
+)
+
+// HasAVX2 reports whether the CPU has AVX2 and the OS saves its
+// registers: the probe this package's kernels are chosen by, for other
+// packages' kernels to share. It does not follow the package's test
+// switch.
+func HasAVX2() bool { return hasAVX2 }
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // state across context switches (CPUID alone does not say the latter).

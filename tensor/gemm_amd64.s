@@ -72,7 +72,7 @@ strip16:
 	MOVQ BX, DX
 	MOVQ k+56(FP), CX
 
-	PCALIGN $32
+	PCALIGN $64
 loop16:
 	// A strip walks down b one cache line per row, a stride the hardware
 	// prefetchers lose once it nears a page; 8 rows ahead is worth 1.4x
@@ -123,7 +123,7 @@ strip8go:
 	MOVQ BX, DX
 	MOVQ k+56(FP), CX
 
-	PCALIGN $32
+	PCALIGN $64
 loop8:
 	VMOVUPS (DX), Y8
 	ROW1((AX), Y8, Y4, Y0)
@@ -218,7 +218,7 @@ tbgo:
 	MOVQ k+48(FP), CX
 	SUBQ $4, CX
 
-	PCALIGN $32
+	PCALIGN $64
 tbloop:
 	LOADT
 	STEPT(0, Y7)

@@ -44,7 +44,11 @@
 // neighbours. Kernels run VZEROUPPER before every return, so the SSE
 // code around them pays no transition penalty, and align their loops
 // themselves (PCALIGN), so their speed does not depend on where the
-// linker happens to put them. Assembly is never preempted asynchronously;
+// linker happens to put them. The GEMM loops align to 64 bytes, which
+// also makes the linker align those functions to 64: at 32, text added
+// elsewhere in a binary could move their heads between the two halves
+// of a cache line, a change of speed no change of theirs explains.
+// Assembly is never preempted asynchronously;
 // one call is bounded by one panel, 8·k·n flops — about 0.1 ms at the
 // largest layer here (k=1024, n=512).
 //
@@ -67,6 +71,14 @@
 // explicit float32 conversion, which forbids the compiler to fuse it
 // with the following add — arm64 otherwise would — so every
 // architecture computes the same bits (scripts/check_nofma.sh).
+//
+// MaxAbs, a reduction, keeps the same rule by being order-free: the
+// largest of non-negative, non-NaN values is one value whichever lane
+// finds it, and a NaN is skipped by the kernel's VMAXPS exactly as by
+// the loop's comparison. HasAVX2 exports the CPU probe for the QSGD
+// kernels in quant, which keep their own test switch. Every kernel is
+// VEX-encoded throughout (scripts/check_vex.sh): one legacy-SSE
+// instruction among them costs an SSE/AVX transition per call.
 package tensor
 
 import (
@@ -90,6 +102,21 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+}
+
+// Reuse returns m reshaped to rows×cols over its own storage when that
+// holds rows·cols elements, and a new zeroed matrix otherwise (also for
+// a nil m). Layer scratch kept this way grows to the largest batch it
+// has seen and is resliced, not reallocated, for smaller ones. A reused
+// matrix holds whatever it held: the caller overwrites or zeroes every
+// element. Its header changes in place, so nothing may keep m and
+// expect its old shape.
+func Reuse(m *Matrix, rows, cols int) *Matrix {
+	if m == nil || rows < 0 || cols < 0 || cap(m.Data) < rows*cols {
+		return New(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
 }
 
 // FromSlice wraps data as a rows×cols matrix without copying. It panics if

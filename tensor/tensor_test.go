@@ -250,3 +250,28 @@ func TestSumFloat64Accumulation(t *testing.T) {
 		t.Fatalf("Sum drifted: %v", got)
 	}
 }
+
+// TestReuse: a nil or too small matrix is replaced by a new zeroed one;
+// one whose storage is large enough is reshaped in place over it.
+func TestReuse(t *testing.T) {
+	m := Reuse(nil, 4, 3)
+	if m.Rows != 4 || m.Cols != 3 || len(m.Data) != 12 {
+		t.Fatalf("Reuse(nil, 4, 3) is %dx%d with %d elements", m.Rows, m.Cols, len(m.Data))
+	}
+	m.Data[0] = 7
+	if s := Reuse(m, 2, 5); s != m || s.Rows != 2 || s.Cols != 5 || len(s.Data) != 10 || &s.Data[0] != &m.Data[0] {
+		t.Fatalf("shrinking did not reshape in place: %p %dx%d len %d, was %p", s, s.Rows, s.Cols, len(s.Data), m)
+	}
+	if g := Reuse(m, 4, 3); g != m || len(g.Data) != 12 || g.Data[0] != 7 {
+		t.Fatalf("growing back within capacity reallocated or lost the storage")
+	}
+	if g := Reuse(m, 5, 3); g == m || len(g.Data) != 15 || g.Data[0] != 0 {
+		t.Fatalf("growing past capacity did not allocate a new zeroed matrix")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("negative dimensions accepted")
+		}
+	}()
+	Reuse(m, -2, -3)
+}

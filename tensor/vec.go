@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The vector kernels: element-wise updates over float32 slices, each
 // element computed by the same separately rounded IEEE float32
@@ -54,6 +57,16 @@ func MomentumStep(w, v, g []float32, a, mu, eta, lambda float32) {
 	momentumDecayGo(w[n:], v[n:], g[n:], a, mu, eta, lambda)
 }
 
+// MaxAbs returns the largest |x[i]|, or 0 for an empty slice. An
+// element is taken iff |x[i]| > the maximum so far, so a NaN is never
+// taken; the kernel's VMAXPS makes that same comparison per lane, and
+// the largest of non-negative, non-NaN values is one value whichever
+// order the lanes visit them in.
+func MaxAbs(x []float32) float32 {
+	n, m := maxAbsAsm(x)
+	return maxAbsGo(x[n:], m)
+}
+
 // The portable loops. The float32 conversion around each product is
 // what the language offers to forbid fusing it with the following add
 // or subtract (arm64 would otherwise emit FMADDS/FMSUBS).
@@ -69,6 +82,17 @@ func scaleGo(x []float32, a float32) {
 	for i := range x {
 		x[i] *= a
 	}
+}
+
+// maxAbsGo returns the largest of m and every |x[i]|.
+func maxAbsGo(x []float32, m float32) float32 {
+	for _, v := range x {
+		// |v| by clearing the sign bit.
+		if a := math.Float32frombits(math.Float32bits(v) &^ (1 << 31)); a > m {
+			m = a
+		}
+	}
+	return m
 }
 
 func momentumGo(w, v, g []float32, a, mu, eta float32) {

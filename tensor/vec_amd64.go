@@ -6,6 +6,9 @@ package tensor
 const vecChunk = 1 << 16
 
 //go:noescape
+func maxAbsAVX2(x *float32, n uintptr) float32
+
+//go:noescape
 func addAVX2(dst, src *float32, n uintptr)
 
 //go:noescape
@@ -36,6 +39,17 @@ func addAsm(dst, src []float32) int {
 		addAVX2(&dst[i], &src[i], uintptr(min(vecChunk, n-i)))
 	}
 	return n
+}
+
+// maxAbsAsm returns the length of the body of x it took and the
+// largest |x[i]| in it (0 for none).
+func maxAbsAsm(x []float32) (int, float32) {
+	n := vecBody(len(x))
+	var m float32
+	for i := 0; i < n; i += vecChunk {
+		m = max(m, maxAbsAVX2(&x[i], uintptr(min(vecChunk, n-i))))
+	}
+	return n, m
 }
 
 func scaleAsm(x []float32, a float32) int {

@@ -187,3 +187,58 @@ scale8:
 scaledone:
 	VZEROUPPER
 	RET
+
+// MAXABS8 folds |the 8 floats at off(DI)| into the accumulator A: each
+// lane keeps a > acc ? a : acc (VMAXPS returns its second source when
+// the comparison fails, a NaN included). Y15 holds the abs mask.
+#define MAXABS8(off, T, A) \
+	VANDPS off(DI), Y15, T \
+	VMAXPS A, T, A
+
+// func maxAbsAVX2(x *float32, n uintptr) float32
+TEXT ·maxAbsAVX2(SB), NOSPLIT, $0-20
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), CX
+	MOVL         $0x7fffffff, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+	VXORPS       Y0, Y0, Y0
+	VXORPS       Y1, Y1, Y1
+	VXORPS       Y2, Y2, Y2
+	VXORPS       Y3, Y3, Y3
+
+	PCALIGN $32
+max32:
+	CMPQ CX, $32
+	JLT  max8
+	MAXABS8(0, Y4, Y0)
+	MAXABS8(32, Y5, Y1)
+	MAXABS8(64, Y6, Y2)
+	MAXABS8(96, Y7, Y3)
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP  max32
+
+max8:
+	TESTQ CX, CX
+	JZ    maxdone
+	MAXABS8(0, Y4, Y0)
+	ADDQ  $32, DI
+	SUBQ  $8, CX
+	JMP   max8
+
+	// The accumulators hold no NaN and no −0, so folding them in any
+	// order gives the same value.
+maxdone:
+	VMAXPS       Y1, Y0, Y0
+	VMAXPS       Y3, Y2, Y2
+	VMAXPS       Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPS       X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VMAXPS       X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VMAXPS       X1, X0, X0
+	VMOVSS       X0, ret+16(FP)
+	VZEROUPPER
+	RET

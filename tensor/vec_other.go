@@ -7,6 +7,8 @@ package tensor
 
 func addAsm([]float32, []float32) int { return 0 }
 
+func maxAbsAsm([]float32) (int, float32) { return 0, 0 }
+
 func scaleAsm([]float32, float32) int { return 0 }
 
 func momentumAsm(_, _, _ []float32, _, _, _ float32) int { return 0 }

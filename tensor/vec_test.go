@@ -148,6 +148,55 @@ func TestVecParity(t *testing.T) {
 	}
 }
 
+// TestMaxAbsParity holds MaxAbs to its portable loop on float bits:
+// every tail length at four alignments, NaN and ±Inf among the
+// operands (a NaN must be skipped, an Inf is the maximum), and lengths
+// past one block and across the dispatcher's chunk boundary.
+func TestMaxAbsParity(t *testing.T) {
+	for _, avx2 := range []bool{true, false} {
+		if avx2 && !useAVX2 {
+			continue
+		}
+		t.Run(fmt.Sprintf("avx2=%v", avx2), func(t *testing.T) {
+			defer func(was bool) { useAVX2 = was }(useAVX2)
+			useAVX2 = avx2
+			r := rng.New(12)
+			check := func(x []float32) {
+				t.Helper()
+				got, want := MaxAbs(x), maxAbsGo(x, 0)
+				if !sameBits(got, want) || got != got {
+					t.Fatalf("n=%d: MaxAbs = %v (%#08x), portable %v (%#08x)", len(x), got, math.Float32bits(got), want, math.Float32bits(want))
+				}
+			}
+			for n := 0; n <= 40; n++ {
+				for off := 0; off < 4; off++ {
+					for flavour := 0; flavour < numFlavours; flavour++ {
+						x, _, _ := vecOperands(r, n, off, flavour, flavour%2 == 0)
+						check(x)
+						// The maximum in every position, once as a NaN's
+						// neighbour.
+						for i := range x {
+							y := clone(x)
+							y[i] = -7e37
+							check(y)
+						}
+					}
+				}
+			}
+			for _, n := range []int{1000, 1 << 16, 1<<16 + 8, 1<<17 + 13} {
+				x, _, _ := vecOperands(r, n, 1, flavNormal, true)
+				check(x)
+				nan := make([]float32, n)
+				for i := range nan {
+					nan[i] = float32(math.NaN())
+				}
+				nan[n-9] = -2
+				check(nan)
+			}
+		})
+	}
+}
+
 // TestMomentumStepZeroDecayKeepsSigns pins why λ = 0 is its own loop:
 // adding 0·w would turn a −0 gradient into +0 and, against an infinite
 // weight, into NaN.
