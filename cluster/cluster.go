@@ -25,8 +25,9 @@
 //
 // The result is a Session: rank, world size, negotiated policy and a
 // ready Transport. repro/lpsgd exposes it as
-// lpsgd.WithCluster(addr, rank, world), and cmd/lpsgd-worker is the
-// process you actually launch.
+// lpsgd.WithCluster(addr, rank, world); the process you actually
+// launch is cmd/lpsgd-worker, or lpsgd-train -cluster N on one
+// machine, both running a rank through cmd/internal/worker.
 package cluster
 
 import (
@@ -108,7 +109,9 @@ func (c Config) timeout() time.Duration {
 	return defaultTimeout
 }
 
-func (c Config) validate() error {
+// Validate checks the configuration without opening a socket, as
+// NewCoordinator, Join and Rejoin do before theirs.
+func (c Config) Validate() error {
 	if c.World <= 0 {
 		return fmt.Errorf("cluster: world size must be positive, got %d", c.World)
 	}
@@ -211,7 +214,7 @@ func (s *Session) Close() error {
 // NewCoordinator first to learn the bound address before spawning the
 // other ranks.
 func Join(cfg Config) (*Session, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Rank == 0 {
@@ -236,7 +239,7 @@ type Coordinator struct {
 // starts listening on cfg.Addr immediately, so workers spawned after it
 // returns can never hit connection-refused.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Rank != 0 {

@@ -46,36 +46,95 @@ func TestThreeProcessClusterTrainingMixedPolicy(t *testing.T) {
 		policy)
 }
 
-// buildWorker compiles cmd/lpsgd-worker into a temp dir and returns
-// the binary path, skipping the test when no toolchain is available.
+// TestThreeProcessClusterTrainingNCCL is the same acceptance test over
+// the quantised NCCL ring: every hop re-quantises the partial sum it
+// forwards, and the ranks must still end with identical digests.
+func TestThreeProcessClusterTrainingNCCL(t *testing.T) {
+	runThreeProcessCluster(t,
+		[]string{"qsgd4b512", "qsgd4b512,1bit", "qsgd4b512"},
+		"qsgd4b512", "-nccl")
+}
+
+// TestForkedClusterTraining drives the cluster through lpsgd-train
+// -cluster: rank 0 coordinates and forks the other ranks into the
+// lpsgd-worker code path, and all three must exit 0 with one model
+// digest under the quantised ring.
+func TestForkedClusterTraining(t *testing.T) {
+	bin := buildCmd(t, "lpsgd-train")
+	cmd := exec.Command(bin, "-task", "image", "-policy", "qsgd4", "-nccl", "-cluster", "3",
+		"-epochs", "2", "-batch", "24", "-train-samples", "96", "-test-samples", "48")
+	out, err := cmd.Output()
+	if err != nil {
+		if ee, ok := err.(*exec.ExitError); ok {
+			err = fmt.Errorf("%w\n%s", err, ee.Stderr)
+		}
+		t.Fatalf("lpsgd-train -cluster 3: %v\n%s", err, out)
+	}
+	models := map[string]string{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if !strings.HasPrefix(line, "rank=") {
+			continue
+		}
+		kv := map[string]string{}
+		for _, field := range strings.Fields(line) {
+			if k, v, ok := strings.Cut(field, "="); ok {
+				kv[k] = v
+			}
+		}
+		if kv["codec"] != "qsgd4b512" || kv["world"] != "3" {
+			t.Errorf("summary line %q: want codec=qsgd4b512 world=3", line)
+		}
+		models[kv["rank"]] = kv["model"]
+	}
+	if len(models) != 3 {
+		t.Fatalf("summary lines from ranks %v, want 0, 1 and 2:\n%s", models, out)
+	}
+	for rank, model := range models {
+		if model == "" || model != models["0"] {
+			t.Errorf("rank %s model %q differs from rank 0's %q — replicas diverged", rank, model, models["0"])
+		}
+	}
+}
+
+// buildWorker compiles cmd/lpsgd-worker; see buildCmd.
 func buildWorker(t *testing.T) string {
+	t.Helper()
+	return buildCmd(t, "lpsgd-worker")
+}
+
+// buildCmd compiles cmd/<name> into a temp dir and returns the binary
+// path, skipping the test when no toolchain is available.
+func buildCmd(t *testing.T, name string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("multi-process smoke test skipped in -short mode")
 	}
 	goTool, err := exec.LookPath("go")
 	if err != nil {
-		t.Skip("go toolchain not available to build the worker binary")
+		t.Skip("go toolchain not available to build the binary")
 	}
-	bin := filepath.Join(t.TempDir(), "lpsgd-worker")
-	build := exec.Command(goTool, "build", "-o", bin, "repro/cmd/lpsgd-worker")
+	bin := filepath.Join(t.TempDir(), name)
+	build := exec.Command(goTool, "build", "-o", bin, "repro/cmd/"+name)
 	build.Env = os.Environ()
 	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building lpsgd-worker: %v\n%s", err, out)
+		t.Fatalf("building %s: %v\n%s", name, err, out)
 	}
 	return bin
 }
 
-func runThreeProcessCluster(t *testing.T, accepts []string, wantPolicy string) {
+// runThreeProcessCluster launches three lpsgd-worker ranks advertising
+// accepts[rank], each with the extra flags, and asserts they negotiate
+// wantPolicy and end with one model digest.
+func runThreeProcessCluster(t *testing.T, accepts []string, wantPolicy string, extra ...string) {
 	t.Helper()
 	bin := buildWorker(t)
 
 	const world = 3
-	common := []string{
+	common := append([]string{
 		"-world", fmt.Sprint(world),
 		"-task", "image", "-epochs", "2", "-batch", "24",
 		"-train-samples", "96", "-test-samples", "48", "-seed", "41",
-	}
+	}, extra...)
 
 	// Rank 0 coordinates on an ephemeral port and prints the bound
 	// address on its first stdout line.

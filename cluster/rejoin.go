@@ -432,7 +432,7 @@ func transferState(fabric *comm.RemoteFabric, rank int, steps []int64, local ela
 // the cluster's failure-detection timeout, since the barrier only opens
 // once the survivors reach their verdict.
 func Rejoin(cfg Config) (*Session, *elastic.Snapshot, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if cfg.Rank == 0 {

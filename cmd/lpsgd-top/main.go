@@ -9,7 +9,7 @@
 // norms, live quantisation RMSE and achieved compression under the
 // negotiated precision policy.
 //
-//	lpsgd-train -task image -codec qsgd4 -cluster 3 \
+//	lpsgd-train -task image -policy qsgd4 -cluster 3 \
 //	    -telemetry-every 10 -metrics-addr 127.0.0.1:9090 &
 //	lpsgd-top -addr 127.0.0.1:9090
 //

@@ -1,61 +1,37 @@
 // Command lpsgd-train runs real quantised data-parallel training on one
 // of the synthetic tasks and reports accuracy per epoch — the
 // reproduction's equivalent of launching a CNTK training job with a
-// chosen gradient precision.
+// chosen gradient precision:
 //
-// Examples:
-//
-//	lpsgd-train -task image -codec qsgd4 -workers 8 -epochs 20
-//	lpsgd-train -task sequence -codec 1bit -workers 2 -nccl
+//	lpsgd-train -task image -policy qsgd4 -workers 8 -epochs 20
+//	lpsgd-train -task sequence -policy 1bit -workers 2 -nccl
 //	lpsgd-train -task image -policy "qsgd4b512;*.b=32bit" -workers 4
 //
-// -policy accepts the full precision-policy grammar (quant.ParsePolicy):
-// base codec, small-matrix exemption target, and per-tensor pattern
-// rules; it supersedes -codec when both are given. -save writes the
-// trained model as an nn checkpoint and -load warm-starts from one; in
-// cluster mode the same checkpoint is loaded by every forked rank, so
-// the replica invariant holds from the first exchange.
+// -policy takes the precision-policy grammar (quant.ParsePolicy; a bare
+// codec name is a policy, empty means 32bit). The training flags are
+// declared once, in cmd/internal/worker, and cmd/lpsgd-worker takes the
+// same ones; the README's flag tables are rendered from them.
 //
 // With -cluster N the run becomes a single-machine multi-process smoke
-// test of the cluster runtime: this process is rank 0 and coordinator,
-// and it forks N−1 copies of itself as worker processes that join the
-// rendezvous, negotiate the codec, and train over the dialled TCP
-// mesh (for real multi-machine runs, launch cmd/lpsgd-worker on each
-// host instead):
+// test of the cluster runtime (for real multi-machine runs, launch
+// cmd/lpsgd-worker on each host instead):
 //
-//	lpsgd-train -task image -codec qsgd4 -cluster 3 -epochs 6
+//	lpsgd-train -task image -policy qsgd4 -cluster 3 -epochs 6
 //
-// -metrics-addr serves the observability plane over HTTP (/metrics in
-// Prometheus text format, /debug/vars, /debug/pprof, /trace as JSONL)
-// and -trace-out appends the step-phase trace to a file for offline
-// comparison against the simulator via cmd/lpsgd-trace. Neither flag
-// is forwarded to forked cluster workers (they would collide on the
-// port or interleave in the file); rank 0's plane observes its own
-// ranks only.
+// This process is rank 0 and coordinator, and it forks N−1 ranks that
+// run lpsgd-worker's code path as
 //
-// -telemetry-every N samples convergence telemetry (step loss,
-// per-tensor gradient norms, live quantisation RMSE and compression
-// of the negotiated policy) every N steps. Unlike the plane flags it
-// IS forwarded to forked workers: each rank broadcasts its snapshots
-// over the heartbeat control links, rank 0 aggregates the whole
-// cluster, and with -metrics-addr the view is served at
-// /cluster/metrics and /cluster/status. Watch it live:
+//	lpsgd-train worker -coordinator <addr> -rank r -world N [-rejoin] <training flags>
 //
-//	lpsgd-train -task image -codec qsgd4 -cluster 3 \
-//	    -telemetry-every 10 -metrics-addr 127.0.0.1:9090 &
-//	lpsgd-top -addr 127.0.0.1:9090
-//
-// Cluster runs carry a health plane: -heartbeat/-heartbeat-timeout
-// tune the failure detector (a dead rank aborts every survivor with a
-// typed verdict instead of hanging the mesh), and -step-deadline
-// bounds one synchronous step's wall time. With -rejoin-window the
-// cluster is additionally elastic: when a forked rank dies, the
-// supervisor in this process re-forks it with the internal
-// -cluster-rejoin flag, the replacement re-enters the session through
-// the rendezvous rejoin barrier and receives the training state from a
-// surviving donor, and the run completes as if nothing happened. See
-// cmd/lpsgd-worker for the exit-code contract external supervisors can
-// build on.
+// with every training flag of this process except the per-process
+// -metrics-addr, -trace-out and -save (and -load on a rejoin). Rank 0
+// runs the same path: it prints "coordinator <addr>" first and, after
+// its epoch table, the summary line every forked rank prints; equal
+// model= digests mean the replicas stayed bit-identical. With
+// -rejoin-window the cluster is elastic: a killed rank is re-forked
+// with -rejoin and the run completes as if nothing happened. Rank 0
+// exits by cmd/lpsgd-worker's exit-code contract; a single-process run
+// exits 0, 1 (internal failure) or 2 (usage or configuration error).
 package main
 
 import (
@@ -66,298 +42,93 @@ import (
 	"os/exec"
 	"strconv"
 	"sync"
-	"time"
 
-	"repro/cluster"
+	"repro/cmd/internal/worker"
 	"repro/elastic"
-	"repro/health"
-	"repro/internal/harness"
 	"repro/internal/report"
 	"repro/lpsgd"
-	"repro/obs"
 )
 
 func main() {
-	var (
-		task    = flag.String("task", "image", "task: image or sequence")
-		codec   = flag.String("codec", "32bit", "gradient codec (quant.Parse grammar): 32bit, qsgd2/4/8/16, qsgd4b512, 1bit, 1bit*64, topk0.01, ...")
-		policy  = flag.String("policy", "", "precision policy (quant.ParsePolicy grammar), e.g. 'qsgd4b512;minfrac=0.95;*.b=32bit'; supersedes -codec")
-		workers = flag.Int("workers", 4, "simulated GPU count")
-		epochs  = flag.Int("epochs", 12, "training epochs")
-		batch   = flag.Int("batch", 64, "global minibatch size")
-		lr      = flag.Float64("lr", 0.05, "learning rate")
-		seed    = flag.Uint64("seed", 17, "random seed")
-		useNCCL = flag.Bool("nccl", false, "use the NCCL ring instead of MPI reduce-and-broadcast")
-		trainN  = flag.Int("train-samples", 768, "training set size")
-		testN   = flag.Int("test-samples", 384, "test set size")
-		saveTo  = flag.String("save", "", "write a checkpoint of the trained model to this file")
-		loadFrm = flag.String("load", "", "initialise weights from this checkpoint before training (cluster mode: every rank loads it)")
-
-		clusterN     = flag.Int("cluster", 0, "train as a cluster of this many worker processes (this process is rank 0; it forks the rest)")
-		clusterAddr  = flag.String("cluster-addr", "", "internal: rendezvous address of the parent coordinator (marks a forked worker)")
-		clusterRank  = flag.Int("cluster-rank", 0, "internal: rank of a forked worker")
-		clusterRejo  = flag.Bool("cluster-rejoin", false, "internal: this forked worker replaces a dead rank of the running session")
-		heartbeat    = flag.Duration("heartbeat", health.DefaultInterval, "cluster mode: heartbeat interval of the health plane (0 disables failure detection)")
-		hbTimeout    = flag.Duration("heartbeat-timeout", 0, "cluster mode: silence after which a peer is declared dead (0 = 8x the heartbeat interval)")
-		stepWait     = flag.Duration("step-deadline", 0, "abort if one synchronous step exceeds this wall time (0 = unbounded)")
-		rejoinWindow = flag.Duration("rejoin-window", 0, "cluster mode: make the session elastic — hold a rejoin barrier open this long after a rank death and re-fork the dead rank (0 disables)")
-		maxRejoins   = flag.Int("max-rejoins", 0, "cluster mode: rank deaths the supervisor repairs before giving up (0 = default)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /debug/vars, /debug/pprof and /trace on this address (e.g. 127.0.0.1:9090); not forwarded to forked workers")
-		traceOut    = flag.String("trace-out", "", "append the step-phase trace as JSONL to this file (convert/diff with lpsgd-trace); not forwarded to forked workers")
-		teleEvery   = flag.Int("telemetry-every", 0, "sample convergence telemetry (loss, gradient norms, live quantisation error) every N steps; forwarded to forked cluster workers, aggregated at /cluster/metrics and /cluster/status under -metrics-addr, watchable with lpsgd-top (0 = off)")
-	)
+	// A rank forked by -cluster (see forkArgs).
+	if len(os.Args) > 1 && os.Args[1] == "worker" {
+		os.Exit(worker.Main("lpsgd-train worker", os.Args[2:]))
+	}
+	f, workers, clusterN := declare(flag.CommandLine)
 	flag.Parse()
+	if *clusterN > 0 {
+		os.Exit(runCluster(*f, *clusterN))
+	}
+	os.Exit(worker.Local(*f, *workers, func(tr *lpsgd.Trainer, h *lpsgd.History) error {
+		printTable(*f, tr, h, 0)
+		return nil
+	}, os.Stderr))
+}
 
-	model, train, test, err := harness.Task(*task, *trainN, *testN, *seed)
+// declare registers lpsgd-train's command line on fs: the training
+// flags every rank shares and the two that are lpsgd-train's own.
+func declare(fs *flag.FlagSet) (f *worker.Flags, workers, clusterN *int) {
+	f = new(worker.Flags)
+	f.Register(fs)
+	workers = fs.Int("workers", 4, "simulated GPU count (single-process mode)")
+	clusterN = fs.Int("cluster", 0, "train as a cluster of this many processes on this machine: this process is rank 0 and forks the others (0 = one process)")
+	return f, workers, clusterN
+}
+
+// runCluster is -cluster n: this process is rank 0 of the session and
+// supervises the n-1 ranks it forks.
+func runCluster(f worker.Flags, n int) int {
+	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 1
 	}
-
-	primitive := lpsgd.MPI
-	if *useNCCL {
-		primitive = lpsgd.NCCL
-	}
-	// A bare codec name is a valid policy, so one option covers both
-	// flags; -policy wins when both are given.
-	policySpec := *policy
-	if policySpec == "" {
-		policySpec = *codec
-	}
-	opts := []lpsgd.Option{
-		lpsgd.WithPolicy(policySpec),
-		lpsgd.WithWorkers(*workers),
-		lpsgd.WithPrimitive(primitive),
-		lpsgd.WithBatchSize(*batch),
-		lpsgd.WithEpochs(*epochs),
-		lpsgd.WithLearningRate(float32(*lr)),
-		lpsgd.WithSeed(*seed),
-		lpsgd.WithStepDeadline(*stepWait),
-	}
-	if *teleEvery < 0 {
-		fmt.Fprintln(os.Stderr, "lpsgd-train: -telemetry-every must not be negative")
-		os.Exit(2)
-	}
-	var teleHub *cluster.TelemetryHub
-	if *teleEvery > 0 {
-		opts = append(opts, lpsgd.WithTelemetry(*teleEvery))
-		// The hub aggregates every rank's snapshots into the
-		// /cluster/{metrics,status} view; forked workers ship theirs
-		// over the control plane, so only this process needs one. The
-		// negotiated policy is stamped once the session settles.
-		teleHub = cluster.NewTelemetryHub(max(*clusterN, 1), "")
-		opts = append(opts, lpsgd.WithTelemetryObserver(teleHub.Observe))
-	}
-
-	// Observability plane: one registry+tracer pair per process. The
-	// tracer ring is sized for the /trace endpoint; -trace-out streams
-	// every span regardless of ring capacity.
-	var obsTracer *obs.Tracer
-	if *metricsAddr != "" || *traceOut != "" {
-		reg := obs.NewRegistry()
-		obsTracer = obs.NewTracer(1 << 16)
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			obsTracer.SetSink(f)
-		}
-		opts = append(opts, lpsgd.WithMetrics(reg), lpsgd.WithTracer(obsTracer))
-		if *metricsAddr != "" {
-			var extra []obs.Endpoint
-			if teleHub != nil {
-				extra = teleHub.Endpoints()
-			}
-			srv, err := obs.Serve(*metricsAddr, reg, obsTracer, extra...)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "observability plane on http://%s (/metrics, /debug/pprof, /trace)\n", srv.Addr())
-		}
-		defer obsTracer.Close()
-	}
-
-	// Cluster smoke mode: rank 0 coordinates on an ephemeral port and
-	// forks the other ranks as copies of this binary; forked workers
-	// recognise themselves by -cluster-addr and dial back in. All ranks
-	// train the same task with the same seed, so the mesh replicas stay
-	// bit-identical.
-	isChild := *clusterAddr != ""
-	var restore *elastic.Snapshot
 	var super *reforker
-	switch {
-	case isChild && *clusterRejo:
-		// A re-forked replacement: claim the dead rank's slot in the
-		// running session and receive the training state from a donor.
-		// The dial budget must outlast the survivors' failure detection
-		// (the barrier only opens once they reach their verdict) plus
-		// the window itself — the 30s default would silently defeat a
-		// long window under slow detection.
-		hb := health.Config{Interval: *heartbeat, Timeout: *hbTimeout}.Resolved()
-		sess, snap, err := cluster.Rejoin(cluster.Config{
-			Addr: *clusterAddr, Rank: *clusterRank, World: *clusterN,
-			Accept:  []string{policySpec},
-			Timeout: hb.Timeout + elastic.Config{Enable: true, RejoinWindow: *rejoinWindow}.Resolved().RejoinWindow + 30*time.Second,
-			Health:  hb,
-			Elastic: elastic.Config{
-				Enable: true, RejoinWindow: *rejoinWindow, MaxRejoins: *maxRejoins,
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(5)
-		}
-		fmt.Fprintf(os.Stderr, "rank %d rejoined (generation %d, resuming at step %d)\n",
-			sess.Rank(), sess.Generation(), snap.Step)
-		restore = snap
-		opts = append(opts, lpsgd.WithClusterSession(sess))
-	case isChild:
-		opts = append(opts,
-			lpsgd.WithCluster(*clusterAddr, *clusterRank, *clusterN),
-			lpsgd.WithHeartbeat(*heartbeat, *hbTimeout),
-			lpsgd.WithElastic(*maxRejoins, *rejoinWindow))
-	case *clusterN > 0:
-		coord, err := cluster.NewCoordinator(cluster.Config{
-			Addr: "127.0.0.1:0", World: *clusterN, Accept: []string{policySpec},
-			Health: health.Config{
-				Interval: *heartbeat,
-				Timeout:  *hbTimeout,
-				Disable:  *heartbeat == 0,
-			},
-			Elastic: elastic.Config{
-				Enable:       *rejoinWindow > 0,
-				RejoinWindow: *rejoinWindow,
-				MaxRejoins:   *maxRejoins,
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		childArgs := func(r int, rejoin bool) []string {
-			args := []string{
-				"-task", *task, "-policy", policySpec,
-				"-epochs", strconv.Itoa(*epochs), "-batch", strconv.Itoa(*batch),
-				"-lr", fmt.Sprint(*lr), "-seed", strconv.FormatUint(*seed, 10),
-				"-train-samples", strconv.Itoa(*trainN), "-test-samples", strconv.Itoa(*testN),
-				"-cluster", strconv.Itoa(*clusterN),
-				"-cluster-addr", coord.Addr(), "-cluster-rank", strconv.Itoa(r),
-				"-heartbeat", heartbeat.String(), "-heartbeat-timeout", hbTimeout.String(),
-				"-step-deadline", stepWait.String(),
-				"-rejoin-window", rejoinWindow.String(), "-max-rejoins", strconv.Itoa(*maxRejoins),
-				"-telemetry-every", strconv.Itoa(*teleEvery),
+	return worker.Run(worker.Config{
+		Flags:      f,
+		Membership: worker.Membership{Coordinator: "127.0.0.1:0", World: n},
+	}, worker.Hooks{
+		Listening: func(addr string) error {
+			args := func(rank int, rejoin bool) []string { return forkArgs(f, addr, rank, n, rejoin) }
+			super = newReforker(exe, args, f.RejoinWindow > 0, f.MaxRejoins)
+			for r := 1; r < n; r++ {
+				if err := super.start(r, false); err != nil {
+					return fmt.Errorf("fork rank %d: %w", r, err)
+				}
 			}
-			if rejoin {
-				args = append(args, "-cluster-rejoin")
-			}
-			if *loadFrm != "" && !rejoin {
-				// Warm starts reach every rank; a rejoining replacement
-				// gets its state from the session snapshot instead.
-				args = append(args, "-load", *loadFrm)
-			}
-			// Every rank must run the same aggregation primitive.
-			if *useNCCL {
-				args = append(args, "-nccl")
-			}
-			return args
-		}
-		super = newReforker(exe, childArgs, *rejoinWindow > 0, *maxRejoins)
-		for r := 1; r < *clusterN; r++ {
-			if err := super.start(r, false); err != nil {
-				fmt.Fprintf(os.Stderr, "fork rank %d: %v\n", r, err)
-				os.Exit(1)
-			}
-		}
-		sess, err := coord.Join()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		opts = append(opts, lpsgd.WithClusterSession(sess), lpsgd.WithElastic(*maxRejoins, *rejoinWindow))
-	}
+			return nil
+		},
+		Trained: func(tr *lpsgd.Trainer, h *lpsgd.History) error {
+			printTable(f, tr, h, n)
+			return super.wait()
+		},
+	}, os.Stdout, os.Stderr)
+}
 
-	trainer, err := lpsgd.NewTrainer(model, opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// forkArgs is the command line of forked rank r. The observability
+// plane and -save are per process, and a replacement receives its state
+// from the session snapshot instead of -load.
+func forkArgs(f worker.Flags, addr string, rank, world int, rejoin bool) []string {
+	args := []string{"worker", "-coordinator", addr, "-rank", strconv.Itoa(rank), "-world", strconv.Itoa(world)}
+	omit := []string{"metrics-addr", "trace-out", "save"}
+	if rejoin {
+		args = append(args, "-rejoin")
+		omit = append(omit, "load")
 	}
-	defer trainer.Close()
-	if teleHub != nil {
-		teleHub.SetPolicy(trainer.Policy().Name())
-	}
-	if restore != nil {
-		if err := trainer.Restore(restore); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if *loadFrm != "" {
-		f, err := os.Open(*loadFrm)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = trainer.LoadCheckpoint(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "load checkpoint: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("resumed from %s\n", *loadFrm)
-	}
-	h, err := trainer.Run(train, test)
-	if err != nil {
-		obsTracer.Close() // flush -trace-out before the exit skips the defers
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *saveTo != "" {
-		f, err := os.Create(*saveTo)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		err = trainer.SaveCheckpoint(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "save checkpoint: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("checkpoint written to %s\n", *saveTo)
-	}
+	return append(args, f.Args(omit...)...)
+}
 
-	if isChild {
-		// Forked workers share the parent's terminal; a one-line summary
-		// keeps the parent's table readable.
-		fmt.Printf("rank %d/%d: policy=%s final accuracy %.2f%%, %.1f MB sent by this rank\n",
-			trainer.Rank(), trainer.World(), trainer.Policy().Name(),
-			100*h.FinalAccuracy, float64(h.TotalWireBytes)/1e6)
-		return
-	}
-
+// printTable renders the epoch table of a run; clusterN is 0 for a
+// single-process one.
+func printTable(f worker.Flags, tr *lpsgd.Trainer, h *lpsgd.History, clusterN int) {
 	prim := "MPI"
-	if *useNCCL {
+	if f.NCCL {
 		prim = "NCCL"
 	}
-	policyName := trainer.Policy().Name()
-	world := *workers
 	wireCol := "wire_MB"
 	wireNote := ""
-	if *clusterN > 0 {
-		world = trainer.World()
-		prim += fmt.Sprintf(", cluster of %d processes", *clusterN)
+	if clusterN > 0 {
+		prim += fmt.Sprintf(", cluster of %d processes", clusterN)
 		// A cluster rank's byte counter sees its own sends only — the
 		// other ranks' traffic lives in their processes — so the volume
 		// is not comparable to the whole-fabric number of a
@@ -366,7 +137,7 @@ func main() {
 		wireNote = " sent by rank 0"
 	}
 	t := report.New(
-		fmt.Sprintf("%s task, policy=%s, %d workers, %s", *task, policyName, world, prim),
+		fmt.Sprintf("%s task, policy=%s, %d workers, %s", f.Task, tr.Policy().Name(), tr.World(), prim),
 		"epoch", "train_loss", "test_acc_%", "lr", wireCol, "elapsed")
 	for _, e := range h.Epochs {
 		acc := "-"
@@ -379,18 +150,11 @@ func main() {
 	t.Note("final accuracy %.2f%%, best %.2f%%, total wire %.1f MB%s",
 		100*h.FinalAccuracy, 100*h.BestAccuracy, float64(h.TotalWireBytes)/1e6, wireNote)
 	t.Render(os.Stdout)
-
-	if super != nil {
-		if err := super.wait(); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(1)
-		}
-	}
 }
 
 // reforker supervises the forked worker ranks of a -cluster run: it
 // waits on each child and — when the session is elastic — re-forks a
-// rank that died abnormally with -cluster-rejoin, up to the configured
+// rank that died abnormally with -rejoin, up to the configured
 // budget, so a killed rank rejoins the session instead of sinking the
 // whole run.
 type reforker struct {

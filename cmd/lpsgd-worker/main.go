@@ -20,13 +20,16 @@
 //	lpsgd-worker ... -policy "qsgd4b512;embedding=topk0.01" -accept qsgd4b512
 //
 // Every rank must be launched with the same -task, -seed, -batch,
-// -epochs and -lr, or the replicas will not stay bit-identical. -save
-// writes the trained model as an nn checkpoint; -load warm-starts from
-// one (identical file on every rank — loading different weights per
-// rank would break the replica invariant before the first exchange;
-// a shape-mismatched checkpoint is rejected with a named error). The
-// final stdout line is machine-readable (codec= carries the negotiated
-// policy string):
+// -epochs, -lr and -nccl (the NCCL ring instead of MPI
+// reduce-and-broadcast), or the replicas will not stay bit-identical.
+// The training flags are lpsgd-train's, declared once in
+// cmd/internal/worker, and the ranks lpsgd-train -cluster forks run
+// this same code path. -save writes the trained model as an nn
+// checkpoint; -load warm-starts from one (identical file on every rank
+// — loading different weights per rank would break the replica
+// invariant before the first exchange; a shape-mismatched checkpoint
+// is rejected with a named error). The final stdout line is
+// machine-readable (codec= carries the negotiated policy string):
 //
 //	rank=1 world=3 codec=qsgd4b512 final_loss=0.1234 final_acc=0.8750 model=<sha256>
 //
@@ -50,41 +53,35 @@
 //
 //	lpsgd-worker -coordinator 127.0.0.1:7070 -rank 2 -world 3 -rejoin ...
 //
+// The replacement waits at most the resolved heartbeat timeout plus
+// the resolved rejoin window plus -join-timeout, receives the full
+// session state (weights, momentum, step and data cursors) from a
+// surviving donor, and training resumes; under residual-free policies
+// (32bit, the QSGD family) the final digests are bit-identical to a
+// run that never lost the rank. -max-rejoins caps how many repairs one
+// process tolerates.
+//
 // # Observability
 //
-// -metrics-addr serves this rank's observability plane over HTTP:
-// /metrics (Prometheus text: wire and control bytes, per-peer link
-// traffic, phi suspicion, step and phase histograms), /debug/vars,
-// /debug/pprof, and /trace (the step-phase span ring as JSONL).
-// -trace-out appends every span to a file; feed it to cmd/lpsgd-trace
-// to diff the live timeline against the discrete-event simulator.
-// Each rank needs its own address (or none) — the plane is per
-// process.
-//
-// -telemetry-every N additionally samples convergence telemetry every
-// N steps — step loss, per-tensor gradient norms, and the live
-// quantisation RMSE and compression ratio of the negotiated policy,
-// probed on a scratch copy of the gradients so training stays
-// bit-identical — and broadcasts the snapshot to every peer over the
-// heartbeat control links (the bytes count under the control-plane
-// ledger, never the data mesh). Every rank therefore holds the whole
-// cluster's view; with -metrics-addr it is served at /cluster/metrics
-// (Prometheus text) and /cluster/status (JSON) beside the per-process
-// endpoints. Watch it live with cmd/lpsgd-top.
-//
-// The replacement receives the full session state (weights, momentum,
-// step and data cursors) from a surviving donor and training resumes;
-// under residual-free policies (32bit, the QSGD family) the final
-// digests are bit-identical to a run that never lost the rank.
-// -max-rejoins caps how many repairs one process tolerates.
+// -metrics-addr serves this rank's observability plane over HTTP
+// (/metrics, /debug/vars, /debug/pprof, /trace) and -trace-out appends
+// every step-phase span to a file for cmd/lpsgd-trace; both are per
+// process. -telemetry-every N samples convergence telemetry every N
+// steps and broadcasts it over the heartbeat control links, so every
+// rank holds the whole cluster's view, served at /cluster/metrics and
+// /cluster/status beside the per-process endpoints and watchable with
+// cmd/lpsgd-top.
 //
 // Exit codes are distinct so an external supervisor can decide
 // restart-vs-fail without parsing stderr:
 //
 //	0  success — trained, digest printed
 //	1  internal failure (training error, checkpoint I/O)
-//	2  usage or configuration error (bad flags, unknown task,
-//	   unloadable or mismatched -load checkpoint)
+//	2  usage or configuration error: bad flags, unknown task, a
+//	   -policy or -accept that does not parse, -rank outside -world,
+//	   -rejoin-window with -heartbeat 0 on rank 0 (all reported
+//	   before any socket opens), or an unloadable or mismatched -load
+//	   checkpoint
 //	3  rendezvous failure (cannot join, rejected hello, negotiation)
 //	4  peer-death abort (a peer was declared dead mid-run and — in an
 //	   elastic session — the rejoin window closed without a
@@ -97,272 +94,11 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"errors"
-	"flag"
-	"fmt"
 	"os"
-	"strings"
-	"time"
 
-	"repro/cluster"
-	"repro/elastic"
-	"repro/health"
-	"repro/internal/harness"
-	"repro/lpsgd"
-	"repro/obs"
+	"repro/cmd/internal/worker"
 )
-
-// Exit codes, documented in the command comment above and asserted by
-// the cluster e2e tests.
-const (
-	exitOK         = 0
-	exitInternal   = 1
-	exitUsage      = 2
-	exitRendezvous = 3
-	exitPeerDeath  = 4
-	exitRejoin     = 5
-)
-
-// exitCodeFor maps a training-time error to the exit code contract: a
-// health-plane death verdict is the restart-the-cluster code, anything
-// else is an internal failure.
-func exitCodeFor(err error) int {
-	var dead health.ErrPeerDead
-	if errors.As(err, &dead) {
-		return exitPeerDeath
-	}
-	return exitInternal
-}
-
-func fail(code int, err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(code)
-}
 
 func main() {
-	var (
-		coordAddr = flag.String("coordinator", "127.0.0.1:7070", "rendezvous address (rank 0 listens, others dial)")
-		rank      = flag.Int("rank", 0, "this process's rank in [0, world)")
-		world     = flag.Int("world", 2, "total number of worker processes")
-		accept    = flag.String("accept", "32bit", "comma-separated policy strings this rank accepts (quant.ParsePolicy grammar)")
-		policy    = flag.String("policy", "", "preferred precision policy, advertised ahead of the -accept list")
-		joinWait  = flag.Duration("join-timeout", 30*time.Second, "rendezvous handshake timeout (raise for hand-launched multi-machine runs; with -rejoin it bounds the wait for the rejoin barrier too)")
-		heartbeat = flag.Duration("heartbeat", health.DefaultInterval, "heartbeat interval of the health plane; the coordinator's value governs the session, 0 on rank 0 disables failure detection")
-		hbTimeout = flag.Duration("heartbeat-timeout", 0, "silence after which a peer is declared dead (0 = 8x the heartbeat interval)")
-		stepWait  = flag.Duration("step-deadline", 0, "abort if one synchronous step (compute+exchange) exceeds this wall time (0 = unbounded)")
-		rejoinWin = flag.Duration("rejoin-window", 0, "elastic sessions: hold a rejoin barrier open this long after a peer death so a replacement can take the dead rank's slot; the coordinator's value governs the session, 0 disables elasticity")
-		maxRejoin = flag.Int("max-rejoins", 0, "elastic sessions: rejoin rounds this process tolerates before a death verdict is fatal (0 = default, negative = unlimited)")
-		rejoin    = flag.Bool("rejoin", false, "join as the replacement for a dead rank of a running elastic session instead of forming a fresh one")
-		task      = flag.String("task", "image", "task: image or sequence")
-		epochs    = flag.Int("epochs", 4, "training epochs")
-		batch     = flag.Int("batch", 64, "global minibatch size, sharded over ranks")
-		lr        = flag.Float64("lr", 0.05, "learning rate")
-		seed      = flag.Uint64("seed", 17, "random seed (identical on every rank)")
-		trainN    = flag.Int("train-samples", 384, "training set size")
-		testN     = flag.Int("test-samples", 192, "test set size")
-		saveTo    = flag.String("save", "", "write a checkpoint of the trained model to this file")
-		loadFrom  = flag.String("load", "", "warm-start from this nn checkpoint before training (identical file on every rank)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /debug/vars, /debug/pprof and /trace on this address (per process — every rank needs its own)")
-		traceOut    = flag.String("trace-out", "", "append the step-phase trace as JSONL to this file (convert/diff with lpsgd-trace)")
-		teleEvery   = flag.Int("telemetry-every", 0, "sample convergence telemetry (loss, gradient norms, live quantisation error) every N steps and ship it over the control plane; with -metrics-addr the aggregated cluster view is served at /cluster/metrics and /cluster/status (0 = off)")
-	)
-	flag.Parse()
-
-	model, train, test, err := harness.Task(*task, *trainN, *testN, *seed)
-	if err != nil {
-		fail(exitUsage, err)
-	}
-	if *heartbeat < 0 || *hbTimeout < 0 || *stepWait < 0 || *rejoinWin < 0 {
-		fail(exitUsage, fmt.Errorf("lpsgd-worker: -heartbeat, -heartbeat-timeout, -step-deadline and -rejoin-window must not be negative"))
-	}
-	if *teleEvery < 0 {
-		fail(exitUsage, fmt.Errorf("lpsgd-worker: -telemetry-every must not be negative"))
-	}
-	if *rejoin && *loadFrom != "" {
-		fail(exitUsage, fmt.Errorf("lpsgd-worker: -rejoin receives its state from the session snapshot; -load would overwrite it"))
-	}
-	var names []string
-	if *policy != "" {
-		names = append(names, *policy)
-	}
-	for _, name := range strings.Split(*accept, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			names = append(names, name)
-		}
-	}
-
-	// Observability plane: per-process registry and tracer. The HTTP
-	// server lives until the process exits; the trace sink is flushed
-	// on every exit path that follows training.
-	var (
-		obsTracer *obs.Tracer
-		obsReg    *obs.Registry
-		teleHub   *cluster.TelemetryHub
-	)
-	if *teleEvery > 0 {
-		// The policy is stamped after the rendezvous settles.
-		teleHub = cluster.NewTelemetryHub(*world, "")
-	}
-	if *metricsAddr != "" || *traceOut != "" {
-		obsReg = obs.NewRegistry()
-		obsTracer = obs.NewTracer(1 << 16)
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fail(exitUsage, err)
-			}
-			obsTracer.SetSink(f)
-		}
-		if *metricsAddr != "" {
-			var extra []obs.Endpoint
-			if teleHub != nil {
-				extra = teleHub.Endpoints()
-			}
-			srv, err := obs.Serve(*metricsAddr, obsReg, obsTracer, extra...)
-			if err != nil {
-				fail(exitUsage, err)
-			}
-			fmt.Fprintf(os.Stderr, "lpsgd-worker: observability plane on http://%s (/metrics, /debug/pprof, /trace)\n", srv.Addr())
-		}
-	}
-
-	cfg := cluster.Config{
-		Addr: *coordAddr, Rank: *rank, World: *world,
-		Accept: names, Timeout: *joinWait,
-		Tracer: obsTracer,
-		Health: health.Config{
-			Interval: *heartbeat,
-			Timeout:  *hbTimeout,
-			Disable:  *heartbeat == 0,
-		},
-		Elastic: elastic.Config{
-			Enable:       *rejoinWin > 0,
-			RejoinWindow: *rejoinWin,
-			MaxRejoins:   *maxRejoin,
-		},
-	}
-
-	// Three ways into a session: rank 0 goes through the explicit
-	// coordinator path so that a ":0" rendezvous port is printed before
-	// the other ranks need it; -rejoin claims a dead rank's slot in a
-	// running session; everyone else dials a fresh rendezvous.
-	var sess *cluster.Session
-	var snap *elastic.Snapshot
-	switch {
-	case *rejoin:
-		if sess, snap, err = cluster.Rejoin(cfg); err != nil {
-			fail(exitRejoin, err)
-		}
-	case *rank == 0:
-		coord, err := cluster.NewCoordinator(cfg)
-		if err != nil {
-			fail(exitRendezvous, err)
-		}
-		fmt.Printf("coordinator %s\n", coord.Addr())
-		if sess, err = coord.Join(); err != nil {
-			fail(exitRendezvous, err)
-		}
-	default:
-		if sess, err = cluster.Join(cfg); err != nil {
-			fail(exitRendezvous, err)
-		}
-	}
-	hbNote := "health plane off"
-	if m := sess.Monitor(); m != nil {
-		hc := m.Config()
-		hbNote = fmt.Sprintf("heartbeat %v, timeout %v", hc.Interval, hc.Timeout)
-	}
-	if el := sess.Elastic(); el.Enable {
-		hbNote += fmt.Sprintf(", rejoin window %v", el.RejoinWindow)
-	}
-	role := "up"
-	if *rejoin {
-		role = fmt.Sprintf("rejoined (generation %d, resuming at step %d)", sess.Generation(), snap.Step)
-	}
-	fmt.Fprintf(os.Stderr, "lpsgd-worker: rank %d/%d %s, negotiated policy %s (%s)\n",
-		sess.Rank(), sess.World(), role, sess.PolicyName(), hbNote)
-
-	opts := []lpsgd.Option{
-		lpsgd.WithClusterSession(sess),
-		lpsgd.WithElastic(*maxRejoin, *rejoinWin),
-		lpsgd.WithStepDeadline(*stepWait),
-		lpsgd.WithBatchSize(*batch),
-		lpsgd.WithEpochs(*epochs),
-		lpsgd.WithLearningRate(float32(*lr)),
-		lpsgd.WithSeed(*seed),
-		lpsgd.WithMetrics(obsReg),
-		lpsgd.WithTracer(obsTracer),
-	}
-	if teleHub != nil {
-		teleHub.SetPolicy(sess.PolicyName())
-		opts = append(opts,
-			lpsgd.WithTelemetry(*teleEvery),
-			lpsgd.WithTelemetryObserver(teleHub.Observe),
-		)
-	}
-	trainer, err := lpsgd.NewTrainer(model, opts...)
-	if err != nil {
-		sess.Close()
-		fail(exitInternal, err)
-	}
-	if snap != nil {
-		if err := trainer.Restore(snap); err != nil {
-			trainer.Close()
-			fail(exitInternal, err)
-		}
-	}
-	if *loadFrom != "" {
-		f, err := os.Open(*loadFrom)
-		if err != nil {
-			trainer.Close()
-			fail(exitUsage, err)
-		}
-		err = trainer.LoadCheckpoint(f)
-		f.Close()
-		if err != nil {
-			trainer.Close()
-			fail(exitUsage, fmt.Errorf("lpsgd-worker: load checkpoint: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "lpsgd-worker: rank %d warm-started from %s\n", sess.Rank(), *loadFrom)
-	}
-
-	h, err := trainer.Run(train, test)
-	if err != nil {
-		code := exitCodeFor(err)
-		// Close before exiting so a non-fatal error still says a clean
-		// bye; after a death verdict the mesh is already aborted and
-		// Close is cheap.
-		trainer.Close()
-		obsTracer.Close()
-		fail(code, err)
-	}
-
-	var ckpt bytes.Buffer
-	if err := trainer.SaveCheckpoint(&ckpt); err != nil {
-		trainer.Close()
-		fail(exitInternal, err)
-	}
-	if *saveTo != "" {
-		if err := os.WriteFile(*saveTo, ckpt.Bytes(), 0o644); err != nil {
-			trainer.Close()
-			fail(exitInternal, err)
-		}
-	}
-	if s := trainer.StepStats(); s.Slowest >= 0 {
-		fmt.Fprintf(os.Stderr, "lpsgd-worker: straggler report: rank %d gated the last step (compute %v, exchange %v)\n",
-			s.Slowest, s.Compute[s.Slowest].Round(time.Microsecond), s.Exchange[s.Slowest].Round(time.Microsecond))
-	}
-	last := h.Epochs[len(h.Epochs)-1]
-	fmt.Printf("rank=%d world=%d codec=%s final_loss=%.4f final_acc=%.4f model=%x\n",
-		sess.Rank(), sess.World(), sess.PolicyName(),
-		last.TrainLoss, h.FinalAccuracy, sha256.Sum256(ckpt.Bytes()))
-	// The deliberate Close (not a defer skipped by os.Exit) sends the
-	// health plane's bye before the process vanishes, so peers still
-	// mid-shutdown see a departure, not a death.
-	trainer.Close()
-	obsTracer.Close()
-	os.Exit(exitOK)
+	os.Exit(worker.Main("lpsgd-worker", os.Args[1:]))
 }

@@ -18,7 +18,9 @@
 // loopback-TCP or remote mesh fabrics), cluster (the multi-process
 // runtime: TCP rendezvous, per-session policy negotiation with a 32bit
 // floor, and mesh establishment across machine boundaries — launched
-// via cmd/lpsgd-worker or lpsgd.WithCluster), health (the cluster's
+// via cmd/lpsgd-worker, lpsgd-train -cluster or lpsgd.WithCluster;
+// both binaries run one rank through cmd/internal/worker, where their
+// flags are declared once), health (the cluster's
 // fault-handling plane: per-peer heartbeat control links, a
 // phi-or-deadline failure detector, a coordinated abort that unblocks
 // every survivor with the same typed health.ErrPeerDead when a rank

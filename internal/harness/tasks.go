@@ -10,11 +10,11 @@ import (
 
 // Task constructs one of the named synthetic training tasks — the
 // model builder plus matching train/test sets — with the tuned
-// dataset parameters the accuracy studies use. Both cmd/lpsgd-train
-// and cmd/lpsgd-worker build their workloads through this one helper:
-// cluster replicas are only bit-identical if every rank constructs
-// exactly the same dataset and model, so the construction literals
-// must not fork between binaries.
+// dataset parameters the accuracy studies use. cmd/lpsgd-train and
+// cmd/lpsgd-worker build their workloads through cmd/internal/worker,
+// which calls this one helper: cluster replicas are only bit-identical
+// if every rank constructs exactly the same dataset and model, so the
+// construction literals must not fork.
 func Task(name string, trainN, testN int, seed uint64) (func(r *rng.RNG) *nn.Network, *data.Dataset, *data.Dataset, error) {
 	switch name {
 	case "image":

@@ -19,6 +19,7 @@ COVERED='
 repro
 repro/bench
 repro/cluster
+repro/cmd/internal/worker
 repro/cmd/lpsgd-experiments
 repro/cmd/lpsgd-quant
 repro/cmd/lpsgd-sim
