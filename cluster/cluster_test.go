@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/health"
+	"repro/internal/wire"
 	"repro/quant"
 )
 
@@ -511,15 +512,13 @@ func TestRendezvousRejectsOldProtocolVersion(t *testing.T) {
 			}
 			defer conn.Close()
 			// Handcraft the hello prefix every version shares.
-			msg := appendU32(nil, rendezvousMagic)
-			msg = append(msg, version)
-			msg = appendU32(msg, 1)
-			msg = appendU32(msg, 2)
-			addr := "127.0.0.1:9"
-			msg = appendU16(msg, uint16(len(addr)))
-			msg = append(msg, addr...)
-			msg = appendU16(msg, 0)
-			if _, err := conn.Write(msg); err != nil {
+			var msg wire.Encoder
+			msg.MagicVersion(rendezvousMagic, version)
+			msg.U32(1)
+			msg.U32(2)
+			msg.String("mesh address", 2, maxAddrLen, "127.0.0.1:9")
+			msg.U16(0)
+			if _, err := conn.Write(msg.Buf); err != nil {
 				t.Fatal(err)
 			}
 

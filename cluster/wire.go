@@ -1,10 +1,12 @@
 package cluster
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // This file defines the rendezvous wire protocol: little-endian,
@@ -47,10 +49,10 @@ import (
 //	  uint8   link kind (0 = data, 1 = health control)
 
 const (
-	// rendezvousMagic tags hello and welcome messages ("LPSC").
-	rendezvousMagic uint32 = 'L' | 'P'<<8 | 'S'<<16 | 'C'<<24
-	// meshMagic tags mesh-link preambles ("LPSM").
-	meshMagic uint32 = 'L' | 'P'<<8 | 'S'<<16 | 'M'<<24
+	// rendezvousMagic tags hello and welcome messages.
+	rendezvousMagic = "LPSC"
+	// meshMagic tags mesh-link preambles.
+	meshMagic = "LPSM"
 
 	// ProtocolVersion is the rendezvous wire version this package
 	// speaks, and the only one it parses. Coordinator and workers must
@@ -61,11 +63,18 @@ const (
 	// an open rejoin barrier keeps waiting for the ranks it needs.
 	ProtocolVersion = 4
 
+	// The rendezvous caps, passed by every writer and reader below.
 	// maxAddrLen and maxCodecs bound attacker-controlled lengths in a
 	// hello so a garbage connection cannot make the coordinator allocate
-	// unbounded memory.
-	maxAddrLen = 256
-	maxCodecs  = 256
+	// unbounded memory; maxPolicyLen bounds one policy string, advertised
+	// or negotiated; maxWorld the membership a welcome announces (and
+	// its step table); maxRejectLen a rejection message, longer ones are
+	// cut.
+	maxAddrLen   = 256
+	maxCodecs    = 256
+	maxPolicyLen = 255
+	maxWorld     = 1 << 16
+	maxRejectLen = 1024
 )
 
 // Hello kinds.
@@ -124,119 +133,83 @@ const (
 )
 
 func writeHello(w io.Writer, h hello) error {
-	if len(h.MeshAddr) > maxAddrLen {
-		return fmt.Errorf("cluster: mesh address %q too long", h.MeshAddr)
-	}
-	if len(h.Accept) > maxCodecs {
-		return fmt.Errorf("cluster: %d accepted policies exceeds cap %d", len(h.Accept), maxCodecs)
-	}
-	buf := appendU32(nil, rendezvousMagic)
-	buf = append(buf, ProtocolVersion)
-	buf = appendU32(buf, uint32(h.Rank))
-	buf = appendU32(buf, uint32(h.World))
-	buf = appendU16(buf, uint16(len(h.MeshAddr)))
-	buf = append(buf, h.MeshAddr...)
-	buf = appendU16(buf, uint16(len(h.Accept)))
+	e := wire.Encoder{Format: "cluster: hello"}
+	e.MagicVersion(rendezvousMagic, ProtocolVersion)
+	e.U32(uint32(h.Rank))
+	e.U32(uint32(h.World))
+	e.String("mesh address", 2, maxAddrLen, h.MeshAddr)
+	e.Len("policies", 2, maxCodecs, len(h.Accept))
 	for _, name := range h.Accept {
-		if len(name) > 255 {
-			return fmt.Errorf("cluster: policy string %q too long", name)
-		}
-		buf = append(buf, byte(len(name)))
-		buf = append(buf, name...)
+		e.String("policy", 1, maxPolicyLen, name)
 	}
 	kind := byte(helloFresh)
 	if h.Rejoin {
 		kind = helloRejoin
 	}
-	buf = append(buf, kind)
-	buf = appendU64(buf, uint64(h.Step))
-	_, err := w.Write(buf)
-	return err
+	e.U8(kind)
+	e.U64(uint64(h.Step))
+	return e.Send(w)
 }
 
 // readHello decodes one hello. A hello at a version other than
 // ProtocolVersion is returned with only Version set and no error; the
 // caller rejects it.
 func readHello(r io.Reader) (hello, error) {
-	v, err := readMagic(r, rendezvousMagic, "hello")
-	h := hello{Version: v}
-	if err != nil || v != ProtocolVersion {
-		return h, err
+	d := wire.NewReader("cluster: hello", r)
+	d.ReadMagicVersion(rendezvousMagic, ProtocolVersion)
+	var ve *wire.VersionError
+	if errors.As(d.Err(), &ve) {
+		return hello{Version: ve.Got}, nil
 	}
-	var fixed [8]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return h, fmt.Errorf("cluster: hello header: %w", err)
+	h := hello{Version: ProtocolVersion}
+	d.Fill(8)
+	h.Rank = int(d.U32("rank"))
+	h.World = int(d.U32("world"))
+	h.MeshAddr = d.String("mesh address", 2, maxAddrLen)
+	n := d.Len("policies", 2, maxCodecs)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		h.Accept = append(h.Accept, d.String("policy", 1, maxPolicyLen))
 	}
-	h.Rank = int(binary.LittleEndian.Uint32(fixed[0:]))
-	h.World = int(binary.LittleEndian.Uint32(fixed[4:]))
-	addr, err := readString16(r, maxAddrLen, "mesh address")
-	if err != nil {
-		return h, err
-	}
-	h.MeshAddr = addr
-	var cnt [2]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return h, fmt.Errorf("cluster: hello policy count: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint16(cnt[:]))
-	if n > maxCodecs {
-		return h, fmt.Errorf("cluster: hello advertises %d policies, cap is %d", n, maxCodecs)
-	}
-	for i := 0; i < n; i++ {
-		name, err := readString8(r, "policy string")
-		if err != nil {
-			return h, err
-		}
-		h.Accept = append(h.Accept, name)
-	}
-	var tail [9]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return h, fmt.Errorf("cluster: hello elastic fields: %w", err)
-	}
-	switch tail[0] {
+	d.Fill(9)
+	switch kind := d.U8("kind"); kind {
 	case helloFresh:
 	case helloRejoin:
 		h.Rejoin = true
 	default:
-		return h, fmt.Errorf("cluster: unknown hello kind %d", tail[0])
+		d.Fail("kind", fmt.Errorf("unknown hello kind %d", kind))
 	}
-	h.Step = int64(binary.LittleEndian.Uint64(tail[1:]))
-	return h, nil
+	h.Step = int64(d.U64("step"))
+	return h, d.Err()
 }
 
 func writeWelcome(w io.Writer, wel welcome) error {
-	// The hello bounds each *raw* advertised string at 255 bytes, but
+	e := wire.Encoder{Format: "cluster: welcome"}
+	e.MagicVersion(rendezvousMagic, ProtocolVersion)
+	e.U8(0) // status ok
+	// The hello bounds each *raw* advertised string at maxPolicyLen, but
 	// the negotiated result is the canonical spelling, which can be
-	// longer ("x=qsgd4" canonicalises to "x=qsgd4b512"); an unchecked
-	// byte(len) would wrap and corrupt the whole welcome stream.
-	if len(wel.Codec) > 255 {
-		return fmt.Errorf("cluster: negotiated policy %q exceeds the 255-byte wire limit", wel.Codec)
+	// longer ("x=qsgd4" canonicalises to "x=qsgd4b512"); the cap refuses
+	// it instead of letting the length byte wrap and corrupt the stream.
+	e.String("policy", 1, maxPolicyLen, wel.Codec)
+	if len(wel.Addrs) == 0 {
+		e.Fail("world", errors.New("empty membership"))
 	}
-	buf := appendU32(nil, rendezvousMagic)
-	buf = append(buf, ProtocolVersion, 0)
-	buf = append(buf, byte(len(wel.Codec)))
-	buf = append(buf, wel.Codec...)
-	buf = appendU32(buf, uint32(len(wel.Addrs)))
+	e.Len("world", 4, maxWorld, len(wel.Addrs))
 	for _, a := range wel.Addrs {
-		if len(a) > maxAddrLen {
-			return fmt.Errorf("cluster: mesh address %q too long", a)
-		}
-		buf = appendU16(buf, uint16(len(a)))
-		buf = append(buf, a...)
+		e.String("mesh address", 2, maxAddrLen, a)
 	}
-	buf = appendU32(buf, uint32(wel.HeartbeatInterval/time.Millisecond))
-	buf = appendU32(buf, uint32(wel.HeartbeatTimeout/time.Millisecond))
-	buf = appendU32(buf, uint32(wel.Generation))
-	buf = appendU32(buf, uint32(wel.RejoinWindow/time.Millisecond))
+	e.U32(uint32(wel.HeartbeatInterval / time.Millisecond))
+	e.U32(uint32(wel.HeartbeatTimeout / time.Millisecond))
+	e.U32(uint32(wel.Generation))
+	e.U32(uint32(wel.RejoinWindow / time.Millisecond))
 	if len(wel.Steps) > 0 && len(wel.Steps) != len(wel.Addrs) {
-		return fmt.Errorf("cluster: step table spans %d ranks, membership %d", len(wel.Steps), len(wel.Addrs))
+		e.Fail("step table", fmt.Errorf("spans %d ranks, membership %d", len(wel.Steps), len(wel.Addrs)))
 	}
-	buf = appendU32(buf, uint32(len(wel.Steps)))
+	e.Len("step table", 4, maxWorld, len(wel.Steps))
 	for _, s := range wel.Steps {
-		buf = appendU64(buf, uint64(s))
+		e.U64(uint64(s))
 	}
-	_, err := w.Write(buf)
-	return err
+	return e.Send(w)
 }
 
 // writeReject sends an error welcome at the given protocol version —
@@ -244,168 +217,61 @@ func writeWelcome(w io.Writer, wel welcome) error {
 // another build displays the actual reason instead of a version error.
 // Failures are ignored: the connection is being torn down anyway.
 func writeReject(w io.Writer, version byte, msg string) {
-	if len(msg) > 1024 {
-		msg = msg[:1024]
-	}
 	if version == 0 {
 		version = ProtocolVersion
 	}
-	buf := appendU32(nil, rendezvousMagic)
-	buf = append(buf, version, 1)
-	buf = appendU16(buf, uint16(len(msg)))
-	buf = append(buf, msg...)
-	w.Write(buf)
+	e := wire.Encoder{Format: "cluster: welcome"}
+	e.MagicVersion(rendezvousMagic, version)
+	e.U8(1) // status rejected
+	e.String("rejection", 2, maxRejectLen, msg[:min(len(msg), maxRejectLen)])
+	e.Send(w)
 }
 
 func readWelcome(r io.Reader) (welcome, error) {
 	var wel welcome
-	if err := readMagicVersion(r, rendezvousMagic, "welcome"); err != nil {
-		return wel, err
-	}
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
-		return wel, fmt.Errorf("cluster: welcome status: %w", err)
-	}
-	if status[0] != 0 {
-		msg, err := readString16(r, 1024, "rejection")
-		if err != nil {
-			return wel, fmt.Errorf("cluster: coordinator rejected the hello")
+	d := wire.NewReader("cluster: welcome", r)
+	d.ReadMagicVersion(rendezvousMagic, ProtocolVersion)
+	if d.U8("status") != 0 {
+		// A cut rejection falls through to return its field error.
+		if msg := d.String("rejection", 2, maxRejectLen); d.Err() == nil {
+			return wel, fmt.Errorf("cluster: coordinator rejected the hello: %s", msg)
 		}
-		return wel, fmt.Errorf("cluster: coordinator rejected the hello: %s", msg)
 	}
-	codec, err := readString8(r, "policy string")
-	if err != nil {
-		return wel, err
+	wel.Codec = d.String("policy", 1, maxPolicyLen)
+	world := d.Len("world", 4, maxWorld)
+	if world == 0 {
+		d.Fail("world", errors.New("empty membership"))
 	}
-	wel.Codec = codec
-	var cnt [4]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return wel, fmt.Errorf("cluster: welcome world: %w", err)
+	for i := 0; i < world && d.Err() == nil; i++ {
+		wel.Addrs = append(wel.Addrs, d.String("mesh address", 2, maxAddrLen))
 	}
-	world := int(binary.LittleEndian.Uint32(cnt[:]))
-	if world <= 0 || world > 1<<16 {
-		return wel, fmt.Errorf("cluster: welcome announces world of %d", world)
-	}
-	for i := 0; i < world; i++ {
-		a, err := readString16(r, maxAddrLen, "mesh address")
-		if err != nil {
-			return wel, err
-		}
-		wel.Addrs = append(wel.Addrs, a)
-	}
-	var hb [8]byte
-	if _, err := io.ReadFull(r, hb[:]); err != nil {
-		return wel, fmt.Errorf("cluster: welcome heartbeat parameters: %w", err)
-	}
-	wel.HeartbeatInterval = time.Duration(binary.LittleEndian.Uint32(hb[0:])) * time.Millisecond
-	wel.HeartbeatTimeout = time.Duration(binary.LittleEndian.Uint32(hb[4:])) * time.Millisecond
-	var el [12]byte
-	if _, err := io.ReadFull(r, el[:]); err != nil {
-		return wel, fmt.Errorf("cluster: welcome elastic parameters: %w", err)
-	}
-	wel.Generation = int(binary.LittleEndian.Uint32(el[0:]))
-	wel.RejoinWindow = time.Duration(binary.LittleEndian.Uint32(el[4:])) * time.Millisecond
-	steps := int(binary.LittleEndian.Uint32(el[8:]))
+	d.Fill(20)
+	wel.HeartbeatInterval = time.Duration(d.U32("heartbeat interval")) * time.Millisecond
+	wel.HeartbeatTimeout = time.Duration(d.U32("heartbeat timeout")) * time.Millisecond
+	wel.Generation = int(d.U32("generation"))
+	wel.RejoinWindow = time.Duration(d.U32("rejoin window")) * time.Millisecond
+	steps := d.Len("step table", 4, maxWorld)
 	if steps != 0 && steps != world {
-		return wel, fmt.Errorf("cluster: welcome step table spans %d ranks, membership %d", steps, world)
+		d.Fail("step table", fmt.Errorf("spans %d ranks, membership %d", steps, world))
 	}
-	for i := 0; i < steps; i++ {
-		var sb [8]byte
-		if _, err := io.ReadFull(r, sb[:]); err != nil {
-			return wel, fmt.Errorf("cluster: welcome step table: %w", err)
-		}
-		wel.Steps = append(wel.Steps, int64(binary.LittleEndian.Uint64(sb[:])))
+	for i := 0; i < steps && d.Err() == nil; i++ {
+		wel.Steps = append(wel.Steps, int64(d.U64("step")))
 	}
-	return wel, nil
+	return wel, d.Err()
 }
 
 func writeMeshPreamble(w io.Writer, from, to int, kind byte) error {
-	buf := appendU32(nil, meshMagic)
-	buf = append(buf, ProtocolVersion)
-	buf = appendU32(buf, uint32(from))
-	buf = appendU32(buf, uint32(to))
-	buf = append(buf, kind)
-	_, err := w.Write(buf)
-	return err
+	e := wire.Encoder{Format: "cluster: mesh preamble"}
+	e.MagicVersion(meshMagic, ProtocolVersion)
+	e.U32(uint32(from))
+	e.U32(uint32(to))
+	e.U8(kind)
+	return e.Send(w)
 }
 
 func readMeshPreamble(r io.Reader) (from, to int, kind byte, err error) {
-	if err := readMagicVersion(r, meshMagic, "mesh preamble"); err != nil {
-		return 0, 0, 0, err
-	}
-	var fixed [9]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("cluster: mesh preamble: %w", err)
-	}
-	return int(binary.LittleEndian.Uint32(fixed[0:])),
-		int(binary.LittleEndian.Uint32(fixed[4:])), fixed[8], nil
-}
-
-// readMagicVersion consumes and validates the shared magic + version
-// prefix of a protocol message, requiring an exact version match.
-func readMagicVersion(r io.Reader, magic uint32, kind string) error {
-	v, err := readMagic(r, magic, kind)
-	if err == nil && v != ProtocolVersion {
-		err = fmt.Errorf("cluster: %s speaks protocol version %d, this build speaks %d", kind, v, ProtocolVersion)
-	}
-	return err
-}
-
-// readMagic consumes the magic + version prefix and returns the
-// version byte.
-func readMagic(r io.Reader, magic uint32, kind string) (byte, error) {
-	var fixed [5]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return 0, fmt.Errorf("cluster: %s header: %w", kind, err)
-	}
-	if got := binary.LittleEndian.Uint32(fixed[0:]); got != magic {
-		return 0, fmt.Errorf("cluster: bad %s magic %#x", kind, got)
-	}
-	return fixed[4], nil
-}
-
-func readString8(r io.Reader, what string) (string, error) {
-	var l [1]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return "", fmt.Errorf("cluster: %s length: %w", what, err)
-	}
-	buf := make([]byte, l[0])
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("cluster: %s: %w", what, err)
-	}
-	return string(buf), nil
-}
-
-func readString16(r io.Reader, cap int, what string) (string, error) {
-	var l [2]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return "", fmt.Errorf("cluster: %s length: %w", what, err)
-	}
-	n := int(binary.LittleEndian.Uint16(l[:]))
-	if n > cap {
-		return "", fmt.Errorf("cluster: %s of %d bytes exceeds cap %d", what, n, cap)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("cluster: %s: %w", what, err)
-	}
-	return string(buf), nil
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU16(dst []byte, v uint16) []byte {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
+	d := wire.NewReader("cluster: mesh preamble", r)
+	d.ReadMagicVersion(meshMagic, ProtocolVersion)
+	d.Fill(9)
+	return int(d.U32("from rank")), int(d.U32("to rank")), d.U8("link kind"), d.Err()
 }

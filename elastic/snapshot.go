@@ -1,10 +1,10 @@
 package elastic
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"repro/internal/wire"
 )
 
 // This file defines the session-state snapshot wire format: the one
@@ -67,62 +67,52 @@ type Snapshot struct {
 }
 
 const (
-	// snapshotMagic tags snapshot messages ("LPSE").
-	snapshotMagic uint32 = 'L' | 'P'<<8 | 'S'<<16 | 'E'<<24
+	// snapshotMagic tags snapshot messages.
+	snapshotMagic = "LPSE"
 
 	// SnapshotVersion is the snapshot format version this build writes.
 	SnapshotVersion = 1
 
-	// maxSnapshotParams bounds the embedded model checkpoint (256 MiB)
-	// so a corrupted length field cannot make the reader allocate
-	// unbounded memory.
-	maxSnapshotParams = 256 << 20
-	// maxSnapshotTensors and maxSnapshotElems bound the velocity
-	// section the same way.
+	// maxSnapshotPolicy bounds the policy string. maxSnapshotParams
+	// bounds the embedded model checkpoint (256 MiB) so a corrupted
+	// length field cannot make the reader allocate unbounded memory.
+	// maxSnapshotTensors and maxSnapshotElems bound the velocity section
+	// the same way.
+	maxSnapshotPolicy  = 255
+	maxSnapshotParams  = 256 << 20
 	maxSnapshotTensors = 1 << 16
 	maxSnapshotElems   = 64 << 20
+
+	snapshotFormat = "elastic: snapshot"
 )
 
 // EncodeTo writes the snapshot as one self-describing message.
 func (s *Snapshot) EncodeTo(w io.Writer) error {
-	if len(s.Policy) > 255 {
-		return fmt.Errorf("elastic: policy %q exceeds the 255-byte wire limit", s.Policy)
-	}
-	if len(s.Params) > maxSnapshotParams {
-		return fmt.Errorf("elastic: model checkpoint of %d bytes exceeds cap %d", len(s.Params), maxSnapshotParams)
-	}
-	if len(s.Velocity) > maxSnapshotTensors {
-		return fmt.Errorf("elastic: %d velocity tensors exceed cap %d", len(s.Velocity), maxSnapshotTensors)
-	}
-	if s.Batch < -1 {
-		return fmt.Errorf("elastic: batch cursor %d below -1", s.Batch)
-	}
-	buf := binary.LittleEndian.AppendUint32(nil, snapshotMagic)
-	buf = append(buf, SnapshotVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Seed)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.World))
-	buf = append(buf, byte(len(s.Policy)))
-	buf = append(buf, s.Policy...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Step))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Epoch))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Batch+1))
-	buf = binary.LittleEndian.AppendUint64(buf, s.ShuffleState)
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(s.Momentum))
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(s.WeightDecay))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Params)))
-	buf = append(buf, s.Params...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Velocity)))
+	size := 64 + len(s.Policy) + len(s.Params)
 	for _, v := range s.Velocity {
-		if len(v) > maxSnapshotElems {
-			return fmt.Errorf("elastic: velocity tensor of %d elements exceeds cap %d", len(v), maxSnapshotElems)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		for _, x := range v {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
-		}
+		size += 4 + 4*len(v)
 	}
-	_, err := w.Write(buf)
-	return err
+	e := wire.Encoder{Format: snapshotFormat, Buf: make([]byte, 0, size)}
+	if s.Batch < -1 {
+		e.Fail("batch", fmt.Errorf("cursor %d below -1", s.Batch))
+	}
+	e.MagicVersion(snapshotMagic, SnapshotVersion)
+	e.U64(s.Seed)
+	e.U32(uint32(s.World))
+	e.String("policy", 1, maxSnapshotPolicy, s.Policy)
+	e.U64(uint64(s.Step))
+	e.U32(uint32(s.Epoch))
+	e.U32(uint32(s.Batch + 1))
+	e.U64(s.ShuffleState)
+	e.F32(s.Momentum)
+	e.F32(s.WeightDecay)
+	e.Bytes("model checkpoint", 4, maxSnapshotParams, s.Params)
+	e.Len("velocity tensors", 4, maxSnapshotTensors, len(s.Velocity))
+	for _, v := range s.Velocity {
+		e.Len("velocity tensor", 4, maxSnapshotElems, len(v))
+		e.F32s(v)
+	}
+	return e.Send(w)
 }
 
 // ReadSnapshot decodes one snapshot message from r. It validates magic,
@@ -130,93 +120,27 @@ func (s *Snapshot) EncodeTo(w io.Writer) error {
 // so arbitrary or truncated bytes yield an error — never a panic or an
 // attacker-sized allocation.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("elastic: snapshot header: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != snapshotMagic {
-		return nil, fmt.Errorf("elastic: bad snapshot magic %#x", got)
-	}
-	if v := hdr[4]; v != SnapshotVersion {
-		return nil, fmt.Errorf("elastic: snapshot format version %d, this build speaks %d", v, SnapshotVersion)
-	}
 	var s Snapshot
-	var fixed [13]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return nil, fmt.Errorf("elastic: snapshot identity: %w", err)
+	d := wire.NewReader(snapshotFormat, r)
+	d.ReadMagicVersion(snapshotMagic, SnapshotVersion)
+	d.Fill(13)
+	s.Seed = d.U64("seed")
+	s.World = int(d.U32("world"))
+	s.Policy = d.String("policy", 1, maxSnapshotPolicy)
+	d.Fill(36)
+	s.Step = int64(d.U64("step"))
+	s.Epoch = int(d.U32("epoch"))
+	s.Batch = int(d.U32("batch")) - 1
+	s.ShuffleState = d.U64("shuffle state")
+	s.Momentum = d.F32("momentum")
+	s.WeightDecay = d.F32("weight decay")
+	s.Params = d.Bytes("model checkpoint", 4, maxSnapshotParams)
+	n := d.Len("velocity tensors", 4, maxSnapshotTensors)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s.Velocity = append(s.Velocity, d.F32s("velocity tensor", d.Len("velocity tensor", 4, maxSnapshotElems), nil))
 	}
-	s.Seed = binary.LittleEndian.Uint64(fixed[0:])
-	s.World = int(binary.LittleEndian.Uint32(fixed[8:]))
-	policy := make([]byte, fixed[12])
-	if _, err := io.ReadFull(r, policy); err != nil {
-		return nil, fmt.Errorf("elastic: snapshot policy: %w", err)
-	}
-	s.Policy = string(policy)
-	var cur [28]byte
-	if _, err := io.ReadFull(r, cur[:]); err != nil {
-		return nil, fmt.Errorf("elastic: snapshot cursor: %w", err)
-	}
-	s.Step = int64(binary.LittleEndian.Uint64(cur[0:]))
-	s.Epoch = int(binary.LittleEndian.Uint32(cur[8:]))
-	s.Batch = int(binary.LittleEndian.Uint32(cur[12:])) - 1
-	s.ShuffleState = binary.LittleEndian.Uint64(cur[16:])
-	s.Momentum = math.Float32frombits(binary.LittleEndian.Uint32(cur[24:]))
-	var tail [8]byte
-	if _, err := io.ReadFull(r, tail[:8]); err != nil {
-		return nil, fmt.Errorf("elastic: snapshot hyperparameters: %w", err)
-	}
-	s.WeightDecay = math.Float32frombits(binary.LittleEndian.Uint32(tail[0:]))
-	paramsLen := int(binary.LittleEndian.Uint32(tail[4:]))
-	if paramsLen > maxSnapshotParams {
-		return nil, fmt.Errorf("elastic: snapshot announces a %d-byte model checkpoint, cap is %d", paramsLen, maxSnapshotParams)
-	}
-	params, err := readChunked(r, paramsLen, "model checkpoint")
-	if err != nil {
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	s.Params = params
-	var cnt [4]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, fmt.Errorf("elastic: snapshot velocity count: %w", err)
-	}
-	tensors := int(binary.LittleEndian.Uint32(cnt[:]))
-	if tensors > maxSnapshotTensors {
-		return nil, fmt.Errorf("elastic: snapshot announces %d velocity tensors, cap is %d", tensors, maxSnapshotTensors)
-	}
-	for i := 0; i < tensors; i++ {
-		if _, err := io.ReadFull(r, cnt[:]); err != nil {
-			return nil, fmt.Errorf("elastic: velocity tensor %d length: %w", i, err)
-		}
-		n := int(binary.LittleEndian.Uint32(cnt[:]))
-		if n > maxSnapshotElems {
-			return nil, fmt.Errorf("elastic: velocity tensor %d announces %d elements, cap is %d", i, n, maxSnapshotElems)
-		}
-		raw, err := readChunked(r, 4*n, fmt.Sprintf("velocity tensor %d", i))
-		if err != nil {
-			return nil, err
-		}
-		v := make([]float32, n)
-		for j := range v {
-			v[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*j:]))
-		}
-		s.Velocity = append(s.Velocity, v)
-	}
 	return &s, nil
-}
-
-// readChunked reads exactly n announced bytes, growing the buffer in
-// bounded chunks so a corrupted length field fails on the (truncated)
-// stream instead of allocating the announced size up front.
-func readChunked(r io.Reader, n int, what string) ([]byte, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(n, chunk))
-	for len(buf) < n {
-		m := min(n-len(buf), chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, m)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, fmt.Errorf("elastic: snapshot %s: %w", what, err)
-		}
-	}
-	return buf, nil
 }

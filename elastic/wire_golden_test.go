@@ -45,3 +45,36 @@ func TestSnapshotWireGolden(t *testing.T) {
 		}
 	}
 }
+
+// snapshotLayout lists the fields of s's encoding in wire order.
+func snapshotLayout(s *Snapshot) wiretest.Layout {
+	l := wiretest.Magic(4).Add("seed", 8).Add("world", 4).Add("policy", 1+len(s.Policy)).
+		Add("step", 8).Add("epoch", 4).Add("batch", 4).Add("shuffle state", 8).
+		Add("momentum", 4).Add("weight decay", 4).Add("model checkpoint", 4+len(s.Params)).
+		Add("velocity tensors", 4)
+	for _, v := range s.Velocity {
+		l = l.Add("velocity tensor", 4+4*len(v))
+	}
+	return l
+}
+
+func readSnapshot(b []byte) error {
+	_, err := ReadSnapshot(bytes.NewReader(b))
+	return err
+}
+
+// TestSnapshotTruncation cuts a snapshot at every byte and expects the
+// decoder to name the field the cut falls in.
+func TestSnapshotTruncation(t *testing.T) {
+	msgs := snapshotSamples(t)
+	wiretest.Truncations(t, msgs["snapshot"], snapshotLayout(sampleSnapshot()), readSnapshot)
+}
+
+// TestSnapshotCaps: a length one past its cap fails as a cap error
+// naming the field.
+func TestSnapshotCaps(t *testing.T) {
+	msg, layout := snapshotSamples(t)["snapshot"], snapshotLayout(sampleSnapshot())
+	wiretest.OverCap(t, msg, layout, "model checkpoint", 4, maxSnapshotParams, readSnapshot)
+	wiretest.OverCap(t, msg, layout, "velocity tensors", 4, maxSnapshotTensors, readSnapshot)
+	wiretest.OverCap(t, msg, layout, "velocity tensor", 4, maxSnapshotElems, readSnapshot)
+}

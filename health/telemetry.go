@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // This file adds the telemetry extension to the control-plane protocol:
@@ -58,6 +59,9 @@ const (
 	// maxTelemetryTensors full-length entries would be ~300 KiB; a rank
 	// that needs more than this is misusing the control plane.
 	maxTelemetryBody = 1 << 19
+
+	// telemetryFormat names the snapshot body in decode errors.
+	telemetryFormat = "health: telemetry"
 )
 
 // TensorTelemetry is one tensor's convergence and quantisation-quality
@@ -92,15 +96,6 @@ type TelemetrySnapshot struct {
 	Tensors []TensorTelemetry
 }
 
-// appendU16w appends a little-endian uint16.
-func appendU16w(buf []byte, v uint16) []byte {
-	return append(buf, byte(v), byte(v>>8))
-}
-
-func appendF64w(buf []byte, v float64) []byte {
-	return appendU64w(buf, math.Float64bits(v))
-}
-
 // ErrTelemetryBounds is wrapped by every rejection of a tensor
 // inventory that telemetry snapshots cannot carry.
 var ErrTelemetryBounds = errors.New("health: tensor inventory exceeds the telemetry wire bounds")
@@ -109,57 +104,44 @@ var ErrTelemetryBounds = errors.New("health: tensor inventory exceeds the teleme
 // with these names fit the wire: at most maxTelemetryTensors tensors,
 // each name at most maxTensorNameLen bytes. Both bounds are fixed by a
 // model's tensor inventory, so a trainer checks them once up front;
-// encodeTelemetry applies the same check to every snapshot. The body
+// encodeTelemetry applies the same caps to every snapshot. The body
 // bound cannot be exceeded by an inventory that passes.
 func CheckTelemetryNames(names []string) error {
-	return checkTelemetryNames(len(names), func(i int) string { return names[i] })
-}
-
-func checkTelemetryNames(n int, name func(i int) string) error {
-	if n > maxTelemetryTensors {
-		return fmt.Errorf("%w: %d tensors, the bound is %d", ErrTelemetryBounds, n, maxTelemetryTensors)
+	s := TelemetrySnapshot{Tensors: make([]TensorTelemetry, len(names))}
+	for i, nm := range names {
+		s.Tensors[i].Name = nm
 	}
-	for i := 0; i < n; i++ {
-		if nm := name(i); len(nm) > maxTensorNameLen {
-			return fmt.Errorf("%w: tensor name %q is longer than %d bytes", ErrTelemetryBounds, nm, maxTensorNameLen)
-		}
-	}
-	return nil
+	_, err := encodeTelemetry(nil, 0, s)
+	return err
 }
 
 // encodeTelemetry assembles a telemetry message (header, body length,
 // body) into buf. It rejects snapshots that violate the wire bounds
 // rather than truncating silently.
 func encodeTelemetry(buf []byte, from int, s TelemetrySnapshot) ([]byte, error) {
-	if err := checkTelemetryNames(len(s.Tensors), func(i int) string { return s.Tensors[i].Name }); err != nil {
-		return nil, err
-	}
-	buf = appendHeader(buf[:0], kindTelemetry)
-	lenAt := len(buf)
-	buf = appendU32w(buf, 0) // body length, patched below
-	bodyAt := len(buf)
-	buf = append(buf, telemetryVersion)
-	buf = appendU32w(buf, uint32(from))
-	buf = appendU64w(buf, uint64(s.Step))
-	buf = appendF64w(buf, s.Loss)
-	buf = appendU64w(buf, uint64(s.Compute.Nanoseconds()))
-	buf = appendU64w(buf, uint64(s.Exchange.Nanoseconds()))
-	buf = appendU16w(buf, uint16(len(s.Tensors)))
+	e := wire.Encoder{Format: telemetryFormat, Buf: appendHeader(buf[:0], kindTelemetry)}
+	lenAt := len(e.Buf)
+	e.U32(0) // body length, patched below
+	e.U8(telemetryVersion)
+	e.U32(uint32(from))
+	e.U64(uint64(s.Step))
+	e.F64(s.Loss)
+	e.U64(uint64(s.Compute.Nanoseconds()))
+	e.U64(uint64(s.Exchange.Nanoseconds()))
+	e.Len("tensors", 2, maxTelemetryTensors, len(s.Tensors))
 	for i := range s.Tensors {
 		t := &s.Tensors[i]
-		buf = append(buf, byte(len(t.Name)))
-		buf = append(buf, t.Name...)
-		buf = appendF64w(buf, t.GradL2)
-		buf = appendF64w(buf, t.GradInf)
-		buf = appendF64w(buf, t.RMSE)
-		buf = appendF64w(buf, t.Compression)
+		e.String("tensor name", 1, maxTensorNameLen, t.Name)
+		e.F64(t.GradL2)
+		e.F64(t.GradInf)
+		e.F64(t.RMSE)
+		e.F64(t.Compression)
 	}
-	body := len(buf) - bodyAt
-	if body > maxTelemetryBody {
-		return nil, fmt.Errorf("health: telemetry body is %d bytes, wire bound is %d", body, maxTelemetryBody)
+	if err := e.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrTelemetryBounds, err)
 	}
-	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(body))
-	return buf, nil
+	binary.LittleEndian.PutUint32(e.Buf[lenAt:], uint32(len(e.Buf)-lenAt-4))
+	return e.Buf, nil
 }
 
 // decodeTelemetry parses a telemetry body. An unknown snapshot version
@@ -168,47 +150,29 @@ func encodeTelemetry(buf []byte, from int, s TelemetrySnapshot) ([]byte, error) 
 // length framing already preserved the stream, so this only fires on a
 // corrupted or lying sender).
 func decodeTelemetry(body []byte) (from int, s TelemetrySnapshot, ok bool, err error) {
-	if len(body) < 1 {
-		return 0, s, false, fmt.Errorf("health: empty telemetry body")
+	d := wire.NewBytes(telemetryFormat, body)
+	if v := d.U8("snapshot version"); d.Err() != nil || v != telemetryVersion {
+		return 0, s, false, d.Err()
 	}
-	if body[0] != telemetryVersion {
-		return 0, s, false, nil
-	}
-	const fixed = 1 + 4 + 8 + 8 + 8 + 8 + 2
-	if len(body) < fixed {
-		return 0, s, false, fmt.Errorf("health: telemetry body truncated at %d bytes", len(body))
-	}
-	from = int(binary.LittleEndian.Uint32(body[1:]))
-	s.Step = int64(binary.LittleEndian.Uint64(body[5:]))
-	s.Loss = math.Float64frombits(binary.LittleEndian.Uint64(body[13:]))
-	s.Compute = durationNS(body[21:])
-	s.Exchange = durationNS(body[29:])
-	n := int(binary.LittleEndian.Uint16(body[37:]))
-	if n > maxTelemetryTensors {
-		return 0, s, false, fmt.Errorf("health: telemetry snapshot claims %d tensors, wire bound is %d", n, maxTelemetryTensors)
-	}
-	rest := body[fixed:]
+	from = int(d.U32("sender rank"))
+	s.Step = int64(d.U64("step"))
+	s.Loss = d.F64("loss")
+	s.Compute = time.Duration(d.U64("compute ns"))
+	s.Exchange = time.Duration(d.U64("exchange ns"))
+	n := d.Len("tensors", 2, maxTelemetryTensors)
 	s.Tensors = make([]TensorTelemetry, 0, n)
-	for i := 0; i < n; i++ {
-		if len(rest) < 1 {
-			return 0, s, false, fmt.Errorf("health: telemetry tensor %d truncated", i)
-		}
-		nameLen := int(rest[0])
-		rest = rest[1:]
-		if len(rest) < nameLen+4*8 {
-			return 0, s, false, fmt.Errorf("health: telemetry tensor %d truncated", i)
-		}
-		t := TensorTelemetry{Name: string(rest[:nameLen])}
-		rest = rest[nameLen:]
-		t.GradL2 = math.Float64frombits(binary.LittleEndian.Uint64(rest[0:]))
-		t.GradInf = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
-		t.RMSE = math.Float64frombits(binary.LittleEndian.Uint64(rest[16:]))
-		t.Compression = math.Float64frombits(binary.LittleEndian.Uint64(rest[24:]))
-		rest = rest[32:]
-		s.Tensors = append(s.Tensors, t)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s.Tensors = append(s.Tensors, TensorTelemetry{
+			Name:        d.String("tensor name", 1, maxTensorNameLen),
+			GradL2:      d.F64("grad l2"),
+			GradInf:     d.F64("grad inf"),
+			RMSE:        d.F64("rmse"),
+			Compression: d.F64("compression"),
+		})
 	}
-	if len(rest) != 0 {
-		return 0, s, false, fmt.Errorf("health: telemetry body has %d trailing bytes", len(rest))
+	d.End()
+	if err := d.Err(); err != nil {
+		return 0, TelemetrySnapshot{}, false, err
 	}
 	return from, s, true, nil
 }

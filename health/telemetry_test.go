@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 func sampleSnapshot() TelemetrySnapshot {
@@ -97,10 +99,9 @@ func TestTelemetryUnknownVersionIgnored(t *testing.T) {
 // body and keeps reading — unknown *fixed* kinds below the extension
 // range stay fatal.
 func TestTelemetryUnknownExtensionKindSkipped(t *testing.T) {
-	future := appendHeader(nil, kindTelemetry+5)
-	future = appendU32w(future, 3)
-	future = append(future, 0xAA, 0xBB, 0xCC)
-	stream := append(future, encodeBye(nil, 2)...)
+	future := wire.Encoder{Buf: appendHeader(nil, kindTelemetry+5)}
+	future.Bytes("body", 4, maxExtensionBody, []byte{0xAA, 0xBB, 0xCC})
+	stream := append(future.Buf, encodeBye(nil, 2)...)
 	r := bytes.NewReader(stream)
 	m, err := readMessage(r)
 	if err != nil {
@@ -129,9 +130,9 @@ func TestTelemetryOversizedAndMalformedRejected(t *testing.T) {
 		t.Fatal("encode accepted an oversized tensor name")
 	}
 	// Decoder: a length prefix past the extension bound is corruption.
-	over := appendHeader(nil, kindTelemetry)
-	over = appendU32w(over, maxExtensionBody+1)
-	if _, err := readMessage(bytes.NewReader(over)); err == nil {
+	over := wire.Encoder{Buf: appendHeader(nil, kindTelemetry)}
+	over.U32(maxExtensionBody + 1)
+	if _, err := readMessage(bytes.NewReader(over.Buf)); err == nil {
 		t.Fatal("decoder accepted an oversized extension body length")
 	}
 	// Decoder: a tensor count past the bound inside a well-framed body.

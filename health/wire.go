@@ -1,10 +1,10 @@
 package health
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // This file defines the control-plane wire protocol: little-endian,
@@ -39,8 +39,8 @@ import (
 // mesh (see Monitor.Report).
 
 const (
-	// controlMagic tags every control-plane message ("LPSH").
-	controlMagic uint32 = 'L' | 'P'<<8 | 'S'<<16 | 'H'<<24
+	// controlMagic tags every control-plane message.
+	controlMagic = "LPSH"
 
 	// controlVersion is the control-plane wire version. It is versioned
 	// independently of the rendezvous protocol: the rendezvous hello
@@ -84,120 +84,74 @@ type message struct {
 	HasTelemetry bool
 }
 
+// appendHeader appends the header every control message opens with.
 func appendHeader(buf []byte, kind byte) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], controlMagic)
-	buf = append(buf, b[:]...)
-	return append(buf, controlVersion, kind)
-}
-
-func appendU32w(buf []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(buf, b[:]...)
-}
-
-func appendU64w(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(buf, b[:]...)
+	return append(append(buf, controlMagic...), controlVersion, kind)
 }
 
 // encodePing assembles a ping carrying the sender's latest step report.
 func encodePing(buf []byte, from int, seq uint64, r StepReport) []byte {
-	buf = appendHeader(buf[:0], kindPing)
-	buf = appendU32w(buf, uint32(from))
-	buf = appendU64w(buf, seq)
-	buf = appendU64w(buf, uint64(r.Step))
-	buf = appendU64w(buf, uint64(r.Compute.Nanoseconds()))
-	return appendU64w(buf, uint64(r.Exchange.Nanoseconds()))
+	e := wire.Encoder{Buf: appendHeader(buf[:0], kindPing)}
+	e.U32(uint32(from))
+	e.U64(seq)
+	e.U64(uint64(r.Step))
+	e.U64(uint64(r.Compute.Nanoseconds()))
+	e.U64(uint64(r.Exchange.Nanoseconds()))
+	return e.Buf
 }
 
 // encodeAbort assembles the coordinated-abort broadcast.
 func encodeAbort(buf []byte, from, dead int, lastSeenNano int64) []byte {
-	buf = appendHeader(buf[:0], kindAbort)
-	buf = appendU32w(buf, uint32(from))
-	buf = appendU32w(buf, uint32(dead))
-	return appendU64w(buf, uint64(lastSeenNano))
+	e := wire.Encoder{Buf: appendHeader(buf[:0], kindAbort)}
+	e.U32(uint32(from))
+	e.U32(uint32(dead))
+	e.U64(uint64(lastSeenNano))
+	return e.Buf
 }
 
 // encodeBye assembles the clean-departure notice.
 func encodeBye(buf []byte, from int) []byte {
-	buf = appendHeader(buf[:0], kindBye)
-	return appendU32w(buf, uint32(from))
+	e := wire.Encoder{Buf: appendHeader(buf[:0], kindBye)}
+	e.U32(uint32(from))
+	return e.Buf
 }
 
-// readMessage blocks for the next control message on r and decodes it.
+// readMessage blocks for the next control message on r and decodes it:
+// one read for the header, one for a fixed body (two for an extension
+// kind's length and body).
 func readMessage(r io.Reader) (message, error) {
 	var m message
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return m, err
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != controlMagic {
-		return m, fmt.Errorf("health: bad control magic %#x", got)
-	}
-	if v := hdr[4]; v != controlVersion {
-		return m, fmt.Errorf("health: control message speaks version %d, this build speaks %d", v, controlVersion)
-	}
-	m.Kind = hdr[5]
-	var want int
+	d := wire.NewReader("health: control message", r)
+	d.Fill(6)
+	d.ReadMagicVersion(controlMagic, controlVersion)
+	m.Kind = d.U8("kind")
 	switch m.Kind {
 	case kindPing:
-		want = pingBody
+		d.Fill(pingBody)
+		m.From = int(d.U32("sender rank"))
+		m.Seq = d.U64("sequence")
+		m.Report.Step = int64(d.U64("step"))
+		m.Report.Compute = time.Duration(d.U64("compute ns"))
+		m.Report.Exchange = time.Duration(d.U64("exchange ns"))
+		m.HasSteps = m.Report.Step > 0
 	case kindAbort:
-		want = abortBody
+		d.Fill(abortBody)
+		m.From = int(d.U32("sender rank"))
+		m.Dead = int(d.U32("dead rank"))
+		m.LastSeenNano = int64(d.U64("last seen"))
 	case kindBye:
-		want = byeBody
+		d.Fill(byeBody)
+		m.From = int(d.U32("sender rank"))
 	default:
-		if m.Kind < kindTelemetry {
-			return m, fmt.Errorf("health: unknown control message kind %d", m.Kind)
-		}
 		// Extension kinds carry an explicit body length: read it, bound
 		// it, consume the body. Kinds this build does not know are
 		// skipped — a newer peer's extra messages must not read as death.
-		var lb [4]byte
-		if _, err := io.ReadFull(r, lb[:]); err != nil {
-			return m, fmt.Errorf("health: extension message length: %w", err)
+		body := d.Bytes("body", 4, maxExtensionBody)
+		if m.Kind == kindTelemetry && d.Err() == nil {
+			var err error
+			m.From, m.Telemetry, m.HasTelemetry, err = decodeTelemetry(body)
+			return m, err
 		}
-		n := binary.LittleEndian.Uint32(lb[:])
-		if n > maxExtensionBody {
-			return m, fmt.Errorf("health: extension message body of %d bytes exceeds the %d-byte wire bound", n, maxExtensionBody)
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return m, fmt.Errorf("health: extension message body: %w", err)
-		}
-		if m.Kind == kindTelemetry {
-			from, snap, ok, err := decodeTelemetry(body)
-			if err != nil {
-				return m, err
-			}
-			m.From, m.Telemetry, m.HasTelemetry = from, snap, ok
-		}
-		return m, nil
 	}
-	body := make([]byte, want)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return m, fmt.Errorf("health: control message body: %w", err)
-	}
-	m.From = int(binary.LittleEndian.Uint32(body[0:]))
-	switch m.Kind {
-	case kindPing:
-		m.Seq = binary.LittleEndian.Uint64(body[4:])
-		m.Report = StepReport{
-			Step:     int64(binary.LittleEndian.Uint64(body[12:])),
-			Compute:  durationNS(body[20:]),
-			Exchange: durationNS(body[28:]),
-		}
-		m.HasSteps = m.Report.Step > 0
-	case kindAbort:
-		m.Dead = int(binary.LittleEndian.Uint32(body[4:]))
-		m.LastSeenNano = int64(binary.LittleEndian.Uint64(body[8:]))
-	}
-	return m, nil
-}
-
-func durationNS(b []byte) time.Duration {
-	return time.Duration(binary.LittleEndian.Uint64(b))
+	return m, d.Err()
 }

@@ -13,12 +13,12 @@ import (
 // field decoded off the wire must be compared against a bound before
 // it sizes an allocation. Every framed format in the tree (quant
 // frames, cluster rendezvous, health control messages, elastic
-// snapshots, nn checkpoints) validates announced lengths against hard
-// caps before trusting them — see elastic.ReadSnapshot — and this
-// analyzer makes that prose contract mechanical: in the decoder
-// packages it flags make() calls whose size derives from a
-// binary.*Endian.UintNN or binary.Read value with no intervening
-// comparison of that value.
+// snapshots, nn checkpoints) is decoded through internal/wire, whose
+// Len, Bytes and String check each announced length against the
+// format's named cap before trusting it, and this analyzer makes that
+// contract mechanical: in the toolkit and the decoder packages it
+// flags make() calls whose size derives from a binary.*Endian.UintNN
+// or binary.Read value with no intervening comparison of that value.
 //
 // It also enforces the sim scenario decoder's strictness contract: a
 // json.Decoder constructed in package sim must call
@@ -27,19 +27,19 @@ import (
 var Wirebound = &analysis.Analyzer{
 	Name: "wirebound",
 	Doc: "decoded wire lengths must be bounds-checked before they size an allocation\n\n" +
-		"In the decoder packages (quant, comm, health, elastic, cluster, nn) a\n" +
-		"make() whose size data-flows from binary.*Endian.UintNN or binary.Read\n" +
-		"without an intervening comparison lets a corrupted or hostile length\n" +
-		"field drive an unbounded allocation. In package sim, json.Decoder\n" +
-		"values must call DisallowUnknownFields before Decode.",
+		"In internal/wire and the decoder packages (quant, comm, health, elastic,\n" +
+		"cluster, nn) a make() whose size data-flows from binary.*Endian.UintNN\n" +
+		"or binary.Read without an intervening comparison lets a corrupted or\n" +
+		"hostile length field drive an unbounded allocation. In package sim,\n" +
+		"json.Decoder values must call DisallowUnknownFields before Decode.",
 	Run: runWirebound,
 }
 
-// decoderPackages are the packages that decode framed wire formats;
-// the bound rule applies only there.
+// decoderPackages are the packages that decode framed wire formats,
+// internal/wire among them; the bound rule applies only there.
 var decoderPackages = map[string]bool{
 	"quant": true, "comm": true, "health": true,
-	"elastic": true, "cluster": true, "nn": true,
+	"elastic": true, "cluster": true, "nn": true, "wire": true,
 }
 
 func runWirebound(pass *analysis.Pass) error {
@@ -141,7 +141,7 @@ func checkWireBounds(pass *analysis.Pass, body *ast.BlockStmt) {
 
 	for _, s := range sinks {
 		if s.direct {
-			pass.Reportf(s.pos, "make size reads a wire length field directly with no bound check; compare it against a cap first (see elastic.ReadSnapshot)")
+			pass.Reportf(s.pos, "make size reads a wire length field directly with no bound check; compare it against a cap first (see internal/wire)")
 			continue
 		}
 		if boundedExpr(s.size) {
@@ -154,7 +154,7 @@ func checkWireBounds(pass *analysis.Pass, body *ast.BlockStmt) {
 			if gpos, ok := guarded[key]; ok && gpos < s.pos {
 				continue
 			}
-			pass.Reportf(s.pos, "make size derives from wire-decoded length %q with no intervening bound check; compare it against a cap first (see elastic.ReadSnapshot)", key)
+			pass.Reportf(s.pos, "make size derives from wire-decoded length %q with no intervening bound check; compare it against a cap first (see internal/wire)", key)
 		}
 	}
 }

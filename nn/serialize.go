@@ -2,14 +2,22 @@ package nn
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"repro/internal/wire"
 )
 
-// checkpointMagic identifies the checkpoint format and its version.
-const checkpointMagic = "LPSGD\x00\x00\x01"
+const (
+	// checkpointMagic and checkpointVersion identify the checkpoint
+	// format: together the 8-byte magic "LPSGD\x00\x00\x01".
+	checkpointMagic   = "LPSGD\x00\x00"
+	checkpointVersion = 1
+	// maxParamName bounds a parameter name on the wire.
+	maxParamName = 4096
+
+	checkpointFormat = "nn: checkpoint"
+)
 
 // Save writes the network's parameter values (not gradients or
 // optimiser state) to w in a versioned little-endian binary format, so
@@ -19,90 +27,38 @@ const checkpointMagic = "LPSGD\x00\x00\x01"
 // uint32 name length, name bytes, uint32 rows, uint32 cols, and
 // rows·cols float32 values.
 func (n *Network) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(checkpointMagic); err != nil {
-		return fmt.Errorf("nn: save magic: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(n.params))); err != nil {
-		return fmt.Errorf("nn: save count: %w", err)
-	}
+	// Sized for names of up to 52 bytes; longer ones cost one regrowth.
+	e := wire.Encoder{Format: checkpointFormat, Buf: make([]byte, 0, 12+64*len(n.params)+4*n.NumParams())}
+	e.MagicVersion(checkpointMagic, checkpointVersion)
+	e.U32(uint32(len(n.params)))
 	for _, p := range n.params {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(p.Name))); err != nil {
-			return fmt.Errorf("nn: save %s: %w", p.Name, err)
-		}
-		if _, err := bw.WriteString(p.Name); err != nil {
-			return fmt.Errorf("nn: save %s: %w", p.Name, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(p.Value.Rows)); err != nil {
-			return fmt.Errorf("nn: save %s: %w", p.Name, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(p.Value.Cols)); err != nil {
-			return fmt.Errorf("nn: save %s: %w", p.Name, err)
-		}
-		for _, v := range p.Value.Data {
-			if err := binary.Write(bw, binary.LittleEndian, math.Float32bits(v)); err != nil {
-				return fmt.Errorf("nn: save %s: %w", p.Name, err)
-			}
-		}
+		e.String("parameter name", 4, maxParamName, p.Name)
+		e.U32(uint32(p.Value.Rows))
+		e.U32(uint32(p.Value.Cols))
+		e.F32s(p.Value.Data)
 	}
-	return bw.Flush()
+	return e.Send(w)
 }
 
 // Load restores parameter values previously written by Save into this
 // network. The architectures must match: same parameter names, shapes
 // and order. Gradients and optimiser state are untouched.
 func (n *Network) Load(r io.Reader) error {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("nn: load magic: %w", err)
-	}
-	if string(magic) != checkpointMagic {
-		return fmt.Errorf("nn: not a checkpoint (bad magic %q)", magic)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return fmt.Errorf("nn: load count: %w", err)
-	}
-	if int(count) != len(n.params) {
-		return fmt.Errorf("nn: checkpoint has %d parameters, network has %d",
-			count, len(n.params))
+	d := wire.NewReader(checkpointFormat, bufio.NewReader(r))
+	d.ReadMagicVersion(checkpointMagic, checkpointVersion)
+	if count := d.U32("parameter count"); d.Err() == nil && int(count) != len(n.params) {
+		d.Fail("parameter count", fmt.Errorf("checkpoint has %d parameters, network has %d", count, len(n.params)))
 	}
 	for _, p := range n.params {
-		var nameLen uint32
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return fmt.Errorf("nn: load name length: %w", err)
+		if name := d.String("parameter name", 4, maxParamName); d.Err() == nil && name != p.Name {
+			d.Fail("parameter name", fmt.Errorf("checkpoint parameter %q, network expects %q", name, p.Name))
 		}
-		if nameLen > 4096 {
-			return fmt.Errorf("nn: implausible name length %d", nameLen)
+		rows, cols := d.U32("rows"), d.U32("cols")
+		if d.Err() == nil && (int(rows) != p.Value.Rows || int(cols) != p.Value.Cols) {
+			d.Fail("shape", fmt.Errorf("checkpoint %s is %dx%d, network has %dx%d",
+				p.Name, rows, cols, p.Value.Rows, p.Value.Cols))
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return fmt.Errorf("nn: load name: %w", err)
-		}
-		if string(name) != p.Name {
-			return fmt.Errorf("nn: checkpoint parameter %q, network expects %q",
-				name, p.Name)
-		}
-		var rows, cols uint32
-		if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
-			return fmt.Errorf("nn: load %s rows: %w", p.Name, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &cols); err != nil {
-			return fmt.Errorf("nn: load %s cols: %w", p.Name, err)
-		}
-		if int(rows) != p.Value.Rows || int(cols) != p.Value.Cols {
-			return fmt.Errorf("nn: checkpoint %s is %dx%d, network has %dx%d",
-				p.Name, rows, cols, p.Value.Rows, p.Value.Cols)
-		}
-		buf := make([]byte, 4*rows*cols)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("nn: load %s data: %w", p.Name, err)
-		}
-		for i := range p.Value.Data {
-			p.Value.Data[i] = math.Float32frombits(
-				binary.LittleEndian.Uint32(buf[4*i:]))
-		}
+		d.F32s("values", len(p.Value.Data), p.Value.Data[:0])
 	}
-	return nil
+	return d.Err()
 }

@@ -1,9 +1,11 @@
 package quant
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+
+	"repro/internal/wire"
 )
 
 // This file defines the self-describing framed wire format: a compact
@@ -33,13 +35,18 @@ const (
 	// FrameMagic identifies a framed low-precision gradient message
 	// ("LPSQ" in little-endian byte order).
 	FrameMagic uint32 = 'L' | 'P'<<8 | 'S'<<16 | 'Q'<<24
+	// frameMagic is FrameMagic as the bytes on the wire.
+	frameMagic = "LPSQ"
 
-	// FrameVersion is the wire-format version this package writes.
-	// Decoders reject frames from a newer format.
+	// FrameVersion is the wire-format version this package writes, and
+	// the only one its decoders accept.
 	FrameVersion = 1
 
 	// frameFixedBytes is the header size excluding the codec name.
 	frameFixedBytes = 4 + 1 + 1 + 4*4
+
+	// maxCodecName bounds the codec name a header carries.
+	maxCodecName = 255
 
 	// MaxFrameElements bounds the element count a frame may carry: the
 	// encoders refuse to build larger frames and the decoders reject
@@ -48,6 +55,8 @@ const (
 	// (a 1 GiB raw tensor) comfortably covers the largest whole-model
 	// tensors in the study.
 	MaxFrameElements = 1 << 28
+
+	frameFormat = "quant: frame"
 )
 
 // Header is the decoded frame header.
@@ -75,105 +84,71 @@ func FrameOverhead(codecName string) int {
 // ReadHeader enforces — so unsendable frames fail at the sender, not
 // silently at every receiver.
 func appendHeader(dst []byte, codecName string, shape Shape, n, payloadBytes int) []byte {
-	if len(codecName) > 255 {
-		panic(fmt.Sprintf("quant: codec name %q longer than 255 bytes", codecName))
+	e := wire.Encoder{Format: frameFormat, Buf: dst}
+	e.MagicVersion(frameMagic, FrameVersion)
+	e.String("codec name", 1, maxCodecName, codecName)
+	e.Len("shape rows", 4, math.MaxUint32, shape.Rows)
+	e.Len("shape cols", 4, math.MaxUint32, shape.Cols)
+	e.Len("element count", 4, MaxFrameElements, n)
+	e.Len("payload length", 4, math.MaxUint32, payloadBytes)
+	if err := e.Err(); err != nil {
+		panic(err)
 	}
-	if n < 0 || n > MaxFrameElements {
-		panic(fmt.Sprintf("quant: frame element count %d outside [0, %d]", n, MaxFrameElements))
-	}
-	if payloadBytes < 0 || int64(payloadBytes) > int64(^uint32(0)) ||
-		shape.Rows < 0 || int64(shape.Rows) > int64(^uint32(0)) ||
-		shape.Cols < 0 || int64(shape.Cols) > int64(^uint32(0)) {
-		panic(fmt.Sprintf("quant: frame fields out of uint32 range (shape %s, payload %d)", shape, payloadBytes))
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], FrameMagic)
-	dst = append(dst, b[:]...)
-	dst = append(dst, FrameVersion, byte(len(codecName)))
-	dst = append(dst, codecName...)
-	for _, v := range [4]uint32{uint32(shape.Rows), uint32(shape.Cols), uint32(n), uint32(payloadBytes)} {
-		binary.LittleEndian.PutUint32(b[:], v)
-		dst = append(dst, b[:]...)
-	}
-	return dst
+	return e.Buf
 }
 
-// parseFixed validates the six bytes every header starts with — magic,
-// version, codec-name length — and returns the version and the name
-// length.
-func parseFixed(fixed []byte) (version byte, nameLen int, err error) {
-	if magic := binary.LittleEndian.Uint32(fixed[0:]); magic != FrameMagic {
-		return 0, 0, fmt.Errorf("quant: bad frame magic %#x", magic)
-	}
-	version = fixed[4]
-	if version == 0 || version > FrameVersion {
-		return 0, 0, fmt.Errorf("quant: unsupported frame version %d (have %d)", version, FrameVersion)
-	}
-	return version, int(fixed[5]), nil
-}
-
-// parseSizes decodes the sixteen header bytes that follow the codec
-// name — shape, element count, payload length — into h.
-func (h *Header) parseSizes(rest []byte) error {
-	h.Shape = Shape{
-		Rows: int(binary.LittleEndian.Uint32(rest[0:])),
-		Cols: int(binary.LittleEndian.Uint32(rest[4:])),
-	}
-	h.N = int(binary.LittleEndian.Uint32(rest[8:]))
-	h.PayloadBytes = int(binary.LittleEndian.Uint32(rest[12:]))
-	if h.N > MaxFrameElements {
-		return fmt.Errorf("quant: frame announces %d elements, cap is %d", h.N, MaxFrameElements)
-	}
-	return nil
+// readHeader decodes the header every frame opens with — one read for
+// the fixed prefix, one for the codec name, one for the sizes on an
+// io.Reader — returning the codec name as the bytes d holds.
+func readHeader(d *wire.Decoder) (h Header, name []byte) {
+	d.Fill(6)
+	d.ReadMagicVersion(frameMagic, FrameVersion)
+	h.Version = FrameVersion
+	name = d.Bytes("codec name", 1, maxCodecName)
+	d.Fill(16)
+	h.Shape.Rows = int(d.U32("shape rows"))
+	h.Shape.Cols = int(d.U32("shape cols"))
+	h.N = d.Len("element count", 4, MaxFrameElements)
+	h.PayloadBytes = int(d.U32("payload length"))
+	return h, name
 }
 
 // ReadHeader reads and validates one frame header from r, leaving r
 // positioned at the first payload byte. It returns an error — never
 // panics — on truncated, corrupted or oversized headers.
 func ReadHeader(r io.Reader) (Header, error) {
-	var fixed [6]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return Header{}, fmt.Errorf("quant: frame header: %w", err)
-	}
-	version, nameLen, err := parseFixed(fixed[:])
-	if err != nil {
+	d := wire.NewReader(frameFormat, r)
+	h, name := readHeader(&d)
+	if err := d.Err(); err != nil {
 		return Header{}, err
-	}
-	h := Header{Version: version}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return Header{}, fmt.Errorf("quant: frame codec name: %w", err)
 	}
 	h.Codec = string(name)
-	var rest [16]byte
-	if _, err := io.ReadFull(r, rest[:]); err != nil {
-		return Header{}, fmt.Errorf("quant: frame header: %w", err)
-	}
-	if err := h.parseSizes(rest[:]); err != nil {
-		return Header{}, err
-	}
 	return h, nil
 }
 
-// resolve parses the header's codec and cross-checks the announced
-// payload length with checkPayload.
-func (h Header) resolve() (Codec, error) {
-	c, err := Parse(h.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("quant: frame codec: %w", err)
+// resolve resolves the header's codec name — past Parse when it is the
+// name fd remembers — and cross-checks the announced payload length
+// with the codec's own arithmetic, so a corrupted length field is
+// caught before any payload is trusted.
+func (fd *FrameDecoder) resolve(d *wire.Decoder, h *Header, name []byte) Codec {
+	if d.Err() != nil {
+		return nil
 	}
-	return c, h.checkPayload(c)
-}
-
-// checkPayload cross-checks the announced payload length against the
-// codec's own arithmetic, so a corrupted length field is caught before
-// any payload is trusted.
-func (h Header) checkPayload(c Codec) error {
-	if want := c.EncodedBytes(h.N, h.Shape); h.PayloadBytes != want {
-		return fmt.Errorf("quant: frame payload %d bytes, codec %s expects %d for n=%d shape=%s",
-			h.PayloadBytes, h.Codec, want, h.N, h.Shape)
+	if fd.codec == nil || string(name) != fd.name {
+		c, err := Parse(string(name))
+		if err != nil {
+			d.Fail("codec name", err)
+			return nil
+		}
+		fd.name, fd.codec = string(name), c
 	}
-	return nil
+	h.Codec = fd.name
+	if want := fd.codec.EncodedBytes(h.N, h.Shape); h.PayloadBytes != want {
+		d.Fail("payload length", fmt.Errorf("%d bytes, codec %s expects %d for n=%d shape=%s",
+			h.PayloadBytes, h.Codec, want, h.N, h.Shape))
+		return nil
+	}
+	return fd.codec
 }
 
 // DecodeAny reads one complete frame from r and returns the decoded
@@ -182,50 +157,28 @@ func (h Header) checkPayload(c Codec) error {
 // truncation, corruption, unknown codecs, inconsistent lengths — return
 // errors rather than panicking.
 func DecodeAny(r io.Reader) ([]float32, error) {
-	h, err := ReadHeader(r)
-	if err != nil {
+	d := wire.NewReader(frameFormat, r)
+	h, name := readHeader(&d)
+	c := new(FrameDecoder).resolve(&d, &h, name)
+	payload := d.Raw("payload", h.PayloadBytes)
+	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	c, err := h.resolve()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := readPayload(r, h.PayloadBytes)
-	if err != nil {
-		return nil, fmt.Errorf("quant: frame payload: %w", err)
 	}
 	dst := make([]float32, h.N)
 	if err := c.Decode(payload, h.N, h.Shape, dst); err != nil {
-		return nil, err
+		d.Fail("payload", err)
+		return nil, d.Err()
 	}
 	return dst, nil
 }
 
-// readPayload reads exactly n payload bytes, growing the buffer in
-// bounded chunks so a corrupted header announcing a huge payload fails
-// on the (truncated) input instead of allocating the announced size up
-// front.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(n, chunk))
-	for len(buf) < n {
-		m := min(n-len(buf), chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, m)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// DecodeFramed decodes one complete frame held in wire into dst, whose
+// DecodeFramed decodes one complete frame held in frame into dst, whose
 // length must equal the header's element count. It returns the header
 // so callers can inspect what arrived. Like DecodeAny it needs no
 // out-of-band codec agreement and never panics on bad input.
-func DecodeFramed(wire []byte, dst []float32) (Header, error) {
+func DecodeFramed(frame []byte, dst []float32) (Header, error) {
 	var d FrameDecoder
-	return d.Decode(wire, dst)
+	return d.Decode(frame, dst)
 }
 
 // FrameDecoder decodes frames exactly as DecodeFramed does, and
@@ -242,63 +195,25 @@ type FrameDecoder struct {
 	codec Codec
 }
 
-// Decode decodes one complete frame held in wire into dst; see
+// Decode decodes one complete frame held in frame into dst; see
 // DecodeFramed.
-func (d *FrameDecoder) Decode(wire []byte, dst []float32) (Header, error) {
-	fixed, rest, err := take(wire, 6)
-	if err != nil {
-		return Header{}, fmt.Errorf("quant: frame header: %w", err)
+func (fd *FrameDecoder) Decode(frame []byte, dst []float32) (Header, error) {
+	d := wire.NewBytes(frameFormat, frame)
+	h, name := readHeader(&d)
+	c := fd.resolve(&d, &h, name)
+	if d.Err() == nil && len(dst) != h.N {
+		d.Fail("element count", fmt.Errorf("frame holds %d elements, dst has %d", h.N, len(dst)))
 	}
-	version, nameLen, err := parseFixed(fixed)
-	if err != nil {
+	payload := d.Raw("payload", h.PayloadBytes)
+	d.End()
+	if err := d.Err(); err != nil {
 		return Header{}, err
 	}
-	h := Header{Version: version}
-	name, rest, err := take(rest, nameLen)
-	if err != nil {
-		return Header{}, fmt.Errorf("quant: frame codec name: %w", err)
-	}
-	sizes, payload, err := take(rest, 16)
-	if err != nil {
-		return Header{}, fmt.Errorf("quant: frame header: %w", err)
-	}
-	if err := h.parseSizes(sizes); err != nil {
-		return Header{}, err
-	}
-	if d.codec == nil || string(name) != d.name {
-		c, err := Parse(string(name))
-		if err != nil {
-			return Header{}, fmt.Errorf("quant: frame codec: %w", err)
-		}
-		d.name, d.codec = string(name), c
-	}
-	h.Codec = d.name
-	if err := h.checkPayload(d.codec); err != nil {
-		return Header{}, err
-	}
-	if len(dst) != h.N {
-		return Header{}, fmt.Errorf("quant: frame holds %d elements, dst has %d", h.N, len(dst))
-	}
-	if len(payload) != h.PayloadBytes {
-		return Header{}, fmt.Errorf("quant: frame payload %d bytes, header announces %d", len(payload), h.PayloadBytes)
-	}
-	if err := d.codec.Decode(payload, h.N, h.Shape, dst); err != nil {
-		return Header{}, err
+	if err := c.Decode(payload, h.N, h.Shape, dst); err != nil {
+		d.Fail("payload", err)
+		return Header{}, d.Err()
 	}
 	return h, nil
-}
-
-// take splits the first n bytes off b, failing as io.ReadFull would on
-// a reader holding b.
-func take(b []byte, n int) (head, tail []byte, err error) {
-	switch {
-	case len(b) >= n:
-		return b[:n], b[n:], nil
-	case len(b) == 0:
-		return nil, nil, io.EOF
-	default:
-		return nil, nil, io.ErrUnexpectedEOF
-	}
 }
 
 // framer holds the precomputed frame header for one encoder. Because an

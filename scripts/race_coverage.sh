@@ -42,6 +42,7 @@ repro/internal/lint
 repro/internal/lint/analysis
 repro/internal/lint/analysistest
 repro/internal/lint/driver
+repro/internal/wire
 repro/internal/wire/wiretest
 repro/internal/report
 repro/internal/workload
