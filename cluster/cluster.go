@@ -33,6 +33,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"os"
 	"time"
 
 	"repro/comm"
@@ -545,7 +546,7 @@ func dialMeshLink(addr string, from, to int, kind byte, deadline time.Time) (net
 // not "never".
 func dialCoordinator(addr string, deadline time.Time) (net.Conn, error) {
 	const retryEvery = 100 * time.Millisecond
-	var lastErr error
+	lastErr := os.ErrDeadlineExceeded // a deadline already past never dials
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -222,6 +223,22 @@ func TestRendezvousRejectsRejoinHello(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("coordinator hung on a rejoin hello")
+	}
+}
+
+// TestDialCoordinatorPastDeadline: a deadline that has already passed
+// fails the dial with os.ErrDeadlineExceeded rather than wrapping the
+// nil error of an attempt never made.
+func TestDialCoordinatorPastDeadline(t *testing.T) {
+	conn, err := dialCoordinator("127.0.0.1:1", time.Now().Add(-time.Second))
+	if conn != nil {
+		conn.Close()
+	}
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("got %v, want os.ErrDeadlineExceeded", err)
+	}
+	if strings.Contains(err.Error(), "%!") {
+		t.Fatalf("malformed error text: %v", err)
 	}
 }
 

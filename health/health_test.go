@@ -109,9 +109,11 @@ func TestMonitorDetectsKilledPeer(t *testing.T) {
 		})
 	}
 
-	// SIGKILL stand-in: rank 2's ends of both links vanish.
-	conns[2][0].Close()
-	conns[2][1].Close()
+	// SIGKILL stand-in: rank 2's ends of both links vanish. Kill stops
+	// rank 2's own loops before it closes the links, so its monitor
+	// cannot read the first close as a death and broadcast an abort
+	// over the second.
+	ms[2].Kill()
 
 	for r := 0; r < 2; r++ {
 		dead := waitVerdict(t, ms[r], 2*time.Second)
