@@ -23,6 +23,11 @@
 //     on loopback, so the trainer code cannot tell a simulated mesh
 //     from a deployed one.
 //
+// These steps are one rendezvous round. A fresh start is the round in
+// which no one holds state; after a peer-death verdict an elastic
+// session runs the same round again with a dead slot to refill, a kept
+// policy and a step table (rejoin.go).
+//
 // The result is a Session: rank, world size, negotiated policy and a
 // ready Transport. repro/lpsgd exposes it as
 // lpsgd.WithCluster(addr, rank, world); the process you actually
@@ -34,6 +39,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	"repro/comm"
@@ -137,37 +143,36 @@ func (c Config) Validate() error {
 // the precision policy the rendezvous negotiated, and the established
 // mesh. When the coordinator enabled elastic sessions, the session is
 // also the rank's elastic.Rejoiner: after a peer-death verdict, Rejoin
-// re-runs the rendezvous (ProtocolVersion 4 rejoin hellos) against the
-// same coordinator address, rebuilds the mesh and health plane in
-// place, and brokers the state transfer that lets a replacement take
-// the dead rank's slot.
+// runs the rendezvous round again (ProtocolVersion 4 rejoin hellos)
+// against the same coordinator address, rebuilds the mesh and health
+// plane in place, and brokers the state transfer that lets a
+// replacement take the dead rank's slot.
 type Session struct {
-	rank, world int
-	policyName  string
-	policy      *quant.Policy
-	fabric      *comm.RemoteFabric
-	monitor     *health.Monitor
-	peers       []string
+	// cfg is the rank's own configuration, Addr resolved to the
+	// rendezvous address every rank can re-dial (rank 0 re-listens on
+	// it). The session reads its rank, world, accept set, local phi
+	// threshold and rejoin budget, and tracer from it; everything else
+	// it runs under came in the welcome.
+	cfg        Config
+	policyName string
+	policy     *quant.Policy
+	fabric     *comm.RemoteFabric
+	monitor    *health.Monitor
+	peers      []string
 
-	// Rejoin context: the resolved rendezvous address every rank can
-	// re-dial (rank 0 re-listens on it), the session's resolved health
-	// and elastic settings, the advertised accept set, and the
-	// completed rejoin-round count. fabric/monitor/peers/generation are
-	// replaced by Rejoin, which runs on the rank's training goroutine;
-	// the accessors are not synchronised against it.
-	rendAddr   string
-	hb         health.Config
+	// The session's resolved elastic settings and the completed
+	// rejoin-round count. fabric/monitor/peers/generation are replaced
+	// by Rejoin, which runs on the rank's training goroutine; the
+	// accessors are not synchronised against it.
 	el         elastic.Config
-	accepts    []string
 	generation int
-	tracer     *obs.Tracer
 }
 
 // Rank returns this process's rank.
-func (s *Session) Rank() int { return s.rank }
+func (s *Session) Rank() int { return s.cfg.Rank }
 
 // World returns the number of worker processes.
-func (s *Session) World() int { return s.world }
+func (s *Session) World() int { return s.cfg.World }
 
 // PolicyName returns the negotiated policy's canonical spelling.
 func (s *Session) PolicyName() string { return s.policyName }
@@ -268,32 +273,119 @@ func (c *Coordinator) Close() error { return c.ln.Close() }
 func (c *Coordinator) Join() (*Session, error) {
 	defer c.ln.Close()
 	cfg := c.cfg
-	rendStart := cfg.Tracer.Now()
-	deadline := time.Now().Add(cfg.timeout())
+	cfg.Addr = c.Addr()
+	return start(cfg, c.ln)
+}
 
-	accepts := make([][]string, cfg.World)
-	addrs := make([]string, cfg.World)
-	accepts[0] = cfg.Accept
+// joinWorker runs the non-coordinator side of the rendezvous.
+func joinWorker(cfg Config) (*Session, error) { return start(cfg, nil) }
 
-	// Phase 1: collect one hello per rank. A malformed or conflicting
-	// hello aborts the whole rendezvous — a cluster that cannot agree on
-	// its own membership must not train — but the offender is told why.
-	rendConns := make([]net.Conn, cfg.World)
-	defer func() {
-		for _, conn := range rendConns {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-	}()
-	if tl, ok := c.ln.(*net.TCPListener); ok {
+// start runs the fresh rendezvous for one rank — rank 0 coordinating
+// it over ln — and returns the session it forms.
+func start(cfg Config, ln net.Listener) (*Session, error) {
+	cfg.Accept = slices.Clone(cfg.Accept)
+	s := &Session{cfg: cfg}
+	if _, err := s.enter(ln, -1, elastic.LocalState{}, cfg.timeout()); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// round describes one rendezvous round. A fresh start is the round in
+// which no one holds state: no dead slot, generation 0, a policy still
+// to negotiate and no step table. A rejoin round refills the dead slot,
+// announces the next generation, keeps the session policy and collects
+// the step table.
+type round struct {
+	world int
+	// dead is the slot a rejoin round refills, -1 on a fresh start.
+	dead int
+	// wel is what rank 0 announces besides the membership: the
+	// session's health-plane and elastic parameters, the generation
+	// and, on a rejoin round, the kept policy. The coordinator's word is
+	// what makes every rank run the same detection settings, establish
+	// (or skip) the control links in agreement, and hold (or not) a
+	// rejoin barrier after a death verdict.
+	wel welcome
+}
+
+func (r round) rejoin() bool { return r.dead >= 0 }
+
+// round describes the round this session enters next: a fresh start
+// when dead is -1, else the rejoin round that refills slot dead. Only
+// rank 0's settings reach the welcome.
+func (s *Session) round(dead int) round {
+	r := round{world: s.cfg.World, dead: dead}
+	if hb := s.cfg.Health.Resolved(); !hb.Disable {
+		r.wel.HeartbeatInterval, r.wel.HeartbeatTimeout = hb.Interval, hb.Timeout
+	}
+	if el := s.cfg.Elastic.Resolved(); el.Enable {
+		r.wel.RejoinWindow = el.RejoinWindow
+	}
+	if r.rejoin() {
+		r.wel.Codec, r.wel.Generation = s.policyName, s.generation+1
+	}
+	return r
+}
+
+// enter runs one round for this rank — rank 0 coordinates it over ln,
+// every other rank dials s.cfg.Addr — within window, and stands the
+// session up on the result. local is what this rank brings to the
+// round: its completed step and, on a rejoin round, the callbacks
+// that move state.
+func (s *Session) enter(ln net.Listener, dead int, local elastic.LocalState, window time.Duration) (*elastic.Outcome, error) {
+	begin := s.cfg.Tracer.Now()
+	deadline := time.Now().Add(window)
+	r := s.round(dead)
+	own := hello{Rank: s.cfg.Rank, World: s.cfg.World, Accept: s.cfg.Accept, Rejoin: r.rejoin(), Step: local.Step}
+	var wel welcome
+	var conns, ctrl []net.Conn
+	var err error
+	if s.cfg.Rank == 0 {
+		wel, conns, ctrl, err = coordinate(ln, r, own, deadline)
+	} else {
+		wel, conns, ctrl, err = dial(s.cfg.Addr, own, deadline)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out, err := s.run(wel, conns, ctrl, local)
+	if err != nil {
+		return nil, err
+	}
+	span, peer := "rendezvous", dead
+	if r.rejoin() {
+		span = "rejoin"
+	}
+	if dead == s.cfg.Rank {
+		peer = -1 // a replacement names no dead peer
+	}
+	s.cfg.Tracer.Record(s.cfg.Rank, obs.PhaseControl, span, peer, 0, begin, s.cfg.Tracer.Now()-begin)
+	return out, nil
+}
+
+// coordinate runs rank 0's side of a round over ln: collect one hello
+// per slot, open the mesh listener, settle the policy, broadcast the
+// welcome and accept the mesh. own is rank 0's hello, with the accept
+// set and completed step it brings.
+func coordinate(ln net.Listener, r round, own hello, deadline time.Time) (welcome, []net.Conn, []net.Conn, error) {
+	wel := r.wel
+	wel.Addrs = make([]string, r.world)
+	accepts := make([][]string, r.world)
+	steps := make([]int64, r.world)
+	accepts[0], steps[0] = own.Accept, own.Step
+
+	// Phase 1: collect one hello per slot.
+	rendConns := make([]net.Conn, r.world)
+	defer closeConns(rendConns)
+	if tl, ok := ln.(*net.TCPListener); ok {
 		tl.SetDeadline(deadline)
 	}
-	for joined := 1; joined < cfg.World; {
-		conn, err := c.ln.Accept()
+	for joined := 1; joined < r.world; {
+		conn, err := ln.Accept()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: rendezvous accept (have %d of %d ranks): %w",
-				joined, cfg.World, err)
+			return wel, nil, nil, fmt.Errorf("cluster: rendezvous accept (have %d of %d ranks): %w",
+				joined, r.world, err)
 		}
 		conn.SetDeadline(graceDeadline(deadline))
 		h, err := readHello(conn)
@@ -306,28 +398,59 @@ func (c *Coordinator) Join() (*Session, error) {
 			conn.Close()
 			continue
 		}
-		// A well-formed hello that conflicts with the cluster's own
-		// configuration (wrong protocol version, wrong world, duplicate
-		// or out-of-range rank, unusable codec) is a real
-		// misconfiguration: a cluster that cannot agree on its own
-		// membership must not train. The reject is written at the
-		// offender's own version so another build can display it.
-		if err := c.checkHello(h, rendConns); err != nil {
+		if err := r.check(h, rendConns); err != nil {
+			// The reject is written at the offender's own version so
+			// another build can display it.
 			writeReject(conn, h.Version, err.Error())
 			conn.Close()
-			return nil, fmt.Errorf("cluster: rejected hello: %w", err)
+			if r.rejoin() {
+				// The rejoin barrier exists to ride out chaos: a
+				// wrong-world stray, an old build, a hello for an
+				// impossible slot must not kill a repair the window
+				// still has time to complete. Keep the barrier open.
+				continue
+			}
+			// On a fresh start a well-formed hello that conflicts with
+			// the cluster's own configuration is one of its own ranks
+			// misconfigured: a cluster that cannot agree on its own
+			// membership must not train.
+			return wel, nil, nil, fmt.Errorf("cluster: rejected hello: %w", err)
+		}
+		if rendConns[h.Rank] != nil {
+			// A rejoin slot claimed twice (check refuses it on a fresh
+			// start): the newest connection wins. The stale one is a
+			// replacement (or survivor) that crashed or lost its link
+			// after its hello — its supervisor relaunched it, and
+			// holding the dead connection would just burn the window.
+			rendConns[h.Rank].Close()
+			joined--
 		}
 		rendConns[h.Rank] = conn
-		accepts[h.Rank] = h.Accept
-		addrs[h.Rank] = h.MeshAddr
+		accepts[h.Rank], steps[h.Rank], wel.Addrs[h.Rank] = h.Accept, h.Step, h.MeshAddr
 		joined++
+	}
+
+	// Phase 2: settle the policy. A fresh start negotiates it over
+	// every rank's accepted set, the coordinator's own included; a
+	// rejoin round keeps the session's and announces the step table.
+	if r.rejoin() {
+		wel.Steps = steps
+	} else if name, err := Negotiate(accepts...); err != nil {
+		for _, conn := range rendConns {
+			if conn != nil {
+				writeReject(conn, 0, err.Error())
+			}
+		}
+		return wel, nil, nil, err
+	} else {
+		wel.Codec = name
 	}
 
 	// The coordinator's mesh listener binds the interface the workers
 	// actually reached it through (the local end of any rendezvous
 	// connection), so the advertised address stays routable even when
 	// the rendezvous listener is bound to a wildcard like ":7070".
-	meshRef := c.ln.Addr()
+	meshRef := ln.Addr()
 	for _, conn := range rendConns {
 		if conn != nil {
 			meshRef = conn.LocalAddr()
@@ -336,82 +459,47 @@ func (c *Coordinator) Join() (*Session, error) {
 	}
 	meshLn, err := listenMesh(meshRef)
 	if err != nil {
-		return nil, err
+		return wel, nil, nil, err
 	}
 	defer meshLn.Close()
-	addrs[0] = meshLn.Addr().String()
+	wel.Addrs[0] = meshLn.Addr().String()
 
-	// Phase 2: negotiate the session policy over every rank's accepted
-	// set, the coordinator's own included.
-	policyName, err := Negotiate(accepts...)
-	if err != nil {
-		for _, conn := range rendConns {
-			if conn != nil {
-				writeReject(conn, 0, err.Error())
-			}
-		}
-		return nil, err
-	}
-
-	// Phase 3: broadcast the membership table, with the session's
-	// health-plane and elastic parameters — the coordinator's word is
-	// what makes every rank run the same detection settings, establish
-	// (or skip) the control links in agreement, and hold (or not) a
-	// rejoin barrier after a death verdict.
-	hb := cfg.Health.Resolved()
-	el := cfg.Elastic.Resolved()
-	wel := welcome{Codec: policyName, Addrs: addrs}
-	if !hb.Disable {
-		wel.HeartbeatInterval = hb.Interval
-		wel.HeartbeatTimeout = hb.Timeout
-	}
-	if el.Enable {
-		wel.RejoinWindow = el.RejoinWindow
-	}
-	for rank := 1; rank < cfg.World; rank++ {
+	// Phase 3: broadcast the membership table with the round's
+	// parameters.
+	for rank := 1; rank < r.world; rank++ {
 		if err := writeWelcome(rendConns[rank], wel); err != nil {
-			return nil, fmt.Errorf("cluster: welcome rank %d: %w", rank, err)
+			return wel, nil, nil, fmt.Errorf("cluster: welcome rank %d: %w", rank, err)
 		}
 	}
 
 	// Phase 4: establish the mesh. Rank 0 is the lowest rank, so it
-	// only accepts: one data link — plus one control link when the
-	// health plane is on — from every other rank.
-	conns := make([]net.Conn, cfg.World)
-	var ctrl []net.Conn
-	if !hb.Disable {
-		ctrl = make([]net.Conn, cfg.World)
-	}
-	if err := acceptMeshLinks(meshLn, 0, cfg.World, deadline, conns, ctrl); err != nil {
-		closeConns(conns)
-		closeConns(ctrl)
-		return nil, err
-	}
-	sess, err := newSession(cfg, policyName, addrs, conns, ctrl, hb, el, c.ln.Addr().String())
-	if err == nil {
-		cfg.Tracer.Record(cfg.Rank, obs.PhaseControl, "rendezvous", -1, 0, rendStart, cfg.Tracer.Now()-rendStart)
-	}
-	return sess, err
+	// only accepts.
+	conns, ctrl, err := establishMeshLinks(meshLn, wel, 0, deadline)
+	return wel, conns, ctrl, err
 }
 
-// checkHello validates one worker's hello against the coordinator's
-// configuration and the ranks already joined.
-func (c *Coordinator) checkHello(h hello, rendConns []net.Conn) error {
+// check validates one hello against the round and the slots already
+// taken. A fresh start refuses a second claim on a slot; a rejoin round
+// lets the newest claim win, and also requires the replacement to
+// accept the kept policy and every survivor to hold state.
+func (r round) check(h hello, taken []net.Conn) error {
 	if h.Version != ProtocolVersion {
 		return fmt.Errorf("cluster: a worker speaks rendezvous protocol version %d, this build speaks %d (the session needs matching builds)",
 			h.Version, ProtocolVersion)
 	}
-	if h.Rejoin {
+	if h.Rejoin && !r.rejoin() {
 		return fmt.Errorf("cluster: rank %d sent a rejoin hello, but this rendezvous is forming a fresh session (launch without -rejoin, or point the worker at a session that lost a rank)", h.Rank)
 	}
-	if h.World != c.cfg.World {
-		return fmt.Errorf("cluster: rank %d expects a world of %d, coordinator has %d",
-			h.Rank, h.World, c.cfg.World)
+	if !h.Rejoin && r.rejoin() {
+		return fmt.Errorf("cluster: rank %d sent a fresh hello to a rejoin barrier; a running session lost rank %d and only takes rejoins", h.Rank, r.dead)
 	}
-	if h.Rank <= 0 || h.Rank >= c.cfg.World {
-		return fmt.Errorf("cluster: hello claims rank %d outside (0, %d)", h.Rank, c.cfg.World)
+	if h.World != r.world {
+		return fmt.Errorf("cluster: rank %d expects a world of %d, the session has %d", h.Rank, h.World, r.world)
 	}
-	if rendConns[h.Rank] != nil {
+	if h.Rank <= 0 || h.Rank >= r.world {
+		return fmt.Errorf("cluster: hello claims rank %d outside (0, %d)", h.Rank, r.world)
+	}
+	if taken[h.Rank] != nil && !r.rejoin() {
 		return fmt.Errorf("cluster: rank %d joined twice", h.Rank)
 	}
 	if h.MeshAddr == "" {
@@ -422,16 +510,29 @@ func (c *Coordinator) checkHello(h hello, rendConns []net.Conn) error {
 			return fmt.Errorf("cluster: rank %d: %w", h.Rank, err)
 		}
 	}
+	switch {
+	case !r.rejoin():
+	case h.Rank == r.dead:
+		// The replacement never negotiated: it must accept the policy
+		// the session already trains under, or it could not decode a
+		// single frame.
+		if err := acceptsPolicy(h.Accept, r.wel.Codec); err != nil {
+			return fmt.Errorf("cluster: replacement for rank %d: %w", r.dead, err)
+		}
+	case h.Step < 0:
+		return fmt.Errorf("cluster: surviving rank %d claims no training state (step %d)", h.Rank, h.Step)
+	}
 	return nil
 }
 
-// joinWorker runs the non-coordinator side of the rendezvous.
-func joinWorker(cfg Config) (*Session, error) {
-	rendStart := cfg.Tracer.Now()
-	deadline := time.Now().Add(cfg.timeout())
-	conn, err := dialCoordinator(cfg.Addr, deadline)
+// dial runs the side of a round every rank but 0 runs: dial the
+// rendezvous, send own with this rank's mesh address filled in, read
+// the welcome and establish this rank's share of the mesh.
+func dial(addr string, own hello, deadline time.Time) (welcome, []net.Conn, []net.Conn, error) {
+	var wel welcome
+	conn, err := dialCoordinator(addr, deadline)
 	if err != nil {
-		return nil, err
+		return wel, nil, nil, err
 	}
 	defer conn.Close()
 	conn.SetDeadline(deadline)
@@ -441,87 +542,104 @@ func joinWorker(cfg Config) (*Session, error) {
 	// every peer that can also reach the coordinator.
 	meshLn, err := listenMesh(conn.LocalAddr())
 	if err != nil {
-		return nil, err
+		return wel, nil, nil, err
 	}
 	defer meshLn.Close()
 
-	err = writeHello(conn, hello{
-		Rank:     cfg.Rank,
-		World:    cfg.World,
-		MeshAddr: meshLn.Addr().String(),
-		Accept:   cfg.Accept,
-	})
+	own.MeshAddr = meshLn.Addr().String()
+	if err := writeHello(conn, own); err != nil {
+		return wel, nil, nil, fmt.Errorf("cluster: send hello: %w", err)
+	}
+	if wel, err = readWelcome(conn); err != nil {
+		return wel, nil, nil, err
+	}
+	switch {
+	case len(wel.Addrs) != own.World:
+		err = fmt.Errorf("cluster: membership table has %d ranks, want %d", len(wel.Addrs), own.World)
+	case own.Rejoin && len(wel.Steps) != own.World:
+		err = fmt.Errorf("cluster: rejoin welcome carries no step table")
+	case own.Rejoin && wel.HeartbeatInterval <= 0:
+		err = fmt.Errorf("cluster: rejoin welcome disables the health plane, which elastic sessions require")
+	}
 	if err != nil {
-		return nil, fmt.Errorf("cluster: send hello: %w", err)
+		return wel, nil, nil, err
 	}
-	wel, err := readWelcome(conn)
+	conns, ctrl, err := establishMeshLinks(meshLn, wel, own.Rank, deadline)
+	return wel, conns, ctrl, err
+}
+
+// run stands the session up on a completed round. Every rank, rank 0
+// included, takes the policy, membership, generation and the heartbeat
+// and elastic settings from the welcome; only the phi threshold and
+// the rejoin budget stay local. A zero heartbeat interval means the
+// coordinator turned the health plane off; a zero rejoin window,
+// elasticity. The links become the rank's plane, and on a rejoin round
+// (the welcome carries a step table) the donor's state moves to every
+// rank behind the resume point. It owns the links: every error path
+// closes them.
+func (s *Session) run(wel welcome, conns, ctrl []net.Conn, local elastic.LocalState) (*elastic.Outcome, error) {
+	policy, err := quant.ParsePolicy(wel.Codec)
 	if err != nil {
-		return nil, err
+		closeConns(conns)
+		closeConns(ctrl)
+		return nil, fmt.Errorf("cluster: session policy: %w", err)
 	}
-	if len(wel.Addrs) != cfg.World {
-		return nil, fmt.Errorf("cluster: membership table has %d ranks, want %d",
-			len(wel.Addrs), cfg.World)
-	}
-	// The coordinator's welcome fixes the session's heartbeat and
-	// elastic settings; only the worker's phi threshold and rejoin
-	// budget stay local. A zero interval means the coordinator turned
-	// the health plane off; a zero rejoin window, elasticity.
 	hb := health.Config{
 		Interval: wel.HeartbeatInterval,
 		Timeout:  wel.HeartbeatTimeout,
-		Phi:      cfg.Health.Phi,
+		Phi:      s.cfg.Health.Phi,
 		Disable:  wel.HeartbeatInterval <= 0,
 	}.Resolved()
-	el := elastic.Config{
-		Enable:       wel.RejoinWindow > 0,
-		RejoinWindow: wel.RejoinWindow,
-		MaxRejoins:   cfg.Elastic.MaxRejoins,
-	}.Resolved()
-
-	// Mesh: dial every lower rank — the data link, then the control
-	// link when the health plane is on — and accept from every higher
-	// rank.
-	conns := make([]net.Conn, cfg.World)
-	var ctrl []net.Conn
-	if !hb.Disable {
-		ctrl = make([]net.Conn, cfg.World)
-	}
-	if err := establishMeshLinks(meshLn, wel.Addrs, cfg.Rank, cfg.World, deadline, conns, ctrl); err != nil {
-		closeConns(conns)
-		closeConns(ctrl)
+	fabric, monitor, err := establishPlane(s.cfg.Rank, s.cfg.World, conns, ctrl, hb)
+	if err != nil {
 		return nil, err
 	}
-	sess, err := newSession(cfg, wel.Codec, wel.Addrs, conns, ctrl, hb, el, cfg.Addr)
-	if err == nil {
-		cfg.Tracer.Record(cfg.Rank, obs.PhaseControl, "rendezvous", -1, 0, rendStart, cfg.Tracer.Now()-rendStart)
+	out := &elastic.Outcome{Fabric: fabric, Monitor: monitor, Generation: wel.Generation}
+	if len(wel.Steps) > 0 {
+		out.ResumeStep, _ = resumePoint(wel.Steps)
+		if out.Installed, err = transferState(fabric, s.cfg.Rank, wel.Steps, local); err != nil {
+			if monitor != nil {
+				monitor.Close()
+			}
+			fabric.Close()
+			return nil, err
+		}
 	}
-	return sess, err
+	s.policyName, s.policy = policy.Name(), policy
+	s.fabric, s.monitor, s.peers, s.generation = fabric, monitor, wel.Addrs, wel.Generation
+	s.el = elastic.Config{
+		Enable:       wel.RejoinWindow > 0,
+		RejoinWindow: wel.RejoinWindow,
+		MaxRejoins:   s.cfg.Elastic.MaxRejoins,
+	}.Resolved()
+	return out, nil
 }
 
-// establishMeshLinks builds one rank's full share of the mesh: it
-// dials every lower rank — the data link, plus the control link when
-// ctrl is non-nil — and then accepts the links every higher rank dials
-// in, filling conns (and ctrl) completely. The caller owns the slices
-// and closes any partially established links on error. Both the fresh
-// rendezvous and the rejoin barrier establish their meshes through
-// this one sequence, so link-establishment fixes cannot diverge
-// between the two paths.
-func establishMeshLinks(ln net.Listener, addrs []string, rank, world int, deadline time.Time, conns, ctrl []net.Conn) error {
-	for p := 0; p < rank; p++ {
-		pc, err := dialMeshLink(addrs[p], rank, p, linkData, deadline)
-		if err != nil {
-			return err
-		}
-		conns[p] = pc
-		if ctrl != nil {
-			cc, err := dialMeshLink(addrs[p], rank, p, linkControl, deadline)
-			if err != nil {
-				return err
-			}
-			ctrl[p] = cc
+// establishMeshLinks builds one rank's full share of the mesh the
+// welcome describes: it dials every lower rank — the data link, plus
+// the control link when the welcome turns the health plane on — and
+// then accepts the links every higher rank dials in. On error it
+// closes whatever it established.
+func establishMeshLinks(ln net.Listener, wel welcome, rank int, deadline time.Time) (conns, ctrl []net.Conn, err error) {
+	world := len(wel.Addrs)
+	conns = make([]net.Conn, world)
+	if wel.HeartbeatInterval > 0 {
+		ctrl = make([]net.Conn, world)
+	}
+	for p := 0; p < rank && err == nil; p++ {
+		if conns[p], err = dialMeshLink(wel.Addrs[p], rank, p, linkData, deadline); err == nil && ctrl != nil {
+			ctrl[p], err = dialMeshLink(wel.Addrs[p], rank, p, linkControl, deadline)
 		}
 	}
-	return acceptMeshLinks(ln, rank, world, deadline, conns, ctrl)
+	if err == nil {
+		err = acceptMeshLinks(ln, rank, world, deadline, conns, ctrl)
+	}
+	if err != nil {
+		closeConns(conns)
+		closeConns(ctrl)
+		return nil, nil, err
+	}
+	return conns, ctrl, nil
 }
 
 // dialMeshLink opens one mesh connection of the given kind to a lower
@@ -605,38 +723,6 @@ func acceptMeshLinks(ln net.Listener, local, world int, deadline time.Time, conn
 		have++
 	}
 	return nil
-}
-
-// newSession finalises a rendezvous: clears the handshake deadlines,
-// wraps the data mesh into the local rank's Transport, and — when the
-// health plane is on — starts the heartbeat monitor over the control
-// links with its verdict wired into the fabric's Abort, so a peer
-// death interrupts every in-flight exchange with health.ErrPeerDead.
-func newSession(cfg Config, policyName string, addrs []string, conns, ctrl []net.Conn, hb health.Config, el elastic.Config, rendAddr string) (*Session, error) {
-	policy, err := quant.ParsePolicy(policyName)
-	if err != nil {
-		closeConns(conns)
-		closeConns(ctrl)
-		return nil, fmt.Errorf("cluster: negotiated policy: %w", err)
-	}
-	fabric, monitor, err := establishPlane(cfg.Rank, cfg.World, conns, ctrl, hb)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{
-		rank:       cfg.Rank,
-		world:      cfg.World,
-		policyName: policy.Name(),
-		policy:     policy,
-		fabric:     fabric,
-		monitor:    monitor,
-		peers:      addrs,
-		rendAddr:   rendAddr,
-		hb:         hb,
-		el:         el,
-		accepts:    append([]string(nil), cfg.Accept...),
-		tracer:     cfg.Tracer,
-	}, nil
 }
 
 // establishPlane turns a freshly handshaken set of mesh connections
