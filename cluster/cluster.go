@@ -150,9 +150,9 @@ func (c Config) Validate() error {
 type Session struct {
 	// cfg is the rank's own configuration, Addr resolved to the
 	// rendezvous address every rank can re-dial (rank 0 re-listens on
-	// it). The session reads its rank, world, accept set, local phi
-	// threshold and rejoin budget, and tracer from it; everything else
-	// it runs under came in the welcome.
+	// it). Rank 0 announces its health and elastic settings in every
+	// welcome; every rank then runs under the welcome's, keeping only
+	// its phi threshold and rejoin budget from cfg.
 	cfg        Config
 	policyName string
 	policy     *quant.Policy
