@@ -29,10 +29,12 @@
 // policy and a step table (rejoin.go).
 //
 // The result is a Session: rank, world size, negotiated policy and a
-// ready Transport. repro/lpsgd exposes it as
-// lpsgd.WithCluster(addr, rank, world); the process you actually
-// launch is cmd/lpsgd-worker, or lpsgd-train -cluster N on one
-// machine, both running a rank through cmd/internal/worker.
+// ready Transport. Each rank describes its rendezvous once, as a
+// Config, and enters it with Join (or Rejoin, for a replacement);
+// repro/lpsgd trains on the session through
+// lpsgd.WithClusterSession(sess). The process you actually launch is
+// cmd/lpsgd-worker, or lpsgd-train -cluster N on one machine, both
+// running a rank through cmd/internal/worker.
 package cluster
 
 import (
@@ -127,6 +129,21 @@ func (c Config) Validate() error {
 	}
 	if c.Addr == "" {
 		return fmt.Errorf("cluster: rendezvous address is required")
+	}
+	// Resolved would quietly rewrite these; a rank that asked for them
+	// is misconfigured.
+	if c.Timeout < 0 {
+		return fmt.Errorf("cluster: handshake timeout must not be negative, got %v", c.Timeout)
+	}
+	hb := c.Health
+	if hb.Interval < 0 || hb.Timeout < 0 {
+		return fmt.Errorf("cluster: heartbeat interval %v / timeout %v must not be negative", hb.Interval, hb.Timeout)
+	}
+	if hb.Timeout > 0 && hb.Timeout < hb.Interval {
+		return fmt.Errorf("cluster: heartbeat timeout %v shorter than the interval %v", hb.Timeout, hb.Interval)
+	}
+	if c.Elastic.RejoinWindow < 0 {
+		return fmt.Errorf("cluster: rejoin window must not be negative, got %v", c.Elastic.RejoinWindow)
 	}
 	for _, name := range c.Accept {
 		if _, err := quant.ParsePolicy(name); err != nil {
@@ -323,7 +340,7 @@ func (s *Session) round(dead int) round {
 		r.wel.RejoinWindow = el.RejoinWindow
 	}
 	if r.rejoin() {
-		r.wel.Codec, r.wel.Generation = s.policyName, s.generation+1
+		r.wel.Policy, r.wel.Generation = s.policyName, s.generation+1
 	}
 	return r
 }
@@ -443,7 +460,7 @@ func coordinate(ln net.Listener, r round, own hello, deadline time.Time) (welcom
 		}
 		return wel, nil, nil, err
 	} else {
-		wel.Codec = name
+		wel.Policy = name
 	}
 
 	// The coordinator's mesh listener binds the interface the workers
@@ -516,7 +533,7 @@ func (r round) check(h hello, taken []net.Conn) error {
 		// The replacement never negotiated: it must accept the policy
 		// the session already trains under, or it could not decode a
 		// single frame.
-		if err := acceptsPolicy(h.Accept, r.wel.Codec); err != nil {
+		if err := acceptsPolicy(h.Accept, r.wel.Policy); err != nil {
 			return fmt.Errorf("cluster: replacement for rank %d: %w", r.dead, err)
 		}
 	case h.Step < 0:
@@ -578,7 +595,7 @@ func dial(addr string, own hello, deadline time.Time) (welcome, []net.Conn, []ne
 // rank behind the resume point. It owns the links: every error path
 // closes them.
 func (s *Session) run(wel welcome, conns, ctrl []net.Conn, local elastic.LocalState) (*elastic.Outcome, error) {
-	policy, err := quant.ParsePolicy(wel.Codec)
+	policy, err := quant.ParsePolicy(wel.Policy)
 	if err != nil {
 		closeConns(conns)
 		closeConns(ctrl)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/elastic"
 	"repro/health"
 	"repro/internal/wire"
 	"repro/quant"
@@ -136,7 +137,7 @@ func TestNegotiatedPolicyAlwaysParses(t *testing.T) {
 func TestWelcomeRejectsOverlongPolicy(t *testing.T) {
 	long := strings.Repeat("x", 256)
 	var sink bytes.Buffer
-	if err := writeWelcome(&sink, welcome{Codec: long}); err == nil {
+	if err := writeWelcome(&sink, welcome{Policy: long}); err == nil {
 		t.Fatal("a >255-byte policy string must not be writable as a welcome")
 	}
 }
@@ -456,7 +457,7 @@ func TestRendezvousNegotiatesMixedPolicy(t *testing.T) {
 func TestWelcomeRoundTripsHeartbeatParameters(t *testing.T) {
 	var buf bytes.Buffer
 	in := welcome{
-		Codec:             "qsgd4b512",
+		Policy:            "qsgd4b512",
 		Addrs:             []string{"127.0.0.1:1", "127.0.0.1:2"},
 		HeartbeatInterval: 250 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
@@ -474,7 +475,7 @@ func TestWelcomeRoundTripsHeartbeatParameters(t *testing.T) {
 	}
 	// A disabled plane travels as zeros.
 	buf.Reset()
-	if err := writeWelcome(&buf, welcome{Codec: "32bit", Addrs: []string{"a"}}); err != nil {
+	if err := writeWelcome(&buf, welcome{Policy: "32bit", Addrs: []string{"a"}}); err != nil {
 		t.Fatal(err)
 	}
 	if out, err = readWelcome(&buf); err != nil || out.HeartbeatInterval != 0 {
@@ -569,7 +570,7 @@ func TestHelloRoundTripsElasticFields(t *testing.T) {
 // session generation, the rejoin window and the step table.
 func TestWelcomeRoundTripsElasticFields(t *testing.T) {
 	in := welcome{
-		Codec:             "qsgd4b512",
+		Policy:            "qsgd4b512",
 		Addrs:             []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatTimeout:  time.Second,
@@ -598,7 +599,7 @@ func TestWelcomeRoundTripsElasticFields(t *testing.T) {
 		t.Fatal("step table shorter than the membership must not encode")
 	}
 	// A fresh welcome travels without a table and with window 0.
-	fresh := welcome{Codec: "32bit", Addrs: []string{"a"}}
+	fresh := welcome{Policy: "32bit", Addrs: []string{"a"}}
 	buf.Reset()
 	if err := writeWelcome(&buf, fresh); err != nil {
 		t.Fatal(err)
@@ -716,5 +717,72 @@ func TestSessionHealthDisabled(t *testing.T) {
 	defer w.s.Close()
 	if sess0.Monitor() != nil || w.s.Monitor() != nil {
 		t.Fatal("monitors exist despite the coordinator disabling the health plane")
+	}
+}
+
+// TestConfigValidate: every entry point rejects a malformed
+// configuration before it opens a socket, including the values
+// health.Config.Resolved and elastic.Config.Resolved would otherwise
+// quietly rewrite. The rendezvous address is a listener the test holds,
+// so an entry point that got past validation would either fail to bind
+// it (rank 0) or dial it, which the listener would see.
+func TestConfigValidate(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	valid := Config{Addr: ln.Addr().String(), Rank: 1, World: 2, Timeout: 500 * time.Millisecond}
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"zero world", func(c *Config) { c.World = 0 }, "world size"},
+		{"rank outside world", func(c *Config) { c.Rank = 2 }, "outside world"},
+		{"no address", func(c *Config) { c.Addr = "" }, "address is required"},
+		{"bad accepted policy", func(c *Config) { c.Accept = []string{"qsgd3"} }, "accepted policy"},
+		{"negative timeout", func(c *Config) { c.Timeout = -time.Second }, "handshake timeout"},
+		{"negative heartbeat", func(c *Config) { c.Health.Interval = -time.Second }, "must not be negative"},
+		{"negative heartbeat timeout", func(c *Config) {
+			c.Health = health.Config{Interval: time.Second, Timeout: -time.Second}
+		}, "must not be negative"},
+		{"heartbeat timeout below interval", func(c *Config) {
+			c.Health = health.Config{Interval: time.Second, Timeout: time.Millisecond}
+		}, "shorter than the interval"},
+		{"negative rejoin window", func(c *Config) {
+			c.Elastic = elastic.Config{Enable: true, RejoinWindow: -time.Second}
+		}, "rejoin window"},
+		{"elastic without health plane", func(c *Config) {
+			c.Rank = 0
+			c.Health.Disable = true
+			c.Elastic.Enable = true
+		}, "health plane"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := valid
+			tc.edit(&cfg)
+			errs := map[string]error{"Validate": cfg.Validate()}
+			_, errs["Join"] = Join(cfg)
+			_, _, errs["Rejoin"] = Rejoin(cfg)
+			if cfg.Rank == 0 {
+				_, errs["NewCoordinator"] = NewCoordinator(cfg)
+			}
+			for entry, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: %v, want an error naming %q", entry, err, tc.want)
+				}
+			}
+		})
+	}
+
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Millisecond))
+	if conn, err := ln.Accept(); err == nil {
+		conn.Close()
+		t.Fatal("an entry point dialled the rendezvous despite a configuration error")
 	}
 }

@@ -268,12 +268,16 @@ func TestClusterTrainingInProcess(t *testing.T) {
 	outcomes := make([]outcome, world)
 	errs := make([]error, world)
 	var wg sync.WaitGroup
-	runRank := func(rank int, opt lpsgd.Option) {
+	runRank := func(rank int, join func() (*cluster.Session, error)) {
 		defer wg.Done()
+		sess, err := join()
+		if err != nil {
+			errs[rank] = err
+			return
+		}
 		model, train, test := trainingTask()
 		trainer, err := lpsgd.NewTrainer(model,
-			opt,
-			lpsgd.WithAcceptedPolicies("qsgd4b512", "1bit*64"),
+			lpsgd.WithClusterSession(sess),
 			lpsgd.WithBatchSize(24),
 			lpsgd.WithEpochs(2),
 			lpsgd.WithSeed(7),
@@ -301,17 +305,9 @@ func TestClusterTrainingInProcess(t *testing.T) {
 	}
 	wg.Add(world)
 	for rank := 1; rank < world; rank++ {
-		go runRank(rank, lpsgd.WithCluster(coord.Addr(), rank, world))
+		go runRank(rank, joinRank(coord.Addr(), rank, world, "qsgd4b512", "1bit*64"))
 	}
-	go func() {
-		sess, err := coord.Join()
-		if err != nil {
-			errs[0] = err
-			wg.Done()
-			return
-		}
-		runRank(0, lpsgd.WithClusterSession(sess))
-	}()
+	go runRank(0, coord.Join)
 	wg.Wait()
 	for rank, err := range errs {
 		if err != nil {
@@ -337,6 +333,14 @@ func TestClusterTrainingInProcess(t *testing.T) {
 func trainingTask() (lpsgd.BuildFunc, *data.Dataset, *data.Dataset) {
 	train, test := lpsgd.SyntheticImages(4, 96, 48, 13)
 	return lpsgd.MLP(64, 32, 4), train, test
+}
+
+// joinRank returns the fresh rendezvous of a non-coordinator rank that
+// dials addr and accepts the given policies.
+func joinRank(addr string, rank, world int, accept ...string) func() (*cluster.Session, error) {
+	return func() (*cluster.Session, error) {
+		return cluster.Join(cluster.Config{Addr: addr, Rank: rank, World: world, Accept: accept})
+	}
 }
 
 // syncBuffer is a concurrency-safe sink for a child process's stderr,
@@ -663,12 +667,16 @@ func TestHealthPlaneDigestParity(t *testing.T) {
 		ckpts := make([][]byte, world)
 		errs := make([]error, world)
 		var wg sync.WaitGroup
-		runRank := func(rank int, opt lpsgd.Option) {
+		runRank := func(rank int, join func() (*cluster.Session, error)) {
 			defer wg.Done()
+			sess, err := join()
+			if err != nil {
+				errs[rank] = err
+				return
+			}
 			model, train, test := trainingTask()
 			trainer, err := lpsgd.NewTrainer(model,
-				opt,
-				lpsgd.WithAcceptedPolicies("qsgd4b512"),
+				lpsgd.WithClusterSession(sess),
 				lpsgd.WithBatchSize(24),
 				lpsgd.WithEpochs(2),
 				lpsgd.WithSeed(7),
@@ -690,16 +698,8 @@ func TestHealthPlaneDigestParity(t *testing.T) {
 			ckpts[rank] = buf.Bytes()
 		}
 		wg.Add(world)
-		go runRank(1, lpsgd.WithCluster(coord.Addr(), 1, world))
-		go func() {
-			sess, err := coord.Join()
-			if err != nil {
-				errs[0] = err
-				wg.Done()
-				return
-			}
-			runRank(0, lpsgd.WithClusterSession(sess))
-		}()
+		go runRank(1, joinRank(coord.Addr(), 1, world, "qsgd4b512"))
+		go runRank(0, coord.Join)
 		wg.Wait()
 		for rank, err := range errs {
 			if err != nil {

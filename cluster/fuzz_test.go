@@ -34,7 +34,7 @@ func FuzzReadHello(f *testing.F) {
 		if err != nil || h.Version != ProtocolVersion {
 			return
 		}
-		if len(h.Accept) > maxCodecs || len(h.MeshAddr) > maxAddrLen {
+		if len(h.Accept) > maxPolicies || len(h.MeshAddr) > maxAddrLen {
 			t.Fatalf("accepted a hello past its caps: %d policies, %d-byte address", len(h.Accept), len(h.MeshAddr))
 		}
 		var buf bytes.Buffer

@@ -24,11 +24,16 @@ type elasticWorldResult struct {
 // replacement — of the in-process elastic tests must share.
 func elasticTrainOpts() []lpsgd.Option {
 	return []lpsgd.Option{
-		lpsgd.WithAcceptedPolicies("qsgd4b512"),
 		lpsgd.WithBatchSize(24),
 		lpsgd.WithEpochs(8),
 		lpsgd.WithSeed(7),
 	}
+}
+
+// joinElastic dials the fresh rendezvous at addr as a non-coordinator
+// rank, accepting the policy every elastic test trains under.
+func joinElastic(addr string, rank, world int) (*cluster.Session, error) {
+	return cluster.Join(cluster.Config{Addr: addr, Rank: rank, World: world, Accept: []string{"qsgd4b512"}})
 }
 
 // TestElasticRejoinDigestParity is the elastic acceptance test in its
@@ -74,9 +79,14 @@ func runElasticWorld(t *testing.T, kill bool) []byte {
 	var trainersMu sync.Mutex
 	var wg sync.WaitGroup
 
-	runRank := func(rank, slot int, opt lpsgd.Option, restore *elastic.Snapshot) {
+	runRank := func(rank, slot int, join func() (*cluster.Session, *elastic.Snapshot, error)) {
 		defer wg.Done()
-		trainer, err := lpsgd.NewTrainer(model, append(elasticTrainOpts(), opt)...)
+		sess, restore, err := join()
+		if err != nil {
+			results[slot].err = err
+			return
+		}
+		trainer, err := lpsgd.NewTrainer(model, append(elasticTrainOpts(), lpsgd.WithClusterSession(sess))...)
 		if err != nil {
 			results[slot].err = err
 			return
@@ -105,17 +115,15 @@ func runElasticWorld(t *testing.T, kill bool) []byte {
 
 	wg.Add(world)
 	for rank := 1; rank < world; rank++ {
-		go runRank(rank, rank, lpsgd.WithCluster(addr, rank, world), nil)
+		go runRank(rank, rank, func() (*cluster.Session, *elastic.Snapshot, error) {
+			sess, err := joinElastic(addr, rank, world)
+			return sess, nil, err
+		})
 	}
-	go func() {
+	go runRank(0, 0, func() (*cluster.Session, *elastic.Snapshot, error) {
 		sess, err := coord.Join()
-		if err != nil {
-			results[0].err = err
-			wg.Done()
-			return
-		}
-		runRank(0, 0, lpsgd.WithClusterSession(sess), nil)
-	}()
+		return sess, nil, err
+	})
 
 	if kill {
 		// Wait until the victim has provably applied a few steps, then
@@ -140,21 +148,14 @@ func runElasticWorld(t *testing.T, kill bool) []byte {
 		// The replacement claims the victim's slot through the reopened
 		// rendezvous, restores the donor's snapshot, and runs to the end.
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess, snap, err := cluster.Rejoin(cluster.Config{
+		go runRank(victim, world, func() (*cluster.Session, *elastic.Snapshot, error) {
+			return cluster.Rejoin(cluster.Config{
 				Addr: addr, Rank: victim, World: world,
 				Accept:  []string{"qsgd4b512"},
 				Timeout: 30 * time.Second,
 				Health:  hb,
 			})
-			if err != nil {
-				results[world].err = err
-				return
-			}
-			wg.Add(1)
-			runRank(victim, world, lpsgd.WithClusterSession(sess), snap)
-		}()
+		})
 	}
 	wg.Wait()
 
@@ -210,9 +211,14 @@ func TestElasticRejoinWindowExpiry(t *testing.T) {
 	victimUp := make(chan *lpsgd.Trainer, 1)
 	res := make(chan error, 1)
 	go func() {
+		sess, err := joinElastic(coord.Addr(), 1, world)
+		if err != nil {
+			victimUp <- nil
+			res <- err
+			return
+		}
 		trainer, err := lpsgd.NewTrainer(model,
-			lpsgd.WithCluster(coord.Addr(), 1, world),
-			lpsgd.WithAcceptedPolicies("qsgd4b512"),
+			lpsgd.WithClusterSession(sess),
 			lpsgd.WithBatchSize(24),
 			lpsgd.WithEpochs(100000),
 			lpsgd.WithSeed(7),
@@ -234,7 +240,6 @@ func TestElasticRejoinWindowExpiry(t *testing.T) {
 	}
 	coordTrainer, err := lpsgd.NewTrainer(model,
 		lpsgd.WithClusterSession(sess),
-		lpsgd.WithAcceptedPolicies("qsgd4b512"),
 		lpsgd.WithBatchSize(24),
 		lpsgd.WithEpochs(100000),
 		lpsgd.WithSeed(7),

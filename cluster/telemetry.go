@@ -323,6 +323,9 @@ func appendAgg(b []byte, name, tensorLabel string, a *aggregate) []byte {
 	if a.n == 0 {
 		return b
 	}
+	// Tensor names arrive from peers; unescaped, one could close the
+	// label block and forge samples of its own.
+	tensorLabel = obs.EscapeLabelValue(tensorLabel)
 	for _, agg := range [...]struct {
 		key string
 		v   float64

@@ -157,3 +157,34 @@ func TestTelemetryHubTrend(t *testing.T) {
 		t.Fatalf("same-step observation grew the trend: %d -> %d", before, after)
 	}
 }
+
+// TestTelemetryHubMetricsEscapesTensorNames: tensor names come from
+// peers, so one carrying a quote, a backslash or a newline must stay
+// inside its label value instead of forging a sample of its own.
+func TestTelemetryHubMetricsEscapesTensorNames(t *testing.T) {
+	h := NewTelemetryHub(1, "32bit")
+	snap := hubSnap(1, 0.5)
+	snap.Tensors = []health.TensorTelemetry{
+		{Name: "w\"}\nlpsgd_injected 1\n#", GradL2: 1},
+		{Name: `back\slash"} 2`, GradL2: 1},
+	}
+	h.Observe(0, snap)
+	var sb strings.Builder
+	if err := h.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if !strings.HasPrefix(line, "lpsgd_cluster_") {
+			t.Errorf("a sample spilled onto its own line: %q", line)
+		}
+	}
+	for _, want := range []string{
+		`lpsgd_cluster_grad_l2{tensor="w\"}\nlpsgd_injected 1\n#",agg="max"} 1` + "\n",
+		`lpsgd_cluster_grad_l2{tensor="back\\slash\"} 2",agg="max"} 1` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing escaped sample %q in:\n%s", want, out)
+		}
+	}
+}

@@ -64,14 +64,14 @@ const (
 	ProtocolVersion = 4
 
 	// The rendezvous caps, passed by every writer and reader below.
-	// maxAddrLen and maxCodecs bound attacker-controlled lengths in a
+	// maxAddrLen and maxPolicies bound attacker-controlled lengths in a
 	// hello so a garbage connection cannot make the coordinator allocate
 	// unbounded memory; maxPolicyLen bounds one policy string, advertised
 	// or negotiated; maxWorld the membership a welcome announces (and
 	// its step table); maxRejectLen a rejection message, longer ones are
 	// cut.
 	maxAddrLen   = 256
-	maxCodecs    = 256
+	maxPolicies  = 256
 	maxPolicyLen = 255
 	maxWorld     = 1 << 16
 	maxRejectLen = 1024
@@ -105,8 +105,8 @@ type hello struct {
 
 // welcome is the decoded rendezvous response.
 type welcome struct {
-	Codec string
-	Addrs []string
+	Policy string
+	Addrs  []string
 	// Heartbeat parameters of the session's health plane, decided by
 	// the coordinator so every rank runs identical detection settings.
 	// A zero interval means the health plane is off and no control
@@ -138,7 +138,7 @@ func writeHello(w io.Writer, h hello) error {
 	e.U32(uint32(h.Rank))
 	e.U32(uint32(h.World))
 	e.String("mesh address", 2, maxAddrLen, h.MeshAddr)
-	e.Len("policies", 2, maxCodecs, len(h.Accept))
+	e.Len("policies", 2, maxPolicies, len(h.Accept))
 	for _, name := range h.Accept {
 		e.String("policy", 1, maxPolicyLen, name)
 	}
@@ -166,7 +166,7 @@ func readHello(r io.Reader) (hello, error) {
 	h.Rank = int(d.U32("rank"))
 	h.World = int(d.U32("world"))
 	h.MeshAddr = d.String("mesh address", 2, maxAddrLen)
-	n := d.Len("policies", 2, maxCodecs)
+	n := d.Len("policies", 2, maxPolicies)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		h.Accept = append(h.Accept, d.String("policy", 1, maxPolicyLen))
 	}
@@ -190,7 +190,7 @@ func writeWelcome(w io.Writer, wel welcome) error {
 	// the negotiated result is the canonical spelling, which can be
 	// longer ("x=qsgd4" canonicalises to "x=qsgd4b512"); the cap refuses
 	// it instead of letting the length byte wrap and corrupt the stream.
-	e.String("policy", 1, maxPolicyLen, wel.Codec)
+	e.String("policy", 1, maxPolicyLen, wel.Policy)
 	if len(wel.Addrs) == 0 {
 		e.Fail("world", errors.New("empty membership"))
 	}
@@ -237,7 +237,7 @@ func readWelcome(r io.Reader) (welcome, error) {
 			return wel, fmt.Errorf("cluster: coordinator rejected the hello: %s", msg)
 		}
 	}
-	wel.Codec = d.String("policy", 1, maxPolicyLen)
+	wel.Policy = d.String("policy", 1, maxPolicyLen)
 	world := d.Len("world", 4, maxWorld)
 	if world == 0 {
 		d.Fail("world", errors.New("empty membership"))

@@ -28,12 +28,12 @@ var (
 	}
 	sampleWelcomes = map[string]welcome{
 		"welcome/ok": {
-			Codec: "qsgd4b512", Addrs: []string{"127.0.0.1:41230", "127.0.0.1:41234", "127.0.0.1:41235"},
+			Policy: "qsgd4b512", Addrs: []string{"127.0.0.1:41230", "127.0.0.1:41234", "127.0.0.1:41235"},
 			HeartbeatInterval: 250 * time.Millisecond, HeartbeatTimeout: 2 * time.Second,
 			RejoinWindow: 30 * time.Second,
 		},
 		"welcome/rejoin": {
-			Codec: "qsgd4b512", Addrs: []string{"127.0.0.1:41236", "127.0.0.1:41240", "127.0.0.1:41241"},
+			Policy: "qsgd4b512", Addrs: []string{"127.0.0.1:41236", "127.0.0.1:41240", "127.0.0.1:41241"},
 			HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: time.Second,
 			Generation: 1, RejoinWindow: 30 * time.Second, Steps: []int64{417, 417, -1},
 		},
@@ -118,7 +118,7 @@ func rendezvousLayouts() map[string]wiretest.Layout {
 		out[name] = l.Add("kind", 1).Add("step", 8)
 	}
 	for name, wel := range sampleWelcomes {
-		l := wiretest.Magic(4).Add("status", 1).Add("policy", 1+len(wel.Codec)).Add("world", 4)
+		l := wiretest.Magic(4).Add("status", 1).Add("policy", 1+len(wel.Policy)).Add("world", 4)
 		for _, a := range wel.Addrs {
 			l = l.Add("mesh address", 2+len(a))
 		}
@@ -172,7 +172,7 @@ func TestRendezvousCaps(t *testing.T) {
 		cap        int64
 	}{
 		{"hello/fresh", "mesh address", 2, maxAddrLen},
-		{"hello/fresh", "policies", 2, maxCodecs},
+		{"hello/fresh", "policies", 2, maxPolicies},
 		{"welcome/ok", "world", 4, maxWorld},
 		{"welcome/ok", "mesh address", 2, maxAddrLen},
 		{"welcome/rejoin", "step table", 4, maxWorld},
@@ -185,9 +185,9 @@ func TestRendezvousCaps(t *testing.T) {
 	var ce *wire.CapError
 	for _, err := range []error{
 		writeHello(io.Discard, hello{MeshAddr: long}),
-		writeHello(io.Discard, hello{Accept: make([]string, maxCodecs+1)}),
+		writeHello(io.Discard, hello{Accept: make([]string, maxPolicies+1)}),
 		writeHello(io.Discard, hello{Accept: []string{long}}),
-		writeWelcome(io.Discard, welcome{Codec: long, Addrs: []string{"a"}}),
+		writeWelcome(io.Discard, welcome{Policy: long, Addrs: []string{"a"}}),
 		writeWelcome(io.Discard, welcome{Addrs: []string{long}}),
 		writeWelcome(io.Discard, welcome{Addrs: make([]string, maxWorld+1)}),
 	} {

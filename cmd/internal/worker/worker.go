@@ -100,7 +100,7 @@ func (c *Config) run(h Hooks, stdout, stderr io.Writer) (int, error) {
 	fmt.Fprintf(stderr, "rank %d/%d %s, negotiated policy %s (%s)\n",
 		sess.Rank(), sess.World(), role, sess.PolicyName(), note)
 
-	opts := append(c.options(p), lpsgd.WithClusterSession(sess), lpsgd.WithElastic(c.MaxRejoins, c.RejoinWindow))
+	opts := append(c.options(p), lpsgd.WithClusterSession(sess))
 	return c.train(build, trainSet, testSet, opts, p, snap, stderr, func(tr *lpsgd.Trainer, hist *lpsgd.History, digest [sha256.Size]byte) error {
 		if s := tr.StepStats(); s.Slowest >= 0 {
 			fmt.Fprintf(stderr, "straggler report: rank %d gated the last step (compute %v, exchange %v)\n",

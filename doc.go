@@ -18,22 +18,22 @@
 // loopback-TCP or remote mesh fabrics), cluster (the multi-process
 // runtime: TCP rendezvous, per-session policy negotiation with a 32bit
 // floor, and mesh establishment across machine boundaries — launched
-// via cmd/lpsgd-worker, lpsgd-train -cluster or lpsgd.WithCluster;
-// both binaries run one rank through cmd/internal/worker, where their
-// flags are declared once), health (the cluster's
-// fault-handling plane: per-peer heartbeat control links, a
-// phi-or-deadline failure detector, a coordinated abort that unblocks
-// every survivor with the same typed health.ErrPeerDead when a rank
-// dies mid-epoch, and straggler telemetry piggybacked on the
-// heartbeats — tuned via lpsgd.WithHeartbeat/WithStepDeadline and
-// surfaced through Trainer.StepStats and lpsgd-worker's documented
-// exit codes), elastic (elastic sessions on top of the health plane:
+// via cmd/lpsgd-worker, lpsgd-train -cluster or cluster.Join with
+// lpsgd.WithClusterSession; both binaries run one rank through
+// cmd/internal/worker, where their flags are declared once), health
+// (the cluster's fault-handling plane: per-peer heartbeat control
+// links, a phi-or-deadline failure detector, a coordinated abort that
+// unblocks every survivor with the same typed health.ErrPeerDead when
+// a rank dies mid-epoch, and straggler telemetry piggybacked on the
+// heartbeats — tuned via cluster.Config.Health and
+// lpsgd.WithStepDeadline, and surfaced through Trainer.StepStats and
+// lpsgd-worker's documented exit codes), elastic (elastic sessions on top of the health plane:
 // a versioned session-state snapshot — weights, optimiser momentum,
 // step and data cursors — and the rendezvous ProtocolVersion 4 rejoin
 // protocol, through which a replacement process takes a dead rank's
 // slot mid-run via donor state transfer and training resumes with
 // digests bit-identical to an uninterrupted run under residual-free
-// policies; enabled by lpsgd.WithElastic and lpsgd-worker -rejoin,
+// policies; enabled by cluster.Config.Elastic and lpsgd-worker -rejoin,
 // with Trainer.SaveState/LoadState exposing the same snapshot for
 // planned, exact resumption), sim (the performance laboratory: the
 // calibrated single-exchange cost model of the paper's machines,

@@ -14,11 +14,13 @@
 // keeps them that way, which each rank verifies at the end by printing
 // the same final accuracy.
 //
-// The session here is elastic (WithElastic): if one rank dies mid-run,
-// the survivors hold a rejoin barrier open instead of aborting, and a
-// replacement launched with -rejoin takes the dead rank's slot,
-// receives the training state from a surviving donor, and the run
-// completes as if nothing happened:
+// Each rank describes the session once, as a cluster.Config, and joins
+// it with cluster.Join; the facade adopts the session through
+// lpsgd.WithClusterSession. The session here is elastic: if one rank
+// dies mid-run, the survivors hold a rejoin barrier open instead of
+// aborting, and a replacement launched with -rejoin takes the dead
+// rank's slot through cluster.Rejoin, receives the training state from
+// a surviving donor, and the run completes as if nothing happened:
 //
 //	go run ./examples/clustertrain -rank 1 -rejoin
 package main
@@ -47,43 +49,44 @@ func main() {
 
 	train, test := lpsgd.SyntheticImages(10, 512, 256, 3)
 
-	// A replacement re-enters through the rejoin barrier instead of the
-	// fresh rendezvous, and restores the donor's snapshot before Run —
-	// the facade path is the same from there on.
-	var membership lpsgd.Option
-	var restore *elastic.Snapshot
-	if *rejoin {
-		sess, snap, err := cluster.Rejoin(cluster.Config{
-			Addr: *addr, Rank: *rank, World: *world,
-			Accept:  []string{"qsgd4b512;*.b=32bit", "qsgd4b512", "qsgd8b512", "1bit*64"},
-			Health:  health.Config{Interval: 250 * time.Millisecond, Timeout: 2 * time.Second},
-			Timeout: 60 * time.Second,
-		})
-		if err != nil {
-			log.Fatalf("rejoin: %v", err)
-		}
-		log.Printf("rank %d rejoined at generation %d, resuming from step %d",
-			sess.Rank(), sess.Generation(), snap.Step)
-		membership, restore = lpsgd.WithClusterSession(sess), snap
-	} else {
-		membership = lpsgd.WithCluster(*addr, *rank, *world)
-	}
-
-	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 48, 10),
-		membership,
-		// Elastic session: a death verdict opens a one-minute rejoin
-		// barrier (coordinator-governed) instead of killing the run;
-		// this process tolerates up to 2 repairs.
-		lpsgd.WithElastic(2, time.Minute),
+	cfg := cluster.Config{
+		Addr: *addr, Rank: *rank, World: *world,
 		// Advertise a preference ladder of precision policies — a mixed
 		// per-layer scheme first, then plain codecs; the session settles
 		// on the cheapest one every rank accepts, floored at "32bit".
-		lpsgd.WithAcceptedPolicies("qsgd4b512;*.b=32bit", "qsgd4b512", "qsgd8b512", "1bit*64"),
+		Accept: []string{"qsgd4b512;*.b=32bit", "qsgd4b512", "qsgd8b512", "1bit*64"},
 		// Health plane: a rank silent for 2 s (pinged every 250 ms over
 		// its control link) is declared dead, every survivor's Run
-		// returns the same health.ErrPeerDead, and the handler gets a
-		// chance to alert before this process decides what to do.
-		lpsgd.WithHeartbeat(250*time.Millisecond, 2*time.Second),
+		// returns the same health.ErrPeerDead, and the handler below gets
+		// a chance to alert before this process decides what to do.
+		Health: health.Config{Interval: 250 * time.Millisecond, Timeout: 2 * time.Second},
+		// Elastic session: a death verdict opens a one-minute rejoin
+		// barrier (coordinator-governed) instead of killing the run;
+		// this process tolerates up to 2 repairs.
+		Elastic: elastic.Config{Enable: true, RejoinWindow: time.Minute, MaxRejoins: 2},
+		// A replacement's handshake also waits out the survivors' death
+		// verdict, hence more than the 30 s default.
+		Timeout: 60 * time.Second,
+	}
+
+	// A replacement re-enters through the rejoin barrier instead of the
+	// fresh rendezvous, and restores the donor's snapshot before Run —
+	// the facade path is the same from there on.
+	var sess *cluster.Session
+	var restore *elastic.Snapshot
+	var err error
+	if *rejoin {
+		if sess, restore, err = cluster.Rejoin(cfg); err != nil {
+			log.Fatalf("rejoin: %v", err)
+		}
+		log.Printf("rank %d rejoined at generation %d, resuming from step %d",
+			sess.Rank(), sess.Generation(), restore.Step)
+	} else if sess, err = cluster.Join(cfg); err != nil {
+		log.Fatalf("join: %v", err)
+	}
+
+	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 48, 10),
+		lpsgd.WithClusterSession(sess),
 		lpsgd.WithHealthHandler(func(err error) {
 			log.Printf("health verdict: %v — aborting this rank's exchange", err)
 		}),

@@ -2,7 +2,7 @@
 // importing only the public packages repro/lpsgd and repro/quant:
 //
 //  1. a trainer assembled with functional options, with the gradient
-//     codec chosen by name through the quant.Parse grammar and the
+//     codec chosen by name through WithPolicy and the
 //     gradients moving over real loopback TCP sockets;
 //  2. the self-describing framed wire format: one peer encodes with
 //     Encoder.EncodeTo, the other decodes with quant.DecodeAny from a
@@ -26,7 +26,7 @@ func main() {
 	// --- 1. Train with a named codec over the TCP transport. ---
 	train, test := lpsgd.SyntheticImages(4, 384, 192, 7)
 	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 48, 4),
-		lpsgd.WithCodec("qsgd4b512"),
+		lpsgd.WithPolicy("qsgd4b512"),
 		lpsgd.WithWorkers(2),
 		lpsgd.WithTransport(lpsgd.TCP),
 		lpsgd.WithBatchSize(64),

@@ -1,7 +1,8 @@
 // Quickstart: train a small classifier with 4-bit quantised gradient
 // exchange across 4 simulated GPUs and compare the wire volume against
 // full precision — entirely through the public lpsgd facade: codecs are
-// selected by name (quant.Parse grammar) and nothing is hand-wired.
+// selected by name (a bare codec name is a WithPolicy policy) and
+// nothing is hand-wired.
 //
 // Run with:
 //
@@ -22,7 +23,7 @@ func main() {
 
 	run := func(codecName, label string) {
 		trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 48, 4),
-			lpsgd.WithCodec(codecName),
+			lpsgd.WithPolicy(codecName),
 			lpsgd.WithWorkers(4),
 			lpsgd.WithBatchSize(64),
 			lpsgd.WithEpochs(10),

@@ -17,9 +17,6 @@ func TestHealthOptionValidation(t *testing.T) {
 		name string
 		opt  lpsgd.Option
 	}{
-		{"negative heartbeat", lpsgd.WithHeartbeat(-time.Second, 0)},
-		{"negative heartbeat timeout", lpsgd.WithHeartbeat(time.Second, -time.Second)},
-		{"timeout below interval", lpsgd.WithHeartbeat(time.Second, time.Millisecond)},
 		{"negative step deadline", lpsgd.WithStepDeadline(-time.Second)},
 		{"nil health handler", lpsgd.WithHealthHandler(nil)},
 	}
@@ -30,26 +27,9 @@ func TestHealthOptionValidation(t *testing.T) {
 	}
 }
 
-// TestElasticOptionValidation: a negative rejoin window is rejected at
-// NewTrainer, and a bare WithElastic outside cluster mode is inert —
-// exactly like the other cluster-shaped options.
-func TestElasticOptionValidation(t *testing.T) {
-	model := lpsgd.MLP(64, 8, 4)
-	if _, err := lpsgd.NewTrainer(model, lpsgd.WithElastic(1, -time.Second)); err == nil {
-		t.Error("NewTrainer accepted a negative rejoin window")
-	}
-	trainer, err := lpsgd.NewTrainer(model,
-		lpsgd.WithElastic(2, 30*time.Second),
-		lpsgd.WithWorkers(2),
-	)
-	if err != nil {
-		t.Fatalf("bare WithElastic outside cluster mode: %v", err)
-	}
-	trainer.Close()
-}
-
 // TestWithStepDeadlineThroughFacade: the step deadline reaches the
-// engine and aborts a run through the public API.
+// engine and aborts a run through the public API, and a health handler
+// outside cluster mode is inert.
 func TestWithStepDeadlineThroughFacade(t *testing.T) {
 	train, test := lpsgd.SyntheticImages(4, 64, 32, 7)
 	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 16, 4),
@@ -58,6 +38,7 @@ func TestWithStepDeadlineThroughFacade(t *testing.T) {
 		lpsgd.WithBatchSize(16),
 		lpsgd.WithEpochs(1),
 		lpsgd.WithStepDeadline(time.Nanosecond),
+		lpsgd.WithHealthHandler(func(error) {}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -68,18 +49,4 @@ func TestWithStepDeadlineThroughFacade(t *testing.T) {
 	if !errors.As(err, &dl) {
 		t.Fatalf("Run returned %v, want parallel.ErrStepDeadline", err)
 	}
-}
-
-// TestHeartbeatIgnoredOutsideCluster: a bare WithHeartbeat without a
-// cluster membership must not break single-process construction.
-func TestHeartbeatIgnoredOutsideCluster(t *testing.T) {
-	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 8, 4),
-		lpsgd.WithHeartbeat(100*time.Millisecond, time.Second),
-		lpsgd.WithHealthHandler(func(error) {}),
-		lpsgd.WithWorkers(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainer.Close()
 }

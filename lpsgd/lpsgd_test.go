@@ -12,14 +12,14 @@ import (
 	"repro/quant"
 )
 
-// TestPublicAPITrainsOverTCP: the acceptance path end to end — a codec
-// selected by name via quant.Parse, a trainer assembled purely from
+// TestPublicAPITrainsOverTCP: the acceptance path end to end — a
+// policy selected by name via WithPolicy, a trainer assembled purely from
 // functional options, gradients moving over real TCP sockets as
 // self-describing frames, and replicas staying in sync.
 func TestPublicAPITrainsOverTCP(t *testing.T) {
 	train, test := lpsgd.SyntheticImages(4, 256, 128, 42)
 	trainer, err := lpsgd.NewTrainer(lpsgd.MLP(64, 32, 4),
-		lpsgd.WithCodec("qsgd4b512"),
+		lpsgd.WithPolicy("qsgd4b512"),
 		lpsgd.WithWorkers(2),
 		lpsgd.WithTransport(lpsgd.TCP),
 		lpsgd.WithBatchSize(64),
@@ -49,7 +49,7 @@ func TestPublicAPITrainsOverTCP(t *testing.T) {
 // TestPublicAPIOptionsValidate: bad codec names and transports surface
 // as errors from NewTrainer, not panics at option time.
 func TestPublicAPIOptionsValidate(t *testing.T) {
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithCodec("qsgd3")); err == nil {
+	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicy("qsgd3")); err == nil {
 		t.Fatal("accepted an invalid codec name")
 	}
 	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithTransport(lpsgd.Transport(99))); err == nil {
@@ -58,12 +58,12 @@ func TestPublicAPIOptionsValidate(t *testing.T) {
 	if _, err := lpsgd.NewTrainer(nil); err == nil {
 		t.Fatal("accepted a nil model builder")
 	}
-	// Zero would otherwise be silently replaced by the 0.99 default in
-	// the engine; the facade must reject it instead.
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithMinQuantisedFraction(0)); err == nil {
+	// A zero minfrac would otherwise be silently replaced by the 0.99
+	// default in the engine; the policy must be rejected instead.
+	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicy("32bit;minfrac=0")); err == nil {
 		t.Fatal("accepted a zero min quantised fraction")
 	}
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithCodec("topkNaN")); err == nil {
+	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicy("topkNaN")); err == nil {
 		t.Fatal("accepted a NaN topk density")
 	}
 	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicy("qsgd4b512;;")); err == nil {
@@ -72,94 +72,27 @@ func TestPublicAPIOptionsValidate(t *testing.T) {
 	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicy("qsgd4b512;minfrac=2")); err == nil {
 		t.Fatal("accepted an out-of-range policy minfrac")
 	}
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithPolicyValue(nil)); err == nil {
-		t.Fatal("accepted a nil policy value")
-	}
 }
 
-// badNameCodec wraps a real codec under a name quant.Parse cannot
-// reconstruct — the misconfiguration WithCodecValue must reject.
-type badNameCodec struct{ quant.Codec }
-
-func (badNameCodec) Name() string { return "bespoke-house-codec" }
-
-// aliasNameCodec reports a parseable but non-canonical name: peers
-// reconstructing from it would build a (here deliberately different)
-// codec, so it must be rejected too.
-type aliasNameCodec struct{ quant.Codec }
-
-func (aliasNameCodec) Name() string { return "qsgd4" }
-
-// TestWithCodecValueValidatesRoundTrip: a custom codec whose Name()
-// does not round-trip through quant.Parse would silently break cluster
-// negotiation and framed decode; the option must fail instead.
-func TestWithCodecValueValidatesRoundTrip(t *testing.T) {
-	base := quant.MustParse("qsgd8b512")
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4),
-		lpsgd.WithCodecValue(badNameCodec{base})); err == nil {
-		t.Fatal("accepted a codec whose name does not parse")
-	}
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4),
-		lpsgd.WithCodecValue(aliasNameCodec{base})); err == nil {
-		t.Fatal("accepted a codec whose name re-parses to a different canonical codec")
-	}
-	if _, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithCodecValue(nil)); err == nil {
-		t.Fatal("accepted a nil codec")
-	}
-	// A well-behaved codec still passes.
-	tr, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4), lpsgd.WithCodecValue(base), lpsgd.WithEpochs(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if tr.Policy().Base.Name() != "qsgd8b512" {
-		t.Fatalf("policy base is %q", tr.Policy().Base.Name())
-	}
-}
-
-// TestPolicyOptionsCompose: WithCodec and WithMinQuantisedFraction edit
-// components of the same working policy, WithPolicy replaces it
-// wholesale, and the trainer's effective policy round-trips its name.
+// TestPolicyOptionsCompose: a later WithPolicy replaces an earlier one
+// wholesale — no base, exemption target or rule of the first survives —
+// and the trainer's effective policy round-trips its name.
 func TestPolicyOptionsCompose(t *testing.T) {
 	tr, err := lpsgd.NewTrainer(lpsgd.MLP(64, 32, 4),
-		lpsgd.WithPolicy("qsgd4b512;dense1=32bit"),
-		lpsgd.WithMinQuantisedFraction(1),
-		lpsgd.WithCodec("qsgd8b512"),
+		lpsgd.WithPolicy("qsgd4b512;minfrac=0.5;dense1=32bit"),
+		lpsgd.WithPolicy("qsgd8b512;minfrac=1"),
 		lpsgd.WithEpochs(1),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	const want = "qsgd8b512;minfrac=1;dense1=32bit"
+	const want = "qsgd8b512;minfrac=1"
 	if got := tr.Policy().Name(); got != want {
 		t.Fatalf("composed policy %q, want %q", got, want)
 	}
 	if _, err := quant.ParsePolicy(tr.Policy().Name()); err != nil {
 		t.Fatalf("effective policy does not round-trip: %v", err)
-	}
-}
-
-// TestWithPolicyValueDoesNotMutateCallerPolicy: later options edit a
-// copy of the supplied policy, never the caller's object — one policy
-// value may configure several trainers with different refinements.
-func TestWithPolicyValueDoesNotMutateCallerPolicy(t *testing.T) {
-	p := quant.MustParsePolicy("qsgd4b512")
-	tr, err := lpsgd.NewTrainer(lpsgd.MLP(64, 4),
-		lpsgd.WithPolicyValue(p),
-		lpsgd.WithMinQuantisedFraction(0.5),
-		lpsgd.WithCodec("qsgd8b512"),
-		lpsgd.WithEpochs(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if got := tr.Policy().Name(); got != "qsgd8b512;minfrac=0.5" {
-		t.Fatalf("refined policy %q, want qsgd8b512;minfrac=0.5", got)
-	}
-	if p.Name() != "qsgd4b512" {
-		t.Fatalf("options mutated the caller's policy to %q", p.Name())
 	}
 }
 

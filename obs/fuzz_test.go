@@ -47,7 +47,7 @@ func FuzzEscapeLabelValue(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		e := escapeLabelValue(s)
+		e := EscapeLabelValue(s)
 		if strings.Contains(e, "\n") {
 			t.Fatalf("escaped value contains raw newline: %q", e)
 		}

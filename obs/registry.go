@@ -188,16 +188,17 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(l.Value))
+		b.WriteString(EscapeLabelValue(l.Value))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabelValue escapes a label value per the exposition format:
-// backslash, double quote and newline.
-func escapeLabelValue(v string) string {
+// EscapeLabelValue escapes a label value per the exposition format:
+// backslash, double quote and newline. Writers that render their own
+// exposition text put every label value through it.
+func EscapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}

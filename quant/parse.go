@@ -48,10 +48,6 @@ func Parse(name string) (Codec, error) {
 	return nil, fmt.Errorf("quant: unknown codec %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
-// ByName is an alias for Parse, kept for callers written against the
-// old fixed-registry API.
-func ByName(name string) (Codec, error) { return Parse(name) }
-
 // MustParse is Parse for static configuration; it panics on error.
 func MustParse(name string) Codec {
 	c, err := Parse(name)

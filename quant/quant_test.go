@@ -157,15 +157,15 @@ func TestCompressionRatios(t *testing.T) {
 
 func TestRegistryNames(t *testing.T) {
 	for _, name := range Names() {
-		c, err := ByName(name)
+		c, err := Parse(name)
 		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
+			t.Fatalf("Parse(%q): %v", name, err)
 		}
 		if c == nil {
-			t.Fatalf("ByName(%q) returned nil codec", name)
+			t.Fatalf("Parse(%q) returned nil codec", name)
 		}
 	}
-	if _, err := ByName("bogus"); err == nil {
+	if _, err := Parse("bogus"); err == nil {
 		t.Fatal("expected error for unknown codec")
 	}
 }
