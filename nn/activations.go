@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"repro/tensor"
-)
+import "repro/tensor"
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
@@ -69,9 +65,7 @@ func (t *Tanh) Params() []*Param { return nil }
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	t.y = tensor.Reuse(t.y, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		t.y.Data[i] = float32(math.Tanh(float64(v)))
-	}
+	tensor.Tanh(t.y.Data, x.Data)
 	return t.y
 }
 
@@ -82,11 +76,6 @@ func (t *Tanh) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		t.dx.Data[i] = dout.Data[i] * (1 - float32(y*y))
 	}
 	return t.dx
-}
-
-// sigmoidScalar is the logistic function on a single value.
-func sigmoidScalar(v float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
 // Sigmoid is the logistic activation.
@@ -108,9 +97,7 @@ func (s *Sigmoid) Params() []*Param { return nil }
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	s.y = tensor.Reuse(s.y, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		s.y.Data[i] = sigmoidScalar(v)
-	}
+	tensor.Sigmoid(s.y.Data, x.Data)
 	return s.y
 }
 

@@ -89,25 +89,25 @@ func (l *LSTM) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 		tensor.MatMulAddBias(z, xt, l.wx.Value, l.b.Value)
 		tensor.MatMul(zh, l.hs[t], l.wh.Value)
 		z.Add(zh)
-		hNext, cNext := l.hs[t+1], l.cs[t+1]
-		cPrev := l.cs[t]
+		// The gate activations, row by row: the gates of a sample are
+		// four runs of z's row.
+		gi, gf, gg, go_ := l.gi[t], l.gf[t], l.gg[t], l.go_[t]
 		for s := 0; s < batch; s++ {
 			zr := z.Row(s)
-			ir, fr := l.gi[t].Row(s), l.gf[t].Row(s)
-			gr, or := l.gg[t].Row(s), l.go_[t].Row(s)
-			tc := l.tanhC[t].Row(s)
-			cp, cn, hn := cPrev.Row(s), cNext.Row(s), hNext.Row(s)
-			for j := 0; j < l.h; j++ {
-				i := sigmoidScalar(zr[j])
-				f := sigmoidScalar(zr[l.h+j])
-				g := float32(math.Tanh(float64(zr[2*l.h+j])))
-				o := sigmoidScalar(zr[3*l.h+j])
-				c := float32(f*cp[j]) + float32(i*g)
-				th := float32(math.Tanh(float64(c)))
-				ir[j], fr[j], gr[j], or[j] = i, f, g, o
-				cn[j], tc[j] = c, th
-				hn[j] = o * th
-			}
+			tensor.Sigmoid(gi.Row(s), zr[:l.h])
+			tensor.Sigmoid(gf.Row(s), zr[l.h:2*l.h])
+			tensor.Tanh(gg.Row(s), zr[2*l.h:3*l.h])
+			tensor.Sigmoid(go_.Row(s), zr[3*l.h:])
+		}
+		// The cell and hidden state, over the whole batch at once.
+		i, f, g, o := gi.Data, gf.Data, gg.Data, go_.Data
+		cp, cn, hn, tc := l.cs[t].Data, l.cs[t+1].Data, l.hs[t+1].Data, l.tanhC[t].Data
+		for j := range cn {
+			cn[j] = float32(f[j]*cp[j]) + float32(i[j]*g[j])
+		}
+		tensor.Tanh(tc, cn)
+		for j := range hn {
+			hn[j] = o[j] * tc[j]
 		}
 	}
 	return l.hs[l.t]
@@ -121,26 +121,11 @@ func (l *LSTM) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	dh.CopyFrom(dout)
 	dc.Zero()
 	for t := l.t - 1; t >= 0; t-- {
-		cPrev := l.cs[t]
+		// The gate gradients; dc is carried to t-1.
 		for s := 0; s < batch; s++ {
-			dhr, dcr := dh.Row(s), dc.Row(s)
-			ir, fr := l.gi[t].Row(s), l.gf[t].Row(s)
-			gr, or := l.gg[t].Row(s), l.go_[t].Row(s)
-			tc := l.tanhC[t].Row(s)
-			cp := cPrev.Row(s)
-			dzr := dz.Row(s)
-			for j := 0; j < l.h; j++ {
-				do := dhr[j] * tc[j]
-				dcj := dcr[j] + float32(dhr[j]*or[j]*(1-float32(tc[j]*tc[j])))
-				di := dcj * gr[j]
-				df := dcj * cp[j]
-				dg := dcj * ir[j]
-				dzr[j] = di * ir[j] * (1 - ir[j])
-				dzr[l.h+j] = df * fr[j] * (1 - fr[j])
-				dzr[2*l.h+j] = dg * (1 - float32(gr[j]*gr[j]))
-				dzr[3*l.h+j] = do * or[j] * (1 - or[j])
-				dcr[j] = dcj * fr[j] // carried to t-1
-			}
+			tensor.LSTMGateGrads(dz.Row(s), dc.Row(s), dh.Row(s),
+				l.gi[t].Row(s), l.gf[t].Row(s), l.gg[t].Row(s), l.go_[t].Row(s),
+				l.tanhC[t].Row(s), l.cs[t].Row(s))
 		}
 		// Parameter gradients.
 		tensor.MatMulTransA(dwx, l.xs[t], dz)
@@ -148,10 +133,7 @@ func (l *LSTM) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		tensor.MatMulTransA(dwh, l.hs[t], dz)
 		l.wh.Grad.Add(dwh)
 		for s := 0; s < batch; s++ {
-			dzr := dz.Row(s)
-			for j, v := range dzr {
-				l.b.Grad.Data[j] += v
-			}
+			tensor.Add(l.b.Grad.Data, dz.Row(s))
 		}
 		// Input and previous-hidden gradients.
 		tensor.MatMulTransB(dxt, dz, l.wx.Value)

@@ -293,3 +293,29 @@ func BenchmarkForwardBackwardCNN(b *testing.B) {
 		net.Backward(loss.Backward(labels))
 	}
 }
+
+// BenchmarkLSTM is one rank's forward and backward pass of the
+// lstm_fp32_ring benchmark workload's recurrent layer: 12 frames of 8
+// features, hidden size 32, a per-rank batch of 4.
+func BenchmarkLSTM(b *testing.B) {
+	r := rng.New(1)
+	l := NewLSTM("lstm", 12, 8, 32, r)
+	x := tensor.New(4, 12*8)
+	x.FillNorm(r, 1)
+	dout := tensor.New(4, 32)
+	dout.FillNorm(r, 1)
+	for _, pass := range []string{"forward", "backward"} {
+		b.Run(pass, func(b *testing.B) {
+			l.Forward(x, true)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if pass == "forward" {
+					l.Forward(x, true)
+				} else {
+					l.Backward(dout)
+				}
+			}
+		})
+	}
+}

@@ -13,6 +13,15 @@
 # function the packages define, including those no test or binary
 # reaches, which the linker would drop from a test binary.
 #
+# One host dependence sits outside the module's code: on amd64, math.Exp
+# takes an FMA path when the CPU has FMA (math's useFMA), so its float64
+# result can differ in the last bits between amd64 hosts. The float32
+# activations built on it (tensor.Sigmoid, tensor.Tanh) do not: after
+# their float32 rounding they equal the FMA-free sequence on every
+# float32 input (go test ./tensor -run TestActivationExhaustive
+# -exhaustive). The softmax head's float64 sum of math.Exp terms
+# (nn/loss.go) is not covered by that argument.
+#
 # Usage: scripts/check_nofma.sh [package ...]
 #        (default: the training path, ./nn ./quant ./tensor ./comm ./data
 #        ./parallel ./rng)

@@ -221,6 +221,8 @@ func TestVecLengthMismatchPanics(t *testing.T) {
 		func() { Add(make([]float32, 3), make([]float32, 4)) },
 		func() { MomentumStep(make([]float32, 3), make([]float32, 3), make([]float32, 2), 1, 0.9, 0.1, 0) },
 		func() { MomentumStep(make([]float32, 3), make([]float32, 4), make([]float32, 3), 1, 0.9, 0.1, 1) },
+		func() { Sigmoid(make([]float32, 8), make([]float32, 9)) },
+		func() { Tanh(make([]float32, 9), make([]float32, 8)) },
 	} {
 		func() {
 			defer func() {
