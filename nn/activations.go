@@ -23,26 +23,14 @@ func (r *ReLU) Params() []*Param { return nil }
 func (r *ReLU) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	r.x = x
 	r.y = tensor.Reuse(r.y, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			r.y.Data[i] = v
-		} else {
-			r.y.Data[i] = 0
-		}
-	}
+	tensor.ReLU(r.y.Data, x.Data)
 	return r.y
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	r.dx = tensor.Reuse(r.dx, dout.Rows, dout.Cols)
-	for i, v := range r.x.Data {
-		if v > 0 {
-			r.dx.Data[i] = dout.Data[i]
-		} else {
-			r.dx.Data[i] = 0
-		}
-	}
+	tensor.ReLUGrad(r.dx.Data, r.x.Data, dout.Data)
 	return r.dx
 }
 

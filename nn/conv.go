@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/quant"
 	"repro/rng"
@@ -22,12 +23,14 @@ type Conv2D struct {
 	name  string
 	shape tensor.ConvShape
 	w, b  *Param
-	x     *tensor.Matrix
 	y     *tensor.Matrix
 	dx    *tensor.Matrix
-	// Per-sample scratch, sized by the geometry alone: the im2col
-	// expansion, one sample's output and its gradient, and the two
-	// gradient products before they join w.Grad and dx.
+	// Scratch: every sample's im2col expansion, kept from Forward for
+	// Backward's weight gradient (grow-only, like the layer outputs);
+	// cols, a header over one sample's; one sample's output and its
+	// gradient; and the two gradient products before they join w.Grad
+	// and dx.
+	colsAll                    []float32
 	cols, out, dOut, dW, dCols *tensor.Matrix
 }
 
@@ -68,19 +71,21 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	if x.Cols != inLen {
 		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", c.name, inLen, x.Cols))
 	}
-	c.x = x
 	outHW := c.shape.OutH() * c.shape.OutW()
 	c.y = tensor.Reuse(c.y, x.Rows, c.OutLen())
-	if c.cols == nil {
-		patch := c.shape.PatchLen()
-		c.cols = tensor.New(patch, outHW)
+	patch := c.shape.PatchLen()
+	if c.out == nil {
+		c.cols = &tensor.Matrix{Rows: patch, Cols: outHW}
 		c.out = tensor.New(c.shape.OutC, outHW)
-		c.dOut = tensor.New(c.shape.OutC, outHW)
+		c.dOut = &tensor.Matrix{Rows: c.shape.OutC, Cols: outHW}
 		c.dW = tensor.New(c.shape.OutC, patch)
 		c.dCols = tensor.New(patch, outHW)
 	}
+	colLen := patch * outHW
+	c.colsAll = slices.Grow(c.colsAll[:0], x.Rows*colLen)[:x.Rows*colLen]
 	out := c.out
 	for s := 0; s < x.Rows; s++ {
+		c.cols.Data = c.colsAll[s*colLen : (s+1)*colLen]
 		tensor.Im2col(c.shape, x.Row(s), c.cols)
 		tensor.MatMul(out, c.w.Value, c.cols)
 		dst := c.y.Row(s)
@@ -102,20 +107,13 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	c.dx = tensor.Reuse(c.dx, dout.Rows, c.shape.InC*c.shape.InH*c.shape.InW)
 	c.dx.Zero()
 	dOutS, dW, dCols := c.dOut, c.dW, c.dCols
+	colLen := c.shape.PatchLen() * outHW
 	for s := 0; s < dout.Rows; s++ {
-		src := dout.Row(s)
-		copy(dOutS.Data, src)
-		// Bias gradient: sum over spatial positions per channel.
-		for oc := 0; oc < c.shape.OutC; oc++ {
-			var sum float32
-			for p := 0; p < outHW; p++ {
-				sum += dOutS.Data[oc*outHW+p]
-			}
-			c.b.Grad.Data[oc] += sum
-		}
-		// Weight gradient: dW += dOut · colsᵀ (cols recomputed — trades
-		// FLOPs for not caching batch×patch activations).
-		tensor.Im2col(c.shape, c.x.Row(s), c.cols)
+		dOutS.Data = dout.Row(s)
+		c.biasGrad(dOutS.Data, outHW)
+		// Weight gradient: dW += dOut · colsᵀ, on the columns Forward
+		// expanded.
+		c.cols.Data = c.colsAll[s*colLen : (s+1)*colLen]
 		tensor.MatMulTransB(dW, dOutS, c.cols)
 		c.w.Grad.Add(dW)
 		// Input gradient: dCols = Wᵀ · dOut, scattered back by col2im.
@@ -123,4 +121,28 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		tensor.Col2im(c.shape, dCols, c.dx.Row(s))
 	}
 	return c.dx
+}
+
+// biasGrad adds one sample's bias gradient to b.Grad: each output
+// channel's float32 sum of its outHW positions of g, in position order.
+// Four channels' sums run side by side, each its own chain.
+func (c *Conv2D) biasGrad(g []float32, outHW int) {
+	n := c.shape.OutC
+	for oc := 0; oc < n; oc += 4 {
+		// Past the last channel, a group repeats it; the repeats are not
+		// stored.
+		g0, g1 := g[oc*outHW:(oc+1)*outHW], g[min(oc+1, n-1)*outHW:][:outHW]
+		g2, g3 := g[min(oc+2, n-1)*outHW:][:outHW], g[min(oc+3, n-1)*outHW:][:outHW]
+		var s0, s1, s2, s3 float32
+		for p, v := range g0 {
+			s0 += v
+			s1 += g1[p]
+			s2 += g2[p]
+			s3 += g3[p]
+		}
+		sums := [4]float32{s0, s1, s2, s3}
+		for i := range min(4, n-oc) {
+			c.b.Grad.Data[oc+i] += sums[i]
+		}
+	}
 }

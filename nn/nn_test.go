@@ -319,3 +319,24 @@ func BenchmarkLSTM(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCNN is one rank of the benchmark's cnn_fp32_chan step: the
+// image CNN at batch 32 (64 split over two ranks), a training forward
+// pass, the loss gradient and the backward pass.
+func BenchmarkCNN(b *testing.B) {
+	r := rng.New(1)
+	net := benchCNN(r)
+	loss := NewSoftmaxCrossEntropy()
+	x := tensor.New(32, 3*12*12)
+	x.FillNorm(r, 1)
+	labels := make([]int, 32)
+	for i := range labels {
+		labels[i] = r.Intn(10)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		loss.Forward(net.Forward(x, true), labels)
+		net.ZeroGrads()
+		net.Backward(loss.Backward(labels))
+	}
+}

@@ -2,41 +2,40 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/tensor"
 )
 
 // MaxPool2D is channel-wise max pooling over NCHW inputs flattened one
-// sample per row.
+// sample per row (tensor.MaxPool: the first of equal maxima wins, a NaN
+// never does).
 type MaxPool2D struct {
-	name             string
-	c, h, w          int
-	kh, kw           int
-	strideH, strideW int
-	argmax           []int32 // flat index of the winning input per output
-	y                *tensor.Matrix
-	dx               *tensor.Matrix
+	name   string
+	shape  tensor.PoolShape
+	argmax []int32 // flat index of the winning input per output
+	y      *tensor.Matrix
+	dx     *tensor.Matrix
 }
 
 // NewMaxPool2D builds a max-pooling layer over c×h×w inputs with a
 // kh×kw window and the given strides.
 func NewMaxPool2D(name string, c, h, w, kh, kw, strideH, strideW int) *MaxPool2D {
+	shape := tensor.PoolShape{C: c, H: h, W: w, KH: kh, KW: kw, StrideH: strideH, StrideW: strideW}
 	if c <= 0 || h <= 0 || w <= 0 || kh <= 0 || kw <= 0 || strideH <= 0 || strideW <= 0 {
 		panic(fmt.Sprintf("nn: bad pool geometry %s", name))
 	}
-	return &MaxPool2D{name: name, c: c, h: h, w: w, kh: kh, kw: kw, strideH: strideH, strideW: strideW}
+	return &MaxPool2D{name: name, shape: shape}
 }
 
 // OutH returns the pooled height.
-func (p *MaxPool2D) OutH() int { return (p.h-p.kh)/p.strideH + 1 }
+func (p *MaxPool2D) OutH() int { return p.shape.OutH() }
 
 // OutW returns the pooled width.
-func (p *MaxPool2D) OutW() int { return (p.w-p.kw)/p.strideW + 1 }
+func (p *MaxPool2D) OutW() int { return p.shape.OutW() }
 
 // OutLen returns the per-sample output length.
-func (p *MaxPool2D) OutLen() int { return p.c * p.OutH() * p.OutW() }
+func (p *MaxPool2D) OutLen() int { return p.shape.OutLen() }
 
 // Name implements Layer.
 func (p *MaxPool2D) Name() string { return p.name }
@@ -46,47 +45,21 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (p *MaxPool2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
-	if x.Cols != p.c*p.h*p.w {
-		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", p.name, p.c*p.h*p.w, x.Cols))
+	if inLen := p.shape.C * p.shape.H * p.shape.W; x.Cols != inLen {
+		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", p.name, inLen, x.Cols))
 	}
-	oh, ow := p.OutH(), p.OutW()
 	outLen := p.OutLen()
 	p.y = tensor.Reuse(p.y, x.Rows, outLen)
 	p.argmax = slices.Grow(p.argmax[:0], x.Rows*outLen)[:x.Rows*outLen]
 	for s := 0; s < x.Rows; s++ {
-		in := x.Row(s)
-		out := p.y.Row(s)
-		amBase := s * outLen
-		for ch := 0; ch < p.c; ch++ {
-			chOff := ch * p.h * p.w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := float32(math.Inf(-1))
-					bestIdx := -1
-					for ky := 0; ky < p.kh; ky++ {
-						iy := oy*p.strideH + ky
-						rowOff := chOff + iy*p.w
-						for kx := 0; kx < p.kw; kx++ {
-							ix := ox*p.strideW + kx
-							if v := in[rowOff+ix]; v > best {
-								best = v
-								bestIdx = rowOff + ix
-							}
-						}
-					}
-					oi := (ch*oh+oy)*ow + ox
-					out[oi] = best
-					p.argmax[amBase+oi] = int32(bestIdx)
-				}
-			}
-		}
+		tensor.MaxPool(p.shape, p.y.Row(s), p.argmax[s*outLen:(s+1)*outLen], x.Row(s))
 	}
 	return p.y
 }
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	p.dx = tensor.Reuse(p.dx, dout.Rows, p.c*p.h*p.w)
+	p.dx = tensor.Reuse(p.dx, dout.Rows, p.shape.C*p.shape.H*p.shape.W)
 	p.dx.Zero()
 	outLen := p.OutLen()
 	for s := 0; s < dout.Rows; s++ {

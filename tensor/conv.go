@@ -66,6 +66,27 @@ func Im2col(c ConvShape, img []float32, dst *Matrix) {
 	if dst.Rows != c.PatchLen() || dst.Cols != oh*ow {
 		panic("tensor: Im2col dst shape mismatch")
 	}
+	if c.sameRows() {
+		im2colSame(c, img, dst)
+		return
+	}
+	im2colGo(c, img, dst)
+}
+
+// sameRows reports a stride-1 convolution whose output rows are as wide
+// as the input's (a "same" padding along the width, such as 3×3 with
+// pad 1). For each kernel tap, output position q then reads input
+// position q + a fixed shift of its channel plane, so the tap's whole
+// span of output rows is one contiguous copy (or sum) whose few
+// elements at the pad edges of each row are fixed up afterwards.
+func (c ConvShape) sameRows() bool {
+	return c.StrideH == 1 && c.StrideW == 1 && c.OutW() == c.InW
+}
+
+// im2colGo is Im2col for any geometry, one output row of one kernel tap
+// at a time.
+func im2colGo(c ConvShape, img []float32, dst *Matrix) {
+	oh, ow := c.OutH(), c.OutW()
 	for ch := 0; ch < c.InC; ch++ {
 		chOff := ch * c.InH * c.InW
 		for kh := 0; kh < c.KH; kh++ {
@@ -106,9 +127,50 @@ func Im2col(c ConvShape, img []float32, dst *Matrix) {
 	}
 }
 
+// im2colSame is Im2col for sameRows geometries: per kernel tap, one copy
+// from the first valid element of its first valid output row to the
+// last of its last, then zeros over the pad edges, which that copy
+// filled with the neighbouring row's pixels.
+func im2colSame(c ConvShape, img []float32, dst *Matrix) {
+	oh, ow := c.OutH(), c.OutW()
+	for ch := 0; ch < c.InC; ch++ {
+		chOff := ch * c.InH * c.InW
+		for kh := 0; kh < c.KH; kh++ {
+			oy0, oy1 := validSpan(oh, c.InH, 1, c.PadH, kh)
+			for kw := 0; kw < c.KW; kw++ {
+				ox0, ox1 := validSpan(ow, c.InW, 1, c.PadW, kw)
+				drow := dst.Row(((ch*c.KH)+kh)*c.KW + kw)
+				if ox0 == ox1 || oy0 == oy1 {
+					clear(drow)
+					continue
+				}
+				lo, hi := oy0*ow+ox0, (oy1-1)*ow+ox1
+				shift := chOff + (kh-c.PadH)*c.InW + kw - c.PadW
+				copy(drow[lo:hi], img[lo+shift:hi+shift])
+				clear(drow[:lo])
+				clear(drow[hi:])
+				// Between two output rows, the right edge of one and the
+				// left edge of the next are one run of pad positions;
+				// only one of the two is not empty.
+				left, right := ox0, ow-ox1
+				if left+right == 0 {
+					continue
+				}
+				for q := (oy0+1)*ow - right; q < hi; q += ow {
+					for i := q; i < q+left+right; i++ {
+						drow[i] = 0
+					}
+				}
+			}
+		}
+	}
+}
+
 // Col2im accumulates the columns of src (shape (InC*KH*KW) × (OutH*OutW))
 // back into an image gradient (CHW layout). dst must be pre-zeroed by the
-// caller when accumulation across calls is not desired.
+// caller when accumulation across calls is not desired. Each pixel
+// receives its contributions in (ch, kh, kw) order, one per kernel tap
+// that reads it.
 func Col2im(c ConvShape, src *Matrix, dst []float32) {
 	oh, ow := c.OutH(), c.OutW()
 	if len(dst) != c.InC*c.InH*c.InW {
@@ -123,24 +185,24 @@ func Col2im(c ConvShape, src *Matrix, dst []float32) {
 			oy0, oy1 := validSpan(oh, c.InH, c.StrideH, c.PadH, kh)
 			for kw := 0; kw < c.KW; kw++ {
 				ox0, ox1 := validSpan(ow, c.InW, c.StrideW, c.PadW, kw)
-				if ox0 == ox1 {
+				if ox0 == ox1 || oy0 == oy1 {
 					continue
 				}
 				srow := src.Row(((ch*c.KH)+kh)*c.KW + kw)
+				at := chOff + (oy0*c.StrideH-c.PadH+kh)*c.InW + ox0*c.StrideW - c.PadW + kw
+				if c.StrideW == 1 {
+					// One run of pixels per output row, the rows
+					// StrideH·InW pixels apart.
+					n, rows := ox1-ox0, oy1-oy0
+					addRows(dst[at:], srow[oy0*ow+ox0:], rows, n, c.StrideH*c.InW, ow)
+					continue
+				}
 				for oy := oy0; oy < oy1; oy++ {
-					at := chOff + (oy*c.StrideH-c.PadH+kh)*c.InW + ox0*c.StrideW - c.PadW + kw
-					seg := srow[oy*ow+ox0 : oy*ow+ox1]
-					if c.StrideW == 1 {
-						out := dst[at : at+len(seg)]
-						for i, v := range seg {
-							out[i] += v
-						}
-						continue
-					}
-					for _, v := range seg {
+					for _, v := range srow[oy*ow+ox0 : oy*ow+ox1] {
 						dst[at] += v
 						at += c.StrideW
 					}
+					at += c.StrideH*c.InW - (ox1-ox0)*c.StrideW
 				}
 			}
 		}
