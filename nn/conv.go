@@ -27,10 +27,10 @@ type Conv2D struct {
 	dx    *tensor.Matrix
 	// Scratch: every sample's im2col expansion, kept from Forward for
 	// Backward's weight gradient (grow-only, like the layer outputs);
-	// cols, a header over one sample's; one sample's output and its
-	// gradient; and the two gradient products before they join w.Grad
-	// and dx.
-	colsAll                    []float32
+	// the bias spread over one sample's output; headers over one
+	// sample's columns, output and output gradient; and the two
+	// gradient products before they join w.Grad and dx.
+	colsAll, biasRow           []float32
 	cols, out, dOut, dW, dCols *tensor.Matrix
 }
 
@@ -76,27 +76,28 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	patch := c.shape.PatchLen()
 	if c.out == nil {
 		c.cols = &tensor.Matrix{Rows: patch, Cols: outHW}
-		c.out = tensor.New(c.shape.OutC, outHW)
+		c.out = &tensor.Matrix{Rows: c.shape.OutC, Cols: outHW}
 		c.dOut = &tensor.Matrix{Rows: c.shape.OutC, Cols: outHW}
 		c.dW = tensor.New(c.shape.OutC, patch)
 		c.dCols = tensor.New(patch, outHW)
 	}
 	colLen := patch * outHW
 	c.colsAll = slices.Grow(c.colsAll[:0], x.Rows*colLen)[:x.Rows*colLen]
+	// The bias of each output channel, repeated over its positions.
+	c.biasRow = slices.Grow(c.biasRow[:0], c.OutLen())[:c.OutLen()]
+	for oc, bias := range c.b.Value.Data {
+		row := c.biasRow[oc*outHW : (oc+1)*outHW]
+		for p := range row {
+			row[p] = bias
+		}
+	}
 	out := c.out
 	for s := 0; s < x.Rows; s++ {
 		c.cols.Data = c.colsAll[s*colLen : (s+1)*colLen]
 		tensor.Im2col(c.shape, x.Row(s), c.cols)
+		out.Data = c.y.Row(s)
 		tensor.MatMul(out, c.w.Value, c.cols)
-		dst := c.y.Row(s)
-		for oc := 0; oc < c.shape.OutC; oc++ {
-			bias := c.b.Value.Data[oc]
-			orow := out.Row(oc)
-			base := oc * outHW
-			for p, v := range orow {
-				dst[base+p] = v + bias
-			}
-		}
+		tensor.Add(out.Data, c.biasRow)
 	}
 	return c.y
 }

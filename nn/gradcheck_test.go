@@ -126,6 +126,35 @@ func TestGradMaxPool(t *testing.T) {
 	checkGradients(t, net, x, labels)
 }
 
+// TestMaxPoolNonFiniteWindow holds a diverged input to a finite step:
+// a window of NaNs (or of NaNs and −Infs) pools to −Inf at its first
+// tap, and Backward routes that output's gradient there instead of
+// indexing the input at −1. It runs the 2×2 stride-2 geometry of the
+// vector kernel and a 3×3 one, which the loop runs.
+func TestMaxPoolNonFiniteWindow(t *testing.T) {
+	nan, negInf := float32(math.NaN()), float32(math.Inf(-1))
+	for _, g := range [][7]int{{1, 2, 2, 2, 2, 2, 2}, {1, 4, 4, 2, 2, 2, 2}, {1, 3, 3, 3, 3, 2, 2}} {
+		pool := NewMaxPool2D("p", g[0], g[1], g[2], g[3], g[4], g[5], g[6])
+		x := tensor.New(2, g[1]*g[2])
+		x.Fill(nan)
+		x.Data[len(x.Data)-1] = negInf
+		y := pool.Forward(x, true)
+		for i, v := range y.Data {
+			if !math.IsInf(float64(v), -1) {
+				t.Fatalf("%v: output %d is %v, want -Inf", g, i, v)
+			}
+		}
+		dout := tensor.New(y.Rows, y.Cols)
+		dout.Fill(1)
+		dx := pool.Backward(dout)
+		for s := 0; s < dx.Rows; s++ {
+			if row := dx.Row(s); row[0] != 1 {
+				t.Errorf("%v: sample %d: input gradient %v, want 1 at the first tap", g, s, row)
+			}
+		}
+	}
+}
+
 func TestGradGlobalAvgPool(t *testing.T) {
 	r := rng.New(6)
 	net := MustNetwork(

@@ -31,10 +31,7 @@ func MatMulAddBias(dst, a, b, bias *Matrix) {
 		panic("tensor: MatMulAddBias bias size mismatch")
 	}
 	for i := 0; i < dst.Rows; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] += bias.Data[j]
-		}
+		Add(dst.Row(i), bias.Data)
 	}
 }
 
