@@ -278,20 +278,26 @@ func TestBatchNormKernelsParity(t *testing.T) {
 	})
 }
 
+// sameRowsShapes are stride-1 geometries with output rows as wide as
+// the input's: the benchmark CNN's two convolutions, a 5×5, one with
+// more output rows than input rows, a 3×1 with a pad wider than the
+// kernel, and a 7×7 over a 2×2 image, which leaves some taps no pixel.
+var sameRowsShapes = []ConvShape{
+	{InC: 3, InH: 12, InW: 12, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+	{InC: 8, InH: 6, InW: 6, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+	{InC: 2, InH: 5, InW: 9, OutC: 1, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
+	{InC: 2, InH: 7, InW: 4, OutC: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 0, PadW: 1},
+	{InC: 2, InH: 3, InW: 5, OutC: 1, KH: 3, KW: 1, StrideH: 1, StrideW: 1, PadH: 4, PadW: 0},
+	{InC: 1, InH: 2, InW: 2, OutC: 1, KH: 7, KW: 7, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3},
+	{InC: 3, InH: 1, InW: 13, OutC: 1, KH: 1, KW: 3, StrideH: 1, StrideW: 1, PadH: 0, PadW: 1},
+	{InC: 1, InH: 9, InW: 1, OutC: 1, KH: 3, KW: 1, StrideH: 1, StrideW: 1, PadH: 1, PadW: 0},
+}
+
 // TestIm2colSameRowsParity holds the contiguous-span lowering of
-// stride-1 "same width" convolutions to the general one-row-at-a-time
-// loop it replaces, exactly, and Col2im to the per-element sums in the
-// same (ch, kh, kw) order.
+// sameRows geometries to the general one-row-at-a-time loop, exactly.
 func TestIm2colSameRowsParity(t *testing.T) {
 	r := rng.New(49)
-	for _, s := range []ConvShape{
-		{InC: 3, InH: 12, InW: 12, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 8, InH: 6, InW: 6, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		{InC: 2, InH: 5, InW: 9, OutC: 1, KH: 5, KW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2},
-		{InC: 2, InH: 7, InW: 4, OutC: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 0, PadW: 1},
-		{InC: 2, InH: 3, InW: 5, OutC: 1, KH: 3, KW: 1, StrideH: 1, StrideW: 1, PadH: 4, PadW: 0},
-		{InC: 1, InH: 2, InW: 2, OutC: 1, KH: 7, KW: 7, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3},
-	} {
+	for _, s := range sameRowsShapes {
 		if !s.sameRows() {
 			t.Fatalf("%+v is not a same-rows geometry", s)
 		}
@@ -306,6 +312,39 @@ func TestIm2colSameRowsParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkCol2im runs Col2im and its loop on copies of dst and fails on the
+// first pixel whose float bits differ.
+func checkCol2im(t testing.TB, s ConvShape, src *Matrix, dst []float32) {
+	t.Helper()
+	want, got := clone(dst), clone(dst)
+	col2imGo(s, src, want)
+	Col2im(s, src, got)
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%+v: pixel %d is %v (%#08x), loop %v (%#08x)", s, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestCol2imSameRowsParity holds Col2im's pixel-parallel kernel to the
+// tap-by-tap loop on float bits: the sameRows geometries, with column
+// values and starting pixels from the edge table (so a masked-off tap
+// must leave a −0 pixel −0) or seeded normals.
+func TestCol2imSameRowsParity(t *testing.T) {
+	forPaths(t, func(t *testing.T) {
+		r := rng.New(50)
+		for _, s := range sameRowsShapes {
+			for rot := 0; rot < len(cnnEdges); rot += 3 {
+				src := New(s.PatchLen(), s.OutH()*s.OutW())
+				copy(src.Data, edgeRun(r, len(src.Data), 0, rot, rot%2 == 0))
+				checkCol2im(t, s, src, edgeRun(r, s.InC*s.InH*s.InW, 0, rot+1, rot%3 == 0))
+				checkCol2im(t, s, src, make([]float32, s.InC*s.InH*s.InW))
+			}
+		}
+	})
 }
 
 // FuzzCNNKernelsParity feeds raw float bits, any length and start

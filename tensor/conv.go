@@ -170,7 +170,14 @@ func im2colSame(c ConvShape, img []float32, dst *Matrix) {
 // back into an image gradient (CHW layout). dst must be pre-zeroed by the
 // caller when accumulation across calls is not desired. Each pixel
 // receives its contributions in (ch, kh, kw) order, one per kernel tap
-// that reads it.
+// that reads it, each a float32 add onto the pixel.
+//
+// On amd64 with AVX2, sameRows geometries run on the kernel in
+// conv_amd64.s, which turns the loop inside out: lanes across eight
+// pixels of a channel plane, each lane summing its pixel's taps in
+// (kh, kw) order in a register, a tap's masked-off lanes (the tap reads
+// padding there) keeping their sum. Every pixel is the same chain of
+// adds as in the loop.
 func Col2im(c ConvShape, src *Matrix, dst []float32) {
 	oh, ow := c.OutH(), c.OutW()
 	if len(dst) != c.InC*c.InH*c.InW {
@@ -179,6 +186,15 @@ func Col2im(c ConvShape, src *Matrix, dst []float32) {
 	if src.Rows != c.PatchLen() || src.Cols != oh*ow {
 		panic("tensor: Col2im src shape mismatch")
 	}
+	if c.sameRows() && col2imSameAsm(c, src, dst) {
+		return
+	}
+	col2imGo(c, src, dst)
+}
+
+// col2imGo is Col2im for any geometry, one kernel tap at a time.
+func col2imGo(c ConvShape, src *Matrix, dst []float32) {
+	oh, ow := c.OutH(), c.OutW()
 	for ch := 0; ch < c.InC; ch++ {
 		chOff := ch * c.InH * c.InW
 		for kh := 0; kh < c.KH; kh++ {
