@@ -26,8 +26,10 @@ type BatchNorm struct {
 	// Running statistics for evaluation mode.
 	runMean, runVar []float32
 
-	// This batch's statistics (the running ones in evaluation mode).
-	mean, variance []float32
+	// This batch's statistics (the running ones in evaluation mode), and
+	// Backward's per-channel γ/σ, mean(dy) and mean(dy·x̂).
+	mean, variance           []float32
+	gInv, meanDy, meanDyXhat []float32
 
 	// Saved forward state for backward.
 	xhat   *tensor.Matrix
@@ -43,18 +45,21 @@ func NewBatchNorm(name string, c, spatial int) *BatchNorm {
 		panic(fmt.Sprintf("nn: bad batchnorm geometry %s", name))
 	}
 	b := &BatchNorm{
-		name:     name,
-		c:        c,
-		spatial:  spatial,
-		momentum: 0.9,
-		eps:      1e-5,
-		gamma:    newParam(name+".scale", 1, c, quant.Shape{Rows: c, Cols: 1}),
-		beta:     newParam(name+".bias", 1, c, quant.Shape{Rows: c, Cols: 1}),
-		runMean:  make([]float32, c),
-		runVar:   make([]float32, c),
-		mean:     make([]float32, c),
-		variance: make([]float32, c),
-		invStd:   make([]float32, c),
+		name:       name,
+		c:          c,
+		spatial:    spatial,
+		momentum:   0.9,
+		eps:        1e-5,
+		gamma:      newParam(name+".scale", 1, c, quant.Shape{Rows: c, Cols: 1}),
+		beta:       newParam(name+".bias", 1, c, quant.Shape{Rows: c, Cols: 1}),
+		runMean:    make([]float32, c),
+		runVar:     make([]float32, c),
+		mean:       make([]float32, c),
+		variance:   make([]float32, c),
+		gInv:       make([]float32, c),
+		meanDy:     make([]float32, c),
+		meanDyXhat: make([]float32, c),
+		invStd:     make([]float32, c),
 	}
 	b.gamma.Value.Fill(1)
 	for i := range b.runVar {
@@ -86,14 +91,11 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		copy(b.mean, b.runMean)
 		copy(b.variance, b.runVar)
 	}
-	for ch := 0; ch < b.c; ch++ {
-		inv := float32(1 / math.Sqrt(float64(b.variance[ch])+float64(b.eps)))
-		b.invStd[ch] = inv
-		mean, g, bt := b.mean[ch], b.gamma.Value.Data[ch], b.beta.Value.Data[ch]
-		lo, hi := ch*b.spatial, (ch+1)*b.spatial
-		for s := 0; s < x.Rows; s++ {
-			tensor.BatchNormApply(b.y.Row(s)[lo:hi], b.xhat.Row(s)[lo:hi], x.Row(s)[lo:hi], mean, inv, g, bt)
-		}
+	for ch, v := range b.variance {
+		b.invStd[ch] = float32(1 / math.Sqrt(float64(v)+float64(b.eps)))
+	}
+	for s := 0; s < x.Rows; s++ {
+		tensor.BatchNormApply(b.y.Row(s), b.xhat.Row(s), x.Row(s), b.mean, b.invStd, b.gamma.Value.Data, b.beta.Value.Data)
 	}
 	return b.y
 }
@@ -180,14 +182,13 @@ func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			c := ch + i
 			b.beta.Grad.Data[c] += float32(sumDy[i])
 			b.gamma.Grad.Data[c] += float32(sumDyXhat[i])
-			gi := b.gamma.Value.Data[c] * b.invStd[c]
-			meanDy := float32(sumDy[i]) / count
-			meanDyXhat := float32(sumDyXhat[i]) / count
-			lo, hi := c*sp, (c+1)*sp
-			for s := 0; s < dout.Rows; s++ {
-				tensor.BatchNormInputGrad(b.dx.Row(s)[lo:hi], dout.Row(s)[lo:hi], b.xhat.Row(s)[lo:hi], gi, meanDy, meanDyXhat)
-			}
+			b.gInv[c] = b.gamma.Value.Data[c] * b.invStd[c]
+			b.meanDy[c] = float32(sumDy[i]) / count
+			b.meanDyXhat[c] = float32(sumDyXhat[i]) / count
 		}
+	}
+	for s := 0; s < dout.Rows; s++ {
+		tensor.BatchNormInputGrad(b.dx.Row(s), dout.Row(s), b.xhat.Row(s), b.gInv, b.meanDy, b.meanDyXhat)
 	}
 	return b.dx
 }

@@ -29,7 +29,11 @@ import (
 //     widths, gathering each tap for eight output positions and
 //     blending value and index on the same compares.
 //   - BatchNormApply and BatchNormInputGrad are chains of separately
-//     rounded float32 operations (see vec.go on fusing).
+//     rounded float32 operations (see vec.go on fusing) over a row of
+//     channel runs. Their kernels run each channel's run eight at a
+//     time and its last len%8 elements as one masked vector (VMASKMOVPS:
+//     the lanes past the run are neither read nor written), so they take
+//     the whole row in one call.
 
 // ReLU sets dst[i] to src[i] when src[i] > 0 and to +0 otherwise (NaN
 // and −0 included). dst and src must have the same length.
@@ -95,36 +99,49 @@ func MaxPool(p PoolShape, dst []float32, argmax []int32, src []float32) {
 	maxPoolGo(p, dst, argmax, src, n)
 }
 
-// BatchNormApply normalises one run of a channel and applies the
-// channel's affine transform: per element, in this order, each
-// operation rounded to float32,
+// BatchNormApply normalises one sample's row of channel runs and applies
+// each channel's affine transform. The row holds len(mean) channels of
+// len(x)/len(mean) contiguous values; channel c has coefficients
+// mean[c], inv[c], gamma[c] and beta[c]. Per element, in this order,
+// each operation rounded to float32:
 //
 //	xhat ← (x − mean)·inv
 //	y    ← gamma·xhat + beta
 //
-// The slices must have the same length.
-func BatchNormApply(y, xhat, x []float32, mean, inv, gamma, beta float32) {
-	if len(xhat) != len(y) || len(x) != len(y) {
-		panic(fmt.Sprintf("tensor: BatchNormApply length mismatch y=%d xhat=%d x=%d", len(y), len(xhat), len(x)))
+// y, xhat and x must have the same length, a multiple of the
+// coefficients' common length.
+func BatchNormApply(y, xhat, x, mean, inv, gamma, beta []float32) {
+	c := len(mean)
+	if len(xhat) != len(y) || len(x) != len(y) || len(inv) != c || len(gamma) != c || len(beta) != c ||
+		(c == 0 && len(x) != 0) || (c != 0 && len(x)%c != 0) {
+		panic(fmt.Sprintf("tensor: BatchNormApply lengths y=%d xhat=%d x=%d mean=%d inv=%d gamma=%d beta=%d",
+			len(y), len(xhat), len(x), c, len(inv), len(gamma), len(beta)))
 	}
-	n := batchNormApplyAsm(y, xhat, x, mean, inv, gamma, beta)
-	batchNormApplyGo(y[n:], xhat[n:], x[n:], mean, inv, gamma, beta)
+	if !batchNormApplyAsm(y, xhat, x, mean, inv, gamma, beta) {
+		batchNormApplyGo(y, xhat, x, mean, inv, gamma, beta)
+	}
 }
 
-// BatchNormInputGrad is batch norm's input gradient over one run of a
-// channel, from the output gradient dy and the normalised input xhat:
-// per element, in this order, each operation rounded to float32,
+// BatchNormInputGrad is batch norm's input gradient over one sample's
+// row of channel runs (laid out as in BatchNormApply), from the output
+// gradient dy and the normalised input xhat: per element of channel c,
+// in this order, each operation rounded to float32,
 //
-//	dx ← gi·((dy − meanDy) − xhat·meanDyXhat)
+//	dx ← gi[c]·((dy − meanDy[c]) − xhat·meanDyXhat[c])
 //
 // where gi is gamma·inv and meanDy, meanDyXhat are the channel's means
-// of dy and dy·xhat. The slices must have the same length.
-func BatchNormInputGrad(dx, dy, xhat []float32, gi, meanDy, meanDyXhat float32) {
-	if len(dy) != len(dx) || len(xhat) != len(dx) {
-		panic(fmt.Sprintf("tensor: BatchNormInputGrad length mismatch dx=%d dy=%d xhat=%d", len(dx), len(dy), len(xhat)))
+// of dy and dy·xhat. dx, dy and xhat must have the same length, a
+// multiple of the coefficients' common length.
+func BatchNormInputGrad(dx, dy, xhat, gi, meanDy, meanDyXhat []float32) {
+	c := len(gi)
+	if len(dy) != len(dx) || len(xhat) != len(dx) || len(meanDy) != c || len(meanDyXhat) != c ||
+		(c == 0 && len(dx) != 0) || (c != 0 && len(dx)%c != 0) {
+		panic(fmt.Sprintf("tensor: BatchNormInputGrad lengths dx=%d dy=%d xhat=%d gi=%d meanDy=%d meanDyXhat=%d",
+			len(dx), len(dy), len(xhat), c, len(meanDy), len(meanDyXhat)))
 	}
-	n := batchNormInputGradAsm(dx, dy, xhat, gi, meanDy, meanDyXhat)
-	batchNormInputGradGo(dx[n:], dy[n:], xhat[n:], gi, meanDy, meanDyXhat)
+	if !batchNormInputGradAsm(dx, dy, xhat, gi, meanDy, meanDyXhat) {
+		batchNormInputGradGo(dx, dy, xhat, gi, meanDy, meanDyXhat)
+	}
 }
 
 // The portable loops.
@@ -173,18 +190,30 @@ func maxPoolGo(p PoolShape, dst []float32, argmax []int32, src []float32, from i
 	}
 }
 
-func batchNormApplyGo(y, xhat, x []float32, mean, inv, gamma, beta float32) {
-	xhat, x = xhat[:len(y)], x[:len(y)]
-	for i, v := range x {
-		h := (v - mean) * inv
-		xhat[i] = h
-		y[i] = float32(gamma*h) + beta
+func batchNormApplyGo(y, xhat, x, mean, inv, gamma, beta []float32) {
+	if len(mean) == 0 {
+		return
+	}
+	sp := len(x) / len(mean)
+	for c, m := range mean {
+		lo, iv, g, bt := c*sp, inv[c], gamma[c], beta[c]
+		for i, v := range x[lo : lo+sp] {
+			h := (v - m) * iv
+			xhat[lo+i] = h
+			y[lo+i] = float32(g*h) + bt
+		}
 	}
 }
 
-func batchNormInputGradGo(dx, dy, xhat []float32, gi, meanDy, meanDyXhat float32) {
-	dy, xhat = dy[:len(dx)], xhat[:len(dx)]
-	for i, d := range dy {
-		dx[i] = gi * (d - meanDy - float32(xhat[i]*meanDyXhat))
+func batchNormInputGradGo(dx, dy, xhat, gi, meanDy, meanDyXhat []float32) {
+	if len(gi) == 0 {
+		return
+	}
+	sp := len(dx) / len(gi)
+	for c, g := range gi {
+		lo, md, mdx := c*sp, meanDy[c], meanDyXhat[c]
+		for i, d := range dy[lo : lo+sp] {
+			dx[lo+i] = g * (d - md - float32(xhat[lo+i]*mdx))
+		}
 	}
 }

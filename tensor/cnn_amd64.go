@@ -10,10 +10,10 @@ func reluGradAVX2(dx, x, dout *float32, n uintptr)
 func maxPool2x2AVX2(dst *float32, argmax *int32, src *float32, n uintptr, lanes *[16]int32, ow, w, stepX, stepO uintptr)
 
 //go:noescape
-func batchNormApplyAVX2(y, xhat, x *float32, n uintptr, mean, inv, gamma, beta float32)
+func batchNormApplyAVX2(y, xhat, x *float32, sp, c uintptr, mean, inv, gamma, beta *float32)
 
 //go:noescape
-func batchNormInputGradAVX2(dx, dy, xhat *float32, n uintptr, gi, meanDy, meanDyXhat float32)
+func batchNormInputGradAVX2(dx, dy, xhat *float32, sp, c uintptr, gi, meanDy, meanDyXhat *float32)
 
 // reluAsm sets the body of dst (vecBody) on the AVX2 kernel and returns
 // its length, in vecChunk calls. The lengths were checked by the
@@ -59,18 +59,38 @@ func maxPool2x2Asm(dst []float32, argmax []int32, src []float32, w int) int {
 	return n
 }
 
-func batchNormApplyAsm(y, xhat, x []float32, mean, inv, gamma, beta float32) int {
-	n := vecBody(len(y))
-	for i := 0; i < n; i += vecChunk {
-		batchNormApplyAVX2(&y[i], &xhat[i], &x[i], uintptr(min(vecChunk, n-i)), mean, inv, gamma, beta)
+// batchNormApplyAsm runs BatchNormApply on the AVX2 kernel, whole
+// channels of at most vecChunk elements (or one channel) per call, and
+// reports whether it did: not without AVX2. The lengths were checked
+// by the caller, as in batchNormInputGradAsm.
+func batchNormApplyAsm(y, xhat, x, mean, inv, gamma, beta []float32) bool {
+	if !useAVX2 {
+		return false
 	}
-	return n
+	if len(x) == 0 {
+		return true
+	}
+	sp := len(x) / len(mean)
+	per := max(1, vecChunk/sp)
+	for c := 0; c < len(mean); c += per {
+		at := c * sp
+		batchNormApplyAVX2(&y[at], &xhat[at], &x[at], uintptr(sp), uintptr(min(per, len(mean)-c)), &mean[c], &inv[c], &gamma[c], &beta[c])
+	}
+	return true
 }
 
-func batchNormInputGradAsm(dx, dy, xhat []float32, gi, meanDy, meanDyXhat float32) int {
-	n := vecBody(len(dx))
-	for i := 0; i < n; i += vecChunk {
-		batchNormInputGradAVX2(&dx[i], &dy[i], &xhat[i], uintptr(min(vecChunk, n-i)), gi, meanDy, meanDyXhat)
+func batchNormInputGradAsm(dx, dy, xhat, gi, meanDy, meanDyXhat []float32) bool {
+	if !useAVX2 {
+		return false
 	}
-	return n
+	if len(dx) == 0 {
+		return true
+	}
+	sp := len(dx) / len(gi)
+	per := max(1, vecChunk/sp)
+	for c := 0; c < len(gi); c += per {
+		at := c * sp
+		batchNormInputGradAVX2(&dx[at], &dy[at], &xhat[at], uintptr(sp), uintptr(min(per, len(gi)-c)), &gi[c], &meanDy[c], &meanDyXhat[c])
+	}
+	return true
 }

@@ -180,102 +180,162 @@ pool8:
 	VZEROUPPER
 	RET
 
-// BNAPPLY8 normalises the 8 floats at off(SI) into off(DX) and writes
-// their affine transform to off(DI). Y12 = mean, Y13 = inv,
-// Y14 = gamma, Y15 = beta.
-#define BNAPPLY8(off, H, Y) \
-	VMOVUPS off(SI), H \
-	VSUBPS  Y12, H, H \
-	VMULPS  Y13, H, H \
-	VMOVUPS H, off(DX) \
-	VMULPS  H, Y14, Y \
-	VADDPS  Y15, Y, Y \
-	VMOVUPS Y, off(DI)
+// The batch-norm kernels take a row of c channel runs of sp floats:
+// each run's whole vectors eight at a time, then its last sp%8 floats
+// as one vector masked by tailMask (VMASKMOVPS neither reads nor writes
+// the lanes past the run; what those lanes compute is dropped), and the
+// next channel's coefficients. R8 holds sp%8, and AX the mask for it.
 
-// func batchNormApplyAVX2(y, xhat, x *float32, n uintptr, mean, inv, gamma, beta float32)
-TEXT ·batchNormApplyAVX2(SB), NOSPLIT, $0-48
-	MOVQ         y+0(FP), DI
-	MOVQ         xhat+8(FP), DX
-	MOVQ         x+16(FP), SI
-	MOVQ         n+24(FP), CX
-	VBROADCASTSS mean+32(FP), Y12
-	VBROADCASTSS inv+36(FP), Y13
-	VBROADCASTSS gamma+40(FP), Y14
-	VBROADCASTSS beta+44(FP), Y15
+// tailMask<>+32−4r is the mask of the first r lanes.
+DATA tailMask<>+0(SB)/4, $0xffffffff
+DATA tailMask<>+4(SB)/4, $0xffffffff
+DATA tailMask<>+8(SB)/4, $0xffffffff
+DATA tailMask<>+12(SB)/4, $0xffffffff
+DATA tailMask<>+16(SB)/4, $0xffffffff
+DATA tailMask<>+20(SB)/4, $0xffffffff
+DATA tailMask<>+24(SB)/4, $0xffffffff
+DATA tailMask<>+28(SB)/4, $0xffffffff
+DATA tailMask<>+32(SB)/4, $0
+DATA tailMask<>+36(SB)/4, $0
+DATA tailMask<>+40(SB)/4, $0
+DATA tailMask<>+44(SB)/4, $0
+DATA tailMask<>+48(SB)/4, $0
+DATA tailMask<>+52(SB)/4, $0
+DATA tailMask<>+56(SB)/4, $0
+DATA tailMask<>+60(SB)/4, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+
+// TAIL_MASK loads the mask of the first sp%8 lanes into Y11 from the
+// run length in R9 (clobbered), and sets R8 = sp%8.
+#define TAIL_MASK \
+	MOVQ    R9, R8 \
+	ANDQ    $7, R8 \
+	LEAQ    tailMask<>+32(SB), AX \
+	SHLQ    $2, R9 \
+	ANDQ    $28, R9 \
+	SUBQ    R9, AX \
+	VMOVDQU (AX), Y11
+
+// BNAPPLY normalises the 8 floats of x in X into H (xhat) and Y (y).
+// Y12 = mean, Y13 = inv, Y14 = gamma, Y15 = beta.
+#define BNAPPLY(X, H, Y) \
+	VSUBPS Y12, X, H \
+	VMULPS Y13, H, H \
+	VMULPS H, Y14, Y \
+	VADDPS Y15, Y, Y
+
+// func batchNormApplyAVX2(y, xhat, x *float32, sp, c uintptr, mean, inv, gamma, beta *float32)
+TEXT ·batchNormApplyAVX2(SB), NOSPLIT, $0-72
+	MOVQ y+0(FP), DI
+	MOVQ xhat+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ c+32(FP), BX
+	MOVQ mean+40(FP), R10
+	MOVQ inv+48(FP), R11
+	MOVQ gamma+56(FP), R12
+	MOVQ beta+64(FP), R13
+	MOVQ sp+24(FP), R9
+	TAIL_MASK
+
+applych:
+	VBROADCASTSS (R10), Y12
+	VBROADCASTSS (R11), Y13
+	VBROADCASTSS (R12), Y14
+	VBROADCASTSS (R13), Y15
+	MOVQ         sp+24(FP), CX
+	SHRQ         $3, CX
+	JZ           applytail
 
 	PCALIGN $32
-apply32:
-	CMPQ CX, $32
-	JLT  apply8
-	BNAPPLY8(0, Y0, Y1)
-	BNAPPLY8(32, Y2, Y3)
-	BNAPPLY8(64, Y4, Y5)
-	BNAPPLY8(96, Y6, Y7)
-	ADDQ $128, DI
-	ADDQ $128, DX
-	ADDQ $128, SI
-	SUBQ $32, CX
-	JMP  apply32
-
 apply8:
-	TESTQ CX, CX
-	JZ    applydone
-	BNAPPLY8(0, Y0, Y1)
-	ADDQ  $32, DI
-	ADDQ  $32, DX
-	ADDQ  $32, SI
-	SUBQ  $8, CX
-	JMP   apply8
+	VMOVUPS (SI), Y0
+	BNAPPLY(Y0, Y1, Y2)
+	VMOVUPS Y1, (DX)
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     apply8
 
-applydone:
+applytail:
+	TESTQ      R8, R8
+	JZ         applynext
+	VMASKMOVPS (SI), Y11, Y0
+	BNAPPLY(Y0, Y1, Y2)
+	VMASKMOVPS Y1, Y11, (DX)
+	VMASKMOVPS Y2, Y11, (DI)
+	LEAQ       (DI)(R8*4), DI
+	LEAQ       (DX)(R8*4), DX
+	LEAQ       (SI)(R8*4), SI
+
+applynext:
+	ADDQ $4, R10
+	ADDQ $4, R11
+	ADDQ $4, R12
+	ADDQ $4, R13
+	DECQ BX
+	JNZ  applych
 	VZEROUPPER
 	RET
 
-// BNGRAD8 writes gi·((dy − meanDy) − xhat·meanDyXhat) for the 8 floats
-// of dy at off(SI) and of xhat at off(DX) to off(DI). Y12 = gi,
-// Y13 = meanDy, Y14 = meanDyXhat.
-#define BNGRAD8(off, D, T) \
-	VMULPS  off(DX), Y14, T \
-	VMOVUPS off(SI), D \
-	VSUBPS  Y13, D, D \
-	VSUBPS  T, D, D \
-	VMULPS  D, Y12, D \
-	VMOVUPS D, off(DI)
+// BNGRAD writes gi·((dy − meanDy) − xhat·meanDyXhat) for the 8 floats of
+// dy in D and of xhat in H to D. Y12 = gi, Y13 = meanDy,
+// Y14 = meanDyXhat.
+#define BNGRAD(D, H) \
+	VMULPS H, Y14, H \
+	VSUBPS Y13, D, D \
+	VSUBPS H, D, D \
+	VMULPS D, Y12, D
 
-// func batchNormInputGradAVX2(dx, dy, xhat *float32, n uintptr, gi, meanDy, meanDyXhat float32)
-TEXT ·batchNormInputGradAVX2(SB), NOSPLIT, $0-44
-	MOVQ         dx+0(FP), DI
-	MOVQ         dy+8(FP), SI
-	MOVQ         xhat+16(FP), DX
-	MOVQ         n+24(FP), CX
-	VBROADCASTSS gi+32(FP), Y12
-	VBROADCASTSS meanDy+36(FP), Y13
-	VBROADCASTSS meanDyXhat+40(FP), Y14
+// func batchNormInputGradAVX2(dx, dy, xhat *float32, sp, c uintptr, gi, meanDy, meanDyXhat *float32)
+TEXT ·batchNormInputGradAVX2(SB), NOSPLIT, $0-64
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), SI
+	MOVQ xhat+16(FP), DX
+	MOVQ c+32(FP), BX
+	MOVQ gi+40(FP), R10
+	MOVQ meanDy+48(FP), R11
+	MOVQ meanDyXhat+56(FP), R12
+	MOVQ sp+24(FP), R9
+	TAIL_MASK
+
+gradch:
+	VBROADCASTSS (R10), Y12
+	VBROADCASTSS (R11), Y13
+	VBROADCASTSS (R12), Y14
+	MOVQ         sp+24(FP), CX
+	SHRQ         $3, CX
+	JZ           gradtail
 
 	PCALIGN $32
-bngrad32:
-	CMPQ CX, $32
-	JLT  bngrad8
-	BNGRAD8(0, Y0, Y1)
-	BNGRAD8(32, Y2, Y3)
-	BNGRAD8(64, Y4, Y5)
-	BNGRAD8(96, Y6, Y7)
-	ADDQ $128, DI
-	ADDQ $128, SI
-	ADDQ $128, DX
-	SUBQ $32, CX
-	JMP  bngrad32
+grad8loop:
+	VMOVUPS (SI), Y0
+	VMOVUPS (DX), Y1
+	BNGRAD(Y0, Y1)
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     grad8loop
 
-bngrad8:
-	TESTQ CX, CX
-	JZ    bngraddone
-	BNGRAD8(0, Y0, Y1)
-	ADDQ  $32, DI
-	ADDQ  $32, SI
-	ADDQ  $32, DX
-	SUBQ  $8, CX
-	JMP   bngrad8
+gradtail:
+	TESTQ      R8, R8
+	JZ         gradnext
+	VMASKMOVPS (SI), Y11, Y0
+	VMASKMOVPS (DX), Y11, Y1
+	BNGRAD(Y0, Y1)
+	VMASKMOVPS Y0, Y11, (DI)
+	LEAQ       (DI)(R8*4), DI
+	LEAQ       (SI)(R8*4), SI
+	LEAQ       (DX)(R8*4), DX
 
-bngraddone:
+gradnext:
+	ADDQ $4, R10
+	ADDQ $4, R11
+	ADDQ $4, R12
+	DECQ BX
+	JNZ  gradch
 	VZEROUPPER
 	RET

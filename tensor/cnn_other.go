@@ -11,6 +11,6 @@ func reluGradAsm(_, _, _ []float32) int { return 0 }
 
 func maxPool2x2Asm([]float32, []int32, []float32, int) int { return 0 }
 
-func batchNormApplyAsm(_, _, _ []float32, _, _, _, _ float32) int { return 0 }
+func batchNormApplyAsm(_, _, _, _, _, _, _ []float32) bool { return false }
 
-func batchNormInputGradAsm(_, _, _ []float32, _, _, _ float32) int { return 0 }
+func batchNormInputGradAsm(_, _, _, _, _, _ []float32) bool { return false }

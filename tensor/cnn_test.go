@@ -219,7 +219,21 @@ var bnCoefficients = [][4]float32{
 	{0, float32(math.Inf(1)), float32(math.Copysign(0, -1)), float32(math.NaN())},
 }
 
-func checkBatchNormApply(t testing.TB, x []float32, k [4]float32) {
+// bnRowCoefficients returns the four coefficient slices of a row of c
+// channels, channel i taking bnCoefficients[(i+rot) % 4]: a batch's,
+// ones that overflow or underflow products, and special values.
+func bnRowCoefficients(c, rot int) [4][]float32 {
+	var k [4][]float32
+	for j := range k {
+		k[j] = make([]float32, c)
+		for i := range c {
+			k[j][i] = bnCoefficients[(i+rot)%len(bnCoefficients)][j]
+		}
+	}
+	return k
+}
+
+func checkBatchNormApply(t testing.TB, x []float32, k [4][]float32) {
 	t.Helper()
 	n := len(x)
 	wantY, wantH := make([]float32, n), make([]float32, n)
@@ -228,14 +242,14 @@ func checkBatchNormApply(t testing.TB, x []float32, k [4]float32) {
 	BatchNormApply(gotY, gotH, x, k[0], k[1], k[2], k[3])
 	for i := range x {
 		if !sameBits(gotY[i], wantY[i]) || !sameBits(gotH[i], wantH[i]) {
-			t.Fatalf("BatchNormApply %v n=%d: element %d of %#08x gave (%#08x, %#08x), loop (%#08x, %#08x)", k, n, i,
+			t.Fatalf("BatchNormApply c=%d n=%d: element %d of %#08x gave (%#08x, %#08x), loop (%#08x, %#08x)", len(k[0]), n, i,
 				math.Float32bits(x[i]), math.Float32bits(gotY[i]), math.Float32bits(gotH[i]),
 				math.Float32bits(wantY[i]), math.Float32bits(wantH[i]))
 		}
 	}
 }
 
-func checkBatchNormInputGrad(t testing.TB, dy, xhat []float32, k [4]float32) {
+func checkBatchNormInputGrad(t testing.TB, dy, xhat []float32, k [4][]float32) {
 	t.Helper()
 	n := len(dy)
 	want := make([]float32, n)
@@ -244,7 +258,7 @@ func checkBatchNormInputGrad(t testing.TB, dy, xhat []float32, k [4]float32) {
 	BatchNormInputGrad(got, dy, xhat, k[0], k[1], k[2])
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
-			t.Fatalf("BatchNormInputGrad %v n=%d: element %d (dy %#08x, xhat %#08x) gave %#08x, loop %#08x", k, n, i,
+			t.Fatalf("BatchNormInputGrad c=%d n=%d: element %d (dy %#08x, xhat %#08x) gave %#08x, loop %#08x", len(k[0]), n, i,
 				math.Float32bits(dy[i]), math.Float32bits(xhat[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
 	}
@@ -252,30 +266,54 @@ func checkBatchNormInputGrad(t testing.TB, dy, xhat []float32, k [4]float32) {
 
 // TestBatchNormKernelsParity holds BatchNormApply and
 // BatchNormInputGrad to their loops on float bits (any NaN for a NaN):
-// every length 0–40 at four start alignments, edge values in every
-// lane or seeded normals, under each coefficient set, and a length past
-// the chunk boundary.
+// rows of 1, 2 and 5 channels with every run length 0–40 at four start
+// alignments, edge values in every lane or seeded normals, each channel
+// under its own coefficient set, and a row past the chunk boundary.
 func TestBatchNormKernelsParity(t *testing.T) {
 	forPaths(t, func(t *testing.T) {
 		r := rng.New(47)
-		for _, k := range bnCoefficients {
-			for n := 0; n <= 40; n++ {
+		for _, c := range []int{1, 2, 5} {
+			for sp := 0; sp <= 40; sp++ {
 				for off := 0; off < 4; off++ {
 					for rot := 0; rot < len(cnnEdges); rot += 5 {
-						x := edgeRun(r, n, off, rot, true)
+						k := bnRowCoefficients(c, rot)
+						x := edgeRun(r, c*sp, off, rot, true)
 						checkBatchNormApply(t, x, k)
-						checkBatchNormInputGrad(t, x, edgeRun(r, n, 3-off, rot+2, true), k)
+						checkBatchNormInputGrad(t, x, edgeRun(r, c*sp, 3-off, rot+2, true), k)
 					}
-					x := edgeRun(r, n, off, 0, false)
+					k := bnRowCoefficients(c, off)
+					x := edgeRun(r, c*sp, off, 0, false)
 					checkBatchNormApply(t, x, k)
-					checkBatchNormInputGrad(t, x, edgeRun(r, n, off, 0, false), k)
+					checkBatchNormInputGrad(t, x, edgeRun(r, c*sp, off, 0, false), k)
 				}
 			}
-			x := edgeRun(r, 1<<16+13, 1, 0, false)
-			checkBatchNormApply(t, x, k)
-			checkBatchNormInputGrad(t, x, edgeRun(r, len(x), 0, 0, false), k)
 		}
+		k := bnRowCoefficients(3, 1)
+		x := edgeRun(r, 3*(1<<15+13), 1, 0, false)
+		checkBatchNormApply(t, x, k)
+		checkBatchNormInputGrad(t, x, edgeRun(r, len(x), 0, 0, false), k)
 	})
+}
+
+func TestBatchNormLengthMismatchPanics(t *testing.T) {
+	k := bnRowCoefficients(3, 0)
+	x := make([]float32, 12)
+	for name, f := range map[string]func(){
+		"apply row not whole channels": func() { BatchNormApply(x[:11], x[:11], x[:11], k[0], k[1], k[2], k[3]) },
+		"apply short xhat":             func() { BatchNormApply(x, x[:9], x, k[0], k[1], k[2], k[3]) },
+		"apply short beta":             func() { BatchNormApply(x, x, x, k[0], k[1], k[2], k[3][:2]) },
+		"grad row not whole channels":  func() { BatchNormInputGrad(x[:10], x[:10], x[:10], k[0], k[1], k[2]) },
+		"grad short meanDyXhat":        func() { BatchNormInputGrad(x, x, x, k[0], k[1], k[2][:1]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 // sameRowsShapes are stride-1 geometries with output rows as wide as
@@ -380,11 +418,11 @@ func FuzzCNNKernelsParity(f *testing.F) {
 			}
 			checkMaxPool(t, p, src)
 		case 3:
-			k := bnCoefficients[int(off)%len(bnCoefficients)]
-			checkBatchNormApply(t, vals, k)
+			c := 1 + int(off)%3
+			checkBatchNormApply(t, vals[:len(vals)/c*c], bnRowCoefficients(c, int(off)))
 		default:
-			k := bnCoefficients[int(off)%len(bnCoefficients)]
-			checkBatchNormInputGrad(t, vals[:half], vals[half:2*half], k)
+			c := 1 + int(off)%3
+			checkBatchNormInputGrad(t, vals[:half/c*c], vals[half:half+half/c*c], bnRowCoefficients(c, int(off)))
 		}
 	})
 }
@@ -392,7 +430,7 @@ func FuzzCNNKernelsParity(f *testing.F) {
 // The CNN kernel benchmarks time each kernel and its portable loop at
 // the benchmark CNN's sizes on one rank (batch 32), in ns per output
 // element: ReLU and its gradient over a whole activation, max pooling
-// and im2col/col2im per image, batch norm per run of one channel.
+// and im2col/col2im per image, batch norm per sample row.
 
 func benchPaths(b *testing.B, name string, elems int, run func()) {
 	for _, path := range []string{"kernel", "portable"} {
@@ -429,10 +467,12 @@ func BenchmarkMaxPool(b *testing.B) {
 
 func BenchmarkBatchNorm(b *testing.B) {
 	r := rng.New(8)
-	for _, n := range []int{144, 36} {
+	for _, g := range [][2]int{{8, 144}, {16, 36}} {
+		n := g[0] * g[1]
+		k := bnRowCoefficients(g[0], 0)
 		x, dy, y, xhat := edgeRun(r, n, 0, 0, false), edgeRun(r, n, 0, 0, false), make([]float32, n), make([]float32, n)
-		benchPaths(b, fmt.Sprintf("apply/n=%d", n), n, func() { BatchNormApply(y, xhat, x, 0.1, 1.3, 0.9, 0.2) })
-		benchPaths(b, fmt.Sprintf("inputgrad/n=%d", n), n, func() { BatchNormInputGrad(y, dy, xhat, 1.1, 0.01, -0.02) })
+		benchPaths(b, fmt.Sprintf("apply/%dx%d", g[0], g[1]), n, func() { BatchNormApply(y, xhat, x, k[0], k[1], k[2], k[3]) })
+		benchPaths(b, fmt.Sprintf("inputgrad/%dx%d", g[0], g[1]), n, func() { BatchNormInputGrad(y, dy, xhat, k[0], k[1], k[2]) })
 	}
 }
 
