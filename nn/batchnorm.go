@@ -82,7 +82,7 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	b.y = tensor.Reuse(b.y, x.Rows, x.Cols)
 	b.xhat = tensor.Reuse(b.xhat, x.Rows, x.Cols)
 	if train {
-		b.batchStats(x)
+		tensor.BatchNormStats(b.mean, b.variance, x)
 		for ch := range b.c {
 			b.runMean[ch] = float32(b.momentum*b.runMean[ch]) + float32((1-b.momentum)*b.mean[ch])
 			b.runVar[ch] = float32(b.momentum*b.runVar[ch]) + float32((1-b.momentum)*b.variance[ch])
@@ -100,92 +100,20 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return b.y
 }
 
-// batchStats sets b.mean and b.variance to each channel's mean and
-// variance over the batch: float32 roundings of float64 sums, each
-// taken in (sample, position) order, the variance's over the squared
-// float64 distances from the rounded mean. The sums of four channels
-// run side by side, each its own chain, so that one chain's add
-// latency does not bound the pass.
-func (b *BatchNorm) batchStats(x *tensor.Matrix) {
-	sp := b.spatial
-	count := float64(x.Rows * sp)
-	for ch := 0; ch < b.c; ch += 4 {
-		// Past the last channel, a group repeats it; the repeats are not
-		// stored.
-		c0, c1, c2, c3 := ch*sp, min(ch+1, b.c-1)*sp, min(ch+2, b.c-1)*sp, min(ch+3, b.c-1)*sp
-		var s0, s1, s2, s3 float64
-		for s := 0; s < x.Rows; s++ {
-			row := x.Row(s)
-			x0, x1, x2, x3 := row[c0:c0+sp], row[c1:c1+sp], row[c2:c2+sp], row[c3:c3+sp]
-			for p, v := range x0 {
-				s0 += float64(v)
-				s1 += float64(x1[p])
-				s2 += float64(x2[p])
-				s3 += float64(x3[p])
-			}
-		}
-		m0, m1, m2, m3 := float32(s0/count), float32(s1/count), float32(s2/count), float32(s3/count)
-		var q0, q1, q2, q3 float64
-		for s := 0; s < x.Rows; s++ {
-			row := x.Row(s)
-			x0, x1, x2, x3 := row[c0:c0+sp], row[c1:c1+sp], row[c2:c2+sp], row[c3:c3+sp]
-			for p, v := range x0 {
-				d0 := float64(v - m0)
-				d1 := float64(x1[p] - m1)
-				d2 := float64(x2[p] - m2)
-				d3 := float64(x3[p] - m3)
-				q0 += float64(d0 * d0)
-				q1 += float64(d1 * d1)
-				q2 += float64(d2 * d2)
-				q3 += float64(d3 * d3)
-			}
-		}
-		means := [4]float32{m0, m1, m2, m3}
-		vars := [4]float32{float32(q0 / count), float32(q1 / count), float32(q2 / count), float32(q3 / count)}
-		n := copy(b.mean[ch:], means[:])
-		copy(b.variance[ch:ch+n], vars[:])
-	}
-}
-
 // Backward implements Layer. Standard batch-norm gradients:
 //
 //	dβ = Σ dy, dγ = Σ dy·x̂,
 //	dx = (γ/σ)·(dy − mean(dy) − x̂·mean(dy·x̂))
-//
-// The two float64 sums of each channel are taken in (sample, position)
-// order, four channels side by side as in batchStats.
 func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	b.dx = tensor.Reuse(b.dx, dout.Rows, dout.Cols)
-	sp := b.spatial
-	count := float32(dout.Rows * sp)
-	for ch := 0; ch < b.c; ch += 4 {
-		c0, c1, c2, c3 := ch*sp, min(ch+1, b.c-1)*sp, min(ch+2, b.c-1)*sp, min(ch+3, b.c-1)*sp
-		var d0, d1, d2, d3, e0, e1, e2, e3 float64
-		for s := 0; s < dout.Rows; s++ {
-			row, xh := dout.Row(s), b.xhat.Row(s)
-			y0, y1, y2, y3 := row[c0:c0+sp], row[c1:c1+sp], row[c2:c2+sp], row[c3:c3+sp]
-			h0, h1, h2, h3 := xh[c0:c0+sp], xh[c1:c1+sp], xh[c2:c2+sp], xh[c3:c3+sp]
-			for p, v := range y0 {
-				dy0, dy1, dy2, dy3 := float64(v), float64(y1[p]), float64(y2[p]), float64(y3[p])
-				d0 += dy0
-				d1 += dy1
-				d2 += dy2
-				d3 += dy3
-				e0 += float64(dy0 * float64(h0[p]))
-				e1 += float64(dy1 * float64(h1[p]))
-				e2 += float64(dy2 * float64(h2[p]))
-				e3 += float64(dy3 * float64(h3[p]))
-			}
-		}
-		sumDy, sumDyXhat := [4]float64{d0, d1, d2, d3}, [4]float64{e0, e1, e2, e3}
-		for i := range min(4, b.c-ch) {
-			c := ch + i
-			b.beta.Grad.Data[c] += float32(sumDy[i])
-			b.gamma.Grad.Data[c] += float32(sumDyXhat[i])
-			b.gInv[c] = b.gamma.Value.Data[c] * b.invStd[c]
-			b.meanDy[c] = float32(sumDy[i]) / count
-			b.meanDyXhat[c] = float32(sumDyXhat[i]) / count
-		}
+	count := float32(dout.Rows * b.spatial)
+	tensor.BatchNormGradSums(b.meanDy, b.meanDyXhat, dout, b.xhat)
+	for c := range b.c {
+		b.beta.Grad.Data[c] += b.meanDy[c]
+		b.gamma.Grad.Data[c] += b.meanDyXhat[c]
+		b.gInv[c] = b.gamma.Value.Data[c] * b.invStd[c]
+		b.meanDy[c] /= count
+		b.meanDyXhat[c] /= count
 	}
 	for s := 0; s < dout.Rows; s++ {
 		tensor.BatchNormInputGrad(b.dx.Row(s), dout.Row(s), b.xhat.Row(s), b.gInv, b.meanDy, b.meanDyXhat)

@@ -22,8 +22,8 @@ type MaxPool2D struct {
 // kh×kw window and the given strides.
 func NewMaxPool2D(name string, c, h, w, kh, kw, strideH, strideW int) *MaxPool2D {
 	shape := tensor.PoolShape{C: c, H: h, W: w, KH: kh, KW: kw, StrideH: strideH, StrideW: strideW}
-	if c <= 0 || h <= 0 || w <= 0 || kh <= 0 || kw <= 0 || strideH <= 0 || strideW <= 0 {
-		panic(fmt.Sprintf("nn: bad pool geometry %s", name))
+	if err := shape.Validate(); err != nil {
+		panic(fmt.Sprintf("nn: bad pool geometry %s: %v", name, err))
 	}
 	return &MaxPool2D{name: name, shape: shape}
 }

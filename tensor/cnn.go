@@ -122,6 +122,49 @@ func BatchNormApply(y, xhat, x, mean, inv, gamma, beta []float32) {
 	}
 }
 
+// BatchNormStats sets mean[c] and variance[c] to the batch statistics of
+// channel c of x, whose rows hold len(mean) channel runs of
+// x.Cols/len(mean) values each: with n the number of values a channel
+// has over all rows,
+//
+//	mean     = float32(Σ float64(x) / n)
+//	variance = float32(Σ d·d / n),  d = float64(x − mean)
+//
+// each Σ one float64 chain of adds in (row, position) order, x − mean a
+// float32 subtraction and d·d a float64 product. On amd64 with AVX2,
+// groups of eight channels run on kernels with the eight channels'
+// chains side by side in float64 lanes; each channel's chain is the
+// loop's.
+func BatchNormStats(mean, variance []float32, x *Matrix) {
+	c := len(mean)
+	if len(variance) != c || c == 0 || x.Cols%c != 0 {
+		panic(fmt.Sprintf("tensor: BatchNormStats %d means, %d variances for %d columns", c, len(variance), x.Cols))
+	}
+	count := float64(x.Rows * (x.Cols / c))
+	for ch := batchNormStatsAsm(mean, variance, x, count); ch < c; ch++ {
+		batchNormStatsGo(mean, variance, x, ch, count)
+	}
+}
+
+// BatchNormGradSums sets, for each channel c of dy and xhat (laid out as
+// in BatchNormStats),
+//
+//	sumDy[c]     = float32(Σ float64(dy))
+//	sumDyXhat[c] = float32(Σ float64(dy)·float64(xhat))
+//
+// each Σ one float64 chain of adds in (row, position) order, with
+// kernels as in BatchNormStats.
+func BatchNormGradSums(sumDy, sumDyXhat []float32, dy, xhat *Matrix) {
+	c := len(sumDy)
+	if len(sumDyXhat) != c || c == 0 || dy.Cols%c != 0 || xhat.Rows != dy.Rows || xhat.Cols != dy.Cols {
+		panic(fmt.Sprintf("tensor: BatchNormGradSums %d and %d sums for %dx%d and %dx%d",
+			c, len(sumDyXhat), dy.Rows, dy.Cols, xhat.Rows, xhat.Cols))
+	}
+	for ch := batchNormGradSumsAsm(sumDy, sumDyXhat, dy, xhat); ch < c; ch++ {
+		batchNormGradSumsGo(sumDy, sumDyXhat, dy, xhat, ch)
+	}
+}
+
 // BatchNormInputGrad is batch norm's input gradient over one sample's
 // row of channel runs (laid out as in BatchNormApply), from the output
 // gradient dy and the normalised input xhat: per element of channel c,
@@ -216,4 +259,39 @@ func batchNormInputGradGo(dx, dy, xhat, gi, meanDy, meanDyXhat []float32) {
 			dx[lo+i] = g * (d - md - float32(xhat[lo+i]*mdx))
 		}
 	}
+}
+
+// batchNormStatsGo sets channel ch's statistics of BatchNormStats.
+func batchNormStatsGo(mean, variance []float32, x *Matrix, ch int, count float64) {
+	sp := x.Cols / len(mean)
+	var sum float64
+	for s := 0; s < x.Rows; s++ {
+		for _, v := range x.Row(s)[ch*sp : (ch+1)*sp] {
+			sum += float64(v)
+		}
+	}
+	m := float32(sum / count)
+	var sq float64
+	for s := 0; s < x.Rows; s++ {
+		for _, v := range x.Row(s)[ch*sp : (ch+1)*sp] {
+			d := float64(v - m)
+			sq += float64(d * d)
+		}
+	}
+	mean[ch], variance[ch] = m, float32(sq/count)
+}
+
+// batchNormGradSumsGo sets channel ch's sums of BatchNormGradSums.
+func batchNormGradSumsGo(sumDy, sumDyXhat []float32, dy, xhat *Matrix, ch int) {
+	sp := dy.Cols / len(sumDy)
+	var sd, sdx float64
+	for s := 0; s < dy.Rows; s++ {
+		xh := xhat.Row(s)[ch*sp : (ch+1)*sp]
+		for p, v := range dy.Row(s)[ch*sp : (ch+1)*sp] {
+			d := float64(v)
+			sd += d
+			sdx += float64(d * float64(xh[p]))
+		}
+	}
+	sumDy[ch], sumDyXhat[ch] = float32(sd), float32(sdx)
 }

@@ -15,6 +15,15 @@ func batchNormApplyAVX2(y, xhat, x *float32, sp, c uintptr, mean, inv, gamma, be
 //go:noescape
 func batchNormInputGradAVX2(dx, dy, xhat *float32, sp, c uintptr, gi, meanDy, meanDyXhat *float32)
 
+//go:noescape
+func bnSums8AVX2(acc *[8]float64, x *float32, sp, rows, stride uintptr)
+
+//go:noescape
+func bnSquares8AVX2(acc *[8]float64, x *float32, sp, rows, stride uintptr, mean *[8]float32)
+
+//go:noescape
+func bnGradSums8AVX2(acc *[16]float64, dy, xhat *float32, sp, rows, stride uintptr)
+
 // reluAsm sets the body of dst (vecBody) on the AVX2 kernel and returns
 // its length, in vecChunk calls. The lengths were checked by the
 // caller, as in the functions below.
@@ -93,4 +102,60 @@ func batchNormInputGradAsm(dx, dy, xhat, gi, meanDy, meanDyXhat []float32) bool 
 		batchNormInputGradAVX2(&dx[at], &dy[at], &xhat[at], uintptr(sp), uintptr(min(per, len(gi)-c)), &gi[c], &meanDy[c], &meanDyXhat[c])
 	}
 	return true
+}
+
+// bnRowsPerCall bounds the rows one statistics kernel call sums over
+// eight channels of run length sp to about vecChunk values (at least
+// one row).
+func bnRowsPerCall(sp int) int { return max(1, vecChunk/(8*sp)) }
+
+// batchNormStatsAsm sets the statistics of the channels in whole groups
+// of eight on the AVX2 kernels and returns how many it set: none without
+// AVX2 or rows. The shapes were checked by the caller, as in
+// batchNormGradSumsAsm.
+func batchNormStatsAsm(mean, variance []float32, x *Matrix, count float64) int {
+	if !useAVX2 || x.Rows == 0 {
+		return 0
+	}
+	c := len(mean)
+	sp := x.Cols / c
+	per := bnRowsPerCall(sp)
+	for ch := 0; ch+8 <= c; ch += 8 {
+		var acc [8]float64
+		for r := 0; r < x.Rows; r += per {
+			bnSums8AVX2(&acc, &x.Data[r*x.Cols+ch*sp], uintptr(sp), uintptr(min(per, x.Rows-r)), uintptr(x.Cols))
+		}
+		var m [8]float32
+		for i, sum := range acc {
+			m[i] = float32(sum / count)
+		}
+		acc = [8]float64{}
+		for r := 0; r < x.Rows; r += per {
+			bnSquares8AVX2(&acc, &x.Data[r*x.Cols+ch*sp], uintptr(sp), uintptr(min(per, x.Rows-r)), uintptr(x.Cols), &m)
+		}
+		for i, sq := range acc {
+			mean[ch+i], variance[ch+i] = m[i], float32(sq/count)
+		}
+	}
+	return c &^ 7
+}
+
+func batchNormGradSumsAsm(sumDy, sumDyXhat []float32, dy, xhat *Matrix) int {
+	if !useAVX2 || dy.Rows == 0 {
+		return 0
+	}
+	c := len(sumDy)
+	sp := dy.Cols / c
+	per := bnRowsPerCall(sp)
+	for ch := 0; ch+8 <= c; ch += 8 {
+		var acc [16]float64
+		for r := 0; r < dy.Rows; r += per {
+			at := r*dy.Cols + ch*sp
+			bnGradSums8AVX2(&acc, &dy.Data[at], &xhat.Data[at], uintptr(sp), uintptr(min(per, dy.Rows-r)), uintptr(dy.Cols))
+		}
+		for i := range 8 {
+			sumDy[ch+i], sumDyXhat[ch+i] = float32(acc[i]), float32(acc[8+i])
+		}
+	}
+	return c &^ 7
 }

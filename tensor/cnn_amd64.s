@@ -339,3 +339,294 @@ gradnext:
 	JNZ  gradch
 	VZEROUPPER
 	RET
+
+// The batch-norm statistics kernels sum eight channels' runs of sp
+// floats over rows rows (stride floats apart) into float64 accumulators,
+// lanes across channels: channels 0–3 in Y12, 4–7 in Y13 (and Y14, Y15
+// for the second sum of bnGradSums8AVX2), so each channel keeps its own
+// chain of adds in (row, position) order. A block of four positions is
+// four 4-float loads per channel group transposed into one vector per
+// position; positions past the last whole block are gathered one at a
+// time. SI, R9 and R10 point at channels 0, 3 and 6 of the current
+// position (R8 = sp·4 apart), and R13 at the row's start.
+
+// TRANSPOSE4 turns A, B, C, D (four positions of four channels) into
+// one vector per position, p0 in C, p1 in D, p2 in A and p3 in B, with
+// scratch T and U. VSHUFPS $0x44 takes the low halves of its two
+// sources, $0xee the high halves.
+#define TRANSPOSE4(A, B, C, D, T, U) \
+	VUNPCKLPS B, A, T \
+	VUNPCKHPS B, A, U \
+	VUNPCKLPS D, C, A \
+	VUNPCKHPS D, C, B \
+	VSHUFPS   $0x44, A, T, C \
+	VSHUFPS   $0xee, A, T, D \
+	VSHUFPS   $0x44, B, U, A \
+	VSHUFPS   $0xee, B, U, B
+
+// LOAD_LO and LOAD_HI load four positions of channels 0–3 and 4–7,
+// whose runs start at P0, P0+R8, P0+2·R8, P3, P3+R8, P3+2·R8, P6 and
+// P6+R8.
+#define LOAD_LO(P0, P3, A, B, C, D) \
+	VMOVUPS (P0), A \
+	VMOVUPS (P0)(R8*1), B \
+	VMOVUPS (P0)(R8*2), C \
+	VMOVUPS (P3), D
+
+#define LOAD_HI(P3, P6, A, B, C, D) \
+	VMOVUPS (P3)(R8*1), A \
+	VMOVUPS (P3)(R8*2), B \
+	VMOVUPS (P6), C \
+	VMOVUPS (P6)(R8*1), D
+
+// GATHER_LO and GATHER_HI gather one position of channels 0–3 and 4–7
+// into A.
+#define GATHER_LO(P0, P3, A) \
+	VMOVSS    (P0), A \
+	VINSERTPS $0x10, (P0)(R8*1), A, A \
+	VINSERTPS $0x20, (P0)(R8*2), A, A \
+	VINSERTPS $0x30, (P3), A, A
+
+#define GATHER_HI(P3, P6, A) \
+	VMOVSS    (P3)(R8*1), A \
+	VINSERTPS $0x10, (P3)(R8*2), A, A \
+	VINSERTPS $0x20, (P6), A, A \
+	VINSERTPS $0x30, (P6)(R8*1), A, A
+
+// ROW_START points P0, P3 and P6 at channels 0, 3 and 6 of the row at
+// ROW.
+#define ROW_START(ROW, P0, P3, P6) \
+	MOVQ ROW, P0 \
+	LEAQ (P0)(R8*2), P3 \
+	ADDQ R8, P3 \
+	LEAQ (P3)(R8*2), P6 \
+	ADDQ R8, P6
+
+// ADVANCE moves P0, P3 and P6 on by N bytes.
+#define ADVANCE(N, P0, P3, P6) \
+	ADDQ N, P0 \
+	ADDQ N, P3 \
+	ADDQ N, P6
+
+// SUM1 adds the four floats of X, widened, to the accumulator ACC.
+#define SUM1(X, ACC) \
+	VCVTPS2PD X, Y11 \
+	VADDPD    Y11, ACC, ACC
+
+// func bnSums8AVX2(acc *[8]float64, x *float32, sp, rows, stride uintptr)
+TEXT ·bnSums8AVX2(SB), NOSPLIT, $0-40
+	MOVQ    acc+0(FP), DI
+	VMOVUPD 0(DI), Y12
+	VMOVUPD 32(DI), Y13
+	MOVQ    x+8(FP), R13
+	MOVQ    sp+16(FP), R8
+	SHLQ    $2, R8
+	MOVQ    rows+24(FP), DX
+	MOVQ    stride+32(FP), R11
+	SHLQ    $2, R11
+
+sumrow:
+	ROW_START(R13, SI, R9, R10)
+	MOVQ sp+16(FP), CX
+	SHRQ $2, CX
+	JZ   sumtail
+
+	PCALIGN $32
+sum4:
+	LOAD_LO(SI, R9, X0, X1, X2, X3)
+	TRANSPOSE4(X0, X1, X2, X3, X8, X9)
+	SUM1(X2, Y12)
+	SUM1(X3, Y12)
+	SUM1(X0, Y12)
+	SUM1(X1, Y12)
+	LOAD_HI(R9, R10, X4, X5, X6, X7)
+	TRANSPOSE4(X4, X5, X6, X7, X8, X9)
+	SUM1(X6, Y13)
+	SUM1(X7, Y13)
+	SUM1(X4, Y13)
+	SUM1(X5, Y13)
+	ADVANCE($16, SI, R9, R10)
+	DECQ CX
+	JNZ  sum4
+
+sumtail:
+	MOVQ sp+16(FP), CX
+	ANDQ $3, CX
+	JZ   sumnext
+
+sum1:
+	GATHER_LO(SI, R9, X0)
+	SUM1(X0, Y12)
+	GATHER_HI(R9, R10, X4)
+	SUM1(X4, Y13)
+	ADVANCE($4, SI, R9, R10)
+	DECQ CX
+	JNZ  sum1
+
+sumnext:
+	ADDQ R11, R13
+	DECQ DX
+	JNZ  sumrow
+
+	VMOVUPD Y12, 0(DI)
+	VMOVUPD Y13, 32(DI)
+	VZEROUPPER
+	RET
+
+// SQUARE1 adds (float64(X − M))² to ACC; M holds four channels' means.
+#define SQUARE1(X, M, ACC) \
+	VSUBPS    M, X, X \
+	VCVTPS2PD X, Y11 \
+	VMULPD    Y11, Y11, Y11 \
+	VADDPD    Y11, ACC, ACC
+
+// func bnSquares8AVX2(acc *[8]float64, x *float32, sp, rows, stride uintptr, mean *[8]float32)
+TEXT ·bnSquares8AVX2(SB), NOSPLIT, $0-48
+	MOVQ    acc+0(FP), DI
+	VMOVUPD 0(DI), Y12
+	VMOVUPD 32(DI), Y13
+	MOVQ    mean+40(FP), AX
+	VMOVUPS 0(AX), X14
+	VMOVUPS 16(AX), X15
+	MOVQ    x+8(FP), R13
+	MOVQ    sp+16(FP), R8
+	SHLQ    $2, R8
+	MOVQ    rows+24(FP), DX
+	MOVQ    stride+32(FP), R11
+	SHLQ    $2, R11
+
+sqrow:
+	ROW_START(R13, SI, R9, R10)
+	MOVQ sp+16(FP), CX
+	SHRQ $2, CX
+	JZ   sqtail
+
+	PCALIGN $32
+sq4:
+	LOAD_LO(SI, R9, X0, X1, X2, X3)
+	TRANSPOSE4(X0, X1, X2, X3, X8, X9)
+	SQUARE1(X2, X14, Y12)
+	SQUARE1(X3, X14, Y12)
+	SQUARE1(X0, X14, Y12)
+	SQUARE1(X1, X14, Y12)
+	LOAD_HI(R9, R10, X4, X5, X6, X7)
+	TRANSPOSE4(X4, X5, X6, X7, X8, X9)
+	SQUARE1(X6, X15, Y13)
+	SQUARE1(X7, X15, Y13)
+	SQUARE1(X4, X15, Y13)
+	SQUARE1(X5, X15, Y13)
+	ADVANCE($16, SI, R9, R10)
+	DECQ CX
+	JNZ  sq4
+
+sqtail:
+	MOVQ sp+16(FP), CX
+	ANDQ $3, CX
+	JZ   sqnext
+
+sq1:
+	GATHER_LO(SI, R9, X0)
+	SQUARE1(X0, X14, Y12)
+	GATHER_HI(R9, R10, X4)
+	SQUARE1(X4, X15, Y13)
+	ADVANCE($4, SI, R9, R10)
+	DECQ CX
+	JNZ  sq1
+
+sqnext:
+	ADDQ R11, R13
+	DECQ DX
+	JNZ  sqrow
+
+	VMOVUPD Y12, 0(DI)
+	VMOVUPD Y13, 32(DI)
+	VZEROUPPER
+	RET
+
+// GRAD1 adds the four floats of D (dy), widened, to A1 and their
+// products with those of H (xhat), widened, to A2.
+#define GRAD1(D, H, A1, A2) \
+	VCVTPS2PD D, Y10 \
+	VADDPD    Y10, A1, A1 \
+	VCVTPS2PD H, Y11 \
+	VMULPD    Y11, Y10, Y11 \
+	VADDPD    Y11, A2, A2
+
+// func bnGradSums8AVX2(acc *[16]float64, dy, xhat *float32, sp, rows, stride uintptr)
+//
+// acc[0:8] are the sums of dy, acc[8:16] those of dy·xhat. BX, AX and
+// R12 point at xhat's channels 0, 3 and 6, DI at its row's start.
+TEXT ·bnGradSums8AVX2(SB), NOSPLIT, $0-48
+	MOVQ    acc+0(FP), DI
+	VMOVUPD 0(DI), Y12
+	VMOVUPD 32(DI), Y13
+	VMOVUPD 64(DI), Y14
+	VMOVUPD 96(DI), Y15
+	MOVQ    dy+8(FP), R13
+	MOVQ    xhat+16(FP), DI
+	MOVQ    sp+24(FP), R8
+	SHLQ    $2, R8
+	MOVQ    rows+32(FP), DX
+	MOVQ    stride+40(FP), R11
+	SHLQ    $2, R11
+
+gradrow:
+	ROW_START(R13, SI, R9, R10)
+	ROW_START(DI, BX, AX, R12)
+	MOVQ sp+24(FP), CX
+	SHRQ $2, CX
+	JZ   gradsumtail
+
+	PCALIGN $32
+gradsum4:
+	LOAD_LO(SI, R9, X0, X1, X2, X3)
+	TRANSPOSE4(X0, X1, X2, X3, X8, X9)
+	LOAD_LO(BX, AX, X4, X5, X6, X7)
+	TRANSPOSE4(X4, X5, X6, X7, X8, X9)
+	GRAD1(X2, X6, Y12, Y14)
+	GRAD1(X3, X7, Y12, Y14)
+	GRAD1(X0, X4, Y12, Y14)
+	GRAD1(X1, X5, Y12, Y14)
+	LOAD_HI(R9, R10, X0, X1, X2, X3)
+	TRANSPOSE4(X0, X1, X2, X3, X8, X9)
+	LOAD_HI(AX, R12, X4, X5, X6, X7)
+	TRANSPOSE4(X4, X5, X6, X7, X8, X9)
+	GRAD1(X2, X6, Y13, Y15)
+	GRAD1(X3, X7, Y13, Y15)
+	GRAD1(X0, X4, Y13, Y15)
+	GRAD1(X1, X5, Y13, Y15)
+	ADVANCE($16, SI, R9, R10)
+	ADVANCE($16, BX, AX, R12)
+	DECQ CX
+	JNZ  gradsum4
+
+gradsumtail:
+	MOVQ sp+24(FP), CX
+	ANDQ $3, CX
+	JZ   gradsumnext
+
+gradsum1:
+	GATHER_LO(SI, R9, X0)
+	GATHER_LO(BX, AX, X4)
+	GRAD1(X0, X4, Y12, Y14)
+	GATHER_HI(R9, R10, X0)
+	GATHER_HI(AX, R12, X4)
+	GRAD1(X0, X4, Y13, Y15)
+	ADVANCE($4, SI, R9, R10)
+	ADVANCE($4, BX, AX, R12)
+	DECQ CX
+	JNZ  gradsum1
+
+gradsumnext:
+	ADDQ R11, R13
+	ADDQ R11, DI
+	DECQ DX
+	JNZ  gradrow
+
+	MOVQ    acc+0(FP), DI
+	VMOVUPD Y12, 0(DI)
+	VMOVUPD Y13, 32(DI)
+	VMOVUPD Y14, 64(DI)
+	VMOVUPD Y15, 96(DI)
+	VZEROUPPER
+	RET

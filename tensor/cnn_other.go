@@ -14,3 +14,7 @@ func maxPool2x2Asm([]float32, []int32, []float32, int) int { return 0 }
 func batchNormApplyAsm(_, _, _, _, _, _, _ []float32) bool { return false }
 
 func batchNormInputGradAsm(_, _, _, _, _, _ []float32) bool { return false }
+
+func batchNormStatsAsm([]float32, []float32, *Matrix, float64) int { return 0 }
+
+func batchNormGradSumsAsm(_, _ []float32, _, _ *Matrix) int { return 0 }

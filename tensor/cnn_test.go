@@ -295,6 +295,62 @@ func TestBatchNormKernelsParity(t *testing.T) {
 	})
 }
 
+// checkBatchNormStats runs BatchNormStats and BatchNormGradSums and
+// their per-channel loops on x (as dy) and xhat, and fails on the first
+// statistic whose float bits differ.
+func checkBatchNormStats(t testing.TB, c int, x, xhat *Matrix) {
+	t.Helper()
+	wantM, wantV, wantD, wantE := make([]float32, c), make([]float32, c), make([]float32, c), make([]float32, c)
+	count := float64(x.Rows * (x.Cols / c))
+	for ch := range c {
+		batchNormStatsGo(wantM, wantV, x, ch, count)
+		batchNormGradSumsGo(wantD, wantE, x, xhat, ch)
+	}
+	gotM, gotV, gotD, gotE := make([]float32, c), make([]float32, c), make([]float32, c), make([]float32, c)
+	BatchNormStats(gotM, gotV, x)
+	BatchNormGradSums(gotD, gotE, x, xhat)
+	for ch := range c {
+		for _, v := range [][3]float32{{gotM[ch], wantM[ch], 0}, {gotV[ch], wantV[ch], 1}, {gotD[ch], wantD[ch], 2}, {gotE[ch], wantE[ch], 3}} {
+			if !sameBits(v[0], v[1]) {
+				t.Fatalf("%dx%d, %d channels: statistic %v of channel %d is %v (%#08x), loop %v (%#08x)", x.Rows, x.Cols, c,
+					[]string{"mean", "variance", "sum dy", "sum dy·xhat"}[int(v[2])], ch, v[0], math.Float32bits(v[0]), v[1], math.Float32bits(v[1]))
+			}
+		}
+	}
+}
+
+// bnMatrix returns a rows×cols matrix whose data starts off floats into
+// its backing array, filled as edgeRun does.
+func bnMatrix(r *rng.RNG, rows, cols, off, rot int, specials bool) *Matrix {
+	return FromSlice(rows, cols, edgeRun(r, rows*cols, off, rot, specials))
+}
+
+// TestBatchNormStatsParity holds the statistics kernels to their
+// per-channel loops on float bits: 8, 16 (the kernels' groups), 3 and
+// 13 channels (a group and the loop's remainder), run lengths 1–13
+// (every tail of the four-position blocks), 1–5 rows, at four start
+// alignments, with seeded normals and with edge values (NaN, ±Inf, ±0,
+// denormals) in every lane; and rows past the chunk boundary.
+func TestBatchNormStatsParity(t *testing.T) {
+	forPaths(t, func(t *testing.T) {
+		r := rng.New(53)
+		for _, c := range []int{3, 8, 13, 16} {
+			for sp := 1; sp <= 13; sp++ {
+				for rows := 1; rows <= 5; rows += 2 {
+					for off := 0; off < 4; off++ {
+						checkBatchNormStats(t, c, bnMatrix(r, rows, c*sp, off, 0, false), bnMatrix(r, rows, c*sp, 3-off, 0, false))
+						for rot := 0; rot < len(cnnEdges); rot += 7 {
+							checkBatchNormStats(t, c, bnMatrix(r, rows, c*sp, off, rot, true), bnMatrix(r, rows, c*sp, off, rot+3, off%2 == 0))
+						}
+					}
+				}
+			}
+		}
+		checkBatchNormStats(t, 8, bnMatrix(r, 300, 8*36, 1, 0, false), bnMatrix(r, 300, 8*36, 2, 0, false))
+		checkBatchNormStats(t, 8, bnMatrix(r, 0, 8*36, 0, 0, false), bnMatrix(r, 0, 8*36, 0, 0, false))
+	})
+}
+
 func TestBatchNormLengthMismatchPanics(t *testing.T) {
 	k := bnRowCoefficients(3, 0)
 	x := make([]float32, 12)
