@@ -47,20 +47,21 @@ func reluGradAsm(dx, x, dout []float32) int {
 // width w with the 2×2 window at stride 2 and returns its length. The
 // kernel tracks, per lane, its output's column ox and the flat index o
 // of its first tap, 2·ox + 2w·(output row), and moves both eight
-// outputs on per vector: ox by 8 mod ow and o by twice that plus 2w per
-// whole output row in 8; a column that passes ow wraps to the next
-// output row, which adds w more to o (2w for the row less 2·ow for the
-// column). The channels stack as output rows do, as the height is even.
+// outputs on per vector (gridLanes): ox by 8 mod ow and o by twice that
+// plus 2w per whole output row in 8; a column that passes ow wraps to
+// the next output row, which adds w more to o (2w for the row less
+// 2·ow for the column). The channels stack as output rows do, as the
+// height is even.
 func maxPool2x2Asm(dst []float32, argmax []int32, src []float32, w int) int {
 	n := vecBody(len(dst))
 	ow := w / 2
 	stepX := 8 % ow
 	stepO := 2*stepX + 8/ow*2*w
 	for q := 0; q < n; q += vecChunk {
+		grid := gridLanes(q, ow)
 		var lanes [16]int32
 		for i := range 8 {
-			lanes[i] = int32((q + i) % ow)
-			lanes[8+i] = int32(2*((q+i)%ow) + (q+i)/ow*2*w)
+			lanes[i], lanes[8+i] = grid[i], 2*grid[i]+grid[8+i]*int32(2*w)
 		}
 		maxPool2x2AVX2(&dst[q], &argmax[q], &src[0], uintptr(min(vecChunk, n-q)), &lanes,
 			uintptr(ow), uintptr(w), uintptr(stepX), uintptr(stepO))

@@ -387,22 +387,25 @@ var sameRowsShapes = []ConvShape{
 	{InC: 1, InH: 9, InW: 1, OutC: 1, KH: 3, KW: 1, StrideH: 1, StrideW: 1, PadH: 1, PadW: 0},
 }
 
-// TestIm2colSameRowsParity holds the contiguous-span lowering of
-// sameRows geometries to the general one-row-at-a-time loop, exactly.
+// TestIm2colSameRowsParity holds Im2col's contiguous-span lowering of
+// the sameRows geometries to the general one-row-at-a-time loop on raw
+// bits (NaN payloads included), on edge values and seeded normals.
 func TestIm2colSameRowsParity(t *testing.T) {
 	r := rng.New(49)
 	for _, s := range sameRowsShapes {
 		if !s.sameRows() {
 			t.Fatalf("%+v is not a same-rows geometry", s)
 		}
-		img := edgeRun(r, s.InC*s.InH*s.InW, 1, 0, false)
-		want, got := New(s.PatchLen(), s.OutH()*s.OutW()), New(s.PatchLen(), s.OutH()*s.OutW())
-		got.Fill(9)
-		im2colGo(s, img, want)
-		Im2col(s, img, got)
-		for i := range want.Data {
-			if !sameRaw(got.Data[i], want.Data[i]) {
-				t.Fatalf("%+v: column element %d is %v, general loop %v", s, i, got.Data[i], want.Data[i])
+		for rot := 0; rot < len(cnnEdges); rot += 4 {
+			img := edgeRun(r, s.InC*s.InH*s.InW, 1, rot, rot%8 == 0)
+			want, got := New(s.PatchLen(), s.OutH()*s.OutW()), New(s.PatchLen(), s.OutH()*s.OutW())
+			got.Fill(9) // padding must be written, not assumed
+			im2colGo(s, img, want)
+			Im2col(s, img, got)
+			for i := range want.Data {
+				if !sameRaw(got.Data[i], want.Data[i]) {
+					t.Fatalf("%+v: column element %d is %#08x, loop %#08x", s, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
 			}
 		}
 	}

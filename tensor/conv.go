@@ -75,10 +75,11 @@ func Im2col(c ConvShape, img []float32, dst *Matrix) {
 
 // sameRows reports a stride-1 convolution whose output rows are as wide
 // as the input's (a "same" padding along the width, such as 3×3 with
-// pad 1). For each kernel tap, output position q then reads input
-// position q + a fixed shift of its channel plane, so the tap's whole
-// span of output rows is one contiguous copy (or sum) whose few
-// elements at the pad edges of each row are fixed up afterwards.
+// pad 1). Kernel tap (kh, kw) then reads for output position q the
+// input pixel q + (kh−PadH)·InW + kw−PadW of its channel plane, one
+// offset for all q: Im2col copies a tap's whole span of output rows at
+// once and fixes up the pad edges after, and the Col2im kernel
+// (conv_amd64.s) reaches eight consecutive pixels with one load.
 func (c ConvShape) sameRows() bool {
 	return c.StrideH == 1 && c.StrideW == 1 && c.OutW() == c.InW
 }
@@ -201,24 +202,24 @@ func col2imGo(c ConvShape, src *Matrix, dst []float32) {
 			oy0, oy1 := validSpan(oh, c.InH, c.StrideH, c.PadH, kh)
 			for kw := 0; kw < c.KW; kw++ {
 				ox0, ox1 := validSpan(ow, c.InW, c.StrideW, c.PadW, kw)
-				if ox0 == ox1 || oy0 == oy1 {
+				if ox0 == ox1 {
 					continue
 				}
 				srow := src.Row(((ch*c.KH)+kh)*c.KW + kw)
-				at := chOff + (oy0*c.StrideH-c.PadH+kh)*c.InW + ox0*c.StrideW - c.PadW + kw
-				if c.StrideW == 1 {
-					// One run of pixels per output row, the rows
-					// StrideH·InW pixels apart.
-					n, rows := ox1-ox0, oy1-oy0
-					addRows(dst[at:], srow[oy0*ow+ox0:], rows, n, c.StrideH*c.InW, ow)
-					continue
-				}
 				for oy := oy0; oy < oy1; oy++ {
-					for _, v := range srow[oy*ow+ox0 : oy*ow+ox1] {
+					at := chOff + (oy*c.StrideH-c.PadH+kh)*c.InW + ox0*c.StrideW - c.PadW + kw
+					seg := srow[oy*ow+ox0 : oy*ow+ox1]
+					if c.StrideW == 1 {
+						out := dst[at : at+len(seg)]
+						for i, v := range seg {
+							out[i] += v
+						}
+						continue
+					}
+					for _, v := range seg {
 						dst[at] += v
 						at += c.StrideW
 					}
-					at += c.StrideH*c.InW - (ox1-ox0)*c.StrideW
 				}
 			}
 		}

@@ -24,23 +24,6 @@ func Add(dst, src []float32) {
 	addGo(dst[n:], src[n:])
 }
 
-// addRows adds rows runs of n floats of src into dst, run r at
-// src[r·srcStride:] into dst[r·dstStride:], each element as Add does.
-// The strides are at least n, so no two runs overlap; the slices must
-// reach the last run's end.
-func addRows(dst, src []float32, rows, n, dstStride, srcStride int) {
-	if rows == 0 || n == 0 {
-		return
-	}
-	_, _ = dst[(rows-1)*dstStride+n-1], src[(rows-1)*srcStride+n-1]
-	if addRowsAsm(dst, src, rows, n, dstStride, srcStride) {
-		return
-	}
-	for r := range rows {
-		addGo(dst[r*dstStride:r*dstStride+n], src[r*srcStride:])
-	}
-}
-
 // Scale multiplies every element of x by a in place: x[i] *= a.
 func Scale(x []float32, a float32) {
 	n := scaleAsm(x, a)

@@ -12,9 +12,6 @@ func maxAbsAVX2(x *float32, n uintptr) float32
 func addAVX2(dst, src *float32, n uintptr)
 
 //go:noescape
-func addRowsAVX2(dst, src *float32, rows, n, dstStride, srcStride uintptr)
-
-//go:noescape
 func scaleAVX2(x *float32, n uintptr, a float32)
 
 //go:noescape
@@ -42,23 +39,6 @@ func addAsm(dst, src []float32) int {
 		addAVX2(&dst[i], &src[i], uintptr(min(vecChunk, n-i)))
 	}
 	return n
-}
-
-// addRowsAsm runs addRows on the AVX2 kernel, at most vecChunk
-// elements (and at least one run) per call, and reports whether it
-// did: not without AVX2. Each run's last n%8 elements are added one at
-// a time in the kernel, with the same scalar add as the loop. The
-// bounds were checked by the caller.
-func addRowsAsm(dst, src []float32, rows, n, dstStride, srcStride int) bool {
-	if !useAVX2 {
-		return false
-	}
-	per := max(1, vecChunk/n)
-	for r := 0; r < rows; r += per {
-		addRowsAVX2(&dst[r*dstStride], &src[r*srcStride], uintptr(min(per, rows-r)), uintptr(n),
-			uintptr(dstStride)*4, uintptr(srcStride)*4)
-	}
-	return true
 }
 
 // maxAbsAsm returns the length of the body of x it took and the

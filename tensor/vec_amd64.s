@@ -153,52 +153,6 @@ adddone:
 	VZEROUPPER
 	RET
 
-// func addRowsAVX2(dst, src *float32, rows, n, dstStride, srcStride uintptr)
-//
-// rows >= 1 runs of n >= 1 floats, the strides in bytes: eight at a
-// time, then the run's last n%8 one at a time (VADDSS, the scalar add).
-TEXT ·addRowsAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), R12
-	MOVQ src+8(FP), R13
-	MOVQ rows+16(FP), R8
-	MOVQ n+24(FP), R9
-	MOVQ dstStride+32(FP), R10
-	MOVQ srcStride+40(FP), R11
-
-rowsnext:
-	MOVQ R12, DI
-	MOVQ R13, SI
-	MOVQ R9, CX
-
-	PCALIGN $32
-rows8:
-	CMPQ CX, $8
-	JLT  rows1
-	ADD8(0, Y0)
-	ADDQ $32, DI
-	ADDQ $32, SI
-	SUBQ $8, CX
-	JMP  rows8
-
-rows1:
-	TESTQ  CX, CX
-	JZ     rowsdone
-	VMOVSS (DI), X0
-	VADDSS (SI), X0, X0
-	VMOVSS X0, (DI)
-	ADDQ   $4, DI
-	ADDQ   $4, SI
-	DECQ   CX
-	JMP    rows1
-
-rowsdone:
-	ADDQ R10, R12
-	ADDQ R11, R13
-	DECQ R8
-	JNZ  rowsnext
-	VZEROUPPER
-	RET
-
 // SCALE8 multiplies the 8 floats at off(DI) by Y15.
 #define SCALE8(off, X) \
 	VMULPS  off(DI), Y15, X \

@@ -7,8 +7,6 @@ package tensor
 
 func addAsm([]float32, []float32) int { return 0 }
 
-func addRowsAsm(_, _ []float32, _, _, _, _ int) bool { return false }
-
 func maxAbsAsm([]float32) (int, float32) { return 0, 0 }
 
 func scaleAsm([]float32, float32) int { return 0 }
