@@ -428,8 +428,8 @@ func checkCol2im(t testing.TB, s ConvShape, src *Matrix, dst []float32) {
 
 // TestCol2imSameRowsParity holds Col2im's pixel-parallel kernel to the
 // tap-by-tap loop on float bits: the sameRows geometries, with column
-// values and starting pixels from the edge table (so a masked-off tap
-// must leave a −0 pixel −0) or seeded normals.
+// values and starting pixels from the edge table or seeded normals,
+// and all −0 (so a masked-off tap must leave a −0 pixel −0).
 func TestCol2imSameRowsParity(t *testing.T) {
 	forPaths(t, func(t *testing.T) {
 		r := rng.New(50)
@@ -440,6 +440,16 @@ func TestCol2imSameRowsParity(t *testing.T) {
 				checkCol2im(t, s, src, edgeRun(r, s.InC*s.InH*s.InW, 0, rot+1, rot%3 == 0))
 				checkCol2im(t, s, src, make([]float32, s.InC*s.InH*s.InW))
 			}
+			// All −0: a pixel stays −0 only if its taps' padding adds
+			// nothing (−0 + +0 is +0).
+			negZero := float32(math.Copysign(0, -1))
+			src := New(s.PatchLen(), s.OutH()*s.OutW())
+			src.Fill(negZero)
+			dst := make([]float32, s.InC*s.InH*s.InW)
+			for i := range dst {
+				dst[i] = negZero
+			}
+			checkCol2im(t, s, src, dst)
 		}
 	})
 }
