@@ -7,19 +7,18 @@ import (
 
 // The CNN kernels: the element-wise and windowed passes of a
 // convolutional network's non-GEMM layers (ReLU, 2×2 max pooling, the
-// batch-norm normalisation and its input gradient). Each is defined by
-// its portable loop below, which is also the reference the kernels are
-// tested against on raw bits (cnn_test.go). On amd64 with AVX2 the
-// kernels in cnn_amd64.s run eight lanes at a time, one lane per
-// output element, each lane computing exactly the loop's operations in
-// the loop's order, and leave the last len%8 outputs to the portable
-// loops; everywhere else the portable loops run alone.
+// batch-norm statistics, normalisation and input gradient). Each is
+// defined by its portable loop below, which is also the reference the
+// kernels are tested against on raw bits (cnn_test.go). On amd64 with
+// AVX2 the kernels in cnn_amd64.s run eight lanes at a time, each lane
+// computing exactly the loop's operations in the loop's order;
+// everywhere else the portable loops run alone.
 //
 //   - ReLU is x > 0 ? x : 0. The kernel's VMAXPS takes x as its first
 //     source and 0 as its second and returns the second on NaN or on
 //     equal zeros, so NaN and −0 give +0 as the comparison does.
 //     ReLUGrad is the ordered mask x > 0 ANDed onto dout: dout's bits
-//     or +0.
+//     or +0. The last len%8 elements run on the loops.
 //   - MaxPool visits a window's taps in (ky, kx) order against a running
 //     best that starts at −Inf, and a tap wins only when it is strictly
 //     greater (an ordered compare): the first of equal maxima wins, and
@@ -27,7 +26,14 @@ import (
 //     so a window of NaNs and −Infs reports −Inf at its first tap. The
 //     kernel covers the 2×2 window at stride 2 over even heights and
 //     widths, gathering each tap for eight output positions and
-//     blending value and index on the same compares.
+//     blending value and index on the same compares; the last len%8
+//     outputs and every other geometry run on the loop.
+//   - BatchNormStats and BatchNormGradSums keep one float64 chain of
+//     adds per channel in (row, position) order. Their kernels take
+//     eight channels at a time, lanes across channels (four positions
+//     of four channels loaded and transposed into one vector per
+//     position), so the chains run side by side and each is the loop's;
+//     channels past the last group of eight run on the loop.
 //   - BatchNormApply and BatchNormInputGrad are chains of separately
 //     rounded float32 operations (see vec.go on fusing) over a row of
 //     channel runs. Their kernels run each channel's run eight at a

@@ -79,6 +79,18 @@
 // kernels in quant, which keep their own test switch. Every kernel is
 // VEX-encoded throughout (scripts/check_vex.sh): one legacy-SSE
 // instruction among them costs an SSE/AVX transition per call.
+//
+// # The CNN kernels
+//
+// ReLU and ReLUGrad, MaxPool, BatchNormStats, BatchNormGradSums,
+// BatchNormApply and BatchNormInputGrad (cnn.go) and Col2im (conv.go)
+// follow the same rules under the same switch: each output is the
+// portable loop's, bit for bit, lanes run across outputs (or, for the
+// batch-norm sums, across channels, each channel's float64 chain in the
+// loop's order), nothing is fused. Selecting kernels (ReLU, max
+// pooling) return raw bits, NaN payloads included. Where a kernel's
+// lanes reach past a run or a plane it masks them (VMASKMOVPS) rather
+// than leave a tail to the loop.
 package tensor
 
 import (
