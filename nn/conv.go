@@ -25,13 +25,19 @@ type Conv2D struct {
 	w, b  *Param
 	y     *tensor.Matrix
 	dx    *tensor.Matrix
-	// Scratch: every sample's im2col expansion, kept from Forward for
-	// Backward's weight gradient (grow-only, like the layer outputs);
-	// the bias spread over one sample's output; headers over one
-	// sample's columns, output and output gradient; and the two
-	// gradient products before they join w.Grad and dx.
+	// Scratch: the im2col expansion of every sample of a training batch,
+	// kept from Forward for Backward's weight gradient (grow-only, like
+	// the layer outputs; an evaluation pass, whose batches can be far
+	// larger, expands one sample at a time); the bias spread over one
+	// sample's output; headers over one sample's columns, output and
+	// output gradient; and the two gradient products before they join
+	// w.Grad and dx.
 	colsAll, biasRow           []float32
 	cols, out, dOut, dW, dCols *tensor.Matrix
+	// The last Forward's input, and whether colsAll holds its columns
+	// (a training pass) or only the last sample's (evaluation).
+	x    *tensor.Matrix
+	kept bool
 }
 
 // NewConv2D builds a convolution layer with He initialisation.
@@ -66,7 +72,7 @@ func (c *Conv2D) Name() string { return c.name }
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
+func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	inLen := c.shape.InC * c.shape.InH * c.shape.InW
 	if x.Cols != inLen {
 		panic(fmt.Sprintf("nn: %s expects %d inputs, got %d", c.name, inLen, x.Cols))
@@ -82,7 +88,12 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 		c.dCols = tensor.New(patch, outHW)
 	}
 	colLen := patch * outHW
-	c.colsAll = slices.Grow(c.colsAll[:0], x.Rows*colLen)[:x.Rows*colLen]
+	c.x, c.kept = x, train
+	kept := 1
+	if train {
+		kept = x.Rows
+	}
+	c.colsAll = slices.Grow(c.colsAll[:0], kept*colLen)[:kept*colLen]
 	// The bias of each output channel, repeated over its positions.
 	c.biasRow = slices.Grow(c.biasRow[:0], c.OutLen())[:c.OutLen()]
 	for oc, bias := range c.b.Value.Data {
@@ -93,7 +104,7 @@ func (c *Conv2D) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	out := c.out
 	for s := 0; s < x.Rows; s++ {
-		c.cols.Data = c.colsAll[s*colLen : (s+1)*colLen]
+		c.cols.Data = c.colsAll[s%kept*colLen:][:colLen]
 		tensor.Im2col(c.shape, x.Row(s), c.cols)
 		out.Data = c.y.Row(s)
 		tensor.MatMul(out, c.w.Value, c.cols)
@@ -112,9 +123,14 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	for s := 0; s < dout.Rows; s++ {
 		dOutS.Data = dout.Row(s)
 		c.biasGrad(dOutS.Data, outHW)
-		// Weight gradient: dW += dOut · colsᵀ, on the columns Forward
-		// expanded.
-		c.cols.Data = c.colsAll[s*colLen : (s+1)*colLen]
+		// Weight gradient: dW += dOut · colsᵀ, on the columns a training
+		// Forward kept.
+		if c.kept {
+			c.cols.Data = c.colsAll[s*colLen:][:colLen]
+		} else {
+			c.cols.Data = c.colsAll[:colLen]
+			tensor.Im2col(c.shape, c.x.Row(s), c.cols)
+		}
 		tensor.MatMulTransB(dW, dOutS, c.cols)
 		c.w.Grad.Add(dW)
 		// Input gradient: dCols = Wᵀ · dOut, scattered back by col2im.
