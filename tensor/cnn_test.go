@@ -499,7 +499,8 @@ func FuzzCNNKernelsParity(f *testing.F) {
 // The CNN kernel benchmarks time each kernel and its portable loop at
 // the benchmark CNN's sizes on one rank (batch 32), in ns per output
 // element: ReLU and its gradient over a whole activation, max pooling
-// and im2col/col2im per image, batch norm per sample row.
+// and im2col/col2im per image, batch norm's passes per sample row and
+// its statistics per batch.
 
 func benchPaths(b *testing.B, name string, elems int, run func()) {
 	for _, path := range []string{"kernel", "portable"} {
@@ -542,6 +543,11 @@ func BenchmarkBatchNorm(b *testing.B) {
 		x, dy, y, xhat := edgeRun(r, n, 0, 0, false), edgeRun(r, n, 0, 0, false), make([]float32, n), make([]float32, n)
 		benchPaths(b, fmt.Sprintf("apply/%dx%d", g[0], g[1]), n, func() { BatchNormApply(y, xhat, x, k[0], k[1], k[2], k[3]) })
 		benchPaths(b, fmt.Sprintf("inputgrad/%dx%d", g[0], g[1]), n, func() { BatchNormInputGrad(y, dy, xhat, k[0], k[1], k[2]) })
+		// The statistics run over the whole batch of 32 rows.
+		xb, db := bnMatrix(r, 32, n, 0, 0, false), bnMatrix(r, 32, n, 0, 0, false)
+		mean, variance := make([]float32, g[0]), make([]float32, g[0])
+		benchPaths(b, fmt.Sprintf("stats/32x%dx%d", g[0], g[1]), 32*n, func() { BatchNormStats(mean, variance, xb) })
+		benchPaths(b, fmt.Sprintf("gradsums/32x%dx%d", g[0], g[1]), 32*n, func() { BatchNormGradSums(mean, variance, db, xb) })
 	}
 }
 
