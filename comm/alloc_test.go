@@ -1,71 +1,151 @@
 package comm
 
 import (
+	"cmp"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/quant"
 )
 
-// exchangeAllocs warms a reducer up on the MLP inventory — whose message
-// sizes cycle from 2 MB down to 40 bytes on every link, the case a
-// free list that hands out buffers in FIFO order never recovers from —
-// and returns the allocations per steady-state exchange. The exchanges
-// run on persistent goroutines, so the figure is the exchange's alone.
-func exchangeAllocs(t *testing.T, red Reducer, k int) float64 {
+// exchangeAllocs warms an exchange over f up on an inventory — the
+// MLP's message sizes cycle from 2 MB down to 40 bytes on every link,
+// the case a free list that hands out buffers in FIFO order never
+// recovers from — and returns the allocations per steady-state
+// exchange. The exchanges run on persistent goroutines, so the figure
+// is the exchange's alone.
+//
+// Steady state includes the slab pools' peak: how many slabs a link
+// ever has out at once depends on how far the scheduler lets one rank
+// run ahead, and a round-major exchange can take dozens of exchanges to
+// meet its rare peaks. So the warm-up ends by filling every link's
+// free list to its bound (primeSlabs). Any allocation after that is
+// the exchange's own, or a link with more slabs out than it retains.
+func exchangeAllocs(t *testing.T, f Transport, exchange exchangeFunc, k int, shapes []quant.Shape) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account; zero is asserted without -race")
 	}
-	d := newExchangeDriver(red, k, mlpInventory)
+	d := newExchangeDriver(exchange, k, shapes)
 	defer d.stop()
-	exchange := func() {
+	run := func() {
 		if err := d.run(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		exchange() // slabs, receive buffers and frame decoders reach steady state
+		run() // slabs, receive buffers and frame decoders reach their sizes
 	}
-	return testing.AllocsPerRun(10, exchange)
+	primeSlabs(t, f)
+	return testing.AllocsPerRun(10, run)
+}
+
+// primeSlabs fills every link's free list of an idle fabric with
+// maxRetainedSlabs slabs of the link's largest message so far.
+func primeSlabs(t *testing.T, f Transport) {
+	t.Helper()
+	var pools []*slabPool
+	switch f := f.(type) {
+	case *Fabric:
+		for i := range f.slabs {
+			pools = append(pools, &f.slabs[i])
+		}
+	case framedFabric:
+		primeSlabs(t, f.Fabric)
+	case *TCPFabric:
+		for _, r := range f.ranks {
+			for p := range r.links {
+				pools = append(pools, &r.links[p].slabs)
+			}
+		}
+	default:
+		t.Fatalf("primeSlabs: unknown fabric %T", f)
+	}
+	for _, p := range pools {
+		held := make([][]byte, maxRetainedSlabs)
+		for i := range held {
+			held[i] = p.get(p.largest)
+		}
+		for _, b := range held {
+			p.put(b)
+		}
+	}
 }
 
 // policySpecs is the MLP inventory under a codec, or under two joined
 // by "+": the first for the matrices, the second for the biases.
 func policySpecs(codec string) []TensorSpec {
-	matrices, biases, _ := strings.Cut(codec, "+")
-	specs := mlpSpecs(quant.MustParse(matrices))
-	for i := 1; biases != "" && i < len(specs); i += 2 {
-		specs[i].Codec = quant.MustParse(biases)
+	return inventorySpecs(mlpInventory, codec)
+}
+
+// inventorySpecs describes tensors of the given wire shapes under a
+// codec, or under two joined by "+": the first for the matrices, the
+// second for the vectors (one column).
+func inventorySpecs(shapes []quant.Shape, codec string) []TensorSpec {
+	matrices, vectors, _ := strings.Cut(codec, "+")
+	specs := make([]TensorSpec, len(shapes))
+	for i, s := range shapes {
+		c := quant.MustParse(matrices)
+		if vectors != "" && s.Cols == 1 {
+			c = quant.MustParse(vectors)
+		}
+		specs[i] = TensorSpec{Name: fmt.Sprintf("t%d", i), N: s.Len(), Wire: s, Codec: c}
 	}
 	return specs
 }
+
+// allInventories are the inventories the all-tensor exchange is held to
+// zero allocations on: the MLP's six tensors and the CNN's twelve.
+var allInventories = []struct {
+	name   string
+	shapes []quant.Shape
+}{{"mlp", mlpInventory}, {"cnn", cnnInventory}}
 
 // TestReduceBroadcastExchangeAllocs: in steady state a
 // reduce-and-broadcast exchange allocates nothing — not per message,
 // not per tensor — for every codec family on every fabric, nor when a
 // policy alternates codecs from one tensor to the next (the framed
-// receive path must not re-parse a codec name per switch).
+// receive path must not re-parse a codec name per switch); tensor by
+// tensor, and (subtests under all/) as one ReduceAll on the MLP's and
+// the CNN's inventories.
 func TestReduceBroadcastExchangeAllocs(t *testing.T) {
 	const k = 2
 	for _, codec := range []string{"32bit", "qsgd4b512", "1bit", "qsgd4b512+32bit"} {
 		for _, kind := range []string{"chan", "framed", "tcp"} {
 			t.Run(codec+"/"+kind, func(t *testing.T) {
-				rb := NewReduceBroadcast(benchFabric(t, kind, k), policySpecs(codec), 3)
-				if allocs := exchangeAllocs(t, rb, k); allocs != 0 {
+				f := benchFabric(t, kind, k)
+				rb := NewReduceBroadcast(f, policySpecs(codec), 3)
+				if allocs := exchangeAllocs(t, f, eachTensor(rb), k, mlpInventory); allocs != 0 {
 					t.Errorf("steady-state exchange allocates %v times, want 0", allocs)
 				}
 			})
+			for _, inv := range allInventories {
+				t.Run("all/"+inv.name+"/"+codec+"/"+kind, func(t *testing.T) {
+					f := benchFabric(t, kind, k)
+					rb := NewReduceBroadcast(f, inventorySpecs(inv.shapes, codec), 3)
+					if allocs := exchangeAllocs(t, f, rb.ReduceAll, k, inv.shapes); allocs != 0 {
+						t.Errorf("steady-state all-tensor exchange allocates %v times, want 0", allocs)
+					}
+				})
+			}
 		}
 	}
 }
 
 // TestRingExchangeAllocs: the same for the ring, K=4 — the full-precision
-// NewRing (subtests named by fabric alone) and the ring carrying a
-// codec, whose hops re-encode partial sums and relay received bytes.
+// NewRing (subtests named by fabric alone, "learned" under all/) and the
+// ring carrying a codec, whose hops re-encode partial sums and relay
+// received bytes.
 func TestRingExchangeAllocs(t *testing.T) {
 	const k = 4
 	for _, codec := range []string{"", "qsgd4b512", "1bit*64", "qsgd4b512+32bit"} {
+		ring := func(f Transport, shapes []quant.Shape) *Collective {
+			if codec == "" {
+				return NewRing(f)
+			}
+			return NewCollective(f, NCCL, inventorySpecs(shapes, codec), 3, nil)
+		}
 		for _, kind := range []string{"chan", "tcp"} {
 			name := kind
 			if codec != "" {
@@ -73,14 +153,19 @@ func TestRingExchangeAllocs(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				f := benchFabric(t, kind, k)
-				ring := NewRing(f)
-				if codec != "" {
-					ring = NewCollective(f, NCCL, policySpecs(codec), 3, nil)
-				}
-				if allocs := exchangeAllocs(t, ring, k); allocs != 0 {
+				if allocs := exchangeAllocs(t, f, eachTensor(ring(f, mlpInventory)), k, mlpInventory); allocs != 0 {
 					t.Errorf("steady-state ring exchange allocates %v times, want 0", allocs)
 				}
 			})
+			for _, inv := range allInventories {
+				name := cmp.Or(codec, "learned")
+				t.Run("all/"+inv.name+"/"+name+"/"+kind, func(t *testing.T) {
+					f := benchFabric(t, kind, k)
+					if allocs := exchangeAllocs(t, f, ring(f, inv.shapes).ReduceAll, k, inv.shapes); allocs != 0 {
+						t.Errorf("steady-state all-tensor ring exchange allocates %v times, want 0", allocs)
+					}
+				})
+			}
 		}
 	}
 }

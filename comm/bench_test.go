@@ -26,6 +26,29 @@ func mlpSpecs(codec quant.Codec) []TensorSpec {
 	return specs
 }
 
+// cnnInventory is the benchmark CNN's twelve gradient tensors, most of
+// them tiny: two conv layers with batch norm, then two dense layers.
+var cnnInventory = []quant.Shape{
+	{Rows: 8, Cols: 27}, {Rows: 8, Cols: 1}, {Rows: 8, Cols: 1}, {Rows: 8, Cols: 1},
+	{Rows: 16, Cols: 72}, {Rows: 16, Cols: 1}, {Rows: 16, Cols: 1}, {Rows: 16, Cols: 1},
+	{Rows: 64, Cols: 144}, {Rows: 64, Cols: 1}, {Rows: 10, Cols: 64}, {Rows: 10, Cols: 1},
+}
+
+// exchangeFunc exchanges all of one rank's tensors, gs[t] being tensor t.
+type exchangeFunc func(rank int, gs [][]float32) error
+
+// eachTensor exchanges a rank's tensors one Reduce call at a time.
+func eachTensor(red Reducer) exchangeFunc {
+	return func(rank int, gs [][]float32) error {
+		for t, g := range gs {
+			if err := red.Reduce(rank, t, g); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // exchangeDriver runs whole-inventory exchanges on K persistent
 // goroutines, so what a caller measures around run — time, allocations
 // — is the exchange and not goroutine spawn.
@@ -34,10 +57,7 @@ type exchangeDriver struct {
 	done  chan error
 }
 
-// newExchangeDriver starts one goroutine per rank, each reducing its own
-// copy of every tensor per run. Reduced values are scaled back by 1/K so
-// repeated runs stay finite.
-func newExchangeDriver(red Reducer, k int, shapes []quant.Shape) *exchangeDriver {
+func newExchangeDriver(exchange exchangeFunc, k int, shapes []quant.Shape) *exchangeDriver {
 	d := &exchangeDriver{start: make([]chan struct{}, k), done: make(chan error, k)}
 	r := rng.New(17)
 	for rank := 0; rank < k; rank++ {
@@ -52,11 +72,8 @@ func newExchangeDriver(red Reducer, k int, shapes []quant.Shape) *exchangeDriver
 		go func(rank int, start <-chan struct{}) {
 			inv := 1 / float32(k)
 			for range start {
-				var err error
-				for i, g := range grads {
-					if err = red.Reduce(rank, i, g); err != nil {
-						break
-					}
+				err := exchange(rank, grads)
+				for _, g := range grads {
 					for j := range g {
 						g[j] *= inv
 					}
@@ -151,7 +168,8 @@ func BenchmarkTransport(b *testing.B) {
 
 // BenchmarkExchange is the go-test twin of the ledger's
 // comm.exchange_us.* rows: one whole-inventory exchange of the MLP's
-// gradients per iteration, K=2, for both schedules.
+// gradients per iteration, K=2, for both schedules — tensor by tensor
+// (each) and as the trainer runs it, in one ReduceAll call (all).
 func BenchmarkExchange(b *testing.B) {
 	const k = 2
 	for _, prim := range []struct {
@@ -160,23 +178,29 @@ func BenchmarkExchange(b *testing.B) {
 	}{{"rb", MPI}, {"ring", NCCL}} {
 		for _, kind := range []string{"chan", "tcp"} {
 			for _, name := range []string{"32bit", "qsgd4b512"} {
-				b.Run(prim.name+"/"+kind+"/"+name, func(b *testing.B) {
-					red := NewCollective(benchFabric(b, kind, k), prim.p, mlpSpecs(quant.MustParse(name)), 1, nil)
-					d := newExchangeDriver(red, k, mlpInventory)
-					defer d.stop()
-					var wire int64
-					for _, s := range mlpInventory {
-						wire += int64(4 * s.Len())
-					}
-					b.SetBytes(wire)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := d.run(); err != nil {
-							b.Fatal(err)
+				for _, call := range []string{"each", "all"} {
+					b.Run(prim.name+"/"+kind+"/"+name+"/"+call, func(b *testing.B) {
+						red := NewCollective(benchFabric(b, kind, k), prim.p, mlpSpecs(quant.MustParse(name)), 1, nil)
+						exchange := exchangeFunc(red.ReduceAll)
+						if call == "each" {
+							exchange = eachTensor(red)
 						}
-					}
-				})
+						d := newExchangeDriver(exchange, k, mlpInventory)
+						defer d.stop()
+						var wire int64
+						for _, s := range mlpInventory {
+							wire += int64(4 * s.Len())
+						}
+						b.SetBytes(wire)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if err := d.run(); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

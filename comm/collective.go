@@ -9,8 +9,10 @@ import (
 )
 
 // Collective is the gradient-aggregation engine: each tensor compiles,
-// per local rank, into prim's schedule, and Reduce runs it, encoding
-// every send with the tensor's codec. Over a framed transport
+// per local rank, into prim's schedule, and one executor runs the
+// schedules — of one tensor for Reduce, of all a step's tensors in
+// round order for ReduceAll (see "Order of messages") — encoding every
+// send with the tensor's codec. Over a framed transport
 // (Transport.Framed) every message is the encoder's self-describing
 // quant frame header followed by its payload, so peers need no
 // out-of-band codec agreement; in-process the bare payload travels.
@@ -24,6 +26,7 @@ type Collective struct {
 	// 32bit and compiled on its first Reduce (NewRing).
 	specs   []TensorSpec
 	workers []*worker // per rank; nil for ranks another process drives
+	rounds  int       // rounds in prim's schedule on this fabric
 	tracer  *obs.Tracer
 }
 
@@ -31,19 +34,23 @@ type Collective struct {
 // nothing once the buffers have met the largest message.
 type worker struct {
 	tensors []compiled
-	tmp     []float32 // a decoded contribution awaiting accumulation
+	tmp     []float32    // a decoded contribution awaiting accumulation
+	one     [1][]float32 // Reduce's tensor, as the executor's list
 	endpoint
 }
 
 // compiled is one rank's schedule for one tensor: the steps over its
-// chunks, the encoder behind each encodeSend step (nil elsewhere), and
-// what the rank knows of the tensor's incoming messages.
+// chunks, where each round's steps begin, the encoder behind each
+// encodeSend step (nil elsewhere), what the rank knows of the tensor's
+// incoming messages, and the phase times of its current exchange.
 type compiled struct {
 	spec      TensorSpec
 	chunks    []chunk
 	steps     []step
+	bounds    []int // round ρ's steps are steps[bounds[ρ]:bounds[ρ+1]]
 	encs      []quant.Encoder
 	in        inbound
+	acc       spanAcc
 	quantises bool // encoding is quantisation, not a 32bit byte view (for spans)
 }
 
@@ -58,7 +65,7 @@ func NewCollective(f Transport, prim Primitive, specs []TensorSpec, seed uint64,
 		panic(fmt.Sprintf("comm: unknown primitive %d", prim))
 	}
 	k := f.K()
-	c := &Collective{fabric: f, framed: f.Framed(), prim: prim, seed: seed, specs: specs, workers: make([]*worker, k)}
+	c := &Collective{fabric: f, framed: f.Framed(), prim: prim, seed: seed, specs: specs, workers: make([]*worker, k), rounds: rounds(prim, k)}
 	if ranks == nil {
 		ranks = make([]int, k)
 		for r := range ranks {
@@ -113,6 +120,14 @@ func (c *Collective) compile(spec TensorSpec, t, rank int) compiled {
 		ct.steps = append(ct.steps, st)
 		ct.encs = append(ct.encs, enc)
 	})
+	ct.bounds = make([]int, c.rounds+1)
+	i := 0
+	for round := range ct.bounds {
+		for i < len(ct.steps) && ct.steps[i].round < round {
+			i++
+		}
+		ct.bounds[round] = i
+	}
 	return ct
 }
 
@@ -175,45 +190,113 @@ func (c *Collective) WireBytesPerExchange() int64 {
 // Reduce implements Reducer: it runs rank's schedule for the tensor.
 // After it returns on every rank, all hold bit-identical values: each
 // chunk's final value is encoded once, by its owner, and every rank —
-// the owner included — decodes those same bytes.
+// the owner included — decodes those same bytes. It is ReduceAll's
+// executor on one tensor.
 func (c *Collective) Reduce(rank, tensorID int, g []float32) error {
-	if c.specs != nil {
-		if tensorID < 0 || tensorID >= len(c.specs) {
-			return fmt.Errorf("comm: unknown tensor %d", tensorID)
-		}
-		if spec := c.specs[tensorID]; len(g) != spec.N {
-			return fmt.Errorf("comm: tensor %s has %d elements, got %d", spec.Name, spec.N, len(g))
-		}
-	} else if tensorID < 0 {
-		return fmt.Errorf("comm: unknown tensor %d", tensorID)
+	if err := c.check(tensorID, g); err != nil {
+		return err
 	}
+	w, err := c.local(rank)
+	if w == nil {
+		return err
+	}
+	w.one[0] = g
+	err = c.exchange(w, rank, tensorID, w.one[:])
+	w.one[0] = nil
+	return err
+}
+
+// ReduceAll reduces tensors 0, 1, …, len(gs)−1 for rank, gs[t] holding
+// tensor t, as one exchange in round order (see "Order of messages" in
+// the package documentation): a rank sends every tensor's messages of a
+// round before it waits on any. Values, wire bytes and messages are
+// exactly those of Reduce called on each tensor in turn. Every rank
+// must pass the same tensors.
+func (c *Collective) ReduceAll(rank int, gs [][]float32) error {
+	for t, g := range gs {
+		if err := c.check(t, g); err != nil {
+			return err
+		}
+	}
+	w, err := c.local(rank)
+	if w == nil {
+		return err
+	}
+	return c.exchange(w, rank, 0, gs)
+}
+
+// check rejects an unknown tensor and a gradient of the wrong length.
+func (c *Collective) check(t int, g []float32) error {
+	if t < 0 || c.specs != nil && t >= len(c.specs) {
+		return fmt.Errorf("comm: unknown tensor %d", t)
+	}
+	if c.specs != nil && len(g) != c.specs[t].N {
+		spec := c.specs[t]
+		return fmt.Errorf("comm: tensor %s has %d elements, got %d", spec.Name, spec.N, len(g))
+	}
+	return nil
+}
+
+// local returns rank's state, or nil with no error when a world of one
+// has nothing to exchange.
+func (c *Collective) local(rank int) (*worker, error) {
 	k := c.fabric.K()
 	if k == 1 {
-		return nil
+		return nil, nil
 	}
 	if rank < 0 || rank >= k || c.workers[rank] == nil {
-		return fmt.Errorf("comm: rank %d has no local %s state", rank, c.Name())
+		return nil, fmt.Errorf("comm: rank %d has no local %s state", rank, c.Name())
 	}
-	w := c.workers[rank]
-	if c.specs == nil {
-		for len(w.tensors) <= tensorID {
+	return c.workers[rank], nil
+}
+
+// window is the most tensors one pass of the executor interleaves: a
+// link carries at most one message of a tensor per round, and a link a
+// rank waits on holds at most two rounds' worth, so 2·window messages
+// must fit every fabric's link queue (see "Order of messages").
+const window = linkBuffer / 2
+
+// exchange is the one executor: it runs rank's schedules for tensors
+// first, first+1, … (gs[i] is tensor first+i) window by window, each
+// window round by round, and within a round in tensor order. Each
+// tensor's own steps keep their order, so its values, encoder streams
+// and messages do not depend on the other tensors in the call.
+func (c *Collective) exchange(w *worker, rank, first int, gs [][]float32) error {
+	if c.specs == nil { // NewRing: compile the tensors as this call sizes them
+		for len(w.tensors) < first+len(gs) {
 			w.tensors = append(w.tensors, compiled{spec: TensorSpec{N: -1}})
 		}
-		if w.tensors[tensorID].spec.N != len(g) {
-			w.tensors[tensorID] = c.compile(fp32Spec(len(g)), tensorID, rank)
+		for i, g := range gs {
+			if w.tensors[first+i].spec.N != len(g) {
+				w.tensors[first+i] = c.compile(fp32Spec(len(g)), first+i, rank)
+			}
 		}
 	}
-	ct := &w.tensors[tensorID]
-	tr := c.tracer
-	w.acc = spanAcc{}
+	k, tr := c.fabric.K(), c.tracer
+	tensors := w.tensors[first : first+len(gs)]
+	for i := range tensors {
+		tensors[i].acc = spanAcc{}
+	}
 	start := tr.Now()
-	for i, st := range ct.steps {
-		ch := ct.chunks[st.chunk]
-		if err := w.run(tr, rank, k, ct, st, ct.encs[i], g[ch.off:ch.off+ch.n]); err != nil {
-			return fmt.Errorf("comm: %s step %d of %s (chunk %d): %w", c.Name(), i, ct.spec.Name, st.chunk, err)
+	for lo := 0; lo < len(gs); lo += window {
+		hi := min(lo+window, len(gs))
+		for round := 0; round < c.rounds; round++ {
+			for t := lo; t < hi; t++ {
+				ct, g := &tensors[t], gs[t]
+				w.acc = &ct.acc
+				for i := ct.bounds[round]; i < ct.bounds[round+1]; i++ {
+					st := ct.steps[i]
+					ch := ct.chunks[st.chunk]
+					if err := w.run(tr, rank, k, ct, st, ct.encs[i], g[ch.off:ch.off+ch.n]); err != nil {
+						return fmt.Errorf("comm: %s step %d of %s (chunk %d): %w", c.Name(), i, ct.spec.Name, st.chunk, err)
+					}
+				}
+			}
 		}
 	}
-	w.acc.record(tr, rank, ct.spec.Name, start)
+	for i := range tensors {
+		tensors[i].acc.record(tr, rank, tensors[i].spec.Name, start)
+	}
 	return nil
 }
 

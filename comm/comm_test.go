@@ -440,6 +440,15 @@ func TestReduceErrors(t *testing.T) {
 	if err := rb.Reduce(0, 0, make([]float32, 3)); err == nil {
 		t.Fatal("expected length-mismatch error")
 	}
+	if err := rb.ReduceAll(0, [][]float32{make([]float32, 10), make([]float32, 10)}); err == nil {
+		t.Fatal("ReduceAll: expected unknown-tensor error")
+	}
+	if err := rb.ReduceAll(0, [][]float32{make([]float32, 3)}); err == nil {
+		t.Fatal("ReduceAll: expected length-mismatch error")
+	}
+	if err := rb.ReduceAll(2, [][]float32{make([]float32, 10)}); err == nil {
+		t.Fatal("ReduceAll: expected unknown-rank error")
+	}
 }
 
 func TestSingleWorkerNoOp(t *testing.T) {
@@ -458,6 +467,9 @@ func TestSingleWorkerNoOp(t *testing.T) {
 	}
 	if g[0] != 1 {
 		t.Fatal("single-worker ring must be identity")
+	}
+	if err := rb.ReduceAll(0, [][]float32{g}); err != nil || g[0] != 1 || g[2] != 3 {
+		t.Fatalf("single-worker ReduceAll must be identity: %v %v", g, err)
 	}
 }
 

@@ -29,6 +29,41 @@
 // decodes the same bytes for every chunk, so replicas stay
 // bit-identical.
 //
+// # Order of messages
+//
+// A trainer exchanges all of a step's tensors in one ReduceAll call, and
+// the executor interleaves them: each schedule step carries a round, a
+// rank runs its steps of all the tensors round by round — in tensor
+// order within a round, each tensor's own steps in their order — and
+// so sends every tensor's messages of a round before it waits on any.
+// The direct schedule has three rounds: every contribution; then, per
+// tensor, the owner's receive-adds and the broadcast of the sum; then
+// the placing of the broadcasts. The ring has two per reduce-scatter
+// hop (the sends, then the receive-adds), one for the owners' sends and
+// one per all-gather hop. The latency a step pays is then per round,
+// not per tensor and round.
+//
+// Per link the order is the same at both ends. Every message sent in
+// round ρ is received in round ρ+1, and a link carries at most one
+// message of a tensor in a round (TestScheduleRounds), so the sender's
+// order, by (round, tensor), is the receiver's order, by (round − 1,
+// tensor). No codec state, encoder stream or byte is shared between
+// tensors, so a tensor's values, bytes and messages are those of a
+// Reduce of it alone (TestReduceAllMatchesReduce). Reduce is the same
+// executor on one tensor, whose steps are already in round order.
+//
+// Links are bounded queues (linkBuffer messages), so the executor takes
+// the tensors in windows of linkBuffer/2 and runs each window's rounds
+// before the next window's (a window's last round only receives). That
+// keeps every exchange deadlock-free. Suppose some rank never finishes
+// round ρ, the earliest such round. Every rank finishes round ρ−1, so
+// every receive of round ρ finds its message. A link's receiver, having
+// finished round ρ−1, has taken all the link's messages of earlier
+// rounds, and its stuck sender has sent none of later ones, so the link
+// holds at most the window's messages of rounds ρ−1 and ρ: two per
+// tensor, linkBuffer in all. So no send of round ρ waits forever
+// either, and no such round exists.
+//
 // Every byte that crosses a link is counted, so tests can check it
 // against WireBytes, the volume the performance model prices — on a
 // framed transport (one whose payloads leave the process, e.g.
@@ -68,9 +103,10 @@ type Fabric struct {
 	sends []atomic.Int64
 }
 
-// linkBuffer is the per-link channel capacity. The aggregation patterns
-// in this package keep at most a handful of messages in flight per link;
-// a generous buffer lets fast workers run ahead without deadlock.
+// linkBuffer is the per-link queue capacity of every fabric (the
+// channel here, RemoteFabric's writer queue). A Collective interleaves
+// at most window = linkBuffer/2 tensors so that no exchange can fill a
+// link (see "Order of messages").
 const linkBuffer = 32
 
 // NewFabric connects k peers. It panics if k is not positive.

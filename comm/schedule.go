@@ -134,9 +134,22 @@ type step struct {
 	adopt    bool
 	chunk    int
 	from, to int
+	// round places the step in the exchange's global order (see "Order
+	// of messages" in the package documentation): every message sent in
+	// round ρ is received in round ρ+1, and a rank's steps of one tensor
+	// come in nondecreasing round order.
+	round int
 	// slot keys an encodeSend's encoder: its seed derives from
 	// (experiment seed, rank, tensor, slot).
 	slot uint64
+}
+
+// rounds returns how many rounds prim's schedule spans on k ≥ 2 ranks.
+func rounds(prim Primitive, k int) int {
+	if prim == NCCL {
+		return 3*k - 2
+	}
+	return 3
 }
 
 // schedule calls visit with every step rank performs, in order, to
@@ -154,6 +167,7 @@ func schedule(prim Primitive, chunks []chunk, k, rank int, visit func(step)) {
 // stripe it owns; the owner adds the other K−1 contributions in rank
 // order, encodes the sum once, broadcasts it and adopts it; every rank
 // places the other owners' broadcasts. Empty stripes travel nowhere.
+// The three phases are its three rounds.
 func direct(chunks []chunk, k, rank int, visit func(step)) {
 	for o, c := range chunks {
 		if c.n > 0 {
@@ -163,14 +177,14 @@ func direct(chunks []chunk, k, rank int, visit func(step)) {
 	if chunks[rank].n > 0 {
 		for p := 0; p < k; p++ {
 			if p != rank {
-				visit(step{op: recvAdd, chunk: rank, from: p})
+				visit(step{op: recvAdd, chunk: rank, from: p, round: 1})
 			}
 		}
-		visit(step{op: encodeSend, chunk: rank, to: everyPeer, slot: aggSlot, adopt: true})
+		visit(step{op: encodeSend, chunk: rank, to: everyPeer, slot: aggSlot, adopt: true, round: 1})
 	}
 	for o, c := range chunks {
 		if o != rank && c.n > 0 {
-			visit(step{op: recvPlace, chunk: o, from: o, to: rank})
+			visit(step{op: recvPlace, chunk: o, from: o, to: rank, round: 2})
 		}
 	}
 }
@@ -181,22 +195,24 @@ func direct(chunks []chunk, k, rank int, visit func(step)) {
 // owns chunk rank+1 complete, encodes it once, adopts it and sends it
 // right. All-gather: for K−1 hops each rank places the chunk arriving
 // from the left and relays the same bytes right, except on the last hop.
-// Every chunk travels, empty ones as bare frames.
+// Every chunk travels, empty ones as bare frames. A reduce-scatter hop
+// is two rounds, its send and its receive; the owner's send is one, and
+// so is each all-gather hop.
 func ring(chunks []chunk, k, rank int, visit func(step)) {
 	right, left := (rank+1)%k, (rank+k-1)%k
 	at := func(c int) int { return (c%k + k) % k }
 	for s := 0; s < k-1; s++ {
 		c := at(rank - s)
-		visit(step{op: encodeSend, chunk: c, to: right, slot: uint64(c)})
-		visit(step{op: recvAdd, chunk: at(rank - s - 1), from: left})
+		visit(step{op: encodeSend, chunk: c, to: right, slot: uint64(c), round: 2 * s})
+		visit(step{op: recvAdd, chunk: at(rank - s - 1), from: left, round: 2*s + 1})
 	}
-	visit(step{op: encodeSend, chunk: at(rank + 1), to: right, slot: aggSlot, adopt: true})
+	visit(step{op: encodeSend, chunk: at(rank + 1), to: right, slot: aggSlot, adopt: true, round: 2*k - 2})
 	for s := 0; s < k-1; s++ {
 		relay := right
 		if s == k-2 {
 			relay = rank
 		}
-		visit(step{op: recvPlace, chunk: at(rank - s), from: left, to: relay})
+		visit(step{op: recvPlace, chunk: at(rank - s), from: left, to: relay, round: 2*k - 1 + s})
 	}
 }
 

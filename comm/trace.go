@@ -14,9 +14,9 @@ type PeerAccounter interface {
 	PeerTraffic(p int) PeerTraffic
 }
 
-// spanAcc accumulates one Reduce call's phase durations so the reducer
-// records a handful of coarse spans per tensor instead of one per
-// message. All fields are nanoseconds except bytes. With a nil tracer
+// spanAcc accumulates one tensor's phase durations over an exchange so
+// the reducer records a handful of coarse spans per tensor instead of
+// one per message. All fields are nanoseconds except bytes. With a nil tracer
 // every accumulated delta is zero (obs.(*Tracer).Now returns 0) and the
 // final Record calls are no-ops, so the accounting is inert.
 type spanAcc struct {
@@ -49,8 +49,8 @@ func (a *spanAcc) record(tr *obs.Tracer, rank int, op string, startNS int64) {
 type endpoint struct {
 	fabric Transport
 	framed bool
-	buf    []byte // receive buffer, grown to the largest message
-	acc    spanAcc
+	buf    []byte   // receive buffer, grown to the largest message
+	acc    *spanAcc // the phase times of the tensor whose step runs
 }
 
 // inbound is what a rank knows of the messages one tensor arrives in:

@@ -1,11 +1,14 @@
 package comm
 
 import (
+	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
 	"repro/obs"
 	"repro/quant"
+	"repro/rng"
 )
 
 // TestRemoteFabricPerPeerAccounting pins the satellite contract: the
@@ -131,6 +134,36 @@ func TestReducerSpans(t *testing.T) {
 				t.Error("transfer spans carry no bytes")
 			}
 		})
+	}
+}
+
+// TestReduceAllSpansPerTensor: one ReduceAll records each tensor's
+// spans under the tensor's own name, and each tensor's transfer bytes
+// on each rank are what a Reduce of that tensor alone records.
+func TestReduceAllSpansPerTensor(t *testing.T) {
+	const k = 3
+	specs := inventorySpecs([]quant.Shape{{Rows: 16, Cols: 8}, {Rows: 5, Cols: 1}, {Rows: 40, Cols: 4}}, "qsgd4b512+32bit")
+	inputs := randInputs(rng.New(8), k, []int{128, 5, 160})
+	bytes := func(exchange func(*Collective) exchangeFunc) map[string]int64 {
+		red := NewCollective(NewFabric(k), MPI, specs, 1, nil)
+		tr := obs.NewTracer(1024)
+		red.SetTracer(tr)
+		runRanks(t, exchange(red), inputs)
+		got := map[string]int64{}
+		for _, s := range tr.Snapshot() {
+			if s.Phase == obs.PhaseTransfer {
+				got[fmt.Sprintf("%d/%s", s.Rank, s.Op)] += s.Bytes
+			}
+		}
+		return got
+	}
+	each := bytes(func(c *Collective) exchangeFunc { return eachTensor(c) })
+	all := bytes(func(c *Collective) exchangeFunc { return c.ReduceAll })
+	if len(each) != k*len(specs) {
+		t.Fatalf("per-tensor Reduce recorded transfer spans for %v, want every rank and tensor", each)
+	}
+	if !maps.Equal(all, each) {
+		t.Errorf("ReduceAll transfer bytes per rank and tensor %v, Reduce %v", all, each)
 	}
 }
 

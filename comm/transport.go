@@ -82,8 +82,12 @@ var (
 )
 
 // maxRetainedSlabs bounds the send buffers one directed link keeps for
-// reuse; the aggregation patterns hold a handful in flight per link.
-const maxRetainedSlabs = 8
+// reuse: as many as the link can hold out at once — a full queue, the
+// slab a sender blocked on it holds, and the one its consumer (the
+// receiver copying out, or the socket writer) holds. A round-major
+// exchange can fill a link's queue, and a shorter list would drop, and
+// reallocate, slabs on every exchange.
+const maxRetainedSlabs = linkBuffer + 2
 
 // slabPool is one directed link's free list of send buffers ("slabs").
 // A slab is taken by Send, travels with the message, and is returned by
@@ -121,6 +125,9 @@ func (p *slabPool) get(n int) []byte {
 // put returns a slab to the list. The caller must not touch it again.
 func (p *slabPool) put(b []byte) {
 	p.mu.Lock()
+	if p.free == nil {
+		p.free = make([][]byte, 0, maxRetainedSlabs) // never grown again
+	}
 	if len(p.free) < maxRetainedSlabs {
 		p.free = append(p.free, b)
 	}

@@ -42,8 +42,24 @@ func (d *Dataset) Len() int { return d.X.Rows }
 
 // Gather copies the samples at the given indices into a fresh batch.
 func (d *Dataset) Gather(indices []int) (*tensor.Matrix, []int) {
-	x := tensor.New(len(indices), d.X.Cols)
-	labels := make([]int, len(indices))
+	return d.GatherInto(nil, nil, indices)
+}
+
+// GatherInto is Gather into storage the caller keeps from batch to
+// batch: x and labels (either may be nil) are refilled when their
+// capacity suffices and replaced by larger ones otherwise. It returns
+// the batch, which the caller passes back in next time.
+func (d *Dataset) GatherInto(x *tensor.Matrix, labels, indices []int) (*tensor.Matrix, []int) {
+	n, cols := len(indices), d.X.Cols
+	if x == nil || cap(x.Data) < n*cols {
+		x = tensor.New(n, cols)
+	} else {
+		x.Rows, x.Cols, x.Data = n, cols, x.Data[:n*cols]
+	}
+	if cap(labels) < n {
+		labels = make([]int, n)
+	}
+	labels = labels[:n]
 	for i, idx := range indices {
 		copy(x.Row(i), d.X.Row(idx))
 		labels[i] = d.Labels[idx]

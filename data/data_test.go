@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/rng"
@@ -126,6 +127,30 @@ func TestGather(t *testing.T) {
 	}
 	if labels[1] != train.Labels[7] {
 		t.Fatal("gather copied wrong label")
+	}
+}
+
+// TestGatherInto: refilled storage holds exactly what a fresh Gather
+// returns, a batch that fits reuses it without allocating, and a larger
+// one grows it.
+func TestGatherInto(t *testing.T) {
+	cfg := ImageConfig{Classes: 3, Channels: 1, H: 3, W: 3, TrainN: 20, TestN: 2, Noise: 0.1, Seed: 5}
+	train, _ := MakeImages(cfg)
+	x, labels := train.GatherInto(nil, nil, []int{4, 9, 2, 17})
+	for _, idx := range [][]int{{8, 1}, {0, 19, 5, 6}, {}, {11, 12, 13, 14, 15}} {
+		grown := cap(x.Data) < len(idx)*x.Cols
+		prev := &x.Data[:1][0]
+		x, labels = train.GatherInto(x, labels, idx)
+		wantX, wantLabels := train.Gather(idx)
+		if x.Rows != wantX.Rows || x.Cols != wantX.Cols || !slices.Equal(x.Data, wantX.Data) || !slices.Equal(labels, wantLabels) {
+			t.Fatalf("GatherInto(%v) differs from Gather", idx)
+		}
+		if !grown && &x.Data[:1][0] != prev {
+			t.Fatalf("GatherInto(%v) replaced storage that fits", idx)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { x, labels = train.GatherInto(x, labels, []int{3, 1, 4}) }); allocs != 0 {
+		t.Errorf("GatherInto into fitting storage allocates %v times", allocs)
 	}
 }
 

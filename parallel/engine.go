@@ -16,6 +16,7 @@ import (
 	"repro/obs"
 	"repro/quant"
 	"repro/rng"
+	"repro/tensor"
 )
 
 // Trainer runs synchronous data-parallel SGD. In the default
@@ -42,6 +43,11 @@ type Trainer struct {
 	stepErr      []error
 	stepCompute  []time.Duration
 	stepExchange []time.Duration
+	// Per-rank step storage, grown once and reused every step: the
+	// shard's batch and the gradient list the exchange takes.
+	stepX      []*tensor.Matrix
+	stepLabels [][]int
+	stepGrads  [][][]float32
 
 	// stepIdx counts completed synchronous steps; statsMu guards it,
 	// the elastic cursor, and the fabric/monitor identities (which a
@@ -144,6 +150,9 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 	t.stepErr = make([]error, len(t.ranks))
 	t.stepCompute = make([]time.Duration, len(t.ranks))
 	t.stepExchange = make([]time.Duration, len(t.ranks))
+	t.stepX = make([]*tensor.Matrix, len(t.ranks))
+	t.stepLabels = make([][]int, len(t.ranks))
+	t.stepGrads = make([][][]float32, len(t.ranks))
 	infos := t.replicas[0].TensorInfos()
 	t.plan = quant.NewPlan(cfg.Policy, infos)
 	switch {
@@ -529,7 +538,8 @@ func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
 			c0 := t.tracer.Now()
 			start := time.Now()
 			shard := batch[w*len(batch)/k : (w+1)*len(batch)/k]
-			x, labels := train.Gather(shard)
+			x, labels := train.GatherInto(t.stepX[li], t.stepLabels[li], shard)
+			t.stepX[li], t.stepLabels[li] = x, labels
 			net := t.replicas[li]
 			net.ZeroGrads()
 			loss := t.losses[li]
@@ -537,16 +547,19 @@ func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
 			net.Backward(loss.Backward(labels))
 			compute[li] = time.Since(start)
 			t.tracer.Record(w, obs.PhaseCompute, "step", -1, 0, c0, int64(compute[li]))
-			// Exchange every tensor; the barrier span covers the whole
-			// blocking exchange, the reducer's fine spans break it down,
-			// and the remainder is straggler wait.
+			// Exchange every tensor in one call; the barrier span covers
+			// the whole blocking exchange, the reducer's fine spans break
+			// it down, and the remainder is straggler wait.
+			grads := t.stepGrads[li][:0]
+			for _, p := range net.Params() {
+				grads = append(grads, p.Grad.Data)
+			}
+			t.stepGrads[li] = grads
 			e0 := t.tracer.Now()
 			exchStart := time.Now()
-			for i, p := range net.Params() {
-				if err := t.reducer.Reduce(w, i, p.Grad.Data); err != nil {
-					errs[li] = err
-					return
-				}
+			if err := t.reducer.ReduceAll(w, grads); err != nil {
+				errs[li] = err
+				return
 			}
 			exchange[li] = time.Since(exchStart)
 			t.tracer.Record(w, obs.PhaseBarrier, "exchange", -1, 0, e0, int64(exchange[li]))
