@@ -57,6 +57,9 @@ type exchangeDriver struct {
 	done  chan error
 }
 
+// newExchangeDriver starts one goroutine per rank, each exchanging its
+// own copy of every tensor per run. Reduced values are scaled back by
+// 1/K so repeated runs stay finite.
 func newExchangeDriver(exchange exchangeFunc, k int, shapes []quant.Shape) *exchangeDriver {
 	d := &exchangeDriver{start: make([]chan struct{}, k), done: make(chan error, k)}
 	r := rng.New(17)

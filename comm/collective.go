@@ -23,14 +23,14 @@ type Collective struct {
 	prim   Primitive
 	seed   uint64
 	// specs describes the tensors; nil means any tensor, carried as
-	// 32bit and compiled on its first Reduce (NewRing).
+	// 32bit and compiled on its first exchange (NewRing).
 	specs   []TensorSpec
 	workers []*worker // per rank; nil for ranks another process drives
 	rounds  int       // rounds in prim's schedule on this fabric
 	tracer  *obs.Tracer
 }
 
-// worker is one rank's state across Reduce calls, so a step allocates
+// worker is one rank's state across exchanges, so a step allocates
 // nothing once the buffers have met the largest message.
 type worker struct {
 	tensors []compiled
@@ -149,15 +149,15 @@ func (c *Collective) Name() string {
 	return "mpi-rb"
 }
 
-// SetTracer makes Reduce record per-tensor quantise (or, for 32bit,
-// encode), transfer and decode spans. A nil tracer disables tracing
+// SetTracer makes Reduce and ReduceAll record per-tensor quantise (or,
+// for 32bit, encode), transfer and decode spans. A nil tracer disables tracing
 // again.
 func (c *Collective) SetTracer(tr *obs.Tracer) { c.tracer = tr }
 
 // BeginStep repositions every local stochastic encoder stream
 // (quant.Reseeder — QSGD's stochastic rounding) to the seed derived
 // from (experiment seed, rank, tensor, slot, step). An elastic trainer
-// calls it on every rank before the step's first Reduce, making step
+// calls it on every rank before the step's exchange, making step
 // s's draws a pure function of its coordinates rather than of the draw
 // history (non-elastic runs keep the paper's cumulative streams): a
 // replacement rank reconstructs the dead rank's streams, and a survivor

@@ -16,9 +16,9 @@ type PeerAccounter interface {
 
 // spanAcc accumulates one tensor's phase durations over an exchange so
 // the reducer records a handful of coarse spans per tensor instead of
-// one per message. All fields are nanoseconds except bytes. With a nil tracer
-// every accumulated delta is zero (obs.(*Tracer).Now returns 0) and the
-// final Record calls are no-ops, so the accounting is inert.
+// one per message. All fields are nanoseconds except bytes. With a nil
+// tracer every accumulated delta is zero (obs.(*Tracer).Now returns 0)
+// and the final Record calls are no-ops, so the accounting is inert.
 type spanAcc struct {
 	quantise, encode, transfer, decode, bytes int64
 }

@@ -50,8 +50,10 @@ type Transport interface {
 	// may be empty), from peer `from` to peer `to`. Both are copied
 	// before Send returns, so the caller may overwrite them — or the
 	// tensor a "32bit" payload is a view of — immediately. Send blocks
-	// only while the link's queue is full. Sending on a closed fabric
-	// returns ErrClosed.
+	// only while the link's queue is full, and a link queues at least
+	// linkBuffer (32) messages: a Collective's exchange is deadlock-free
+	// only on that condition (see "Order of messages"). Sending on a
+	// closed fabric returns ErrClosed.
 	Send(from, to int, header, payload []byte) error
 	// RecvInto blocks until the next message on the (from, to) link and
 	// reads it into dst, which must have exactly the message's length: a
