@@ -305,12 +305,14 @@ func TestTeardownWithSlabsInFlight(t *testing.T) {
 			// The writer has exited (teardown waits for it), so the free
 			// list is quiescent: every slab in it must be a distinct buffer.
 			seen := map[*byte]bool{}
-			for _, b := range f0.links[1].slabs.free {
-				p := &b[:1][0]
-				if seen[p] {
-					t.Fatal("a slab was returned to the free list twice")
+			for _, l := range f0.links[1].slabs.classes {
+				for _, b := range l.free {
+					p := &b[:1][0]
+					if seen[p] {
+						t.Fatal("a slab was returned to the free list twice")
+					}
+					seen[p] = true
 				}
-				seen[p] = true
 			}
 			f1.Close()
 			waitGoroutines(t, before)

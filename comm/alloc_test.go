@@ -3,26 +3,18 @@ package comm
 import (
 	"cmp"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/quant"
 )
 
-// exchangeAllocs warms an exchange over f up on an inventory — the
-// MLP's message sizes cycle from 2 MB down to 40 bytes on every link,
-// the case a free list that hands out buffers in FIFO order never
-// recovers from — and returns the allocations per steady-state
-// exchange. The exchanges run on persistent goroutines, so the figure
-// is the exchange's alone.
-//
-// Steady state includes the slab pools' peak: how many slabs a link
-// ever has out at once depends on how far the scheduler lets one rank
-// run ahead, and a round-major exchange can take dozens of exchanges to
-// meet its rare peaks. So the warm-up ends by filling every link's
-// free list to its bound (primeSlabs). Any allocation after that is
-// the exchange's own, or a link with more slabs out than it retains.
-func exchangeAllocs(t *testing.T, f Transport, exchange exchangeFunc, k int, shapes []quant.Shape) float64 {
+// exchangeAllocs warms an exchange up on an inventory — the MLP's
+// message sizes cycle from 2 MB down to 40 bytes on every link, the
+// case a free list that hands out buffers in FIFO order never recovers
+// from — calls prime if it is not nil, and returns the allocations per
+// steady-state exchange. The exchanges run on persistent goroutines, so
+// the figure is the exchange's alone.
+func exchangeAllocs(t *testing.T, exchange exchangeFunc, k int, shapes []quant.Shape, prime func()) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account; zero is asserted without -race")
@@ -35,64 +27,37 @@ func exchangeAllocs(t *testing.T, f Transport, exchange exchangeFunc, k int, sha
 		}
 	}
 	for i := 0; i < 10; i++ {
-		run() // slabs, receive buffers and frame decoders reach their sizes
+		run() // slabs, receive buffers and frame decoders reach steady state
 	}
-	primeSlabs(t, f)
+	if prime != nil {
+		prime()
+	}
 	return testing.AllocsPerRun(10, run)
 }
 
-// primeSlabs fills every link's free list of an idle fabric with
-// maxRetainedSlabs slabs of the link's largest message so far.
-func primeSlabs(t *testing.T, f Transport) {
-	t.Helper()
-	var pools []*slabPool
-	switch f := f.(type) {
-	case *Fabric:
-		for i := range f.slabs {
-			pools = append(pools, &f.slabs[i])
-		}
-	case framedFabric:
-		primeSlabs(t, f.Fabric)
-	case *TCPFabric:
-		for _, r := range f.ranks {
-			for p := range r.links {
-				pools = append(pools, &r.links[p].slabs)
+// primeSlabs fills every slab list that a link of f has met to
+// maxRetainedSlabs. The all-tensor subtests count allocations after it:
+// a round-major exchange keeps up to a window of messages in flight per
+// link, and how many of one size class a link ever has out at once
+// depends on how far the scheduler lets one rank run ahead, so its
+// slab lists can take hundreds of exchanges to meet those rare peaks
+// (after 100 the K=4 ring under 1bit*64 still allocated about once per
+// exchange in 2 of 8 runs). With every list full, an allocation is the
+// exchange's own, a size class met for the first time, or a link with
+// more slabs of a class out than it retains.
+func primeSlabs(t *testing.T, f Transport) func() {
+	return func() {
+		for _, p := range linkPools(t, f) {
+			p.mu.Lock()
+			for i := range p.classes {
+				l := &p.classes[i]
+				for len(l.free) < maxRetainedSlabs {
+					l.free = append(l.free, make([]byte, l.size))
+				}
 			}
-		}
-	default:
-		t.Fatalf("primeSlabs: unknown fabric %T", f)
-	}
-	for _, p := range pools {
-		held := make([][]byte, maxRetainedSlabs)
-		for i := range held {
-			held[i] = p.get(p.largest)
-		}
-		for _, b := range held {
-			p.put(b)
+			p.mu.Unlock()
 		}
 	}
-}
-
-// policySpecs is the MLP inventory under a codec, or under two joined
-// by "+": the first for the matrices, the second for the biases.
-func policySpecs(codec string) []TensorSpec {
-	return inventorySpecs(mlpInventory, codec)
-}
-
-// inventorySpecs describes tensors of the given wire shapes under a
-// codec, or under two joined by "+": the first for the matrices, the
-// second for the vectors (one column).
-func inventorySpecs(shapes []quant.Shape, codec string) []TensorSpec {
-	matrices, vectors, _ := strings.Cut(codec, "+")
-	specs := make([]TensorSpec, len(shapes))
-	for i, s := range shapes {
-		c := quant.MustParse(matrices)
-		if vectors != "" && s.Cols == 1 {
-			c = quant.MustParse(vectors)
-		}
-		specs[i] = TensorSpec{Name: fmt.Sprintf("t%d", i), N: s.Len(), Wire: s, Codec: c}
-	}
-	return specs
 }
 
 // allInventories are the inventories the all-tensor exchange is held to
@@ -114,9 +79,8 @@ func TestReduceBroadcastExchangeAllocs(t *testing.T) {
 	for _, codec := range []string{"32bit", "qsgd4b512", "1bit", "qsgd4b512+32bit"} {
 		for _, kind := range []string{"chan", "framed", "tcp"} {
 			t.Run(codec+"/"+kind, func(t *testing.T) {
-				f := benchFabric(t, kind, k)
-				rb := NewReduceBroadcast(f, policySpecs(codec), 3)
-				if allocs := exchangeAllocs(t, f, eachTensor(rb), k, mlpInventory); allocs != 0 {
+				rb := NewReduceBroadcast(benchFabric(t, kind, k), inventorySpecs(mlpInventory, codec), 3)
+				if allocs := exchangeAllocs(t, eachTensor(rb), k, mlpInventory, nil); allocs != 0 {
 					t.Errorf("steady-state exchange allocates %v times, want 0", allocs)
 				}
 			})
@@ -124,7 +88,7 @@ func TestReduceBroadcastExchangeAllocs(t *testing.T) {
 				t.Run("all/"+inv.name+"/"+codec+"/"+kind, func(t *testing.T) {
 					f := benchFabric(t, kind, k)
 					rb := NewReduceBroadcast(f, inventorySpecs(inv.shapes, codec), 3)
-					if allocs := exchangeAllocs(t, f, rb.ReduceAll, k, inv.shapes); allocs != 0 {
+					if allocs := exchangeAllocs(t, rb.ReduceAll, k, inv.shapes, primeSlabs(t, f)); allocs != 0 {
 						t.Errorf("steady-state all-tensor exchange allocates %v times, want 0", allocs)
 					}
 				})
@@ -153,7 +117,7 @@ func TestRingExchangeAllocs(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				f := benchFabric(t, kind, k)
-				if allocs := exchangeAllocs(t, f, eachTensor(ring(f, mlpInventory)), k, mlpInventory); allocs != 0 {
+				if allocs := exchangeAllocs(t, eachTensor(ring(f, mlpInventory)), k, mlpInventory, nil); allocs != 0 {
 					t.Errorf("steady-state ring exchange allocates %v times, want 0", allocs)
 				}
 			})
@@ -161,7 +125,7 @@ func TestRingExchangeAllocs(t *testing.T) {
 				name := cmp.Or(codec, "learned")
 				t.Run("all/"+inv.name+"/"+name+"/"+kind, func(t *testing.T) {
 					f := benchFabric(t, kind, k)
-					if allocs := exchangeAllocs(t, f, ring(f, inv.shapes).ReduceAll, k, inv.shapes); allocs != 0 {
+					if allocs := exchangeAllocs(t, ring(f, inv.shapes).ReduceAll, k, inv.shapes, primeSlabs(t, f)); allocs != 0 {
 						t.Errorf("steady-state all-tensor ring exchange allocates %v times, want 0", allocs)
 					}
 				})
@@ -196,15 +160,123 @@ func TestSlabPoolSizeCycling(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Errorf("size-cycling link allocates %v times per cycle in steady state", allocs)
 	}
-	// Flood the list: what it retains is bounded.
+	// Flood a list: what it retains is bounded.
 	for i := 0; i < 2*maxRetainedSlabs; i++ {
 		p.put(make([]byte, 16))
 	}
-	if len(p.free) != maxRetainedSlabs {
-		t.Fatalf("pool retains %d slabs, bound is %d", len(p.free), maxRetainedSlabs)
+	if n := len(p.list(16).free); n != maxRetainedSlabs {
+		t.Fatalf("pool retains %d slabs, bound is %d", n, maxRetainedSlabs)
 	}
 	// And a retained slab that is too small is replaced, not handed out.
 	if b := p.get(1 << 20); len(b) != 1<<20 {
 		t.Fatalf("get(1 MiB) returned %d bytes", len(b))
+	}
+}
+
+// TestSlabPoolRetainsByClass: a link that had a full queue of 40-byte
+// messages and one 1 MiB + 24-byte message out at once retains those
+// slabs, each at most 1/8 over its message — not a queue of slabs the
+// size of the largest.
+func TestSlabPoolRetainsByClass(t *testing.T) {
+	for _, n := range []int{0, 1, 16, 17, 40, 1000, 4096, 4097, 1<<20 + 24} {
+		if c := slabClass(n); c < n || c > max(n+n/8, 16) {
+			t.Errorf("slabClass(%d) = %d, want within [n, n+n/8]", n, c)
+		}
+	}
+	var p slabPool
+	held := [][]byte{p.get(1<<20 + 24)}
+	for i := 0; i < linkBuffer; i++ {
+		held = append(held, p.get(40))
+	}
+	for _, b := range held {
+		p.put(b)
+	}
+	want := slabClass(1<<20+24) + linkBuffer*slabClass(40)
+	if got := retainedBytes(&p); got != want {
+		t.Errorf("pool retains %d bytes, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i, b := range held {
+			held[i] = p.get(len(b))
+		}
+		for _, b := range held {
+			p.put(b)
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling the same messages allocates %v times", allocs)
+	}
+}
+
+// retainedBytes is what a slab pool holds for reuse.
+func retainedBytes(p *slabPool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	total := 0
+	for _, l := range p.classes {
+		total += l.size * len(l.free)
+	}
+	return total
+}
+
+// linkPools returns the slab pool of each directed link of f.
+func linkPools(t *testing.T, f Transport) map[[2]int]*slabPool {
+	t.Helper()
+	if ff, ok := f.(framedFabric); ok {
+		f = ff.Fabric
+	}
+	pools := map[[2]int]*slabPool{}
+	for from := 0; from < f.K(); from++ {
+		for to := 0; to < f.K(); to++ {
+			if from == to {
+				continue
+			}
+			switch f := f.(type) {
+			case *Fabric:
+				pools[[2]int{from, to}] = &f.slabs[f.link(from, to)]
+			case *TCPFabric:
+				pools[[2]int{from, to}] = &f.Rank(from).links[to].slabs
+			default:
+				t.Fatalf("linkPools: unknown fabric %T", f)
+			}
+		}
+	}
+	return pools
+}
+
+// TestSlabRetentionMixedInventory: under a round-major exchange of one
+// large tensor among many small ones (an embedding and its biases),
+// every link retains at most twice the bytes it carries per exchange.
+// Slabs sized to a link's largest message would retain a window of
+// large ones.
+func TestSlabRetentionMixedInventory(t *testing.T) {
+	shapes := []quant.Shape{{Rows: 4096, Cols: 64}}
+	for i := 0; i < 40; i++ {
+		shapes = append(shapes, quant.Shape{Rows: 64, Cols: 1})
+	}
+	const exchanges = 20
+	for _, tc := range []struct {
+		prim Primitive
+		k    int
+	}{{MPI, 2}, {NCCL, 4}} {
+		for _, kind := range []string{"chan", "tcp"} {
+			t.Run(fmt.Sprintf("%s/k%d/%s", tc.prim, tc.k, kind), func(t *testing.T) {
+				f := benchFabric(t, kind, tc.k)
+				c := NewCollective(f, tc.prim, inventorySpecs(shapes, "32bit"), 3, nil)
+				d := newExchangeDriver(c.ReduceAll, tc.k, shapes)
+				defer d.stop()
+				for i := 0; i < exchanges; i++ {
+					if err := d.run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				traffic := linkTraffic(t, f)
+				for l, p := range linkPools(t, f) {
+					perExchange := traffic[l].TxBytes / exchanges
+					if got := int64(retainedBytes(p)); got > 2*perExchange {
+						t.Errorf("link %d→%d retains %d bytes of slabs, carries %d per exchange", l[0], l[1], got, perExchange)
+					}
+				}
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/quant"
@@ -18,10 +19,18 @@ var mlpInventory = []quant.Shape{
 	{Rows: 10, Cols: 512}, {Rows: 10, Cols: 1},
 }
 
-func mlpSpecs(codec quant.Codec) []TensorSpec {
-	specs := make([]TensorSpec, len(mlpInventory))
-	for i, s := range mlpInventory {
-		specs[i] = TensorSpec{Name: fmt.Sprintf("t%d", i), N: s.Len(), Wire: s, Codec: codec}
+// inventorySpecs describes tensors of the given wire shapes under a
+// codec, or under two joined by "+": the first for the matrices, the
+// second for the vectors (one column).
+func inventorySpecs(shapes []quant.Shape, codec string) []TensorSpec {
+	matrices, vectors, _ := strings.Cut(codec, "+")
+	specs := make([]TensorSpec, len(shapes))
+	for i, s := range shapes {
+		c := quant.MustParse(matrices)
+		if vectors != "" && s.Cols == 1 {
+			c = quant.MustParse(vectors)
+		}
+		specs[i] = TensorSpec{Name: fmt.Sprintf("t%d", i), N: s.Len(), Wire: s, Codec: c}
 	}
 	return specs
 }
@@ -183,7 +192,7 @@ func BenchmarkExchange(b *testing.B) {
 			for _, name := range []string{"32bit", "qsgd4b512"} {
 				for _, call := range []string{"each", "all"} {
 					b.Run(prim.name+"/"+kind+"/"+name+"/"+call, func(b *testing.B) {
-						red := NewCollective(benchFabric(b, kind, k), prim.p, mlpSpecs(quant.MustParse(name)), 1, nil)
+						red := NewCollective(benchFabric(b, kind, k), prim.p, inventorySpecs(mlpInventory, name), 1, nil)
 						exchange := exchangeFunc(red.ReduceAll)
 						if call == "each" {
 							exchange = eachTensor(red)

@@ -79,8 +79,8 @@
 // which issues one Write and returns it, or through the in-process
 // channel to the receiver, which returns it after copying out. An empty
 // list allocates rather than blocks (the pool must never be able to
-// deadlock an exchange); a link retains at most maxRetainedSlabs
-// buffers, each as large as its largest message. Receives land in
+// deadlock an exchange); a link keeps one list per size class of
+// message, each of at most maxRetainedSlabs buffers. Receives land in
 // memory the caller owns (Transport.RecvInto): a Collective knows the
 // size of every message it expects and keeps one receive buffer per
 // rank, and a message of any other size is an error before a byte of

@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -83,55 +84,86 @@ var (
 	_ Transport = (*RemoteFabric)(nil)
 )
 
-// maxRetainedSlabs bounds the send buffers one directed link keeps for
-// reuse: as many as the link can hold out at once — a full queue, the
-// slab a sender blocked on it holds, and the one its consumer (the
-// receiver copying out, or the socket writer) holds. A round-major
-// exchange can fill a link's queue, and a shorter list would drop, and
-// reallocate, slabs on every exchange.
+// maxRetainedSlabs bounds the send buffers of one size class that one
+// directed link keeps for reuse: as many as the link can hold out at
+// once — a full queue, the slab a sender blocked on it holds, and the
+// one its consumer (the receiver copying out, or the socket writer)
+// holds. A round-major exchange can fill a link's queue with messages
+// of one size, and a shorter list would drop, and reallocate, slabs on
+// every exchange.
 const maxRetainedSlabs = linkBuffer + 2
 
-// slabPool is one directed link's free list of send buffers ("slabs").
+// slabPool is one directed link's free lists of send buffers ("slabs").
 // A slab is taken by Send, travels with the message, and is returned by
 // whoever consumes it — the socket writer once flushed, the in-process
 // receiver once copied out. The bound is on what is retained, not on
 // what is in flight: taking from an empty list allocates.
 //
 // Message sizes on one link cycle through the tensor inventory (a 4 KB
-// bias follows a 1 MB matrix every step), so a slab is never allocated
-// smaller than the link's largest message so far, and one too small for
-// its message is dropped for a new one: within a few exchanges every
-// slab in circulation fits every message.
+// bias follows a 1 MB matrix every step), so the pool keeps one free
+// list per size class (slabClass): a message takes a slab of its own
+// class, never a larger one. A list allocates only while the link has
+// more of its class out at once than ever before, so within a few
+// exchanges every list stops allocating, and what a link retains is
+// what it once had in flight, each slab at most 1/8 over its message —
+// not a window of messages each the size of the link's largest.
 type slabPool struct {
 	mu      sync.Mutex
-	free    [][]byte
-	largest int // largest message so far
+	classes []slabList // one per size class met so far
+}
+
+// slabList is a slabPool's free list of one size class.
+type slabList struct {
+	size int // slab length of the class
+	free [][]byte
+}
+
+// slabClass returns the size class of an n-byte message: n itself up
+// to 16 bytes, above that n rounded up to the next of eight equal steps
+// between two powers of two (a 1 MiB + 24-byte message takes a
+// 1.125 MiB slab).
+func slabClass(n int) int {
+	if n <= 16 {
+		return n
+	}
+	step := 1 << (bits.Len(uint(n-1)) - 4)
+	return (n + step - 1) &^ (step - 1)
+}
+
+// list returns the free list of size class size, adding it if the link
+// has not met the class before. The caller holds p.mu.
+func (p *slabPool) list(size int) *slabList {
+	for i := range p.classes {
+		if p.classes[i].size == size {
+			return &p.classes[i]
+		}
+	}
+	p.classes = append(p.classes, slabList{size: size, free: make([][]byte, 0, maxRetainedSlabs)})
+	return &p.classes[len(p.classes)-1]
 }
 
 // get returns a slab of length n.
 func (p *slabPool) get(n int) []byte {
+	size := slabClass(n)
 	p.mu.Lock()
-	p.largest = max(p.largest, n)
-	size := p.largest
+	l := p.list(size)
 	var b []byte
-	if last := len(p.free) - 1; last >= 0 {
-		b, p.free[last], p.free = p.free[last], nil, p.free[:last]
+	if last := len(l.free) - 1; last >= 0 {
+		b, l.free[last], l.free = l.free[last], nil, l.free[:last]
 	}
 	p.mu.Unlock()
-	if cap(b) < n {
+	if b == nil {
 		b = make([]byte, size)
 	}
 	return b[:n]
 }
 
-// put returns a slab to the list. The caller must not touch it again.
+// put returns a slab from get to its list. The caller must not touch it
+// again.
 func (p *slabPool) put(b []byte) {
 	p.mu.Lock()
-	if p.free == nil {
-		p.free = make([][]byte, 0, maxRetainedSlabs) // never grown again
-	}
-	if len(p.free) < maxRetainedSlabs {
-		p.free = append(p.free, b)
+	if l := p.list(cap(b)); len(l.free) < maxRetainedSlabs {
+		l.free = append(l.free, b)
 	}
 	p.mu.Unlock()
 }
