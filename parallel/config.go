@@ -13,10 +13,13 @@
 // In cluster mode (Config.Fabric/Rank) the trainer is one rank of a
 // multi-process world and cooperates with the health plane
 // (Config.Monitor, repro/health): a peer-death verdict aborts the
-// fabric and surfaces from Run as health.ErrPeerDead, Config.
-// StepDeadline bounds a wedged step with ErrStepDeadline, and
-// StepStats attributes each synchronous barrier to its slowest rank
-// from timings the heartbeats carry.
+// fabric through the verdict handler the trainer registers and
+// surfaces from Run as health.ErrPeerDead, Config.StepDeadline bounds
+// a wedged step with ErrStepDeadline through one watchdog timer per
+// trainer that aborts the fabric on expiry, and StepStats attributes
+// each synchronous barrier to its slowest rank from timings the
+// heartbeats carry. Guarded or not, a step is driven from the goroutine
+// that called Run; no goroutine watches beside it.
 //
 // The sources follow those seams: config.go holds Config and the
 // result types, engine.go the Trainer, its step and evaluation,
@@ -75,10 +78,12 @@ type Config struct {
 	// Monitor attaches the cluster's health plane (see repro/health and
 	// cluster.Session.Monitor). The trainer reports its per-step
 	// timings to it (straggler telemetry piggybacks on heartbeats),
-	// folds the peers' reports into StepStats, watches for a death
-	// verdict between and during steps, and closes the monitor — whose
-	// parting bye distinguishes this rank's clean shutdown from a death
-	// — in Close. Nil outside cluster mode.
+	// folds the peers' reports into StepStats, and closes the monitor —
+	// whose parting bye distinguishes this rank's clean shutdown from a
+	// death — in Close. A death verdict fails the next step before it
+	// starts; during a step, the verdict handler the trainer registers
+	// aborts the fabric, so the blocked exchange unwinds and Run returns
+	// the monitor's Verdict() value. Nil outside cluster mode.
 	Monitor *health.Monitor
 	// HealthHandler is invoked with the death verdict whenever the
 	// attached health plane declares a peer dead — once per verdict,
@@ -103,12 +108,13 @@ type Config struct {
 	// elastic.DefaultMaxRejoins; negative means unlimited).
 	MaxRejoins int
 	// StepDeadline bounds the wall time of one synchronous step
-	// (compute + exchange); 0 disables it. On expiry the trainer aborts
-	// the fabric and Run returns an ErrStepDeadline — the straggler
-	// guard rail for a peer that is alive enough to heartbeat but too
-	// slow (or wedged) to ever finish its exchange. Effective on
-	// closable fabrics (TCP, cluster mesh); the in-process channel
-	// fabric cannot interrupt a blocked exchange.
+	// (compute + exchange); 0 disables it. A watchdog timer, one per
+	// trainer and reset every step, aborts the fabric on expiry, and Run
+	// returns an ErrStepDeadline — the straggler guard rail for a peer
+	// that is alive enough to heartbeat but too slow (or wedged) to ever
+	// finish its exchange. The abort interrupts closable fabrics (TCP,
+	// cluster mesh); the in-process channel fabric cannot be
+	// interrupted, so its step finishes and then reports the deadline.
 	StepDeadline time.Duration
 	// ClipNorm bounds the global gradient L2 norm after aggregation
 	// (0 disables clipping). CNTK's recurrent recipes clip gradients;

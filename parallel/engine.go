@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/comm"
@@ -26,39 +26,30 @@ import (
 // other OS processes reachable over the mesh.
 type Trainer struct {
 	cfg Config
-	// ranks lists the global ranks this process drives; replicas[i],
-	// opts[i] and losses[i] belong to ranks[i].
-	ranks    []int
-	replicas []*nn.Network
-	opts     []*nn.SGD
-	losses   []*nn.SoftmaxCrossEntropy
+	// local holds one record per global rank this process drives, in
+	// rank order: all K in single-process mode, cfg.Rank's alone in
+	// cluster mode. local[0] holds the canonical model.
+	local    []*replica
 	fabric   comm.Transport
 	reducer  *comm.Collective
 	plan     *quant.Plan
 	specs    []comm.TensorSpec
 	monitor  *health.Monitor
-	// Per-step results of the local ranks (index li, as replicas),
-	// written by the step's worker goroutines and read after they join.
-	stepLoss     []float64
-	stepErr      []error
-	stepCompute  []time.Duration
-	stepExchange []time.Duration
-	// Per-rank step storage, grown once and reused every step: the
-	// shard's batch and the gradient list the exchange takes.
-	stepX      []*tensor.Matrix
-	stepLabels [][]int
-	stepGrads  [][][]float32
+	watchdog watchdog
 
 	// stepIdx counts completed synchronous steps; statsMu guards it,
-	// the elastic cursor, and the fabric/monitor identities (which a
-	// rejoin round swaps while metric scrapes read them).
+	// the straggler report, the elastic cursor, and the fabric/monitor
+	// identities (which a rejoin round swaps while metric scrapes read
+	// them). No monitor method is called while statsMu is held.
 	stepIdx int64
 	statsMu sync.Mutex
-	// lastStats is the latest straggler report, published as an
-	// immutable snapshot: recordStep builds a fresh StepStats each step
-	// and stores the pointer, so StepStats() readers are race-clean by
-	// construction — no lock, no torn reads, nothing shared mutable.
-	lastStats atomic.Pointer[StepStats]
+	// stats is the latest straggler report: recordStep writes it in
+	// place, StepStats copies it out. peers and peerKnown hold the
+	// health plane's latest per-rank reports, which recordStep reads
+	// before it takes the lock.
+	stats     StepStats
+	peers     []health.StepReport
+	peerKnown []bool
 
 	// tracer/metrics are the observability plane (both may be nil).
 	tracer       *obs.Tracer
@@ -98,14 +89,25 @@ type Trainer struct {
 	wireBase int64
 }
 
-// totalWireBytes returns the bytes this process's ranks have sent over
-// every fabric incarnation of the run. statsMu covers the fabric swap
-// a rejoin performs, so a concurrent metrics scrape never reads a
-// half-retired incarnation.
-func (t *Trainer) totalWireBytes() int64 {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.wireBase + t.fabric.TotalBytes()
+// replica is one local rank's state: its model, optimiser and loss
+// head, the batch and gradient-list storage its steps reuse, and the
+// results of its latest step, which its worker goroutine writes and
+// the step driver reads once the workers join.
+type replica struct {
+	rank int
+	net  *nn.Network
+	opt  *nn.SGD
+	loss *nn.SoftmaxCrossEntropy
+	// The shard's batch, grown once and reused every step, and the
+	// gradient list the exchange takes (the parameters' gradient
+	// storage never moves).
+	x      *tensor.Matrix
+	labels []int
+	grads  [][]float32
+
+	stepLoss          float64
+	err               error
+	compute, exchange time.Duration
 }
 
 // NewTrainer builds the local replicas with identical initial weights
@@ -118,21 +120,29 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	t := &Trainer{cfg: cfg, monitor: cfg.Monitor, tracer: cfg.Tracer, metrics: cfg.Metrics}
-	if cfg.Fabric != nil {
-		if k := cfg.Fabric.K(); k != cfg.Workers {
-			return nil, fmt.Errorf("parallel: fabric spans %d ranks, config wants %d workers", k, cfg.Workers)
-		}
-		if cfg.Rank < 0 || cfg.Rank >= cfg.Workers {
-			return nil, fmt.Errorf("parallel: rank %d outside world of %d", cfg.Rank, cfg.Workers)
-		}
-		t.ranks = []int{cfg.Rank}
-	} else {
-		for w := 0; w < cfg.Workers; w++ {
-			t.ranks = append(t.ranks, w)
-		}
+	k := cfg.Workers
+	t := &Trainer{
+		cfg: cfg, monitor: cfg.Monitor, tracer: cfg.Tracer, metrics: cfg.Metrics,
+		stats: StepStats{
+			Compute: make([]time.Duration, k), Exchange: make([]time.Duration, k),
+			Known: make([]bool, k), Slowest: -1,
+		},
+		peers: make([]health.StepReport, k), peerKnown: make([]bool, k),
 	}
-	for range t.ranks {
+	if cfg.Fabric != nil {
+		if fk := cfg.Fabric.K(); fk != k {
+			return nil, fmt.Errorf("parallel: fabric spans %d ranks, config wants %d workers", fk, k)
+		}
+		if cfg.Rank < 0 || cfg.Rank >= k {
+			return nil, fmt.Errorf("parallel: rank %d outside world of %d", cfg.Rank, k)
+		}
+	} else if cfg.Elastic != nil {
+		return nil, fmt.Errorf("parallel: elastic sessions need cluster mode (Config.Fabric); a single-process trainer has no rank to lose")
+	}
+	for w := range k {
+		if cfg.Fabric != nil && w != cfg.Rank {
+			continue // another process drives rank w
+		}
 		// Same init seed for every replica: weights start identical —
 		// across goroutines here and across OS processes in cluster
 		// mode. (Per-worker stochastic behaviour such as dropout uses
@@ -140,21 +150,34 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 		// across replicas, which only makes shards more, not less,
 		// comparable.)
 		net := build(rng.New(cfg.Seed))
-		t.replicas = append(t.replicas, net)
 		opt := nn.NewSGD(net.Params(), cfg.Schedule.LRAt(0), cfg.Momentum)
 		opt.SetWeightDecay(cfg.WeightDecay)
-		t.opts = append(t.opts, opt)
-		t.losses = append(t.losses, nn.NewSoftmaxCrossEntropy())
+		r := &replica{rank: w, net: net, opt: opt, loss: nn.NewSoftmaxCrossEntropy()}
+		for _, p := range net.Params() {
+			r.grads = append(r.grads, p.Grad.Data)
+		}
+		t.local = append(t.local, r)
 	}
-	t.stepLoss = make([]float64, len(t.ranks))
-	t.stepErr = make([]error, len(t.ranks))
-	t.stepCompute = make([]time.Duration, len(t.ranks))
-	t.stepExchange = make([]time.Duration, len(t.ranks))
-	t.stepX = make([]*tensor.Matrix, len(t.ranks))
-	t.stepLabels = make([][]int, len(t.ranks))
-	t.stepGrads = make([][][]float32, len(t.ranks))
-	infos := t.replicas[0].TensorInfos()
+	infos := t.local[0].net.TensorInfos()
 	t.plan = quant.NewPlan(cfg.Policy, infos)
+	for i, p := range t.local[0].net.Params() {
+		c := t.plan.CodecFor(i)
+		t.specs = append(t.specs, comm.TensorSpec{
+			Name:  p.Name,
+			N:     p.Grad.Len(),
+			Wire:  p.WireShape,
+			Codec: c,
+		})
+	}
+	if cfg.TelemetryEvery > 0 && t.monitor != nil {
+		names := make([]string, len(t.specs))
+		for i, s := range t.specs {
+			names[i] = s.Name
+		}
+		if err := health.CheckTelemetryNames(names); err != nil {
+			return nil, fmt.Errorf("parallel: telemetry: %w", err)
+		}
+	}
 	switch {
 	case cfg.Fabric != nil:
 		t.fabric = cfg.Fabric
@@ -167,36 +190,9 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 	default:
 		t.fabric = comm.NewFabric(cfg.Workers)
 	}
-	params := t.replicas[0].Params()
-	for i, p := range params {
-		c := t.plan.CodecFor(i)
-		t.specs = append(t.specs, comm.TensorSpec{
-			Name:  p.Name,
-			N:     p.Grad.Len(),
-			Wire:  p.WireShape,
-			Codec: c,
-		})
-	}
 	t.buildReducer()
-	if cfg.Elastic != nil && cfg.Fabric == nil {
-		t.Close()
-		return nil, fmt.Errorf("parallel: elastic sessions need cluster mode (Config.Fabric); a single-process trainer has no rank to lose")
-	}
-	if cfg.TelemetryEvery > 0 && t.monitor != nil {
-		names := make([]string, len(t.specs))
-		for i, s := range t.specs {
-			names[i] = s.Name
-		}
-		if err := health.CheckTelemetryNames(names); err != nil {
-			t.Close()
-			return nil, fmt.Errorf("parallel: telemetry: %w", err)
-		}
-	}
-	if cfg.HealthHandler != nil && t.monitor != nil {
-		t.monitor.OnVerdict(cfg.HealthHandler)
-	}
 	t.registerMetrics()
-	t.wireMonitorObs()
+	t.attachMonitor()
 	t.lastBatch = -1
 	return t, nil
 }
@@ -208,7 +204,11 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 // (Collective.BeginStep), and error-feedback residuals reset to zero on
 // every rank in lockstep.
 func (t *Trainer) buildReducer() {
-	t.reducer = comm.NewCollective(t.fabric, t.cfg.Primitive, t.specs, t.cfg.Seed, t.ranks)
+	ranks := make([]int, len(t.local))
+	for i, r := range t.local {
+		ranks[i] = r.rank
+	}
+	t.reducer = comm.NewCollective(t.fabric, t.cfg.Primitive, t.specs, t.cfg.Seed, ranks)
 	t.reducer.SetTracer(t.tracer)
 }
 
@@ -228,38 +228,33 @@ func (t *Trainer) Close() error {
 	return nil
 }
 
-// abortFabric interrupts every blocked exchange with err. RemoteFabric
-// delivers the typed error; other closable fabrics fall back to
-// ErrClosed semantics; the in-process channel fabric has no interrupt
-// path (its exchanges cannot wedge without a local bug).
-func (t *Trainer) abortFabric(err error) bool {
-	switch f := t.fabric.(type) {
+// abortFabric interrupts every blocked exchange on f with err.
+// RemoteFabric delivers the typed error; other closable fabrics fall
+// back to ErrClosed semantics; the in-process channel fabric has no
+// interrupt path (its exchanges cannot wedge without a local bug).
+func abortFabric(f comm.Transport, err error) {
+	switch f := f.(type) {
 	case interface{ Abort(error) }:
 		f.Abort(err)
-		return true
 	case io.Closer:
 		f.Close()
-		return true
 	}
-	return false
 }
 
 // StepStats returns the straggler report of the most recent completed
 // (or timing-out) synchronous step. Before the first step it is zero
-// with Slowest == -1. The returned snapshot is immutable once
-// published — recordStep builds a fresh value per step and swaps an
-// atomic pointer — so concurrent callers during Run are race-free by
-// construction; the slices are defensively copied only because the
-// returned struct is mutable in the caller's hands.
+// with Slowest == -1. It copies the report out under statsMu, so
+// callers may read it concurrently with Run and keep the result.
 func (t *Trainer) StepStats() StepStats {
-	p := t.lastStats.Load()
-	if p == nil {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	if t.stats.Step == 0 {
 		return StepStats{Slowest: -1}
 	}
-	s := *p
-	s.Compute = append([]time.Duration(nil), s.Compute...)
-	s.Exchange = append([]time.Duration(nil), s.Exchange...)
-	s.Known = append([]bool(nil), s.Known...)
+	s := t.stats
+	s.Compute = slices.Clone(s.Compute)
+	s.Exchange = slices.Clone(s.Exchange)
+	s.Known = slices.Clone(s.Known)
 	return s
 }
 
@@ -272,7 +267,7 @@ func (t *Trainer) Policy() *quant.Policy { return t.plan.Policy }
 
 // Rank returns the lowest rank this process drives: the cluster rank
 // in multi-process mode, 0 when the trainer owns the whole world.
-func (t *Trainer) Rank() int { return t.ranks[0] }
+func (t *Trainer) Rank() int { return t.local[0].rank }
 
 // World returns the global worker count K, whether the ranks live in
 // this process or across a cluster.
@@ -287,7 +282,7 @@ func (t *Trainer) Reducer() *comm.Collective { return t.reducer }
 func (t *Trainer) Monitor() *health.Monitor { return t.monitor }
 
 // Model returns replica 0, the canonical model.
-func (t *Trainer) Model() *nn.Network { return t.replicas[0] }
+func (t *Trainer) Model() *nn.Network { return t.local[0].net }
 
 // Run trains on train for the configured epochs, measuring accuracy on
 // test, and returns the history.
@@ -313,8 +308,8 @@ func (t *Trainer) Run(train, test *data.Dataset) (*History, error) {
 	for epoch < cfg.Epochs {
 		start := time.Now()
 		lr := cfg.Schedule.LRAt(epoch)
-		for _, opt := range t.opts {
-			opt.SetLR(lr)
+		for _, r := range t.local {
+			r.opt.SetLR(lr)
 		}
 		// The cursor marks the epoch's start before the permutation is
 		// drawn: restoring epochShuffleState and replaying Batches
@@ -358,8 +353,10 @@ func (t *Trainer) Run(train, test *data.Dataset) (*History, error) {
 			t.noteBatch(bi)
 			lossSum += loss
 			lossCnt++
-			if st := t.lastStats.Load(); st != nil && st.Slowest >= 0 {
-				slowCount[st.Slowest]++
+			// Only this goroutine writes the report, so it reads it
+			// without the lock.
+			if s := t.stats.Slowest; s >= 0 {
+				slowCount[s]++
 			}
 		}
 		if jumped {
@@ -378,7 +375,7 @@ func (t *Trainer) Run(train, test *data.Dataset) (*History, error) {
 			TestAccuracy: -1,
 			TestTop5:     -1,
 			LR:           lr,
-			WireBytes:    t.totalWireBytes(),
+			WireBytes:    t.WireBytes(),
 			Elapsed:      time.Since(start),
 			SlowestRank:  slowest,
 		}
@@ -394,20 +391,16 @@ func (t *Trainer) Run(train, test *data.Dataset) (*History, error) {
 		h.Epochs = append(h.Epochs, stats)
 		epoch++
 	}
-	h.TotalWireBytes = t.totalWireBytes()
+	h.TotalWireBytes = t.WireBytes()
 	return h, nil
 }
 
-// runStep drives one synchronous step through the guard rails: a
-// health-plane verdict fails fast (and interrupts a step in flight),
-// and the optional step deadline bounds the wall time of compute plus
-// exchange, aborting the fabric on expiry so the blocked workers
-// unwind. With neither configured this is a direct call.
+// runStep drives one synchronous step on the caller's goroutine,
+// through the guard rails: a health-plane verdict fails fast between
+// steps (during one, attachMonitor's handler aborts the fabric), and
+// the optional step deadline arms the watchdog, whose expiry aborts
+// the fabric so the blocked workers unwind.
 func (t *Trainer) runStep(train *data.Dataset, batch []int) (float64, error) {
-	deadline := t.cfg.StepDeadline
-	if deadline <= 0 && t.monitor == nil {
-		return t.step(train, batch)
-	}
 	if t.monitor != nil {
 		// A verdict reached between steps fails fast, before any local
 		// worker blocks inside a voided exchange.
@@ -415,29 +408,25 @@ func (t *Trainer) runStep(train *data.Dataset, batch []int) (float64, error) {
 			return 0, err
 		}
 	}
-	type result struct {
-		loss float64
-		err  error
-	}
-	step, start := t.currentStep()+1, time.Now()
-	done := make(chan result, 1)
-	go func() {
-		loss, err := t.step(train, batch)
-		done <- result{loss, err}
-	}()
-	var expire <-chan time.Time
+	deadline, start := t.cfg.StepDeadline, time.Now()
 	if deadline > 0 {
-		timer := time.NewTimer(deadline)
-		defer timer.Stop()
-		expire = timer.C
+		t.watchdog.arm(t.fabric, ErrStepDeadline{Rank: t.local[0].rank, Step: t.currentStep() + 1, Deadline: deadline})
 	}
-	var dead <-chan struct{}
-	if t.monitor != nil {
-		dead = t.monitor.Dead()
+	loss, err := t.step(train, batch)
+	// The bound is on wall time, so a step that finished past it
+	// reports the overrun even if the timer had not fired yet. On the
+	// channel fabric, which cannot be interrupted, the step always
+	// finishes first and then reports the deadline.
+	if deadline > 0 && (t.watchdog.disarm() || time.Since(start) > deadline) {
+		err := error(t.watchdog.err)
+		abortFabric(t.fabric, err)
+		return 0, err
 	}
-	select {
-	case r := <-done:
-		if r.err != nil && t.monitor != nil && !errors.Is(r.err, comm.ErrClosed) {
+	if err != nil && t.monitor != nil {
+		if v := t.monitor.Verdict(); v != nil {
+			return 0, v
+		}
+		if !errors.Is(err, comm.ErrClosed) {
 			// A dying peer's data sockets EOF at the same instant as its
 			// control links, so the raw transport error can beat the
 			// failure detector by microseconds. With a health plane
@@ -451,39 +440,46 @@ func (t *Trainer) runStep(train *data.Dataset, batch []int) (float64, error) {
 				return 0, v
 			}
 		}
-		if r.err == nil && deadline > 0 && time.Since(start) > deadline {
-			// The step finished past its bound. The result and the timer
-			// raced, and select picks among ready cases at random; the
-			// bound is on wall time, so the overrun decides either way.
-			err := ErrStepDeadline{Rank: t.ranks[0], Step: step, Deadline: deadline}
-			t.abortFabric(err)
-			return 0, err
-		}
-		return r.loss, r.err
-	case <-expire:
-		err := ErrStepDeadline{Rank: t.ranks[0], Step: step, Deadline: deadline}
-		// Join the step unconditionally: on an abortable fabric the
-		// teardown unwinds it promptly; on the in-process channel fabric
-		// (which cannot be interrupted) the exchange is still making
-		// progress and finishes on its own — returning without joining
-		// would leave the goroutine mutating the replicas under the
-		// caller's feet.
-		t.abortFabric(err)
-		<-done
-		return 0, err
-	case <-dead:
-		err := t.monitor.Verdict()
-		// The session wiring aborted the fabric in the verdict handler
-		// before Dead() released; abortFabric is an idempotent backstop
-		// for monitors attached outside a cluster session.
-		t.abortFabric(err)
-		<-done
-		return 0, err
 	}
+	return loss, err
+}
+
+// watchdog bounds each step's wall time with one timer per trainer,
+// made on the first arm and reset for every later step, that aborts
+// the step's fabric on expiry. fired carries one token per firing,
+// which disarm takes, so a late firing never aborts the next step;
+// Reset orders arm's writes before the firing it schedules.
+type watchdog struct {
+	timer  *time.Timer
+	fired  chan struct{}
+	fabric comm.Transport
+	err    ErrStepDeadline
+}
+
+func (w *watchdog) arm(fabric comm.Transport, err ErrStepDeadline) {
+	w.fabric, w.err = fabric, err
+	if w.timer != nil {
+		w.timer.Reset(err.Deadline)
+		return
+	}
+	w.fired = make(chan struct{}, 1)
+	w.timer = time.AfterFunc(err.Deadline, func() {
+		abortFabric(w.fabric, w.err)
+		w.fired <- struct{}{}
+	})
+}
+
+// disarm stops the timer and reports whether it fired.
+func (w *watchdog) disarm() bool {
+	if w.timer.Stop() {
+		return false
+	}
+	<-w.fired
+	return true
 }
 
 // currentStep reads the completed-step counter under the stats lock
-// (the step goroutine increments it in recordStep).
+// (recordStep increments it).
 func (t *Trainer) currentStep() int64 {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
@@ -494,14 +490,12 @@ func (t *Trainer) currentStep() int64 {
 // for a death verdict, returning it, or nil if none arrives (the peers
 // are provably alive and heartbeating).
 func (t *Trainer) awaitVerdict() error {
-	if v := t.monitor.Verdict(); v != nil {
-		return v
-	}
-	grace := t.monitor.Config().Timeout
+	grace := time.NewTimer(t.monitor.Config().Timeout)
+	defer grace.Stop()
 	select {
 	case <-t.monitor.Dead():
 		return t.monitor.Verdict()
-	case <-time.After(grace):
+	case <-grace.C:
 		return nil
 	}
 }
@@ -511,7 +505,7 @@ func (t *Trainer) awaitVerdict() error {
 // computes gradients over a disjoint slice of the same deterministic
 // batch; the loss it reports averages its local shards only.
 func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
-	k := t.cfg.Workers
+	next := t.currentStep() + 1
 	// Elastic sessions key the collective's stochastic streams to the
 	// step about to run — once, before any worker encodes. Every rank
 	// derives the same index from its own completed-step counter, so
@@ -523,122 +517,103 @@ func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
 	// the one switch that changes (reproducibly) which random draws a
 	// quantised run sees.
 	if t.cfg.Elastic != nil {
-		t.reducer.BeginStep(t.currentStep() + 1)
+		t.reducer.BeginStep(next)
 	}
 	// Publish the step index to the tracer so the reducer's spans carry
 	// it without any per-message plumbing (nil-safe no-op when off).
-	t.tracer.SetStep(t.currentStep() + 1)
-	losses, errs, compute, exchange := t.stepLoss, t.stepErr, t.stepCompute, t.stepExchange
-	clear(errs)
+	t.tracer.SetStep(next)
 	var wg sync.WaitGroup
-	for li, w := range t.ranks {
+	for _, r := range t.local {
 		wg.Add(1)
-		go func(li, w int) {
+		go func() {
 			defer wg.Done()
-			c0 := t.tracer.Now()
-			start := time.Now()
-			shard := batch[w*len(batch)/k : (w+1)*len(batch)/k]
-			x, labels := train.GatherInto(t.stepX[li], t.stepLabels[li], shard)
-			t.stepX[li], t.stepLabels[li] = x, labels
-			net := t.replicas[li]
-			net.ZeroGrads()
-			loss := t.losses[li]
-			losses[li] = loss.Forward(net.Forward(x, true), labels)
-			net.Backward(loss.Backward(labels))
-			compute[li] = time.Since(start)
-			t.tracer.Record(w, obs.PhaseCompute, "step", -1, 0, c0, int64(compute[li]))
-			// Exchange every tensor in one call; the barrier span covers
-			// the whole blocking exchange, the reducer's fine spans break
-			// it down, and the remainder is straggler wait.
-			grads := t.stepGrads[li][:0]
-			for _, p := range net.Params() {
-				grads = append(grads, p.Grad.Data)
-			}
-			t.stepGrads[li] = grads
-			e0 := t.tracer.Now()
-			exchStart := time.Now()
-			if err := t.reducer.ReduceAll(w, grads); err != nil {
-				errs[li] = err
-				return
-			}
-			exchange[li] = time.Since(exchStart)
-			t.tracer.Record(w, obs.PhaseBarrier, "exchange", -1, 0, e0, int64(exchange[li]))
-			// Average over workers — the paper's x ← x − (η/K)·Σ g̃ —
-			// inside the optimiser's one update pass, which stores the
-			// averaged gradient back. Clipping bounds the norm of the
-			// averaged gradient, so with a clip the average is its own
-			// pass before it and the update multiplies by 1.
-			avg := float32(1)
-			if k > 1 {
-				avg = 1 / float32(k)
-			}
-			if t.cfg.ClipNorm > 0 {
-				if avg != 1 {
-					for _, p := range net.Params() {
-						p.Grad.Scale(avg)
-					}
-				}
-				nn.ClipGradNorm(net.Params(), t.cfg.ClipNorm)
-				avg = 1
-			}
-			t.opts[li].StepScaled(avg)
-		}(li, w)
+			r.step(t, train, batch)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	t.recordStep(compute, exchange)
 	var sum float64
-	for _, l := range losses {
-		sum += l
-	}
-	mean := sum / float64(len(t.ranks))
-	if every := t.cfg.TelemetryEvery; every > 0 {
-		if step := t.currentStep(); step%int64(every) == 0 {
-			t.captureTelemetry(step, mean, compute[0], exchange[0])
+	for _, r := range t.local {
+		if r.err != nil {
+			return 0, r.err
 		}
+		sum += r.stepLoss
+	}
+	t.recordStep(next)
+	mean := sum / float64(len(t.local))
+	if every := int64(t.cfg.TelemetryEvery); every > 0 && next%every == 0 {
+		t.captureTelemetry(next, mean)
 	}
 	return mean, nil
 }
 
-// recordStep folds one completed step's local timings — and, in
-// cluster mode, the freshest peer reports the heartbeats carried —
-// into the straggler report, and hands the local timing to the health
-// plane for the next outgoing heartbeat.
-func (t *Trainer) recordStep(compute, exchange []time.Duration) {
-	t.statsMu.Lock()
-	t.stepIdx++
-	step := t.stepIdx
-	t.statsMu.Unlock()
+// step is one local rank's part of a synchronous step: forward and
+// backward over its shard, the exchange, and the update.
+func (r *replica) step(t *Trainer, train *data.Dataset, batch []int) {
 	k := t.cfg.Workers
-	s := StepStats{
-		Step:     step,
-		Compute:  make([]time.Duration, k),
-		Exchange: make([]time.Duration, k),
-		Known:    make([]bool, k),
-		Slowest:  -1,
+	c0 := t.tracer.Now()
+	start := time.Now()
+	shard := batch[r.rank*len(batch)/k : (r.rank+1)*len(batch)/k]
+	r.x, r.labels = train.GatherInto(r.x, r.labels, shard)
+	r.net.ZeroGrads()
+	r.stepLoss = r.loss.Forward(r.net.Forward(r.x, true), r.labels)
+	r.net.Backward(r.loss.Backward(r.labels))
+	r.compute = time.Since(start)
+	t.tracer.Record(r.rank, obs.PhaseCompute, "step", -1, 0, c0, int64(r.compute))
+	// Exchange every tensor in one call; the barrier span covers the
+	// whole blocking exchange, the reducer's fine spans break it down,
+	// and the remainder is straggler wait.
+	e0 := t.tracer.Now()
+	exchStart := time.Now()
+	if r.err = t.reducer.ReduceAll(r.rank, r.grads); r.err != nil {
+		return
 	}
-	for li, w := range t.ranks {
-		s.Compute[w], s.Exchange[w], s.Known[w] = compute[li], exchange[li], true
-	}
-	if t.monitor != nil {
-		local := t.ranks[0]
-		t.monitor.ReportStep(health.StepReport{
-			Step:     step,
-			Compute:  s.Compute[local],
-			Exchange: s.Exchange[local],
-		})
-		for p := 0; p < k; p++ {
-			if s.Known[p] {
-				continue
-			}
-			if rep, ok := t.monitor.Report(p); ok {
-				s.Compute[p], s.Exchange[p], s.Known[p] = rep.Compute, rep.Exchange, true
+	r.exchange = time.Since(exchStart)
+	t.tracer.Record(r.rank, obs.PhaseBarrier, "exchange", -1, 0, e0, int64(r.exchange))
+	// Average over workers — the paper's x ← x − (η/K)·Σ g̃ — inside
+	// the optimiser's one update pass, which stores the averaged
+	// gradient back. Clipping bounds the norm of the averaged gradient,
+	// so with a clip the average is its own pass before it and the
+	// update multiplies by 1.
+	avg := 1 / float32(k)
+	if t.cfg.ClipNorm > 0 {
+		if avg != 1 {
+			for _, p := range r.net.Params() {
+				p.Grad.Scale(avg)
 			}
 		}
+		nn.ClipGradNorm(r.net.Params(), t.cfg.ClipNorm)
+		avg = 1
+	}
+	r.opt.StepScaled(avg)
+}
+
+// recordStep folds a completed step's local timings — and, in cluster
+// mode, the freshest peer reports the heartbeats carried — into the
+// straggler report, and hands the local timing to the health plane for
+// the next outgoing heartbeat. The health plane is read before statsMu
+// is taken.
+func (t *Trainer) recordStep(step int64) {
+	if m := t.monitor; m != nil {
+		r := t.local[0]
+		m.ReportStep(health.StepReport{Step: step, Compute: r.compute, Exchange: r.exchange})
+		for p := range t.peers {
+			t.peers[p], t.peerKnown[p] = m.Report(p)
+		}
+	}
+	for _, r := range t.local {
+		t.computeHist.Observe(int64(r.compute))
+		t.exchangeHist.Observe(int64(r.exchange))
+	}
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	t.stepIdx = step
+	s := &t.stats
+	s.Step, s.Slowest = step, -1
+	for p, rep := range t.peers {
+		s.Compute[p], s.Exchange[p], s.Known[p] = rep.Compute, rep.Exchange, t.peerKnown[p]
+	}
+	for _, r := range t.local {
+		s.Compute[r.rank], s.Exchange[r.rank], s.Known[r.rank] = r.compute, r.exchange, true
 	}
 	// Attribute by compute time: in a blocking collective the other
 	// ranks' exchange timers absorb the wait for the straggler, so the
@@ -646,18 +621,12 @@ func (t *Trainer) recordStep(compute, exchange []time.Duration) {
 	// signal. The last rank to finish computing is the one gating the
 	// barrier — matching the simulator's attribution.
 	var worst time.Duration
-	for p := 0; p < k; p++ {
-		if s.Known[p] && (s.Slowest < 0 || s.Compute[p] > worst) {
+	for p, known := range s.Known {
+		if known && (s.Slowest < 0 || s.Compute[p] > worst) {
 			worst = s.Compute[p]
 			s.Slowest = p
 		}
 	}
-	for li := range t.ranks {
-		t.computeHist.Observe(int64(compute[li]))
-		t.exchangeHist.Observe(int64(exchange[li]))
-	}
-	// Publish the snapshot; the stored value is never mutated again.
-	t.lastStats.Store(&s)
 }
 
 // Evaluate returns top-1 accuracy of the canonical replica on ds.
@@ -670,7 +639,7 @@ func (t *Trainer) Evaluate(ds *data.Dataset) float64 {
 // top-5).
 func (t *Trainer) EvaluateKs(ds *data.Dataset, ks ...int) []float64 {
 	const evalBatch = 256
-	net := t.replicas[0]
+	net := t.local[0].net
 	correct := make([]int, len(ks))
 	total := 0
 	for start := 0; start < ds.Len(); start += evalBatch {
@@ -714,10 +683,9 @@ func (t *Trainer) EvaluateKs(ds *data.Dataset, ks ...int) []float64 {
 // ReplicasInSync reports whether all replicas hold bit-identical weights
 // — the invariant synchronous SGD must maintain.
 func (t *Trainer) ReplicasInSync() bool {
-	ref := t.replicas[0].Params()
-	for w := 1; w < len(t.replicas); w++ {
-		ps := t.replicas[w].Params()
-		for i, p := range ps {
+	ref := t.local[0].net.Params()
+	for _, r := range t.local[1:] {
+		for i, p := range r.net.Params() {
 			for j, v := range p.Value.Data {
 				if v != ref[i].Value.Data[j] {
 					return false

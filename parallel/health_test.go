@@ -3,9 +3,11 @@ package parallel
 import (
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/comm"
 	"repro/data"
 	"repro/health"
 	"repro/nn"
@@ -129,6 +131,141 @@ func TestMonitorVerdictSurfacesInRun(t *testing.T) {
 	}
 	if dead.Rank != 1 {
 		t.Fatalf("verdict blames rank %d, want 1", dead.Rank)
+	}
+}
+
+// TestStepDeadlineChanFabric: the in-process channel fabric cannot be
+// interrupted, so a deadline far below one step lets the step finish —
+// every replica applies it — and then reports the overrun.
+func TestStepDeadlineChanFabric(t *testing.T) {
+	build, train, test := smallTask()
+	tr, err := NewTrainer(build, Config{
+		Workers: 2, BatchSize: 16, Epochs: 1, Seed: 9,
+		Schedule:     nn.ConstantLR(0.1),
+		StepDeadline: time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	_, err = tr.Run(train, test)
+	want := ErrStepDeadline{Rank: 0, Step: 1, Deadline: time.Nanosecond}
+	if err != want {
+		t.Fatalf("Run returned %v, want %v", err, want)
+	}
+	if s := tr.StepStats(); s.Step != 1 {
+		t.Fatalf("step stats record step %d, want the finished step 1", s.Step)
+	}
+	if !tr.ReplicasInSync() {
+		t.Fatal("replicas diverged after a step that overran its deadline")
+	}
+}
+
+// verdictRun starts Run on rank 0 of a two-rank TCP fabric whose rank 1
+// never steps, so the first exchange blocks, with a monitor attached
+// outside any cluster session. It closes the monitor's control peer
+// once Run is under way and returns the monitor, Run's error channel
+// and the moment the peer closed.
+func verdictRun(t *testing.T, timeout time.Duration) (*Trainer, *health.Monitor, <-chan error, time.Time) {
+	t.Helper()
+	a, b := pairedConns(t)
+	mon, err := health.NewMonitor(0, 2, []net.Conn{nil, a}, health.Config{
+		Interval: 20 * time.Millisecond, Timeout: timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.Start()
+	fabric, err := comm.NewTCPFabric(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build, train, test := smallTask()
+	tr, err := NewTrainer(build, Config{
+		Workers: 2, Rank: 0, Fabric: fabric, BatchSize: 16, Epochs: 1, Seed: 9,
+		Schedule: nn.ConstantLR(0.1), Monitor: mon,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := tr.Run(train, test)
+		done <- err
+	}()
+	// Let rank 0 reach its first exchange, where it blocks. A verdict
+	// that came sooner would fail the step before it starts, which
+	// returns the same error, so the sleep only steers which path runs.
+	time.Sleep(50 * time.Millisecond)
+	closed := time.Now()
+	b.Close()
+	return tr, mon, done, closed
+}
+
+// TestMonitorVerdictInterruptsBlockedStep: a death verdict reached while
+// the step is blocked in an exchange unblocks it, and Run returns the
+// monitor's verdict value itself — not the transport error the
+// interrupted exchange saw — within twice the monitor timeout.
+func TestMonitorVerdictInterruptsBlockedStep(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	tr, mon, done, closed := verdictRun(t, timeout)
+	defer tr.Close()
+	select {
+	case err := <-done:
+		if v := mon.Verdict(); err != v {
+			t.Fatalf("Run returned %v, want the monitor's verdict %v", err, v)
+		}
+		var dead health.ErrPeerDead
+		if !errors.As(err, &dead) || dead.Rank != 1 {
+			t.Fatalf("Run returned %v, want health.ErrPeerDead{Rank: 1}", err)
+		}
+		if took := time.Since(closed); took > 2*timeout {
+			t.Fatalf("Run took %v after the peer closed, want at most %v", took, 2*timeout)
+		}
+	case <-time.After(2 * timeout):
+		tr.Close() // unblock the stranded exchange before failing
+		<-done
+		t.Fatalf("Run still blocked %v after the peer closed", 2*timeout)
+	}
+}
+
+// TestGuardedStepLeaksNoGoroutines: guarded runs that end in success,
+// in a deadline and in a verdict leave no goroutine behind once their
+// trainers close.
+func TestGuardedStepLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	build, train, test := smallTask()
+	for _, deadline := range []time.Duration{time.Minute, time.Nanosecond} {
+		tr, err := NewTrainer(build, Config{
+			Workers: 2, BatchSize: 16, Epochs: 1, Seed: 9,
+			Schedule: nn.ConstantLR(0.1), UseTCP: true,
+			StepDeadline: deadline,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = tr.Run(train, test)
+		tr.Close()
+		if deadline == time.Minute && err != nil {
+			t.Fatalf("guarded run failed: %v", err)
+		}
+		var dl ErrStepDeadline
+		if deadline == time.Nanosecond && !errors.As(err, &dl) {
+			t.Fatalf("Run returned %v, want an ErrStepDeadline", err)
+		}
+	}
+	tr, _, done, _ := verdictRun(t, 500*time.Millisecond)
+	var dead health.ErrPeerDead
+	if err := <-done; !errors.As(err, &dead) {
+		t.Fatalf("Run returned %v, want health.ErrPeerDead", err)
+	}
+	tr.Close()
+	limit := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(limit) {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -12,9 +12,16 @@ import (
 )
 
 // WireBytes returns the cumulative data-mesh payload bytes this
-// process's ranks have sent — the number EpochStats.WireBytes records
-// and the lpsgd_wire_tx_bytes_total metric exports, from one counter.
-func (t *Trainer) WireBytes() int64 { return t.totalWireBytes() }
+// process's ranks have sent over every fabric incarnation of the run —
+// the number EpochStats.WireBytes records and the
+// lpsgd_wire_tx_bytes_total metric exports, from one counter. statsMu
+// covers the fabric swap a rejoin performs, so a concurrent metrics
+// scrape never reads a half-retired incarnation.
+func (t *Trainer) WireBytes() int64 {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	return t.wireBase + t.fabric.TotalBytes()
+}
 
 // ControlBytes returns the cumulative health-plane bytes this rank has
 // written (0 outside cluster mode) — the lpsgd_control_bytes_total
@@ -22,11 +29,12 @@ func (t *Trainer) WireBytes() int64 { return t.totalWireBytes() }
 // through one surface and can never disagree with /metrics.
 func (t *Trainer) ControlBytes() int64 {
 	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	if t.monitor == nil {
+	m := t.monitor
+	t.statsMu.Unlock()
+	if m == nil {
 		return 0
 	}
-	return t.monitor.ControlBytes()
+	return m.ControlBytes()
 }
 
 // peerTraffic reads the per-peer link accounting of the current fabric
@@ -68,7 +76,7 @@ func (t *Trainer) registerMetrics() {
 		t.ControlBytes)
 	m.Func("lpsgd_steps_total", "Completed synchronous steps.", t.currentStep)
 	m.Gauge("lpsgd_world_size", "Configured world size K.").Set(int64(t.cfg.Workers))
-	m.Gauge("lpsgd_rank", "Lowest rank this process drives.").Set(int64(t.ranks[0]))
+	m.Gauge("lpsgd_rank", "Lowest rank this process drives.").Set(int64(t.local[0].rank))
 	m.Gauge("lpsgd_policy_wire_bytes",
 		"Encoded bytes one local gradient set occupies under the policy.").Set(t.plan.WireBytes())
 	m.Gauge("lpsgd_policy_raw_bytes",
@@ -83,10 +91,9 @@ func (t *Trainer) registerMetrics() {
 	// in-process fabrics have no peer links worth splitting).
 	if t.cfg.Fabric != nil {
 		for p := 0; p < t.cfg.Workers; p++ {
-			if p == t.ranks[0] {
+			if p == t.local[0].rank {
 				continue
 			}
-			p := p
 			lbl := obs.Label{Key: "peer", Value: strconv.Itoa(p)}
 			m.Func("lpsgd_peer_tx_bytes_total", "Payload bytes sent to the peer.",
 				func() int64 { return t.peerTraffic(p).TxBytes }, lbl)
@@ -130,20 +137,27 @@ func (t *Trainer) registerMetrics() {
 	}
 }
 
-// wireMonitorObs attaches the observability hooks to the current
-// monitor. Called at construction and again after every rejoin round
-// (replacement monitors start bare).
-func (t *Trainer) wireMonitorObs() {
+// attachMonitor registers the trainer's hooks on the current monitor:
+// the verdict handler that aborts the current fabric — interrupting a
+// step blocked in it — then Config.HealthHandler, the heartbeat
+// histogram, the tracer's verdict span and the telemetry observer.
+// Called at construction and again after every rejoin round
+// (replacement monitors start bare), so each handler aborts the
+// fabric that was current when it was registered.
+func (t *Trainer) attachMonitor() {
 	if t.monitor == nil {
 		return
 	}
+	fabric := t.fabric
+	t.monitor.OnVerdict(func(err error) { abortFabric(fabric, err) })
+	t.monitor.OnVerdict(t.cfg.HealthHandler)
 	if t.metrics != nil {
 		h := t.beatHist
 		t.monitor.OnHeartbeat(func(_ int, gap time.Duration) { h.Observe(int64(gap)) })
 	}
 	if t.tracer != nil {
 		tr := t.tracer
-		rank := t.ranks[0]
+		rank := t.local[0].rank
 		t.monitor.OnVerdict(func(error) {
 			now := tr.Now()
 			tr.Record(rank, obs.PhaseControl, "verdict", -1, 0, now, 0)
@@ -155,9 +169,9 @@ func (t *Trainer) wireMonitorObs() {
 }
 
 // captureTelemetry samples the convergence signals of the step that
-// just completed: the mean local loss, each tensor's aggregated
-// gradient norms, and the distortion the negotiated codec would
-// introduce on exactly those gradients (quant.MeasureError with a
+// just completed: the mean local loss and timings, each tensor's
+// aggregated gradient norms, and the distortion the negotiated codec
+// would introduce on exactly those gradients (quant.MeasureError with a
 // step-keyed seed, so the sample is deterministic per step). It runs
 // on the step driver after the worker goroutines joined. The 1/K
 // average happens in the optimiser's update pass (nn.SGD.StepScaled),
@@ -166,8 +180,9 @@ func (t *Trainer) wireMonitorObs() {
 // probes the codecs over a scratch copy, so training state is
 // bit-for-bit untouched and no byte reaches the data mesh; the
 // snapshot travels the control plane only (ControlBytes).
-func (t *Trainer) captureTelemetry(step int64, loss float64, compute, exchange time.Duration) {
-	params := t.replicas[0].Params()
+func (t *Trainer) captureTelemetry(step int64, loss float64) {
+	r := t.local[0]
+	params := r.net.Params()
 	tensors := make([]health.TensorTelemetry, 0, len(params))
 	for i, p := range params {
 		src := p.Grad.Data
@@ -191,7 +206,7 @@ func (t *Trainer) captureTelemetry(step int64, loss float64, compute, exchange t
 	t.teleStepG.Set(step)
 	t.lossGauge.Set(scaledInt(loss, 1e6))
 	snap := health.TelemetrySnapshot{
-		Step: step, Loss: loss, Compute: compute, Exchange: exchange,
+		Step: step, Loss: loss, Compute: r.compute, Exchange: r.exchange,
 		Tensors: tensors,
 	}
 	switch {

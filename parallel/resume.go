@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +15,7 @@ import (
 // SaveCheckpoint writes the canonical replica's weights in the
 // nn.Network binary checkpoint format.
 func (t *Trainer) SaveCheckpoint(w io.Writer) error {
-	return t.replicas[0].Save(w)
+	return t.local[0].net.Save(w)
 }
 
 // LoadCheckpoint restores weights into every replica, preserving the
@@ -24,11 +25,11 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 // data cursor and step counters start fresh; for a resume that is
 // bit-identical to an uninterrupted run, use SaveState/LoadState.
 func (t *Trainer) LoadCheckpoint(r io.Reader) error {
-	if err := t.replicas[0].Load(r); err != nil {
+	if err := t.local[0].net.Load(r); err != nil {
 		return err
 	}
-	for w := 1; w < len(t.replicas); w++ {
-		if err := t.replicas[w].CopyWeightsFrom(t.replicas[0]); err != nil {
+	for _, rep := range t.local[1:] {
+		if err := rep.net.CopyWeightsFrom(t.local[0].net); err != nil {
 			return err
 		}
 	}
@@ -46,10 +47,10 @@ func (t *Trainer) makeSnapshot() (*elastic.Snapshot, error) {
 	step, epoch, batch, shuf := t.stepIdx, t.curEpoch, t.lastBatch, t.epochShuffleState
 	t.statsMu.Unlock()
 	var params bytes.Buffer
-	if err := t.replicas[0].Save(&params); err != nil {
+	if err := t.local[0].net.Save(&params); err != nil {
 		return nil, err
 	}
-	opt := t.opts[0]
+	opt := t.local[0].opt
 	var vel [][]float32
 	for _, v := range opt.Velocity() {
 		vel = append(vel, append([]float32(nil), v.Data...))
@@ -67,7 +68,7 @@ func (t *Trainer) makeSnapshot() (*elastic.Snapshot, error) {
 		Params:       params.Bytes(),
 		Velocity:     vel,
 	}
-	t.tracer.Record(t.ranks[0], obs.PhaseControl, "snapshot", -1, int64(len(snap.Params)), snapStart, t.tracer.Now()-snapStart)
+	t.tracer.Record(t.local[0].rank, obs.PhaseControl, "snapshot", -1, int64(len(snap.Params)), snapStart, t.tracer.Now()-snapStart)
 	return snap, nil
 }
 
@@ -88,10 +89,10 @@ func (t *Trainer) installSnapshot(snap *elastic.Snapshot) error {
 	if name := t.plan.Policy.Name(); snap.Policy != name {
 		return fmt.Errorf("parallel: snapshot trained under policy %q, this trainer runs %q", snap.Policy, name)
 	}
-	if m := t.opts[0].Momentum(); snap.Momentum != m {
+	if m := t.local[0].opt.Momentum(); snap.Momentum != m {
 		return fmt.Errorf("parallel: snapshot momentum %v, this trainer runs %v", snap.Momentum, m)
 	}
-	if wd := t.opts[0].WeightDecay(); snap.WeightDecay != wd {
+	if wd := t.local[0].opt.WeightDecay(); snap.WeightDecay != wd {
 		return fmt.Errorf("parallel: snapshot weight decay %v, this trainer runs %v", snap.WeightDecay, wd)
 	}
 	if snap.Epoch < 0 || snap.Batch < -1 || snap.Step < 0 {
@@ -102,8 +103,8 @@ func (t *Trainer) installSnapshot(snap *elastic.Snapshot) error {
 	if err := t.LoadCheckpoint(bytes.NewReader(snap.Params)); err != nil {
 		return err
 	}
-	for _, opt := range t.opts {
-		vel := opt.Velocity()
+	for _, r := range t.local {
+		vel := r.opt.Velocity()
 		if len(snap.Velocity) != len(vel) {
 			return fmt.Errorf("parallel: snapshot carries %d velocity tensors, optimiser has %d", len(snap.Velocity), len(vel))
 		}
@@ -121,7 +122,7 @@ func (t *Trainer) installSnapshot(snap *elastic.Snapshot) error {
 	t.epochShuffleState = snap.ShuffleState
 	t.statsMu.Unlock()
 	t.restored = snap
-	t.tracer.Record(t.ranks[0], obs.PhaseControl, "restore", -1, int64(len(snap.Params)), restoreStart, t.tracer.Now()-restoreStart)
+	t.tracer.Record(t.local[0].rank, obs.PhaseControl, "restore", -1, int64(len(snap.Params)), restoreStart, t.tracer.Now()-restoreStart)
 	return nil
 }
 
@@ -176,15 +177,6 @@ func (t *Trainer) takeRestored() *elastic.Snapshot {
 	return snap
 }
 
-// maxRejoins resolves the trainer's rejoin budget: negative means
-// unlimited.
-func (t *Trainer) maxRejoins() int {
-	if t.cfg.MaxRejoins != 0 {
-		return t.cfg.MaxRejoins
-	}
-	return elastic.DefaultMaxRejoins
-}
-
 // tryRejoin decides what a step error means. Without an elastic
 // controller — or for errors that are not a peer-death verdict, or
 // once the rejoin budget is spent — the error is final and returned
@@ -204,8 +196,9 @@ func (t *Trainer) tryRejoin(stepErr error) (*elastic.Snapshot, error) {
 	if !errors.As(stepErr, &dead) {
 		return nil, stepErr
 	}
-	if budget := t.maxRejoins(); budget >= 0 && t.rejoins >= budget {
-		return nil, fmt.Errorf("parallel: rank %d exhausted its %d rejoin rounds: %w", t.ranks[0], budget, stepErr)
+	// The budget: 0 means the default, negative unlimited.
+	if budget := cmp.Or(t.cfg.MaxRejoins, elastic.DefaultMaxRejoins); budget >= 0 && t.rejoins >= budget {
+		return nil, fmt.Errorf("parallel: rank %d exhausted its %d rejoin rounds: %w", t.local[0].rank, budget, stepErr)
 	}
 	t.rejoins++
 	out, err := t.cfg.Elastic.Rejoin(stepErr, elastic.LocalState{
@@ -214,7 +207,7 @@ func (t *Trainer) tryRejoin(stepErr error) (*elastic.Snapshot, error) {
 		Install:  t.installSnapshot,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("parallel: rank %d could not rejoin (%v) after %w", t.ranks[0], err, stepErr)
+		return nil, fmt.Errorf("parallel: rank %d could not rejoin (%v) after %w", t.local[0].rank, err, stepErr)
 	}
 	// The replacement fabric's byte counter starts at zero; fold the
 	// old incarnation's traffic into the base so EpochStats.WireBytes
@@ -226,14 +219,8 @@ func (t *Trainer) tryRejoin(stepErr error) (*elastic.Snapshot, error) {
 	t.fabric = out.Fabric
 	t.monitor = out.Monitor
 	t.statsMu.Unlock()
-	if t.cfg.HealthHandler != nil && t.monitor != nil {
-		t.monitor.OnVerdict(t.cfg.HealthHandler)
-	}
-	t.wireMonitorObs()
-	if t.tracer != nil {
-		now := t.tracer.Now()
-		t.tracer.Record(t.ranks[0], obs.PhaseControl, "rejoin", -1, 0, now, 0)
-	}
+	t.attachMonitor()
+	t.tracer.Record(t.local[0].rank, obs.PhaseControl, "rejoin", -1, 0, t.tracer.Now(), 0)
 	t.buildReducer()
 	return t.takeRestored(), nil
 }
