@@ -17,8 +17,10 @@ import (
 // This file is the aggregation side of the cluster telemetry plane.
 // Every rank publishes a health.TelemetrySnapshot over its heartbeat
 // links (Monitor.ReportTelemetry); a TelemetryHub — typically on the
-// coordinator — collects the local and remote snapshots through one
-// Monitor.OnTelemetry attachment and folds them into cluster-level
+// coordinator — collects the local and remote snapshots through
+// Observe, passed as the trainer's parallel.Config.TelemetryObserver
+// (which the trainer registers on its monitor again after every
+// rejoin), and folds them into cluster-level
 // series: per-rank step/loss/phase times with staleness, min/mean/max/
 // sum across ranks, per-tensor gradient and quantisation-quality
 // aggregates, and a bounded loss trend. The hub serves two read-only
@@ -155,18 +157,6 @@ func (h *TelemetryHub) SetPolicy(policy string) {
 	h.mu.Lock()
 	h.policy = policy
 	h.mu.Unlock()
-}
-
-// Attach subscribes the hub to a monitor's telemetry stream — local
-// ReportTelemetry calls and every peer's received snapshots flow
-// through the one OnTelemetry observer.
-func (h *TelemetryHub) Attach(m *health.Monitor) {
-	if m == nil {
-		return
-	}
-	m.OnTelemetry(func(peer int, s health.TelemetrySnapshot) {
-		h.Observe(peer, s)
-	})
 }
 
 // Observe folds one rank's snapshot into the hub. Out-of-range ranks

@@ -129,9 +129,6 @@ type StepReport struct {
 	Exchange time.Duration
 }
 
-// Total returns the step's full wall time.
-func (r StepReport) Total() time.Duration { return r.Compute + r.Exchange }
-
 // link is the control connection to one peer.
 type link struct {
 	conn net.Conn
@@ -325,24 +322,6 @@ func (m *Monitor) Report(rank int) (StepReport, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.reports[rank], m.known[rank]
-}
-
-// Straggler returns the rank whose latest reported step took the
-// longest wall time, with its report. ok is false until at least one
-// report exists.
-func (m *Monitor) Straggler() (rank int, r StepReport, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rank = -1
-	for p := 0; p < m.world; p++ {
-		if !m.known[p] {
-			continue
-		}
-		if !ok || m.reports[p].Total() > r.Total() {
-			rank, r, ok = p, m.reports[p], true
-		}
-	}
-	return rank, r, ok
 }
 
 // ReportTelemetry records the local rank's latest convergence snapshot.

@@ -293,8 +293,7 @@ func TestMonitorCleanShutdownIsNotDeath(t *testing.T) {
 }
 
 // TestMonitorStepReportPiggyback: step timings reported on one rank
-// arrive at every peer on the next heartbeat, and Straggler attributes
-// the slowest rank.
+// arrive at every peer on the next heartbeat.
 func TestMonitorStepReportPiggyback(t *testing.T) {
 	conns := controlMesh(t, 2)
 	ms := startMonitors(t, conns, Config{Interval: 15 * time.Millisecond, Timeout: 5 * time.Second})
@@ -316,10 +315,6 @@ func TestMonitorStepReportPiggyback(t *testing.T) {
 			t.Fatalf("rank 1 never saw rank 0's report (got %+v, known %v)", got, ok)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	rank, rep, ok := ms[1].Straggler()
-	if !ok || rank != 0 || rep != slow {
-		t.Fatalf("straggler = (%d, %+v, %v), want rank 0 with %+v", rank, rep, ok, slow)
 	}
 	if ms[0].ControlBytes() == 0 {
 		t.Fatal("control-plane bytes unaccounted")

@@ -6,10 +6,10 @@
 //
 // The analyzers and the PRs whose invariants they encode:
 //
-//   - wirebound: wire decoders must bound length fields before
-//     allocating (the discipline of quant frames, the cluster
-//     rendezvous, health control messages, elastic snapshots and nn
-//     checkpoints — PRs 1–5), and sim's JSON scenario decoder must
+//   - wirebound: outside internal/wire, which checks every length of
+//     every binary format against its cap, no allocation may be sized
+//     by a raw encoding/binary read (resolved by type, so an import's
+//     name does not matter), and sim's JSON scenario decoder must
 //     reject unknown fields (PR 6).
 //
 //   - simclock: package sim must not touch wall time or global

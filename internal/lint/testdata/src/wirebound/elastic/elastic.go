@@ -1,6 +1,6 @@
-// Package elastic exercises the wirebound analyzer: its import path
-// ends in a decoder package name, so every make size fed by a wire
-// length must be bounded first.
+// Package elastic exercises the wirebound analyzer's bound rule: outside
+// internal/wire, no make may be sized by a raw wire read, whatever
+// comparison or min() stands before it.
 package elastic
 
 import (
@@ -21,11 +21,13 @@ func readUnguarded(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	buf := make([]byte, n) // want `make size derives from wire-decoded length "n" with no intervening bound check`
+	buf := make([]byte, n) // want `make sized by a raw wire read`
 	_, err := io.ReadFull(r, buf)
 	return buf, err
 }
 
+// readGuarded compares the length against a cap first; outside the
+// toolkit that is still no bound.
 func readGuarded(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -35,7 +37,7 @@ func readGuarded(r io.Reader) ([]byte, error) {
 	if n > maxElems {
 		return nil, io.ErrUnexpectedEOF
 	}
-	buf := make([]byte, n)
+	buf := make([]byte, n) // want `make sized by a raw wire read`
 	_, err := io.ReadFull(r, buf)
 	return buf, err
 }
@@ -45,20 +47,20 @@ func readDirect(r io.Reader) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	payload := make([]byte, binary.BigEndian.Uint64(hdr[:])) // want `make size reads a wire length field directly with no bound check`
+	payload := make([]byte, binary.BigEndian.Uint64(hdr[:])) // want `make sized by a raw wire read`
 	_, err := io.ReadFull(r, payload)
 	return payload, err
 }
 
-// readChunked caps the allocation with the min builtin, the chunked
-// decode idiom quant.readPayload and elastic.readChunked use.
+// readChunked caps the allocation with the min builtin; the cap is the
+// toolkit's to apply, so this is reported too.
 func readChunked(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	chunk := make([]byte, min(n, 4096))
+	chunk := make([]byte, min(n, 4096)) // want `make sized by a raw wire read`
 	_, err := io.ReadFull(r, chunk)
 	return chunk, err
 }
@@ -68,12 +70,12 @@ func readStruct(r io.Reader) ([]float32, error) {
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
 		return nil, err
 	}
-	vals := make([]float32, hdr.N) // want `make size derives from wire-decoded length "hdr" with no intervening bound check`
+	vals := make([]float32, hdr.N) // want `make sized by a raw wire read`
 	return vals, binary.Read(r, binary.LittleEndian, vals)
 }
 
-// readPinned pins the decoded count against a caller-supplied shape,
-// the nn.Load idiom: an equality comparison is a bound.
+// readPinned pins the decoded count against a caller-supplied shape;
+// an equality comparison is no bound either.
 func readPinned(r io.Reader, expect uint32) ([]float32, error) {
 	var hdr header
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
@@ -82,7 +84,7 @@ func readPinned(r io.Reader, expect uint32) ([]float32, error) {
 	if hdr.N != expect {
 		return nil, io.ErrUnexpectedEOF
 	}
-	vals := make([]float32, hdr.N)
+	vals := make([]float32, hdr.N) // want `make sized by a raw wire read`
 	return vals, binary.Read(r, binary.LittleEndian, vals)
 }
 
@@ -96,7 +98,7 @@ func readAllowed(r io.Reader) ([]byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	a := make([]byte, n) //lint:allow wirebound fixture: length is trusted here, proving the escape hatch
-	b := make([]byte, n) // want `make size derives from wire-decoded length "n" with no intervening bound check`
+	b := make([]byte, n) // want `make sized by a raw wire read`
 	return append(a, b...), nil
 }
 
@@ -108,7 +110,35 @@ func readTypo(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	buf := make([]byte, n) /*lint:allow wirebond typo in the analyzer name*/ // want `make size derives from wire-decoded length "n"` `names unknown analyzer "wirebond"`
+	buf := make([]byte, n) /*lint:allow wirebond typo in the analyzer name*/ // want `make sized by a raw wire read` `names unknown analyzer "wirebond"`
 	_, err := io.ReadFull(r, buf)
 	return buf, err
+}
+
+// readVar declares the length with var and sizes the capacity with it.
+func readVar(b []byte) []byte {
+	var n = binary.LittleEndian.Uint16(b)
+	return make([]byte, 0, n) // want `make sized by a raw wire read`
+}
+
+// readOrder reads through a binary.ByteOrder chosen by the caller.
+func readOrder(order binary.ByteOrder, b []byte) []byte {
+	return make([]byte, order.Uint32(b)) // want `make sized by a raw wire read`
+}
+
+// readLen sizes its buffer from a length that never came off the wire.
+func readLen(b []byte) []byte {
+	n := len(b) + int(maxElems)
+	return make([]byte, n)
+}
+
+// lookalike only spells like a byte order: the rule resolves callees
+// through the type checker, not by their spelling.
+type lookalike struct{}
+
+func (lookalike) Uint32(b []byte) uint32 { return uint32(len(b)) }
+
+func readLookalike(b []byte) []byte {
+	binary := struct{ LittleEndian lookalike }{}
+	return make([]byte, binary.LittleEndian.Uint32(b))
 }

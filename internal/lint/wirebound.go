@@ -5,20 +5,17 @@ import (
 	"go/token"
 	"go/types"
 	"path"
+	"strings"
 
 	"repro/internal/lint/analysis"
 )
 
-// Wirebound enforces the repository's decoder discipline: a length
-// field decoded off the wire must be compared against a bound before
-// it sizes an allocation. Every framed format in the tree (quant
-// frames, cluster rendezvous, health control messages, elastic
-// snapshots, nn checkpoints) is decoded through internal/wire, whose
-// Len, Bytes and String check each announced length against the
-// format's named cap before trusting it, and this analyzer makes that
-// contract mechanical: in the toolkit and the decoder packages it
-// flags make() calls whose size derives from a binary.*Endian.UintNN
-// or binary.Read value with no intervening comparison of that value.
+// Wirebound enforces the repository's decoder discipline as a type
+// rule: outside internal/wire, whose Len, Bytes and String check every
+// length against its format's cap, no make() may be sized by a raw wire
+// read — encoding/binary's Read or a byte order's Uint16/32/64, or a
+// local variable that holds one. Callees are resolved by the type
+// checker, so a renamed import hides nothing.
 //
 // It also enforces the sim scenario decoder's strictness contract: a
 // json.Decoder constructed in package sim must call
@@ -26,29 +23,17 @@ import (
 // an error rather than a silently ignored knob.
 var Wirebound = &analysis.Analyzer{
 	Name: "wirebound",
-	Doc: "decoded wire lengths must be bounds-checked before they size an allocation\n\n" +
-		"In internal/wire and the decoder packages (quant, comm, health, elastic,\n" +
-		"cluster, nn) a make() whose size data-flows from binary.*Endian.UintNN\n" +
-		"or binary.Read without an intervening comparison lets a corrupted or\n" +
-		"hostile length field drive an unbounded allocation. In package sim,\n" +
-		"json.Decoder values must call DisallowUnknownFields before Decode.",
+	Doc: "outside internal/wire, raw wire reads must not size an allocation\n\n" +
+		"A make() sized by encoding/binary's Read or a byte order's Uint16/32/64,\n" +
+		"directly or through a local variable, lets a hostile length field drive\n" +
+		"an unbounded allocation; read lengths with wire.Decoder.Len/Bytes/String.\n" +
+		"In package sim, json.Decoder values must call DisallowUnknownFields.",
 	Run: runWirebound,
 }
 
-// decoderPackages are the packages that decode framed wire formats,
-// internal/wire among them; the bound rule applies only there.
-var decoderPackages = map[string]bool{
-	"quant": true, "comm": true, "health": true,
-	"elastic": true, "cluster": true, "nn": true, "wire": true,
-}
-
 func runWirebound(pass *analysis.Pass) error {
-	base := path.Base(pass.PkgPath())
-	checkBounds := decoderPackages[base]
-	checkJSON := base == "sim"
-	if !checkBounds && !checkJSON {
-		return nil
-	}
+	checkBounds := pass.PkgPath() != "repro/internal/wire"
+	checkJSON := path.Base(pass.PkgPath()) == "sim"
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
@@ -69,220 +54,93 @@ func runWirebound(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkWireBounds runs the function-local taint walk: collect wire-
-// derived values, the comparisons that bound them and the make() sinks
-// that consume them, then flag every sink with a tainted, unbounded
-// size. The analysis is positional — a guard counts if it appears
-// before the sink in source order — which matches the straight-line
-// shape of every decoder in the tree.
+// checkWireBounds reports every make() in body sized by a raw wire
+// read. In source order, a variable taints once it is assigned from a
+// read or a tainted variable, or once binary.Read fills it through its
+// address (hdr taints hdr.N). No comparison and no min() is a bound:
+// outside the toolkit, lengths that size memory come from wire.Decoder.
 func checkWireBounds(pass *analysis.Pass, body *ast.BlockStmt) {
-	tainted := map[string]token.Pos{} // value key -> first taint position
-	guarded := map[string]token.Pos{} // value key -> first bound position
-
-	type sink struct {
-		pos    token.Pos
-		size   ast.Expr
-		direct bool // size expression itself contains a wire read
+	tainted := map[*types.Var]bool{}
+	taint := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				e = x.X
+				continue
+			case *ast.Ident:
+				if v, ok := pass.TypesInfo.ObjectOf(x).(*types.Var); ok {
+					tainted[v] = true
+				}
+			}
+			return
+		}
 	}
-	var sinks []sink
-
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			taint := false
-			for _, rhs := range n.Rhs {
-				if boundedExpr(rhs) {
-					continue // min()/max() caps the value by construction
-				}
-				if exprReadsWire(rhs) || mentionsAny(rhs, tainted) {
-					taint = true
+			if readsWire(pass, tainted, n.Rhs...) {
+				for _, lhs := range n.Lhs {
+					taint(lhs)
 				}
 			}
-			if taint {
-				for _, lhs := range n.Lhs {
-					if key := exprKey(lhs); key != "" {
-						if _, ok := tainted[key]; !ok {
-							tainted[key] = n.Pos()
-						}
-					}
+		case *ast.ValueSpec:
+			if readsWire(pass, tainted, n.Values...) {
+				for _, id := range n.Names {
+					taint(id)
 				}
 			}
 		case *ast.CallExpr:
-			// binary.Read(r, order, &x) taints x through the pointer.
-			if isBinaryRead(n) && len(n.Args) == 3 {
+			// binary.Read(r, order, &x) fills x; a byte order's
+			// UintNN takes one argument.
+			if isWireRead(pass, n) && len(n.Args) == 3 {
 				if u, ok := n.Args[2].(*ast.UnaryExpr); ok && u.Op == token.AND {
-					if key := exprKey(u.X); key != "" {
-						if _, ok := tainted[key]; !ok {
-							tainted[key] = n.Pos()
-						}
-					}
+					taint(u.X)
 				}
 			}
-			if boundedExpr(n) { // min(x, cap) bounds every operand
-				markGuards(n, guarded)
-			}
-			if isBuiltin(pass, n, "make") && len(n.Args) >= 2 {
-				for _, size := range n.Args[1:] {
-					sinks = append(sinks, sink{pos: n.Pos(), size: size, direct: exprReadsWire(size)})
-				}
-			}
-		case *ast.BinaryExpr:
-			switch n.Op {
-			case token.LSS, token.GTR, token.LEQ, token.GEQ, token.EQL, token.NEQ:
-				// Any comparison that can reject the decoded value
-				// before the allocation counts as the bound: the cap
-				// checks (n > maxElems) and the pin-to-expected checks
-				// (rows != p.Value.Rows) both qualify.
-				markGuards(n, guarded)
-			}
-		}
-		return true
-	})
-
-	for _, s := range sinks {
-		if s.direct {
-			pass.Reportf(s.pos, "make size reads a wire length field directly with no bound check; compare it against a cap first (see internal/wire)")
-			continue
-		}
-		if boundedExpr(s.size) {
-			continue
-		}
-		for key, tpos := range tainted {
-			if !mentionsKey(s.size, key) || tpos >= s.pos {
-				continue
-			}
-			if gpos, ok := guarded[key]; ok && gpos < s.pos {
-				continue
-			}
-			pass.Reportf(s.pos, "make size derives from wire-decoded length %q with no intervening bound check; compare it against a cap first (see internal/wire)", key)
-		}
-	}
-}
-
-// markGuards records every plain identifier or selector mentioned in a
-// bounding expression.
-func markGuards(e ast.Expr, guarded map[string]token.Pos) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if key := exprKey(n); key != "" {
-			if _, ok := guarded[key]; !ok {
-				guarded[key] = e.Pos()
+			id, ok := n.Fun.(*ast.Ident)
+			if ok && pass.TypesInfo.Uses[id] == types.Universe.Lookup("make") && readsWire(pass, tainted, n.Args[1:]...) {
+				pass.Reportf(n.Pos(), "make sized by a raw wire read; outside internal/wire, read lengths with wire.Decoder.Len/Bytes/String, which check them against a cap")
 			}
 		}
 		return true
 	})
 }
 
-// exprKey names a taint-trackable value: a plain identifier ("n") or a
-// one-level selector ("h.N"). Anything else — index expressions,
-// calls — is not tracked.
-func exprKey(n ast.Node) string {
-	switch n := n.(type) {
-	case *ast.Ident:
-		return n.Name
-	case *ast.SelectorExpr:
-		if x, ok := n.X.(*ast.Ident); ok {
-			return x.Name + "." + n.Sel.Name
-		}
-	}
-	return ""
-}
-
-func mentionsAny(e ast.Expr, keys map[string]token.Pos) bool {
+// readsWire reports whether any of es calls a raw wire read or names a
+// tainted variable.
+func readsWire(pass *analysis.Pass, tainted map[*types.Var]bool, es ...ast.Expr) bool {
 	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if key := exprKey(n); key != "" {
-			if _, hit := keys[key]; hit {
-				found = true
+	for _, e := range es {
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				found = found || isWireRead(pass, n)
+			case *ast.Ident:
+				v, _ := pass.TypesInfo.Uses[n].(*types.Var)
+				found = found || tainted[v]
 			}
-		}
-		return !found
-	})
+			return !found
+		})
+	}
 	return found
 }
 
-func mentionsKey(e ast.Expr, key string) bool {
-	return mentionsAny(e, map[string]token.Pos{key: 0})
-}
-
-// exprReadsWire reports whether e contains a call that produces an
-// attacker-controlled integer: binary.LittleEndian.Uint16/32/64 (and
-// the BigEndian/NativeEndian spellings) or binary.Read.
-func exprReadsWire(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isEndianUint(call) || isBinaryRead(call) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func isEndianUint(call *ast.CallExpr) bool {
+// isWireRead reports whether call is a raw wire read: encoding/binary's
+// Read, or a byte order's Uint16/32/64. The callee is the type
+// checker's, so any import name resolves to it.
+func isWireRead(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	switch sel.Sel.Name {
-	case "Uint16", "Uint32", "Uint64":
-	default:
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/binary" {
 		return false
 	}
-	inner, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return false
+	if fn.Type().(*types.Signature).Recv() == nil {
+		return fn.Name() == "Read"
 	}
-	pkg, ok := inner.X.(*ast.Ident)
-	if !ok || pkg.Name != "binary" {
-		return false
-	}
-	switch inner.Sel.Name {
-	case "LittleEndian", "BigEndian", "NativeEndian":
-		return true
-	}
-	return false
-}
-
-func isBinaryRead(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Read" {
-		return false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "binary"
-}
-
-// boundedExpr reports whether e is intrinsically bounded: a call to
-// the min or max builtins (the chunked-read idiom caps every size it
-// produces with min).
-func boundedExpr(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok && (id.Name == "min" || id.Name == "max") {
-		return true
-	}
-	return false
-}
-
-// isBuiltin reports whether call invokes the named Go builtin,
-// consulting type information when available so a local function
-// shadowing the builtin does not confuse the check.
-func isBuiltin(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	if obj, ok := pass.TypesInfo.Uses[id]; ok {
-		_, isB := obj.(*types.Builtin)
-		return isB
-	}
-	return true
+	return strings.HasPrefix(fn.Name(), "Uint")
 }
 
 // checkJSONDecoders flags json.NewDecoder values in package sim that

@@ -9,8 +9,9 @@ import (
 
 func TestWirebound(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), lint.Wirebound,
-		"wirebound/elastic", // bound-check taint cases, escape hatch, typo directive
-		"wirebound/sim",     // json.Decoder DisallowUnknownFields cases
-		"wirebound/other",   // out-of-scope package: same shapes, no findings
+		"wirebound/elastic",   // raw-read shapes, renamed import, escape hatch, typo directive
+		"wirebound/sim",       // json.Decoder DisallowUnknownFields cases
+		"wirebound/other",     // any package: the bound rule has no package list
+		"repro/internal/wire", // the toolkit itself: same shape, no findings
 	)
 }

@@ -238,7 +238,7 @@ func RunScenarioTrace(sc Scenario, keepTrace bool) (*ClusterResult, []Event, err
 	}
 	sampleSec := 1 / (net.ThroughputK80 * net.SampleSpeedup(perRank) * m.GPU.ComputeScale)
 	baseComputeNS := int64(math.Round(float64(perRank) * sampleSec * 1e9))
-	baseQuantNS := int64(math.Round(quantTime(plan, infos, DefaultKernel, prim, m.GPU.ComputeScale) * 1e9))
+	baseQuantNS := int64(math.Round(quantTime(plan, infos, prim, m.GPU.ComputeScale) * 1e9))
 
 	// Exchange volume: exact accounting through the shared comm
 	// arithmetic, and a per-rank transfer share for the link model.

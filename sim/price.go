@@ -8,24 +8,20 @@ import (
 	"repro/quant"
 )
 
-// KernelModel prices the GPU quantisation kernels. Costs are seconds on
-// a K80; the machine's ComputeScale divides them.
-type KernelModel struct {
-	// QSGDPerElem and OneBitPerElem are per-element encode/decode costs.
-	QSGDPerElem   float64
-	OneBitPerElem float64
-	// PerGroup is the fixed cost per quantisation group (column or
+// kernel prices the GPU quantisation kernels, calibrated to the AlexNet
+// and ResNet152 rows of Figure 10. Costs are seconds on a K80; the
+// machine's ComputeScale divides them.
+var kernel = struct {
+	// qsgdPerElem and oneBitPerElem are per-element encode/decode costs.
+	qsgdPerElem, oneBitPerElem float64
+	// perGroup is the fixed cost per quantisation group (column or
 	// bucket): scale computation, kernel-launch amortisation. This term
 	// is what makes tiny-column classic 1bitSGD catastrophically slow.
-	PerGroup float64
-}
-
-// DefaultKernel is the calibrated kernel model (fitted to the AlexNet
-// and ResNet152 rows of Figure 10).
-var DefaultKernel = KernelModel{
-	QSGDPerElem:   0.12e-9,
-	OneBitPerElem: 0.45e-9,
-	PerGroup:      20e-9,
+	perGroup float64
+}{
+	qsgdPerElem:   0.12e-9,
+	oneBitPerElem: 0.45e-9,
+	perGroup:      20e-9,
 }
 
 // Config selects one simulated configuration.
@@ -40,8 +36,6 @@ type Config struct {
 	GPUs   int
 	// BatchOverride replaces Figure 4's batch when positive.
 	BatchOverride int
-	// Kernel overrides the kernel model when non-zero.
-	Kernel KernelModel
 	// Overlap ∈ [0, 1) hides that fraction of compute time behind
 	// communication, modelling CNTK's double-buffering (§3.2.1: "while
 	// some gradients are being quantized, gradients that are finished
@@ -113,10 +107,6 @@ func Run(cfg Config) (Result, error) {
 	if policy == nil {
 		policy = quant.NewPolicy(quant.FP32{})
 	}
-	kernel := cfg.Kernel
-	if kernel == (KernelModel{}) {
-		kernel = DefaultKernel
-	}
 	batch := cfg.BatchOverride
 	if batch <= 0 {
 		var ok bool
@@ -156,7 +146,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	if cfg.GPUs > 1 {
-		res.QuantSec = quantTime(plan, net.Tensors, kernel, cfg.Primitive, m.GPU.ComputeScale)
+		res.QuantSec = quantTime(plan, net.Tensors, cfg.Primitive, m.GPU.ComputeScale)
 		rawTotal := exchangeBytes(plan, net.Tensors, cfg.Primitive, cfg.GPUs, false)
 		res.ExchangeBytes = rawTotal
 		if cfg.Framed {
@@ -216,8 +206,7 @@ func exchangeBytes(plan *quant.Plan, tensors []quant.TensorInfo, prim comm.Primi
 // broadcast: n + (K−1)/K·n + n/K + n = 3n element passes); NCCL is
 // priced at two passes (encode + decode), the paper's simulated
 // low-precision NCCL.
-func quantTime(plan *quant.Plan, tensors []quant.TensorInfo, k KernelModel,
-	prim comm.Primitive, computeScale float64) float64 {
+func quantTime(plan *quant.Plan, tensors []quant.TensorInfo, prim comm.Primitive, computeScale float64) float64 {
 	passes := 3.0
 	if prim == comm.NCCL {
 		passes = 2.0
@@ -231,12 +220,12 @@ func quantTime(plan *quant.Plan, tensors []quant.TensorInfo, k KernelModel,
 		n := ti.Shape.Len()
 		group := codec.GroupSize(ti.Shape)
 		groups := (n + group - 1) / group
-		perElem := k.QSGDPerElem
+		perElem := kernel.qsgdPerElem
 		switch codec.(type) {
 		case quant.OneBit, quant.OneBitReshaped:
-			perElem = k.OneBitPerElem
+			perElem = kernel.oneBitPerElem
 		}
-		total += (float64(n)*perElem + float64(groups)*k.PerGroup) * passes
+		total += (float64(n)*perElem + float64(groups)*kernel.perGroup) * passes
 	}
 	return total / computeScale
 }
