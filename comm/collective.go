@@ -5,7 +5,6 @@ import (
 
 	"repro/obs"
 	"repro/quant"
-	"repro/tensor"
 )
 
 // Collective is the gradient-aggregation engine: each tensor compiles,
@@ -34,7 +33,6 @@ type Collective struct {
 // nothing once the buffers have met the largest message.
 type worker struct {
 	tensors []compiled
-	tmp     []float32    // a decoded contribution awaiting accumulation
 	one     [1][]float32 // Reduce's tensor, as the executor's list
 	endpoint
 }
@@ -336,16 +334,11 @@ func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, enc qua
 			}
 		}
 	case recvAdd:
-		if cap(w.tmp) < len(vals) {
-			w.tmp = make([]float32, len(vals))
-		}
-		tmp := w.tmp[:len(vals)]
-		if _, err := w.recv(tr, &ct.in, st.from, rank, tmp); err != nil {
+		if _, err := w.recv(tr, &ct.in, st.from, rank, vals, true); err != nil {
 			return fmt.Errorf("from %d: %w", st.from, err)
 		}
-		tensor.Add(vals, tmp)
 	case recvPlace:
-		wire, err := w.recv(tr, &ct.in, st.from, rank, vals)
+		wire, err := w.recv(tr, &ct.in, st.from, rank, vals, false)
 		if err != nil {
 			return fmt.Errorf("from %d: %w", st.from, err)
 		}

@@ -85,6 +85,11 @@
 // size of every message it expects and keeps one receive buffer per
 // rank, and a message of any other size is an error before a byte of
 // it is read. Slices passed to Send and RecvInto stay the caller's.
+// A receive-and-accumulate step (recvAdd) decodes straight into the
+// rank's copy of the chunk: the codec's DecodeAdd — behind
+// quant.FrameDecoder.DecodeAdd on a framed transport — adds each
+// decoded value in place, with the bits a decode into scratch followed
+// by tensor.Add would give, so no decoded contribution is staged.
 package comm
 
 import (

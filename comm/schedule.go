@@ -111,8 +111,8 @@ const (
 	// its own wire into the chunk, so it holds exactly what its
 	// receivers decode.
 	encodeSend op = iota
-	// recvAdd receives the chunk from `from`, decodes it and adds it into
-	// the rank's copy.
+	// recvAdd receives the chunk from `from` and adds its decoded values
+	// into the rank's copy (quant.Codec.DecodeAdd).
 	recvAdd
 	// recvPlace receives the chunk from `from` and decodes it into place;
 	// unless `to` is the executing rank, the received bytes then travel

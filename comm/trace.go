@@ -80,9 +80,10 @@ func (e *endpoint) send(tr *obs.Tracer, header []byte, from, to int, payload []b
 }
 
 // recv receives the message carrying len(dst) values of the tensor in
-// describes, decodes it into dst, and returns the message as it arrived
-// (valid until the next recv).
-func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32) ([]byte, error) {
+// describes, decodes it into dst — or, with add set, adds its values
+// into dst (quant.Codec.DecodeAdd) — and returns the message as it
+// arrived (valid until the next recv).
+func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32, add bool) ([]byte, error) {
 	size := in.codec.EncodedBytes(len(dst), in.shape)
 	if e.framed {
 		size += in.overhead
@@ -99,9 +100,14 @@ func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32
 	e.acc.bytes += int64(size)
 	t0 = tr.Now()
 	var err error
-	if e.framed {
+	switch {
+	case e.framed && add:
+		_, err = in.dec.DecodeAdd(wire, dst)
+	case e.framed:
 		_, err = in.dec.Decode(wire, dst)
-	} else {
+	case add:
+		err = in.codec.DecodeAdd(wire, len(dst), in.shape, dst)
+	default:
 		err = in.codec.Decode(wire, len(dst), in.shape, dst)
 	}
 	e.acc.decode += tr.Now() - t0

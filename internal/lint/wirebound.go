@@ -154,7 +154,7 @@ func checkJSONDecoders(pass *analysis.Pass, body *ast.BlockStmt) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
-				if !isJSONNewDecoder(rhs) || i >= len(n.Lhs) {
+				if !isJSONNewDecoder(pass, rhs) || i >= len(n.Lhs) {
 					continue
 				}
 				if id, ok := n.Lhs[i].(*ast.Ident); ok {
@@ -166,7 +166,7 @@ func checkJSONDecoders(pass *analysis.Pass, body *ast.BlockStmt) {
 			if !ok {
 				return true
 			}
-			if isJSONNewDecoder(sel.X) {
+			if isJSONNewDecoder(pass, sel.X) {
 				// json.NewDecoder(r).Decode(v): no variable to harden.
 				if sel.Sel.Name != "DisallowUnknownFields" {
 					pass.Reportf(n.Pos(), "sim json.Decoder used without DisallowUnknownFields: unknown scenario keys must be errors, not silently dropped knobs")
@@ -189,15 +189,18 @@ func checkJSONDecoders(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 }
 
-func isJSONNewDecoder(e ast.Expr) bool {
+// isJSONNewDecoder reports whether e calls encoding/json's NewDecoder,
+// resolved through the type checker as isWireRead resolves its callees,
+// so any import name of the package matches and no lookalike does.
+func isJSONNewDecoder(pass *analysis.Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "NewDecoder" {
+	if !ok {
 		return false
 	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "json"
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/json" && fn.Name() == "NewDecoder"
 }

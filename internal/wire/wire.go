@@ -229,7 +229,7 @@ func (d *Decoder) F64(field string) float64 { return math.Float64frombits(d.U64(
 // cap.
 func (d *Decoder) Len(field string, width int, cap int64) int {
 	v := d.uint(field, width)
-	if v > uint64(cap) {
+	if cap < 0 || v > uint64(cap) {
 		d.Fail(field, &CapError{N: int64(v), Cap: cap})
 		return 0
 	}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"unsafe"
+
+	"repro/tensor"
 )
 
 // FP32 is the identity codec: gradients travel as raw little-endian
@@ -78,6 +80,30 @@ func (FP32) Decode(wire []byte, n int, _ Shape, dst []float32) error {
 		copy(fp32Bytes(dst), wire)
 	} else {
 		fp32Get(dst, wire)
+	}
+	return nil
+}
+
+// DecodeAdd implements Codec. Where fp32View holds the payload already
+// is the float32 values, and tensor.Add adds them from it; the view may
+// be unaligned, which loads on amd64 and arm64 permit. Elsewhere runs
+// of addChunk values are decoded on the stack and added.
+func (FP32) DecodeAdd(wire []byte, n int, _ Shape, acc []float32) error {
+	if len(wire) != 4*n {
+		return fmt.Errorf("quant: fp32 wire length %d, want %d", len(wire), 4*n)
+	}
+	if len(acc) != n {
+		return fmt.Errorf("quant: fp32 acc length %d, want %d", len(acc), n)
+	}
+	if fp32View {
+		tensor.Add(acc, unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(wire))), n))
+		return nil
+	}
+	var vals [addChunk]float32
+	for lo := 0; lo < n; lo += addChunk {
+		dec := vals[:min(addChunk, n-lo)]
+		fp32Get(dec, wire[4*lo:])
+		tensor.Add(acc[lo:lo+len(dec)], dec)
 	}
 	return nil
 }

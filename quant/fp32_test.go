@@ -45,6 +45,14 @@ func checkFP32Parity(t *testing.T, vals []float32) {
 			t.Fatalf("n=%d element %d: decoded %#08x, portable %#08x, input %#08x", n, i, g, w, in)
 		}
 	}
+	// DecodeAdd from the same unaligned wire, through the view and
+	// through the portable loop, into an accumulator of the values
+	// themselves (NaN plus NaN included).
+	defer func(was bool) { fp32View = was }(fp32View)
+	for _, view := range []bool{fp32View, false} {
+		fp32View = view
+		assertDecodeAdd(t, FP32{}, wire, n, Shape{Rows: 1, Cols: n}, vals)
+	}
 }
 
 // TestFP32ViewParity: the fast path and the portable loops agree bit

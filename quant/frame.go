@@ -198,6 +198,18 @@ type FrameDecoder struct {
 // Decode decodes one complete frame held in frame into dst; see
 // DecodeFramed.
 func (fd *FrameDecoder) Decode(frame []byte, dst []float32) (Header, error) {
+	return fd.decode(frame, dst, false)
+}
+
+// DecodeAdd adds the values of one complete frame held in frame into
+// acc, as Codec.DecodeAdd does, after the same checks as Decode; where
+// Decode would fail it fails and leaves acc untouched.
+func (fd *FrameDecoder) DecodeAdd(frame []byte, acc []float32) (Header, error) {
+	return fd.decode(frame, acc, true)
+}
+
+// decode is Decode, or with add set DecodeAdd.
+func (fd *FrameDecoder) decode(frame []byte, dst []float32, add bool) (Header, error) {
 	d := wire.NewBytes(frameFormat, frame)
 	h, name := readHeader(&d)
 	c := fd.resolve(&d, &h, name)
@@ -209,7 +221,13 @@ func (fd *FrameDecoder) Decode(frame []byte, dst []float32) (Header, error) {
 	if err := d.Err(); err != nil {
 		return Header{}, err
 	}
-	if err := c.Decode(payload, h.N, h.Shape, dst); err != nil {
+	var err error
+	if add {
+		err = c.DecodeAdd(payload, h.N, h.Shape, dst)
+	} else {
+		err = c.Decode(payload, h.N, h.Shape, dst)
+	}
+	if err != nil {
 		d.Fail("payload", err)
 		return Header{}, d.Err()
 	}

@@ -8,7 +8,9 @@ import (
 // seed corpus runs as regression tests; `go test -fuzz=FuzzX` explores
 // further. The invariant in every case: Decode must either return an
 // error or fill dst — it must never panic or index out of range, no
-// matter what bytes arrive (a corrupted peer must not crash training).
+// matter what bytes arrive (a corrupted peer must not crash training) —
+// and DecodeAdd must fail where Decode does and otherwise give the bits
+// of Decode followed by tensor.Add.
 
 func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{}, uint16(1))
@@ -30,6 +32,12 @@ func fuzzDecode(f *testing.F, c Codec) {
 			}
 		}()
 		_ = c.Decode(wire, n, shape, dst) // error return is fine
+		// The accumulator: the wire's own floats, over again.
+		acc := make([]float32, n)
+		for i, v := 0, fuzzFloats(wire); len(v) > 0 && i < n; i += len(v) {
+			copy(acc[i:], v)
+		}
+		assertDecodeAdd(t, c, wire, n, shape, acc)
 	})
 }
 

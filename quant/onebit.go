@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/tensor"
 )
 
 // OneBit is CNTK's classic 1bitSGD codec (Seide et al., 2014; paper §2.2
@@ -50,7 +52,12 @@ func (o OneBit) NewEncoder(n int, shape Shape, _ uint64) Encoder {
 
 // Decode implements Codec.
 func (o OneBit) Decode(wire []byte, n int, shape Shape, dst []float32) error {
-	return oneBitDecode(wire, n, o.GroupSize(shape), dst)
+	return oneBitDecode(wire, n, o.GroupSize(shape), dst, false)
+}
+
+// DecodeAdd implements Codec.
+func (o OneBit) DecodeAdd(wire []byte, n int, shape Shape, acc []float32) error {
+	return oneBitDecode(wire, n, o.GroupSize(shape), acc, true)
 }
 
 // OneBitReshaped is the paper's 1bitSGD* variant (§3.2 "Reshaped
@@ -93,7 +100,12 @@ func (o OneBitReshaped) NewEncoder(n int, shape Shape, _ uint64) Encoder {
 
 // Decode implements Codec.
 func (o OneBitReshaped) Decode(wire []byte, n int, _ Shape, dst []float32) error {
-	return oneBitDecode(wire, n, o.bucket, dst)
+	return oneBitDecode(wire, n, o.bucket, dst, false)
+}
+
+// DecodeAdd implements Codec.
+func (o OneBitReshaped) DecodeAdd(wire []byte, n int, _ Shape, acc []float32) error {
+	return oneBitDecode(wire, n, o.bucket, acc, true)
 }
 
 // oneBitBytes returns the wire size of n elements cut into groups of g.
@@ -196,8 +208,10 @@ func (e *oneBitEncoder) EncodeTo(w io.Writer, src []float32) (int, error) {
 	return e.encodeTo(w, e.Encode(src))
 }
 
-// oneBitDecode unpacks a 1bitSGD wire buffer into dst.
-func oneBitDecode(wire []byte, n, g int, dst []float32) error {
+// oneBitDecode unpacks a 1bitSGD wire buffer into dst, or with add set
+// adds it to dst: a run of at most addChunk values at a time, decoded on
+// the stack and added with tensor.Add.
+func oneBitDecode(wire []byte, n, g int, dst []float32, add bool) error {
 	want := oneBitBytes(n, g)
 	if len(wire) != want {
 		return fmt.Errorf("quant: 1bit wire length %d, want %d", len(wire), want)
@@ -205,6 +219,7 @@ func oneBitDecode(wire []byte, n, g int, dst []float32) error {
 	if len(dst) != n {
 		return fmt.Errorf("quant: 1bit dst length %d, want %d", len(dst), n)
 	}
+	var vals [addChunk]float32
 	off := 0
 	for start := 0; start < n; start += g {
 		end := start + g
@@ -215,12 +230,22 @@ func oneBitDecode(wire []byte, n, g int, dst []float32) error {
 		avgPos := math.Float32frombits(binary.LittleEndian.Uint32(wire[off:]))
 		avgNeg := math.Float32frombits(binary.LittleEndian.Uint32(wire[off+4:]))
 		off += 8
-		for i := 0; i < c; i++ {
-			word := binary.LittleEndian.Uint32(wire[off+4*(i>>5):])
-			if word&(1<<(uint(i)&31)) != 0 {
-				dst[start+i] = avgPos
-			} else {
-				dst[start+i] = avgNeg
+		for lo := 0; lo < c; lo += addChunk {
+			out := dst[start+lo : start+min(lo+addChunk, c)]
+			dec := out
+			if add {
+				dec = vals[:len(out)]
+			}
+			for i := range dec {
+				j := lo + i
+				if binary.LittleEndian.Uint32(wire[off+4*(j>>5):])&(1<<(uint(j)&31)) != 0 {
+					dec[i] = avgPos
+				} else {
+					dec[i] = avgNeg
+				}
+			}
+			if add {
+				tensor.Add(out, dec)
 			}
 		}
 		off += 4 * words32(c)

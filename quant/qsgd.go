@@ -111,7 +111,17 @@ func (s Scheme) String() string {
 //   - Decode's per-bucket table holds, for every code, the value of the
 //     scalar expression itself (scale·float32(level)/s negated under the
 //     sign bit; −scale+2·scale·float32(code)/s; scale·float32(2^{level−s}))
-//     — in float32, in that operation order.
+//     — in float32, in that operation order. The AVX2 table decode (2 and
+//     4 bits) reads that table and writes each code's entry; it computes
+//     nothing itself, so its floats are the portable lookup's.
+//   - DecodeAdd adds each decoded value to the accumulator with the
+//     accumulator as the addition's first operand — VADDPS's first source
+//     in the table kernel, as in tensor.Add's kernel — so that of two NaNs
+//     the accumulator's survives on both sides of "Decode then
+//     tensor.Add". Every other addition of DecodeAdd is a tensor.Add.
+//   - The AVX2 pack (2, 4 and 8 bits) narrows the codes to bytes and
+//     joins neighbours with multiply-adds, 32 bytes of words per block;
+//     its words are the per-width shifts' bit for bit.
 //
 // Non-finite input is outside the bit-exact contract with the scalar
 // reference, though not between this package's own paths: the AVX2 and
@@ -271,8 +281,9 @@ func (e *qsgdEncoder) Reseed(seed uint64) { e.state = seed }
 //
 // On amd64 with AVX2, the max norm (tensor.MaxAbs), the linear schemes'
 // float pass and every scheme's draw pass run on vector kernels
-// (qsgd_amd64.s) in whole groups of four elements; the portable loops
-// take the rest of a chunk, and everything on other hosts.
+// (qsgd_amd64.s) in whole groups of four elements, and the 2-, 4- and
+// 8-bit pack in whole blocks of eight words; the portable loops take
+// the rest of a chunk, and everything on other hosts.
 func (e *qsgdEncoder) Encode(src []float32) []byte {
 	if len(src) != e.n {
 		panic(fmt.Sprintf("quant: qsgd encoder got %d values, want %d", len(src), e.n))
@@ -343,10 +354,13 @@ func drawLevelsGo(codes []uint32, frac []float64, draw []uint8, state uint64) ui
 
 // packCodes packs codes, each below 2^bits, LSB-first and 32/bits to a
 // little-endian word into the first ⌈len(codes)·bits/32⌉ words of dst
-// and returns the rest of dst. Whole words are assembled with constant
-// shifts, one case per width; the last, partial word of a bucket goes
-// through the generic loop.
+// and returns the rest of dst. On AVX2 the kernel takes whole blocks of
+// eight words at 2, 4 and 8 bits; the remaining whole words are
+// assembled with constant shifts, one case per width, and the last,
+// partial word of a bucket goes through the generic loop.
 func packCodes(dst []byte, codes []uint32, bits uint) []byte {
+	n := packCodesAsm(dst, codes, bits)
+	dst, codes = dst[n*int(bits)/8:], codes[n:]
 	switch bits {
 	case 2:
 		for ; len(codes) >= 16; codes = codes[16:] {
@@ -527,13 +541,26 @@ var identityCodes = func() (t [256]uint32) {
 }()
 
 // Decode implements Codec.
+func (q QSGD) Decode(wire []byte, n int, shape Shape, dst []float32) error {
+	return q.decode(wire, n, shape, dst, false)
+}
+
+// DecodeAdd implements Codec.
+func (q QSGD) DecodeAdd(wire []byte, n int, shape Shape, acc []float32) error {
+	return q.decode(wire, n, shape, acc, true)
+}
+
+// decode is Decode, or with add set DecodeAdd.
 //
 // Whether buckets go through a table is decided once, here; the
 // scheme's dequantiser is reached through a static switch per bucket
 // (or per chunk of a table-less bucket) rather than through a function
 // value, because a table handed to a function value would escape to
-// the heap.
-func (q QSGD) Decode(wire []byte, n int, shape Shape, dst []float32) error {
+// the heap. On AVX2 the kernel decodes (and adds) the whole words of a
+// 2- or 4-bit table bucket. Every other code is decoded into dst, or,
+// to be added with tensor.Add, a chunk at a time into a chunk on the
+// stack.
+func (q QSGD) decode(wire []byte, n int, shape Shape, dst []float32, add bool) error {
 	want := q.EncodedBytes(n, shape)
 	if len(wire) != want {
 		return fmt.Errorf("quant: qsgd wire length %d, want %d", len(wire), want)
@@ -547,6 +574,7 @@ func (q QSGD) Decode(wire []byte, n int, shape Shape, dst []float32) error {
 	var (
 		tab   [256]float32
 		chunk [codeChunk]uint32
+		vals  [codeChunk]float32
 	)
 	off := 0
 	for start := 0; start < n; start += q.bucket {
@@ -557,13 +585,28 @@ func (q QSGD) Decode(wire []byte, n int, shape Shape, dst []float32) error {
 		off += len(codes)
 		if table {
 			q.dequantise(tab[:1<<bits], identityCodes[:1<<bits], scale, s)
-			lookupCodes(out, codes, &tab, bits)
-			continue
+			i := lookupCodesAsm(out, codes, &tab, bits, add)
+			out, codes = out[i:], codes[i*q.bits/8:]
+			if !add {
+				lookupCodes(out, codes, &tab, bits)
+				continue
+			}
 		}
 		for len(out) > 0 {
 			m := min(codeChunk, len(out))
-			unpackCodes(chunk[:m], codes, bits)
-			q.dequantise(out[:m], chunk[:m], scale, s)
+			dec := out[:m]
+			if add {
+				dec = vals[:m]
+			}
+			if table {
+				lookupCodes(dec, codes, &tab, bits)
+			} else {
+				unpackCodes(chunk[:m], codes, bits)
+				q.dequantise(dec, chunk[:m], scale, s)
+			}
+			if add {
+				tensor.Add(out[:m], dec)
+			}
 			out, codes = out[m:], codes[m*q.bits/8:]
 		}
 	}

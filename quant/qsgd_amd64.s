@@ -229,3 +229,246 @@ drawdone:
 	VMOVQ X0, ret+48(FP)
 	VZEROUPPER
 	RET
+
+// The table decode. Both kernels read the bucket's table as dequantise
+// built it and write, for each code, its entry: the same float bits as
+// lookupCodes. With add set they add the entry to the element instead,
+// the element being VADDPS's first source as in tensor's addAVX2, so
+// that of two NaNs the element's survives there and here alike.
+//
+// Go operand order: VPERMPS t, i, d is d[k] = t[i[k] & 7], VPSRLVD c,
+// a, d is d[k] = a[k] >> c[k] and VBLENDVPS m, b, a, d is d[k] = b[k]
+// where bit 31 of m[k] is set, a[k] elsewhere.
+
+// LOOKUP4 leaves in Y the table entries of the eight 4-bit codes of the
+// word at (SI): the word in every lane, lane k shifted right by 4k
+// (Y14) so that code k is in its low bits. VPERMPS picks by bits 0–2
+// among entries 0–7 (Y12) and among entries 8–15 (Y13); VBLENDVPS takes
+// the second where bit 3, shifted up to bit 31, is set. T and U are
+// clobbered.
+#define LOOKUP4(Y, T, U) \
+	VPBROADCASTD (SI), Y   \
+	VPSRLVD      Y14, Y, Y \
+	VPERMPS      Y12, Y, T \
+	VPERMPS      Y13, Y, U \
+	VPSLLD       $28, Y, Y \
+	VBLENDVPS    Y, U, T, Y
+
+// func lookup4AVX2(out *float32, codes *byte, words uintptr, tab *[256]float32, add bool)
+TEXT ·lookup4AVX2(SB), NOSPLIT, $0-33
+	MOVQ      out+0(FP), DI
+	MOVQ      codes+8(FP), SI
+	MOVQ      words+16(FP), CX
+	MOVQ      tab+24(FP), AX
+	VMOVUPS   (AX), Y12
+	VMOVUPS   32(AX), Y13
+	MOVQ      $0x1c1814100c080400, AX // 0, 4, …, 28
+	VMOVQ     AX, X14
+	VPMOVZXBD X14, Y14
+	CMPB      add+32(FP), $0
+	JNE       l4add
+
+	PCALIGN $32
+l4:
+	LOOKUP4(Y0, Y1, Y2)
+	VMOVUPS Y0, (DI)
+	ADDQ    $4, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     l4
+	VZEROUPPER
+	RET
+
+	PCALIGN $32
+l4add:
+	LOOKUP4(Y0, Y1, Y2)
+	VMOVUPS (DI), Y3
+	VADDPS  Y0, Y3, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $4, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     l4add
+	VZEROUPPER
+	RET
+
+// LOOKUP2 leaves in Y and Z the table entries of codes 0–7 and 8–15 of
+// the sixteen 2-bit codes of the word at (SI): lane k shifted right by
+// 2k (Y14) or 16+2k (Y15). The four entries fill both halves of Y12, so
+// VPERMPS's third index bit, the next code's low bit, picks the same
+// entry as the code alone.
+#define LOOKUP2(Y, Z) \
+	VPBROADCASTD (SI), Z   \
+	VPSRLVD      Y14, Z, Y \
+	VPSRLVD      Y15, Z, Z \
+	VPERMPS      Y12, Y, Y \
+	VPERMPS      Y12, Z, Z
+
+// func lookup2AVX2(out *float32, codes *byte, words uintptr, tab *[256]float32, add bool)
+TEXT ·lookup2AVX2(SB), NOSPLIT, $0-33
+	MOVQ           out+0(FP), DI
+	MOVQ           codes+8(FP), SI
+	MOVQ           words+16(FP), CX
+	MOVQ           tab+24(FP), AX
+	VBROADCASTF128 (AX), Y12
+	MOVQ           $0x0e0c0a0806040200, AX // 0, 2, …, 14
+	VMOVQ          AX, X14
+	VPMOVZXBD      X14, Y14
+	MOVQ           $0x1e1c1a1816141210, AX // 16, 18, …, 30
+	VMOVQ          AX, X15
+	VPMOVZXBD      X15, Y15
+	CMPB           add+32(FP), $0
+	JNE            l2add
+
+	PCALIGN $32
+l2:
+	LOOKUP2(Y0, Y1)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $4, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     l2
+	VZEROUPPER
+	RET
+
+	PCALIGN $32
+l2add:
+	LOOKUP2(Y0, Y1)
+	VMOVUPS (DI), Y2
+	VMOVUPS 32(DI), Y3
+	VADDPS  Y0, Y2, Y0
+	VADDPS  Y1, Y3, Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $4, SI
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     l2add
+	VZEROUPPER
+	RET
+
+// The pack. Each kernel writes 32 bytes of packed words per block of
+// 256/bits codes: the same bytes as packCodes' word cases.
+//
+// Go operand order: VPACKUSDW b, a, d and VPACKUSWB b, a, d put, in
+// each 128-bit lane, a's narrowed elements before b's; VPERMD t, i, d is
+// d[k] = t[i[k]]; VPMADDUBSW m, a, d is d[k] = a[2k]·m[2k] +
+// a[2k+1]·m[2k+1] over bytes into words, VPMADDWD the same over words
+// into dwords.
+
+// BYTES32 leaves in Y the 32 codes at o(SI), each below 256, as 32
+// bytes in element order. Narrowing dwords to words and words to bytes
+// lane by lane leaves the runs of four codes in the dword order 0 2 4 6
+// 1 3 5 7, which VPERMD by Y15 = [0 4 1 5 2 6 3 7] undoes. T is
+// clobbered.
+#define BYTES32(o, Y, T) \
+	VMOVDQU   o(SI), Y       \
+	VPACKUSDW o+32(SI), Y, Y \
+	VMOVDQU   o+64(SI), T    \
+	VPACKUSDW o+96(SI), T, T \
+	VPACKUSWB T, Y, Y        \
+	VPERMD    Y, Y15, Y
+
+// BYTESORDER puts BYTES32's permutation in Y15.
+#define BYTESORDER \
+	MOVQ      $0x0703060205010400, AX \
+	VMOVQ     AX, X15                 \
+	VPMOVZXBD X15, Y15
+
+// func pack8AVX2(dst *byte, codes *uint32, blocks uintptr)
+//
+// A block is 32 codes, a byte each.
+TEXT ·pack8AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ codes+8(FP), SI
+	MOVQ blocks+16(FP), CX
+	BYTESORDER
+
+	PCALIGN $32
+p8:
+	BYTES32(0, Y0, Y1)
+	VMOVDQU Y0, (DI)
+	ADDQ    $128, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     p8
+	VZEROUPPER
+	RET
+
+// func pack4AVX2(dst *byte, codes *uint32, blocks uintptr)
+//
+// A block is 64 codes. VPMADDUBSW by bytes [1 16] joins codes 2k and
+// 2k+1 into the byte value of word k; narrowing two such vectors to
+// bytes interleaves their lanes by quadwords, which VPERMQ $0xd8
+// (0 2 1 3) undoes.
+TEXT ·pack4AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ codes+8(FP), SI
+	MOVQ blocks+16(FP), CX
+	BYTESORDER
+	MOVL         $0x10011001, AX
+	VMOVD        AX, X14
+	VPBROADCASTD X14, Y14
+
+	PCALIGN $32
+p4:
+	BYTES32(0, Y0, Y1)
+	BYTES32(128, Y2, Y3)
+	VPMADDUBSW Y14, Y0, Y0
+	VPMADDUBSW Y14, Y2, Y2
+	VPACKUSWB  Y2, Y0, Y0
+	VPERMQ     $0xd8, Y0, Y0
+	VMOVDQU    Y0, (DI)
+	ADDQ       $256, SI
+	ADDQ       $32, DI
+	DECQ       CX
+	JNZ        p4
+	VZEROUPPER
+	RET
+
+// PAIRS2 turns the 32 byte codes in Y into eight dwords, each the byte
+// value of four codes: VPMADDUBSW by bytes [1 4] joins pairs into
+// words, VPMADDWD by words [1 16] joins pairs of those.
+#define PAIRS2(Y) \
+	VPMADDUBSW Y14, Y, Y \
+	VPMADDWD   Y13, Y, Y
+
+// func pack2AVX2(dst *byte, codes *uint32, blocks uintptr)
+//
+// A block is 128 codes, four runs of 32 that PAIRS2 turns into a
+// quarter of the block's bytes each; narrowing those to bytes leaves
+// them in BYTES32's dword order, which Y15 undoes again.
+TEXT ·pack2AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ codes+8(FP), SI
+	MOVQ blocks+16(FP), CX
+	BYTESORDER
+	MOVL         $0x04010401, AX
+	VMOVD        AX, X14
+	VPBROADCASTD X14, Y14
+	MOVL         $0x00100001, AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13
+
+	PCALIGN $32
+p2:
+	BYTES32(0, Y0, Y4)
+	BYTES32(128, Y1, Y4)
+	BYTES32(256, Y2, Y4)
+	BYTES32(384, Y3, Y4)
+	PAIRS2(Y0)
+	PAIRS2(Y1)
+	PAIRS2(Y2)
+	PAIRS2(Y3)
+	VPACKUSDW Y1, Y0, Y0
+	VPACKUSDW Y3, Y2, Y2
+	VPACKUSWB Y2, Y0, Y0
+	VPERMD    Y0, Y15, Y0
+	VMOVDQU   Y0, (DI)
+	ADDQ      $512, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       p2
+	VZEROUPPER
+	RET

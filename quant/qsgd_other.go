@@ -14,3 +14,7 @@ func encodeLinearAsm(*qsgdScratch, []float32, float64, float64, float64, uint32,
 }
 
 func drawLevelsAsm(_ []uint32, _ []float64, _ []uint8, state uint64) (int, uint64) { return 0, state }
+
+func packCodesAsm([]byte, []uint32, uint) int { return 0 }
+
+func lookupCodesAsm([]float32, []byte, *[256]float32, uint, bool) int { return 0 }

@@ -2,10 +2,13 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/rng"
+	"repro/tensor"
 )
 
 // The AVX2 encoder against the portable one on the same machine. The
@@ -209,5 +212,181 @@ func TestQSGDDrawCompareEdges(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+// assertDecodePathsAgree decodes wire (a payload of q for len(acc)
+// elements) with the AVX2 kernels and with the portable loops, plainly
+// and added into acc. Each plain decode must match the scalar reference
+// (any NaN matching any NaN, as in TestQSGDDecodeParityOnArbitraryWire)
+// and the other path bit for bit, and each DecodeAdd must give the
+// bits of that decode followed by tensor.Add into acc.
+func assertDecodePathsAgree(t *testing.T, q QSGD, wire []byte, acc []float32) {
+	t.Helper()
+	n := len(acc)
+	shape := Shape{Rows: 1, Cols: n}
+	ref := make([]float32, n)
+	if err := refQSGDDecode(q, wire, n, shape, ref); err != nil {
+		t.Fatal(err)
+	}
+	defer func(was bool) { useAVX2 = was }(useAVX2)
+	var decoded [2][]float32
+	for p, avx2 := range []bool{true, false} {
+		useAVX2 = avx2
+		dec := make([]float32, n)
+		if err := q.Decode(wire, n, shape, dec); err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(acc)
+		tensor.Add(want, dec)
+		got := slices.Clone(acc)
+		if err := q.DecodeAdd(wire, n, shape, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range dec {
+			if !sameFloat32(dec[i], ref[i]) {
+				t.Fatalf("%s n=%d avx2=%v: decoded[%d] = %#x, reference %#x", q.Name(), n, avx2, i, math.Float32bits(dec[i]), math.Float32bits(ref[i]))
+			}
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s n=%d avx2=%v: element %d is %#x after DecodeAdd, %#x after Decode+Add (acc %#x, decoded %#x)",
+					q.Name(), n, avx2, i, math.Float32bits(got[i]), math.Float32bits(want[i]), math.Float32bits(acc[i]), math.Float32bits(dec[i]))
+			}
+		}
+		decoded[p] = dec
+	}
+	for i := range decoded[0] {
+		if a, b := math.Float32bits(decoded[0][i]), math.Float32bits(decoded[1][i]); a != b {
+			t.Fatalf("%s n=%d: decoded[%d] = %#x on AVX2, %#x on the portable loops", q.Name(), n, i, a, b)
+		}
+	}
+}
+
+// decodeInput returns arbitrary wire for n elements of q starting off
+// bytes into its backing array, and an accumulator of n floats (with
+// specials) starting off floats into its own.
+func decodeInput(r *rng.RNG, q QSGD, n, off int) ([]byte, []float32) {
+	w := arbitraryWire(r, q, n, Shape{Rows: 1, Cols: n})
+	wire := append(make([]byte, off, off+len(w)), w...)[off:]
+	acc := make([]float32, off+n)[off:]
+	for i, b := range specialWords(r, n) {
+		acc[i] = math.Float32frombits(b)
+	}
+	return wire, acc
+}
+
+// TestQSGDDecodeVectorMatchesPortable runs the decoders over every
+// length from 1 to 70 and then lengths of several words and buckets,
+// at four alignments of wire and accumulator, over every bits × scheme
+// and buckets on both sides of the table threshold: the table kernels'
+// whole words, their partial last word and the table-less chunks.
+func TestQSGDDecodeVectorMatchesPortable(t *testing.T) {
+	skipWithoutAVX2(t)
+	r := rng.New(6)
+	for _, bits := range kernelBits {
+		for _, scheme := range kernelSchemes {
+			for _, bucket := range []int{16, 32, 48, 512} {
+				q := NewQSGDScheme(bits, bucket, MaxNorm, scheme)
+				lens := []int{3*codeChunk + 5, 2*bucket + 17}
+				for n := 1; n <= 70; n++ {
+					lens = append(lens, n)
+				}
+				for _, n := range lens {
+					for off := 0; off < 4; off++ {
+						wire, acc := decodeInput(r, q, n, off)
+						assertDecodePathsAgree(t, q, wire, acc)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refPackCodes packs codes LSB-first, 32/bits to a little-endian word,
+// one code at a time.
+func refPackCodes(codes []uint32, bits uint) []byte {
+	words := make([]uint32, words32(len(codes)*int(bits)))
+	per := 32 / int(bits)
+	for i, c := range codes {
+		words[i/per] |= c << (uint(i%per) * bits)
+	}
+	out := make([]byte, 0, 4*len(words))
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
+}
+
+// assertPackPathsAgree packs codes (each below 2^bits) into dst on both
+// paths and fails unless each writes refPackCodes' bytes and returns the
+// rest of dst.
+func assertPackPathsAgree(t *testing.T, codes []uint32, bits uint, dst []byte) {
+	t.Helper()
+	want := refPackCodes(codes, bits)
+	defer func(was bool) { useAVX2 = was }(useAVX2)
+	for _, avx2 := range []bool{true, false} {
+		useAVX2 = avx2
+		clear(dst)
+		rest := packCodes(dst, codes, bits)
+		if got := dst[:len(want)]; !bytes.Equal(got, want) || len(rest) != len(dst)-len(want) {
+			t.Fatalf("bits=%d n=%d avx2=%v: packed %x (%d bytes left), want %x (%d)", bits, len(codes), avx2, got, len(rest), want, len(dst)-len(want))
+		}
+	}
+}
+
+// TestQSGDPackVectorMatchesPortable packs every length from 1 to 600 —
+// every block and word tail at each width — at four alignments of dst,
+// codes random below 2^bits with the extremes planted.
+func TestQSGDPackVectorMatchesPortable(t *testing.T) {
+	skipWithoutAVX2(t)
+	r := rng.New(7)
+	for _, bits := range kernelBits {
+		for n := 1; n <= 600; n++ {
+			codes := make([]uint32, n)
+			for i := range codes {
+				codes[i] = uint32(r.Intn(1 << bits))
+				if r.Intn(8) == 0 {
+					codes[i] = uint32(1<<bits-1) * uint32(r.Intn(2))
+				}
+			}
+			off := n % 4
+			dst := make([]byte, off+4*words32(n*bits)+4)[off:]
+			assertPackPathsAgree(t, codes, uint(bits), dst)
+		}
+	}
+}
+
+// FuzzQSGDDecodeParity feeds raw bytes as the wire and as accumulator
+// bits through the decoders and the pack, for a configuration drawn
+// from the seed: Decode against the scalar reference and the two paths
+// against each other, DecodeAdd against Decode plus tensor.Add, and
+// packCodes of the wire's codes against the code-at-a-time packer.
+func FuzzQSGDDecodeParity(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 0, 128, 63, 0x21, 0x43, 0x65, 0x87}, []byte{0, 0, 192, 127})
+	f.Add(uint64(5), bytes.Repeat([]byte{0xff, 0xc0, 0x80, 0x7f, 0x5a}, 60), []byte{1, 0, 192, 255, 0, 0, 0, 128})
+	f.Add(uint64(22), bytes.Repeat([]byte{0x00, 0x00, 0x80, 0x7f, 0xe4, 0x1b, 0xc6, 0x39}, 90), []byte{0, 0, 128, 255})
+	f.Add(uint64(43), bytes.Repeat([]byte{0xcd, 0xcc, 0x4c, 0x3e, 0xff, 0xff, 0xff, 0xff}, 200), []byte{})
+	f.Fuzz(func(t *testing.T, seed uint64, raw, accBits []byte) {
+		skipWithoutAVX2(t)
+		bits := kernelBits[seed%4]
+		q := NewQSGDScheme(bits, []int{1, 16, 32, 64, 131, 512}[seed>>2%6], MaxNorm, kernelSchemes[seed>>5%3])
+		n := min(len(raw), 4096)
+		if n == 0 {
+			return
+		}
+		wire := make([]byte, q.EncodedBytes(n, Shape{Rows: 1, Cols: n}))
+		for i := range wire {
+			wire[i] = raw[i%max(len(raw), 1)]
+		}
+		acc := make([]float32, n)
+		for i := range acc {
+			if len(accBits) >= 4 {
+				j := 4 * (i % (len(accBits) / 4))
+				acc[i] = math.Float32frombits(binary.LittleEndian.Uint32(accBits[j:]))
+			}
+		}
+		assertDecodePathsAgree(t, q, wire, acc)
+		codes := make([]uint32, n)
+		unpackCodes(codes, wire[4:], uint(bits))
+		assertPackPathsAgree(t, codes, uint(bits), make([]byte, len(wire)))
 	})
 }

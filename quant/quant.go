@@ -88,6 +88,14 @@ type Codec interface {
 	// Decode unpacks wire into dst (length n). It returns an error when
 	// the wire buffer has the wrong length for (n, shape).
 	Decode(wire []byte, n int, shape Shape, dst []float32) error
+
+	// DecodeAdd adds the values wire decodes to into acc (length n):
+	// acc[i] = acc[i] + decoded[i], every element's float bits equal to
+	// those of Decode into a scratch vector followed by tensor.Add(acc,
+	// scratch) — NaNs, signed zeros and infinities included, with acc
+	// the addition's first operand. It allocates nothing. Where Decode
+	// would return an error it returns one and leaves acc untouched.
+	DecodeAdd(wire []byte, n int, shape Shape, acc []float32) error
 }
 
 // Encoder quantises one fixed-length gradient segment. Encoders carry the
@@ -133,6 +141,13 @@ type Reseeder interface {
 	// been built with NewEncoder(..., seed).
 	Reseed(seed uint64)
 }
+
+// addChunk is how many decoded values the OneBit and TopK DecodeAdd
+// stage on the stack for one tensor.Add. Every addition of DecodeAdd
+// runs in tensor.Add or, on AVX2, in a QSGD kernel with the same
+// operand order, which is what keeps its bits those of Decode followed
+// by tensor.Add.
+const addChunk = 256
 
 // words32 returns how many uint32 words hold nBits bits.
 func words32(nBits int) int { return (nBits + 31) / 32 }

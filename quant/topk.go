@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/tensor"
 )
 
 // TopK is the sparse-communication scheme the paper's related-work
@@ -137,40 +139,98 @@ func (e *topKEncoder) EncodeTo(w io.Writer, src []float32) (int, error) {
 
 // Decode implements Codec.
 func (t TopK) Decode(wire []byte, n int, shape Shape, dst []float32) error {
+	k, err := t.header(wire, n, shape, dst)
+	if err != nil {
+		return err
+	}
+	clear(dst)
+	prev := -1
+	for i := 0; i < k; i++ {
+		idx, ok := topKIndex(wire, i, n, prev)
+		if !ok {
+			return topKIndexError(idx, n, prev)
+		}
+		dst[idx] = topKValue(wire, k, i)
+		prev = idx
+	}
+	return nil
+}
+
+// DecodeAdd implements Codec: every index is checked before acc
+// changes, then Decode and tensor.Add run on a run of addChunk elements
+// at a time, on the stack. The unselected elements thus get +0 added,
+// as Decode's zeros would: a −0 becomes +0 and a signalling NaN is
+// quietened.
+func (t TopK) DecodeAdd(wire []byte, n int, shape Shape, acc []float32) error {
+	k, err := t.header(wire, n, shape, acc)
+	if err != nil {
+		return err
+	}
+	prev := -1
+	for i := 0; i < k; i++ {
+		idx, ok := topKIndex(wire, i, n, prev)
+		if !ok {
+			return topKIndexError(idx, n, prev)
+		}
+		prev = idx
+	}
+	var vals [addChunk]float32
+	next := 0 // the next selected entry
+	for lo := 0; lo < n; lo += addChunk {
+		dec := vals[:min(addChunk, n-lo)]
+		clear(dec)
+		for ; next < k; next++ {
+			idx, _ := topKIndex(wire, next, n, -1)
+			if idx >= lo+len(dec) {
+				break
+			}
+			dec[idx-lo] = topKValue(wire, k, next)
+		}
+		tensor.Add(acc[lo:lo+len(dec)], dec)
+	}
+	return nil
+}
+
+// header checks a payload's length and its k for n elements into dst,
+// and returns k.
+func (t TopK) header(wire []byte, n int, shape Shape, dst []float32) (int, error) {
 	want := t.EncodedBytes(n, shape)
 	if len(wire) != want {
-		return fmt.Errorf("quant: topk wire length %d, want %d", len(wire), want)
+		return 0, fmt.Errorf("quant: topk wire length %d, want %d", len(wire), want)
 	}
 	if len(dst) != n {
-		return fmt.Errorf("quant: topk dst length %d, want %d", len(dst), n)
+		return 0, fmt.Errorf("quant: topk dst length %d, want %d", len(dst), n)
 	}
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
 	k := int(binary.LittleEndian.Uint32(wire))
 	if k != t.keep(n) {
-		return fmt.Errorf("quant: topk header k=%d, want %d", k, t.keep(n))
+		return 0, fmt.Errorf("quant: topk header k=%d, want %d", k, t.keep(n))
 	}
-	for i := range dst {
-		dst[i] = 0
+	return k, nil
+}
+
+// topKIndex returns the payload's i-th index and whether it lies below
+// n and above the previous index prev. The encoder emits indices sorted
+// strictly ascending; enforcing that rejects corrupted payloads with
+// duplicate indices instead of silently decoding wrong values.
+func topKIndex(wire []byte, i, n, prev int) (int, bool) {
+	idx := int(binary.LittleEndian.Uint32(wire[4+4*i:]))
+	return idx, idx < n && idx > prev
+}
+
+// topKIndexError is the error of an index topKIndex refused.
+func topKIndexError(idx, n, prev int) error {
+	if idx >= n {
+		return fmt.Errorf("quant: topk index %d out of range %d", idx, n)
 	}
-	idxOff, valOff := 4, 4+4*k
-	prev := -1
-	for i := 0; i < k; i++ {
-		idx := int(binary.LittleEndian.Uint32(wire[idxOff+4*i:]))
-		if idx >= n {
-			return fmt.Errorf("quant: topk index %d out of range %d", idx, n)
-		}
-		// The encoder emits indices sorted strictly ascending; enforcing
-		// that here rejects corrupted payloads with duplicate indices
-		// instead of silently decoding wrong values.
-		if idx <= prev {
-			return fmt.Errorf("quant: topk indices not strictly ascending (%d after %d)", idx, prev)
-		}
-		prev = idx
-		dst[idx] = math.Float32frombits(binary.LittleEndian.Uint32(wire[valOff+4*i:]))
-	}
-	return nil
+	return fmt.Errorf("quant: topk indices not strictly ascending (%d after %d)", idx, prev)
+}
+
+// topKValue returns the i-th value of a payload of k.
+func topKValue(wire []byte, k, i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(wire[4+4*k+4*i:]))
 }
 
 // selectTopK partially orders order so that its first k entries index

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -43,6 +44,30 @@ func TestDispatchSelectsAVX2(t *testing.T) {
 		useAVX2 = c.avx2
 		if got := vecBody(c.n); got != c.want {
 			t.Errorf("avx2=%v: the vector kernels take %d of %d elements, want %d", c.avx2, got, c.n, c.want)
+		}
+	}
+}
+
+// TestAddKeepsDstNaN: on AVX2, Add's kernel takes every element, the
+// tail included, and each addition has dst first, so where both
+// operands are NaNs dst's (quietened) survives at every length.
+func TestAddKeepsDstNaN(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("CPU without AVX2: the compiled loop orders the operands")
+	}
+	for n := 1; n <= 40; n++ {
+		dst, src := make([]float32, n), make([]float32, n)
+		for i := range dst {
+			dst[i] = math.Float32frombits(0x7fa00000 | uint32(i+1)) // signalling
+			src[i] = math.Float32frombits(0xffc0beef)
+		}
+		if got := addAsm(dst, src); got != n {
+			t.Fatalf("n=%d: the kernel took %d elements", n, got)
+		}
+		for i, v := range dst {
+			if want := 0x7fe00000 | uint32(i+1); math.Float32bits(v) != want {
+				t.Fatalf("n=%d: element %d is %#x, want dst's NaN quietened, %#x", n, i, math.Float32bits(v), want)
+			}
 		}
 	}
 }

@@ -10,12 +10,15 @@ import (
 // operations whichever code runs it (no FMA, see the package
 // documentation). On amd64 with AVX2 they run eight lanes at a time in
 // vec_amd64.s, one lane per element, and leave the last len%8 elements
-// to the portable loops below; everywhere else the portable loops run
-// alone. The loops are also the reference the kernels are tested
+// to the portable loops below — except Add, whose kernel takes them
+// too; everywhere else the portable loops run alone. The loops are also the reference the kernels are tested
 // against bit for bit (vec_test.go).
 
 // Add accumulates src into dst element-wise: dst[i] += src[i]. The
-// slices must have the same length.
+// slices must have the same length. On AVX2 every element's addition
+// has dst as its first operand, so where both are NaNs dst's NaN
+// (quietened) is the result, whatever the length; quant's DecodeAdd
+// relies on that to match a decode followed by Add.
 func Add(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: Add length mismatch %d vs %d", len(dst), len(src)))

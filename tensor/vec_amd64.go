@@ -30,11 +30,14 @@ func vecBody(n int) int {
 	return n &^ 7
 }
 
-// addAsm adds the body of src into dst on the AVX2 kernel and returns
-// its length. The lengths were checked by the caller, as in the three
-// functions below.
+// addAsm adds src into dst on the AVX2 kernel, tail included, and
+// returns the length it took: all of dst, or nothing without AVX2. The
+// lengths were checked by the caller, as in the three functions below.
 func addAsm(dst, src []float32) int {
-	n := vecBody(len(dst))
+	if !useAVX2 {
+		return 0
+	}
+	n := len(dst)
 	for i := 0; i < n; i += vecChunk {
 		addAVX2(&dst[i], &src[i], uintptr(min(vecChunk, n-i)))
 	}

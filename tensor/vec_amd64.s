@@ -122,6 +122,11 @@ decdone:
 	VMOVUPS X, off(DI)
 
 // func addAVX2(dst, src *float32, n uintptr)
+//
+// Unlike the other kernels this one takes any n >= 1: the last n%8
+// elements go one at a time, dst again the first source, so that of
+// two NaNs dst's survives in every element (a compiled dst[i] += src[i]
+// may put either operand first).
 TEXT ·addAVX2(SB), NOSPLIT, $0-24
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -141,13 +146,24 @@ add32:
 	JMP  add32
 
 add8:
-	TESTQ CX, CX
-	JZ    adddone
+	CMPQ CX, $8
+	JLT  add1
 	ADD8(0, Y0)
-	ADDQ  $32, DI
-	ADDQ  $32, SI
-	SUBQ  $8, CX
-	JMP   add8
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JMP  add8
+
+add1:
+	TESTQ  CX, CX
+	JZ     adddone
+	VMOVSS (DI), X0
+	VADDSS (SI), X0, X0
+	VMOVSS X0, (DI)
+	ADDQ   $4, DI
+	ADDQ   $4, SI
+	DECQ   CX
+	JMP    add1
 
 adddone:
 	VZEROUPPER
