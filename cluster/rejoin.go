@@ -161,6 +161,10 @@ func transferState(fabric *comm.RemoteFabric, rank int, steps []int64, local ela
 				return nil, fmt.Errorf("cluster: stream snapshot to rank %d: %w", r, err)
 			}
 		}
+		// The sends borrow buf until they are on the sockets.
+		if err := fabric.Flush(rank); err != nil {
+			return nil, fmt.Errorf("cluster: stream snapshot: %w", err)
+		}
 		return nil, nil
 	}
 	if steps[rank] >= resume {

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,7 +59,7 @@ func TestAbortUnblocksWithTypedError(t *testing.T) {
 
 	got := make(chan error, 1)
 	go func() {
-		got <- f0.RecvInto(1, 0, make([]byte, 1))
+		got <- f0.RecvInto(1, 0, nil, make([]byte, 1))
 	}()
 	time.Sleep(20 * time.Millisecond) // let Recv block on the socket
 	f0.Abort(errDead)
@@ -74,7 +75,7 @@ func TestAbortUnblocksWithTypedError(t *testing.T) {
 	if err := f0.Send(0, 1, nil, []byte{1}); !errors.Is(err, errDead) {
 		t.Fatalf("send after abort: %v, want the verdict", err)
 	}
-	if err := f0.RecvInto(1, 0, make([]byte, 1)); !errors.Is(err, errDead) {
+	if err := f0.RecvInto(1, 0, nil, make([]byte, 1)); !errors.Is(err, errDead) {
 		t.Fatalf("recv after abort: %v, want the verdict", err)
 	}
 	if err := f0.Close(); err != nil {
@@ -119,7 +120,7 @@ func TestCloseInterruptsReaderBeforeDrain(t *testing.T) {
 	// And block a reader on the link no byte will ever arrive on.
 	recvErr := make(chan error, 1)
 	go func() {
-		recvErr <- f0.RecvInto(1, 0, make([]byte, 1))
+		recvErr <- f0.RecvInto(1, 0, nil, make([]byte, 1))
 	}()
 	time.Sleep(100 * time.Millisecond) // let both sides wedge
 
@@ -251,7 +252,7 @@ func TestMidExchangePeerDeathQuantisedAllReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close() // rank 1's process dies
-	if err := g0.RecvInto(1, 0, make([]byte, 1)); err == nil || errors.Is(err, ErrClosed) {
+	if err := g0.RecvInto(1, 0, nil, make([]byte, 1)); err == nil || errors.Is(err, ErrClosed) {
 		t.Fatalf("severed peer must surface a transport error, got %v", err)
 	}
 	g0.Close()
@@ -261,11 +262,34 @@ func TestMidExchangePeerDeathQuantisedAllReduce(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestTeardownWithSlabsInFlight: Abort and Close while slabs sit in a
-// wedged link's queue (and one inside the writer's Write) deliver the
-// verdict / ErrClosed to the blocked sender, hand no slab back to the
-// free list twice, and leak no goroutine.
-func TestTeardownWithSlabsInFlight(t *testing.T) {
+// watchedConn is a socket end whose writes can be checked for
+// touching borrowed memory after the fabric's teardown returned: it is
+// not net's own conn, so the writer copies every message and hands it
+// to Write, which records whether it was running, or started, once
+// over is set.
+type watchedConn struct {
+	net.Conn
+	writing atomic.Int32
+	over    atomic.Bool // set by the test once Close or Abort returned
+	late    atomic.Bool // a write ran after over was set
+}
+
+func (c *watchedConn) Write(p []byte) (int, error) {
+	c.writing.Add(1)
+	defer c.writing.Add(-1)
+	if c.over.Load() {
+		c.late.Store(true)
+	}
+	return c.Conn.Write(p)
+}
+
+// TestTeardownWithSendsInFlight: Abort and Close while borrowed
+// messages sit in a wedged link's queue (and one inside the writer's
+// write) deliver the verdict / ErrClosed to the blocked sender and to
+// a blocked Flush, take every message off the link exactly once, let
+// no writer touch a payload after the teardown returned, and leak no
+// goroutine.
+func TestTeardownWithSendsInFlight(t *testing.T) {
 	oldDrain := drainTimeout
 	drainTimeout = 200 * time.Millisecond
 	defer func() { drainTimeout = oldDrain }()
@@ -281,10 +305,16 @@ func TestTeardownWithSlabsInFlight(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			f0, f1 := twoRankFabrics(t) // f1 never reads: the link wedges
-			// Sizes cycle so the free list is exercised while the flood
-			// builds up, not just at the end.
-			flood := make(chan error, 1)
+			a, b := pairConns(t)
+			conn := &watchedConn{Conn: a}
+			f0, err := NewRemoteFabric(0, 2, []net.Conn{nil, conn})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close() // rank 1 never reads: the link wedges
+			// A flooding sender, and once the link is full a flusher of
+			// what it has sent.
+			flood, flushed := make(chan error, 1), make(chan error, 1)
 			go func() {
 				var err error
 				for i := 0; err == nil; i++ {
@@ -293,28 +323,38 @@ func TestTeardownWithSlabsInFlight(t *testing.T) {
 				flood <- err
 			}()
 			time.Sleep(100 * time.Millisecond) // socket buffer, queue and Send all full
-			tc.teardown(f0)
+			go func() { flushed <- f0.Flush(0) }()
+			time.Sleep(20 * time.Millisecond)
 			select {
-			case err := <-flood:
-				if !errors.Is(err, tc.want) {
-					t.Fatalf("blocked sender got %v, want %v", err, tc.want)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("teardown did not release the blocked sender")
+			case err := <-flushed:
+				t.Fatalf("Flush returned %v while the link was wedged", err)
+			default:
 			}
-			// The writer has exited (teardown waits for it), so the free
-			// list is quiescent: every slab in it must be a distinct buffer.
-			seen := map[*byte]bool{}
-			for _, l := range f0.links[1].slabs.classes {
-				for _, b := range l.free {
-					p := &b[:1][0]
-					if seen[p] {
-						t.Fatal("a slab was returned to the free list twice")
+			tc.teardown(f0)
+			conn.over.Store(true)
+			if n := conn.writing.Load(); n != 0 {
+				t.Fatalf("%d writes still running after the teardown returned", n)
+			}
+			for what, ch := range map[string]chan error{"blocked sender": flood, "blocked Flush": flushed} {
+				select {
+				case err := <-ch:
+					if !errors.Is(err, tc.want) {
+						t.Fatalf("%s got %v, want %v", what, err, tc.want)
 					}
-					seen[p] = true
+				case <-time.After(5 * time.Second):
+					t.Fatalf("teardown did not release the %s", what)
 				}
 			}
-			f1.Close()
+			if out := &f0.out; out.taken.Load() != out.sent.Load() {
+				t.Fatalf("%d messages sent, %d taken off the link", out.sent.Load(), out.taken.Load())
+			}
+			if err := f0.Flush(0); !errors.Is(err, tc.want) {
+				t.Fatalf("Flush after the teardown: %v, want %v", err, tc.want)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if conn.late.Load() {
+				t.Fatal("a writer wrote a borrowed payload after the teardown returned")
+			}
 			waitGoroutines(t, before)
 		})
 	}

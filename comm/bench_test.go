@@ -12,7 +12,7 @@ import (
 // mlpInventory is the gradient inventory of the benchmark's MLP
 // (64-1024-512-10): message sizes on a link cycle through a 256 KB
 // matrix, a 4 KB bias, a 2 MB matrix and three small tensors every
-// exchange — the case the links' slab pools must survive.
+// exchange.
 var mlpInventory = []quant.Shape{
 	{Rows: 1024, Cols: 64}, {Rows: 1024, Cols: 1},
 	{Rows: 512, Cols: 1024}, {Rows: 512, Cols: 1},
@@ -152,7 +152,7 @@ func BenchmarkTransport(b *testing.B) {
 					var err error
 					for i := 0; i < b.N && err == nil; i++ {
 						if err = f.Send(1, 0, nil, out); err == nil {
-							err = f.RecvInto(0, 1, in)
+							err = f.RecvInto(0, 1, nil, in)
 						}
 					}
 					echo <- err
@@ -165,7 +165,7 @@ func BenchmarkTransport(b *testing.B) {
 					if err := f.Send(0, 1, nil, out); err != nil {
 						b.Fatal(err)
 					}
-					if err := f.RecvInto(1, 0, in); err != nil {
+					if err := f.RecvInto(1, 0, nil, in); err != nil {
 						b.Fatal(err)
 					}
 				}

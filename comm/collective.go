@@ -38,18 +38,30 @@ type worker struct {
 }
 
 // compiled is one rank's schedule for one tensor: the steps over its
-// chunks, where each round's steps begin, the encoder behind each
-// encodeSend step (nil elsewhere), what the rank knows of the tensor's
-// incoming messages, and the phase times of its current exchange.
+// chunks, where each round's steps begin, what each step keeps across
+// exchanges, what the rank knows of the tensor's incoming messages, and
+// the phase times of its current exchange.
 type compiled struct {
 	spec      TensorSpec
 	chunks    []chunk
 	steps     []step
 	bounds    []int // round ρ's steps are steps[bounds[ρ]:bounds[ρ+1]]
-	encs      []quant.Encoder
+	own       []stepState
 	in        inbound
 	acc       spanAcc
 	quantises bool // encoding is quantisation, not a 32bit byte view (for spans)
+}
+
+// stepState is what one step keeps across exchanges: an encodeSend
+// step's encoder; for a recvPlace step that places a 32bit chunk in
+// the tensor (quant.FP32.View), place and the frame header its sender
+// writes (nil unframed); for another relaying recvPlace step, the
+// receive buffer the relay's send borrows until the flush.
+type stepState struct {
+	enc    quant.Encoder
+	place  bool
+	header []byte
+	relay  []byte
 }
 
 // NewCollective builds prim's collective for the given tensors over the
@@ -106,17 +118,26 @@ func (c *Collective) compile(spec TensorSpec, t, rank int) compiled {
 		in:        newInbound(spec.Codec, spec.Wire),
 		quantises: !isFP32(spec.Codec),
 	}
+	_, view := quant.FP32{}.View(nil)
 	schedule(c.prim, ct.chunks, k, rank, func(st step) {
-		var enc quant.Encoder
-		if st.op == encodeSend {
-			n, shape := ct.chunks[st.chunk].n, spec.Wire
-			if c.prim == NCCL && !ct.quantises {
-				shape = quant.Shape{Rows: 1, Cols: n} // a ring chunk of a 32bit tensor frames as a flat vector
+		var own stepState
+		n, shape := ct.chunks[st.chunk].n, spec.Wire
+		if c.prim == NCCL && !ct.quantises {
+			shape = quant.Shape{Rows: 1, Cols: n} // a ring chunk of a 32bit tensor frames as a flat vector
+		}
+		switch {
+		case st.op == encodeSend:
+			own.enc = spec.Codec.NewEncoder(n, shape, mixSeed(c.seed, uint64(rank), uint64(t), st.slot))
+		case st.op == recvPlace && !ct.quantises && view:
+			own.place = true
+			if c.framed {
+				own.header = quant.FrameHeader(spec.Codec, n, shape)
 			}
-			enc = spec.Codec.NewEncoder(n, shape, mixSeed(c.seed, uint64(rank), uint64(t), st.slot))
+		case st.op == recvPlace && st.to != rank:
+			own.relay = make([]byte, ct.in.size(n, c.framed))
 		}
 		ct.steps = append(ct.steps, st)
-		ct.encs = append(ct.encs, enc)
+		ct.own = append(ct.own, own)
 	})
 	ct.bounds = make([]int, c.rounds+1)
 	i := 0
@@ -169,8 +190,8 @@ func (c *Collective) BeginStep(step int64) {
 		}
 		for t := range w.tensors {
 			ct := &w.tensors[t]
-			for i, enc := range ct.encs {
-				if r, ok := enc.(quant.Reseeder); ok {
+			for i, own := range ct.own {
+				if r, ok := own.enc.(quant.Reseeder); ok {
 					r.Reseed(mixSeed(c.seed, uint64(rank), uint64(t), ct.steps[i].slot, uint64(step)))
 				}
 			}
@@ -258,7 +279,9 @@ const window = linkBuffer / 2
 // first, first+1, … (gs[i] is tensor first+i) window by window, each
 // window round by round, and within a round in tensor order. Each
 // tensor's own steps keep their order, so its values, encoder streams
-// and messages do not depend on the other tensors in the call.
+// and messages do not depend on the other tensors in the call. It ends
+// by flushing the sends, which borrowed gs and the encoders' outputs;
+// what a failed exchange sent stays lent until the fabric is closed.
 func (c *Collective) exchange(w *worker, rank, first int, gs [][]float32) error {
 	if c.specs == nil { // NewRing: compile the tensors as this call sizes them
 		for len(w.tensors) < first+len(gs) {
@@ -285,12 +308,19 @@ func (c *Collective) exchange(w *worker, rank, first int, gs [][]float32) error 
 				for i := ct.bounds[round]; i < ct.bounds[round+1]; i++ {
 					st := ct.steps[i]
 					ch := ct.chunks[st.chunk]
-					if err := w.run(tr, rank, k, ct, st, ct.encs[i], g[ch.off:ch.off+ch.n]); err != nil {
+					if err := w.run(tr, rank, k, ct, st, &ct.own[i], g[ch.off:ch.off+ch.n]); err != nil {
 						return fmt.Errorf("comm: %s step %d of %s (chunk %d): %w", c.Name(), i, ct.spec.Name, st.chunk, err)
 					}
 				}
 			}
 		}
+	}
+	t0 := tr.Now()
+	if err := c.fabric.Flush(rank); err != nil {
+		return fmt.Errorf("comm: %s flush: %w", c.Name(), err)
+	}
+	if len(tensors) > 0 { // the wait for the last sends is the last tensor's transfer
+		tensors[len(tensors)-1].acc.transfer += tr.Now() - t0
 	}
 	for i := range tensors {
 		tensors[i].acc.record(tr, rank, tensors[i].spec.Name, start)
@@ -299,9 +329,10 @@ func (c *Collective) exchange(w *worker, rank, first int, gs [][]float32) error 
 }
 
 // run executes one step on vals, the rank's copy of the step's chunk.
-func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, enc quant.Encoder, vals []float32) error {
+func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, own *stepState, vals []float32) error {
 	switch st.op {
 	case encodeSend:
+		enc := own.enc
 		t0 := tr.Now()
 		wire := enc.Encode(vals)
 		if ct.quantises {
@@ -325,7 +356,9 @@ func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, enc qua
 				return fmt.Errorf("send to %d: %w", p, err)
 			}
 		}
-		if st.adopt {
+		// A 32bit wire decodes to the very bits it holds: no adopting,
+		// and the chunk it lent stays unwritten.
+		if st.adopt && ct.quantises {
 			t0 = tr.Now()
 			err := ct.in.codec.Decode(wire, len(vals), ct.in.shape, vals)
 			w.acc.decode += tr.Now() - t0
@@ -334,19 +367,32 @@ func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, enc qua
 			}
 		}
 	case recvAdd:
-		if _, err := w.recv(tr, &ct.in, st.from, rank, vals, true); err != nil {
+		if _, err := w.recv(tr, &ct.in, nil, st.from, rank, vals, true); err != nil {
 			return fmt.Errorf("from %d: %w", st.from, err)
 		}
 	case recvPlace:
-		wire, err := w.recv(tr, &ct.in, st.from, rank, vals, false)
+		var header, wire []byte
+		var err error
+		if own.place {
+			header, wire = own.header, fp32Bytes(vals)
+			err = w.place(tr, header, st.from, rank, wire)
+		} else {
+			wire, err = w.recv(tr, &ct.in, own.relay, st.from, rank, vals, false)
+		}
 		if err != nil {
 			return fmt.Errorf("from %d: %w", st.from, err)
 		}
 		if st.to != rank {
-			if err := w.send(tr, nil, rank, st.to, wire); err != nil {
+			if err := w.send(tr, header, rank, st.to, wire); err != nil {
 				return fmt.Errorf("relay to %d: %w", st.to, err)
 			}
 		}
 	}
 	return nil
+}
+
+// fp32Bytes is the memory of vals as its 32bit payload (stepState.place).
+func fp32Bytes(vals []float32) []byte {
+	b, _ := quant.FP32{}.View(vals)
+	return b
 }

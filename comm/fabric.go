@@ -64,6 +64,12 @@
 // tensor, linkBuffer in all. So no send of round ρ waits forever
 // either, and no such round exists.
 //
+// The Flush that ends an exchange terminates for the same reason: every
+// rank finishes every round, so every message sent is received and
+// taken off its link. Nor does a step overwrite memory an earlier send
+// of the exchange lent: a chunk sent in round ρ is written again only by
+// what arrives after its receiver has read it.
+//
 // Every byte that crosses a link is counted, so tests can check it
 // against WireBytes, the volume the performance model prices — on a
 // framed transport (one whose payloads leave the process, e.g.
@@ -72,24 +78,25 @@
 //
 // # Buffer ownership
 //
-// The data path allocates nothing in steady state and copies a message
-// once in user space. Every directed link owns a small free list of
-// send buffers (slabPool): Send assembles length prefix, frame header
-// and payload in one and hands it on — to the link's writer goroutine,
-// which issues one Write and returns it, or through the in-process
-// channel to the receiver, which returns it after copying out. An empty
-// list allocates rather than blocks (the pool must never be able to
-// deadlock an exchange); a link keeps one list per size class of
-// message, each of at most maxRetainedSlabs buffers. Receives land in
-// memory the caller owns (Transport.RecvInto): a Collective knows the
-// size of every message it expects and keeps one receive buffer per
-// rank, and a message of any other size is an error before a byte of
-// it is read. Slices passed to Send and RecvInto stay the caller's.
-// A receive-and-accumulate step (recvAdd) decodes straight into the
-// rank's copy of the chunk: the codec's DecodeAdd — behind
-// quant.FrameDecoder.DecodeAdd on a framed transport — adds each
-// decoded value in place, with the bits a decode into scratch followed
-// by tensor.Add would give, so no decoded contribution is staged.
+// The data path allocates nothing in steady state, and a socket message
+// is copied nowhere in user space. A send borrows its header and
+// payload — an encoder's output, or for 32bit the tensor itself — until
+// the sender's Transport.Flush, which a Collective calls once, at the
+// end of each exchange. A socket link's writer puts length prefix,
+// header and payload on the wire in one net.Buffers write (writev); an
+// in-process receiver copies the message out of the sender's memory,
+// its one copy. Receives land where the caller says (Transport.RecvInto
+// takes header and payload apart), and a message of a size the caller
+// did not expect is an error before a byte of it is read. A placed
+// 32bit chunk is read straight into the tensor, its frame header
+// checked against the one its sender writes (quant.MatchHeader) — where
+// the host's float32 memory is the wire encoding (quant.FP32.View);
+// elsewhere, and for the other codecs, it is staged and decoded. A
+// receive-and-accumulate step stages the message in the rank's one
+// receive buffer and adds its values in place with the codec's
+// DecodeAdd, the bits of a decode followed by tensor.Add. A ring relay
+// forwards memory that stays put until the flush: the placed chunk, or
+// a receive buffer of the relayed chunk's own.
 package comm
 
 import (
@@ -98,14 +105,19 @@ import (
 )
 
 // Fabric is a reliable, ordered, in-process interconnect between K peers.
-// Each directed link is an independent FIFO of link-owned buffers: Send
-// copies the message into one, RecvInto copies it out and recycles it.
+// Each directed link is an independent FIFO of borrowed messages: Send
+// queues the sender's slices, RecvInto copies them out — the message's
+// one copy — and Flush waits for the receivers to have done so.
 type Fabric struct {
 	k     int
-	links []chan []byte // links[from*k+to]
-	slabs []slabPool
-	bytes []atomic.Int64
-	sends []atomic.Int64
+	links []chanLink // links[from*k+to]
+	outs  []outbox   // per sending rank
+}
+
+// chanLink is one directed link of a Fabric.
+type chanLink struct {
+	queue        chan message
+	bytes, sends atomic.Int64
 }
 
 // linkBuffer is the per-link queue capacity of every fabric (the
@@ -119,15 +131,12 @@ func NewFabric(k int) *Fabric {
 	if k <= 0 {
 		panic(fmt.Sprintf("comm: fabric needs at least one peer, got %d", k))
 	}
-	f := &Fabric{
-		k:     k,
-		links: make([]chan []byte, k*k),
-		slabs: make([]slabPool, k*k),
-		bytes: make([]atomic.Int64, k*k),
-		sends: make([]atomic.Int64, k*k),
-	}
+	f := &Fabric{k: k, links: make([]chanLink, k*k), outs: make([]outbox, k)}
 	for i := range f.links {
-		f.links[i] = make(chan []byte, linkBuffer)
+		f.links[i].queue = make(chan message, linkBuffer)
+	}
+	for r := range f.outs {
+		f.outs[r] = newOutbox()
 	}
 	return f
 }
@@ -139,14 +148,14 @@ func (f *Fabric) K() int { return f.k }
 // they travel bare.
 func (f *Fabric) Framed() bool { return false }
 
-func (f *Fabric) link(from, to int) int {
+func (f *Fabric) link(from, to int) *chanLink {
 	if from < 0 || from >= f.k || to < 0 || to >= f.k {
 		panic(fmt.Sprintf("comm: peer out of range (%d->%d of %d)", from, to, f.k))
 	}
 	if from == to {
 		panic("comm: self-send")
 	}
-	return from*f.k + to
+	return &f.links[from*f.k+to]
 }
 
 // Send implements Transport. It blocks only when the link buffer is
@@ -154,40 +163,50 @@ func (f *Fabric) link(from, to int) int {
 // always nil.
 func (f *Fabric) Send(from, to int, header, payload []byte) error {
 	l := f.link(from, to)
-	msg := f.slabs[l].get(len(header) + len(payload))
-	copy(msg[copy(msg, header):], payload)
-	f.bytes[l].Add(int64(len(msg)))
-	f.sends[l].Add(1)
-	f.links[l] <- msg
+	l.bytes.Add(int64(len(header) + len(payload)))
+	l.sends.Add(1)
+	f.outs[from].sent.Add(1)
+	l.queue <- message{header, payload}
+	return nil
+}
+
+// Flush implements Transport: it returns once every receiver of rank's
+// messages has copied them out. The in-process fabric has no failure
+// modes, so the error is always nil.
+func (f *Fabric) Flush(rank int) error {
+	f.outs[rank].wait()
 	return nil
 }
 
 // RecvInto implements Transport: messages arrive in FIFO order. A
-// message that does not fit dst exactly is consumed and reported as a
-// *SizeError.
-func (f *Fabric) RecvInto(from, to int, dst []byte) error {
+// message that does not fit header and payload exactly is consumed and
+// reported as a *SizeError.
+func (f *Fabric) RecvInto(from, to int, header, payload []byte) error {
 	l := f.link(from, to)
-	msg := <-f.links[l]
+	m := <-l.queue
 	var err error
-	if len(msg) == len(dst) {
-		copy(dst, msg)
+	if n := len(m.header) + len(m.payload); n == len(header)+len(payload) {
+		copyParts(header, payload, m.header, m.payload)
 	} else {
-		err = &SizeError{From: from, Announced: int64(len(msg)), Want: int64(len(dst))}
+		err = &SizeError{From: from, Announced: int64(n), Want: int64(len(header) + len(payload))}
 	}
-	f.slabs[l].put(msg)
+	f.outs[from].take()
 	return err
 }
 
-// BytesOnLink returns the cumulative bytes sent from -> to.
-func (f *Fabric) BytesOnLink(from, to int) int64 {
-	return f.bytes[f.link(from, to)].Load()
+// copyParts copies the bytes of s0 followed by s1 to d0 followed by
+// d1, the two pairs being of equal total length however they split.
+func copyParts(d0, d1, s0, s1 []byte) {
+	n := copy(d0, s0)
+	m := copy(d0[n:], s1)
+	copy(d1[copy(d1, s0[n:]):], s1[m:])
 }
 
 // TotalBytes returns the cumulative bytes across all links.
 func (f *Fabric) TotalBytes() int64 {
 	var total int64
-	for i := range f.bytes {
-		total += f.bytes[i].Load()
+	for i := range f.links {
+		total += f.links[i].bytes.Load()
 	}
 	return total
 }
@@ -195,19 +214,10 @@ func (f *Fabric) TotalBytes() int64 {
 // TotalMessages returns the cumulative message count across all links.
 func (f *Fabric) TotalMessages() int64 {
 	var total int64
-	for i := range f.sends {
-		total += f.sends[i].Load()
+	for i := range f.links {
+		total += f.links[i].sends.Load()
 	}
 	return total
-}
-
-// ResetCounters zeroes the byte and message counters (links keep any
-// in-flight messages).
-func (f *Fabric) ResetCounters() {
-	for i := range f.bytes {
-		f.bytes[i].Store(0)
-		f.sends[i].Store(0)
-	}
 }
 
 // Reducer synchronously aggregates equal-length gradient vectors across

@@ -147,7 +147,7 @@ func linkTraffic(t *testing.T, f Transport) map[[2]int]PeerTraffic {
 			switch f := f.(type) {
 			case *Fabric:
 				l := f.link(from, to)
-				links[[2]int{from, to}] = PeerTraffic{TxBytes: f.bytes[l].Load(), TxFrames: f.sends[l].Load()}
+				links[[2]int{from, to}] = PeerTraffic{TxBytes: l.bytes.Load(), TxFrames: l.sends.Load()}
 			case *TCPFabric:
 				links[[2]int{from, to}] = f.Rank(from).PeerTraffic(to) // both directions, from's view
 			default:

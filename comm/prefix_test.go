@@ -76,7 +76,7 @@ func TestRecvIntoRejectsLyingPrefix(t *testing.T) {
 			consumed := feed(peer, tc.announced, make([]byte, want), false)
 			dst := make([]byte, want)
 			var err error
-			if n := allocatedDuring(func() { err = f.RecvInto(1, 0, dst) }); n > 4<<10 {
+			if n := allocatedDuring(func() { err = f.RecvInto(1, 0, nil, dst) }); n > 4<<10 {
 				t.Errorf("rejecting the prefix allocated %d bytes", n)
 			}
 			var size *SizeError
@@ -86,7 +86,7 @@ func TestRecvIntoRejectsLyingPrefix(t *testing.T) {
 			if size.From != 1 || size.Announced != int64(tc.announced) || size.Want != want {
 				t.Fatalf("size error %+v, want rank 1 announcing %d against %d", size, tc.announced, want)
 			}
-			if again := f.RecvInto(1, 0, dst); again != err {
+			if again := f.RecvInto(1, 0, nil, dst); again != err {
 				t.Fatalf("next receive on the poisoned link: %v, want the same %v", again, err)
 			}
 			if _, again := f.Recv(1, 0); again != err {
@@ -115,11 +115,11 @@ func TestRecvTruncatedStreams(t *testing.T) {
 			f, peer := pipeFabric(t)
 			feed(peer, want, make([]byte, tc.body), true)
 			dst := make([]byte, want)
-			err := f.RecvInto(1, 0, dst)
+			err := f.RecvInto(1, 0, nil, dst)
 			if !errors.Is(err, tc.is) || errors.Is(err, ErrClosed) {
 				t.Fatalf("got %v, want a transport error wrapping %v", err, tc.is)
 			}
-			if again := f.RecvInto(1, 0, dst); again != err {
+			if again := f.RecvInto(1, 0, nil, dst); again != err {
 				t.Fatalf("next receive: %v, want the same %v", again, err)
 			}
 		})
@@ -191,7 +191,7 @@ func TestFabricSizeMismatch(t *testing.T) {
 	mustSend(t, f, 0, 1, make([]byte, 10))
 	mustSend(t, f, 0, 1, []byte{42})
 	var size *SizeError
-	if err := f.RecvInto(0, 1, make([]byte, 9)); !errors.As(err, &size) || size.Announced != 10 || size.Want != 9 {
+	if err := f.RecvInto(0, 1, nil, make([]byte, 9)); !errors.As(err, &size) || size.Announced != 10 || size.Want != 9 {
 		t.Fatalf("got %v, want a *SizeError for 10 against 9", err)
 	}
 	if got := mustRecv(t, f, 0, 1, 1); got[0] != 42 {
@@ -199,10 +199,13 @@ func TestFabricSizeMismatch(t *testing.T) {
 	}
 }
 
-// TestOneWritePerMessage: prefix and payload leave in one Write, so an
-// exchange of M messages is exactly M writes — no 4-byte segment per
-// message on the TCP_NODELAY socket, and no window in which a failure
-// strands a prefix without its body.
+// TestOneWritePerMessage: prefix, header and payload leave in one call,
+// so an exchange of M messages is exactly M writes — no 4-byte segment
+// per message on the TCP_NODELAY socket, and no window in which a
+// failure strands a prefix without its body. The recorded conns here
+// are not net's own, so each message is one Write of a link-owned copy;
+// on a bare TCP conn it is one net.Buffers write (writev) from the
+// borrowed memory, the path TestSendBorrowsUntilFlush holds.
 func TestOneWritePerMessage(t *testing.T) {
 	const k = 3
 	for _, build := range []func(Transport) Reducer{

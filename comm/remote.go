@@ -29,8 +29,9 @@ import (
 //
 // Frame format per message: uint32 little-endian payload length, then
 // the payload bytes — identical in both directions of every link, and
-// written as one Write, so a failure cannot strand a prefix without its
-// body.
+// written as one call, so a failure cannot strand a prefix without its
+// body: on net's own conns one writev from the sender's borrowed header
+// and payload, on any other one Write of a link-owned copy.
 type RemoteFabric struct {
 	k     int
 	local int
@@ -46,6 +47,7 @@ type RemoteFabric struct {
 	unblock     chan struct{}
 	unblockOnce sync.Once
 	writers     sync.WaitGroup
+	out         outbox // the local rank's sends, for Flush
 	closed      atomic.Bool
 	// werr records the first asynchronous socket write failure; Send
 	// reports it on the next call.
@@ -61,10 +63,15 @@ type RemoteFabric struct {
 // writes peer-bound messages to conn and reads peer-originated ones.
 type remoteLink struct {
 	conn net.Conn
-	// queue feeds the link's writer goroutine with assembled slabs; the
-	// writer returns each to slabs once it is on the socket.
-	queue chan []byte
-	slabs slabPool
+	// queue feeds the link's writer goroutine with borrowed messages.
+	queue chan message
+	// The writer's length prefix, and what a write is made of, kept
+	// here so that a write allocates nothing in steady state: the parts
+	// of a writev on net's own conns, a copy of the message on any other.
+	wprefix [4]byte
+	parts   [3][]byte
+	bufs    net.Buffers
+	wcopy   []byte
 	// rmu serialises receivers and guards prefix and rerr.
 	rmu    sync.Mutex
 	prefix [4]byte
@@ -129,6 +136,7 @@ func NewRemoteFabric(local, k int, conns []net.Conn) (*RemoteFabric, error) {
 		local:   local,
 		links:   make([]remoteLink, k),
 		unblock: make(chan struct{}),
+		out:     newOutbox(),
 	}
 	for p := range f.links {
 		if p == local {
@@ -136,30 +144,52 @@ func NewRemoteFabric(local, k int, conns []net.Conn) (*RemoteFabric, error) {
 		}
 		l := &f.links[p]
 		l.conn = conns[p]
-		l.queue = make(chan []byte, linkBuffer)
+		l.queue = make(chan message, linkBuffer)
 		f.writers.Add(1)
 		go f.writeLoop(p, l)
 	}
 	return f, nil
 }
 
-// writeLoop drains one peer's queue onto its socket, one Write per
-// message, recycling each slab once written. It runs until the queue is
-// closed and empty (orderly Close flushes the tail of the final
-// exchange this way) or the socket fails, after which it discards so
-// queued senders and Close are never stuck behind a dead link.
+// writeLoop drains one peer's queue onto its socket, one write per
+// message, each taken off the outbox once written. It runs until the
+// queue is closed and empty (orderly Close flushes the tail of the
+// final exchange this way) or the socket fails, after which it discards
+// (and takes) so queued senders, Flush and Close are never stuck behind
+// a dead link.
 func (f *RemoteFabric) writeLoop(peer int, l *remoteLink) {
 	defer f.writers.Done()
-	for slab := range l.queue {
-		if _, err := l.conn.Write(slab); err != nil {
+	for m := range l.queue {
+		err := l.write(m)
+		f.out.take()
+		if err != nil {
 			f.writeFail(peer, err)
 			break
 		}
-		l.slabs.put(slab)
 	}
 	for range l.queue {
-		// Discard until Close closes the channel.
+		f.out.take() // discard until Close closes the channel
 	}
+}
+
+// write puts one message on the socket behind its length prefix in one
+// call, and lets go of the borrowed slices. On net's own conns that is
+// one writev (net.Buffers) from the borrowed memory itself; any other
+// conn would get a Write per part from net.Buffers, so it gets one
+// Write of a link-owned copy instead.
+func (l *remoteLink) write(m message) (err error) {
+	binary.LittleEndian.PutUint32(l.wprefix[:], uint32(len(m.header)+len(m.payload)))
+	switch l.conn.(type) {
+	case *net.TCPConn, *net.UnixConn:
+		l.parts = [3][]byte{l.wprefix[:], m.header, m.payload}
+		l.bufs = l.parts[:]
+		_, err = l.bufs.WriteTo(l.conn)
+		l.parts = [3][]byte{}
+	default:
+		l.wcopy = append(append(append(l.wcopy[:0], l.wprefix[:]...), m.header...), m.payload...)
+		_, err = l.conn.Write(l.wcopy)
+	}
+	return err
 }
 
 // writeFail records a socket write error so the next Send reports it,
@@ -200,9 +230,9 @@ func (f *RemoteFabric) checkPeer(local, peer int, op string) error {
 	return nil
 }
 
-// Send implements Transport: the message is assembled behind its length
-// prefix in one of the link's slabs and enqueued for the peer's writer
-// goroutine. from must be the local rank.
+// Send implements Transport: the borrowed header and payload are
+// enqueued for the peer's writer goroutine, which writes them behind
+// their length prefix. from must be the local rank.
 func (f *RemoteFabric) Send(from, to int, header, payload []byte) error {
 	if err := f.checkPeer(from, to, "send"); err != nil {
 		return err
@@ -218,9 +248,6 @@ func (f *RemoteFabric) Send(from, to int, header, payload []byte) error {
 		return fmt.Errorf("comm: %d-byte message to rank %d, cap is %d", n, to, maxRemoteMessage)
 	}
 	l := &f.links[to]
-	slab := l.slabs.get(4 + n)
-	binary.LittleEndian.PutUint32(slab, uint32(n))
-	copy(slab[4+copy(slab[4:], header):], payload)
 	// The read lock spans the enqueue so Close cannot close the channel
 	// under a blocked send; unblock frees senders stuck on the full
 	// queue of a link whose writer died or whose fabric is going down.
@@ -228,7 +255,8 @@ func (f *RemoteFabric) Send(from, to int, header, payload []byte) error {
 	err := f.lifecycleErr()
 	if err == nil {
 		select {
-		case l.queue <- slab:
+		case l.queue <- message{header, payload}:
+			f.out.sent.Add(1)
 			f.qmu.RUnlock()
 			l.txBytes.Add(int64(n))
 			l.txFrames.Add(1)
@@ -240,8 +268,17 @@ func (f *RemoteFabric) Send(from, to int, header, payload []byte) error {
 		}
 	}
 	f.qmu.RUnlock()
-	l.slabs.put(slab) // never enqueued, so still this call's to return
 	return err
+}
+
+// Flush implements Transport: it returns once the writers have written,
+// or discarded, every message queued. rank must be the local rank.
+func (f *RemoteFabric) Flush(rank int) error {
+	if rank != f.local {
+		return fmt.Errorf("comm: rank %d cannot flush as rank %d", f.local, rank)
+	}
+	f.out.wait()
+	return f.sendErr()
 }
 
 // sendErr is what a Send that cannot proceed reports: the lifecycle
@@ -270,8 +307,9 @@ func (f *RemoteFabric) lifecycleErr() error {
 }
 
 // RecvInto implements Transport: the length prefix is checked against
-// len(dst) before any payload is read. to must be the local rank.
-func (f *RemoteFabric) RecvInto(from, to int, dst []byte) error {
+// len(header)+len(payload) before any of the message is read. to must
+// be the local rank.
+func (f *RemoteFabric) RecvInto(from, to int, header, payload []byte) error {
 	if err := f.checkPeer(to, from, "receive"); err != nil {
 		return err
 	}
@@ -282,11 +320,14 @@ func (f *RemoteFabric) RecvInto(from, to int, dst []byte) error {
 	if err != nil {
 		return err
 	}
-	if n != int64(len(dst)) {
-		l.rerr = &SizeError{From: from, Announced: n, Want: int64(len(dst))}
+	if want := int64(len(header) + len(payload)); n != want {
+		l.rerr = &SizeError{From: from, Announced: n, Want: want}
 		return l.rerr
 	}
-	if _, err := io.ReadFull(l.conn, dst); err != nil {
+	if _, err := io.ReadFull(l.conn, header); err != nil {
+		return f.recvFail(l, from, err)
+	}
+	if _, err := io.ReadFull(l.conn, payload); err != nil {
 		return f.recvFail(l, from, err)
 	}
 	l.rxBytes.Add(n)

@@ -80,7 +80,7 @@ func TestRemoteFabricRejectsForeignRank(t *testing.T) {
 	if err := f0.Send(1, 0, nil, []byte{1}); err == nil {
 		t.Fatal("rank 0 must not send as rank 1")
 	}
-	if err := f0.RecvInto(0, 1, make([]byte, 1)); err == nil {
+	if err := f0.RecvInto(0, 1, nil, make([]byte, 1)); err == nil {
 		t.Fatal("rank 0 must not receive as rank 1")
 	}
 }
@@ -108,7 +108,7 @@ func TestClosedFabricReturnsErrClosed(t *testing.T) {
 	if err := f0.Send(0, 1, nil, []byte{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v, want ErrClosed", err)
 	}
-	if err := f0.RecvInto(1, 0, make([]byte, 1)); !errors.Is(err, ErrClosed) {
+	if err := f0.RecvInto(1, 0, nil, make([]byte, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("recv after close: %v, want ErrClosed", err)
 	}
 	if f0.Close() != nil {
@@ -126,7 +126,7 @@ func TestCloseUnblocksPendingRecv(t *testing.T) {
 	started.Add(1)
 	go func() {
 		started.Done()
-		errCh <- f0.RecvInto(1, 0, make([]byte, 1))
+		errCh <- f0.RecvInto(1, 0, nil, make([]byte, 1))
 	}()
 	started.Wait()
 	time.Sleep(10 * time.Millisecond) // let Recv block on the socket
@@ -148,7 +148,7 @@ func TestPeerDisappearingIsAnError(t *testing.T) {
 	f0, f1 := twoRankFabrics(t)
 	defer f0.Close()
 	f1.Close()
-	err := f0.RecvInto(1, 0, make([]byte, 1))
+	err := f0.RecvInto(1, 0, nil, make([]byte, 1))
 	if err == nil {
 		t.Fatal("expected an error after the peer closed")
 	}
@@ -212,7 +212,7 @@ func TestTCPFabricClosedErrClosed(t *testing.T) {
 	if err := f.Send(0, 1, nil, []byte{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v, want ErrClosed", err)
 	}
-	if err := f.RecvInto(0, 1, make([]byte, 1)); !errors.Is(err, ErrClosed) {
+	if err := f.RecvInto(0, 1, nil, make([]byte, 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("recv after close: %v, want ErrClosed", err)
 	}
 }
@@ -227,7 +227,7 @@ func TestTCPFabricCloseUnblocksRecvAsErrClosed(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- f.RecvInto(0, 1, make([]byte, 1))
+		errCh <- f.RecvInto(0, 1, nil, make([]byte, 1))
 	}()
 	time.Sleep(10 * time.Millisecond) // let Recv block on the socket
 	f.Close()

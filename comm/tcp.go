@@ -101,10 +101,16 @@ func (f *TCPFabric) Send(from, to int, header, payload []byte) error {
 	return f.ranks[from].Send(from, to, header, payload)
 }
 
+// Flush implements Transport by routing to the flushing rank's mesh
+// view.
+func (f *TCPFabric) Flush(rank int) error {
+	return f.ranks[rank].Flush(rank)
+}
+
 // RecvInto implements Transport by routing to the receiving rank's mesh
 // view.
-func (f *TCPFabric) RecvInto(from, to int, dst []byte) error {
-	return f.ranks[to].RecvInto(from, to, dst)
+func (f *TCPFabric) RecvInto(from, to int, header, payload []byte) error {
+	return f.ranks[to].RecvInto(from, to, header, payload)
 }
 
 // TotalBytes implements Transport: the sum over every rank's sends.

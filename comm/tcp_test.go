@@ -55,7 +55,7 @@ func TestTCPFabricLargeMessage(t *testing.T) {
 	done := make(chan []byte)
 	go func() {
 		buf := make([]byte, len(big))
-		if err := f.RecvInto(1, 0, buf); err != nil {
+		if err := f.RecvInto(1, 0, nil, buf); err != nil {
 			t.Error(err)
 		}
 		done <- buf

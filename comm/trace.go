@@ -43,13 +43,13 @@ func (a *spanAcc) record(tr *obs.Tracer, rank int, op string, startNS int64) {
 }
 
 // endpoint is one rank's end of a collective's traffic: the traced send
-// of a message, and the traced receive of a message into the rank's one
-// receive buffer followed by its decode into the caller's floats. One
-// goroutine's at a time.
+// of a message, and the traced receive of a message — decoded from a
+// staging buffer, or placed in the caller's floats. One goroutine's at
+// a time.
 type endpoint struct {
 	fabric Transport
 	framed bool
-	buf    []byte   // receive buffer, grown to the largest message
+	buf    []byte   // staging buffer, grown to the largest message
 	acc    *spanAcc // the phase times of the tensor whose step runs
 }
 
@@ -68,6 +68,15 @@ func newInbound(codec quant.Codec, shape quant.Shape) inbound {
 	return inbound{codec: codec, shape: shape, overhead: quant.FrameOverhead(codec.Name())}
 }
 
+// size returns the length of the message carrying n values.
+func (in *inbound) size(n int, framed bool) int {
+	size := in.codec.EncodedBytes(n, in.shape)
+	if framed {
+		size += in.overhead
+	}
+	return size
+}
+
 // send ships header followed by payload from -> to as one message.
 func (e *endpoint) send(tr *obs.Tracer, header []byte, from, to int, payload []byte) error {
 	t0 := tr.Now()
@@ -80,24 +89,20 @@ func (e *endpoint) send(tr *obs.Tracer, header []byte, from, to int, payload []b
 }
 
 // recv receives the message carrying len(dst) values of the tensor in
-// describes, decodes it into dst — or, with add set, adds its values
-// into dst (quant.Codec.DecodeAdd) — and returns the message as it
-// arrived (valid until the next recv).
-func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32, add bool) ([]byte, error) {
-	size := in.codec.EncodedBytes(len(dst), in.shape)
-	if e.framed {
-		size += in.overhead
+// describes into buf — the staging buffer when buf is nil — decodes it
+// into dst — or, with add set, adds its values into dst
+// (quant.Codec.DecodeAdd) — and returns the message as it arrived.
+func (e *endpoint) recv(tr *obs.Tracer, in *inbound, buf []byte, from, to int, dst []float32, add bool) ([]byte, error) {
+	wire := buf
+	if wire == nil {
+		wire = e.staging(in.size(len(dst), e.framed))
 	}
-	if cap(e.buf) < size {
-		e.buf = make([]byte, size)
-	}
-	wire := e.buf[:size]
 	t0 := tr.Now()
-	if err := e.fabric.RecvInto(from, to, wire); err != nil {
+	if err := e.fabric.RecvInto(from, to, nil, wire); err != nil {
 		return nil, fmt.Errorf("recv: %w", err)
 	}
 	e.acc.transfer += tr.Now() - t0
-	e.acc.bytes += int64(size)
+	e.acc.bytes += int64(len(wire))
 	t0 = tr.Now()
 	var err error
 	switch {
@@ -115,4 +120,25 @@ func (e *endpoint) recv(tr *obs.Tracer, in *inbound, from, to int, dst []float32
 		return nil, fmt.Errorf("decode: %w", err)
 	}
 	return wire, nil
+}
+
+// place receives a 32bit message straight into payload, the values'
+// memory, and its frame header into the staging buffer, to be header.
+func (e *endpoint) place(tr *obs.Tracer, header []byte, from, to int, payload []byte) error {
+	got := e.staging(len(header))
+	t0 := tr.Now()
+	if err := e.fabric.RecvInto(from, to, got, payload); err != nil {
+		return fmt.Errorf("recv: %w", err)
+	}
+	e.acc.transfer += tr.Now() - t0
+	e.acc.bytes += int64(len(got) + len(payload))
+	return quant.MatchHeader(got, header)
+}
+
+// staging returns the staging buffer cut to n bytes.
+func (e *endpoint) staging(n int) []byte {
+	if cap(e.buf) < n {
+		e.buf = make([]byte, n)
+	}
+	return e.buf[:n]
 }

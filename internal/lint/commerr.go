@@ -9,16 +9,17 @@ import (
 
 // Commerr enforces the error contract PR 2 bought by converting the
 // fabrics' shutdown-race panics into returned errors: a discarded
-// comm.Transport.Send/RecvInto result reintroduces exactly the silent data
-// loss that change eliminated, because a rank that drops a transport
-// error keeps training on a torn mesh until the digests diverge. The
+// comm.Transport.Send/Flush/RecvInto result reintroduces exactly the
+// silent data loss that change eliminated, because a rank that drops a
+// transport error keeps training on a torn mesh until the digests
+// diverge — a dropped Flush error after a failed socket write included. The
 // same applies to the framed encoders' EncodeTo (a short write
 // corrupts the stream for every later frame) and the health monitor's
 // control-plane writes (a dropped verdict write can strand a peer on
 // its slow silence deadline).
 var Commerr = &analysis.Analyzer{
 	Name: "commerr",
-	Doc: "comm.Transport.Send/RecvInto/Recv, EncodeTo and Monitor control-plane write results must not be discarded\n\n" +
+	Doc: "comm.Transport.Send/Flush/RecvInto/Recv, EncodeTo and Monitor control-plane write results must not be discarded\n\n" +
 		"Flags calls whose result is dropped on the floor: expression\n" +
 		"statements, go/defer statements, and blank assignments of the\n" +
 		"error (or the monitor write's delivered bool).",
@@ -77,7 +78,7 @@ func isBlank(e ast.Expr) bool {
 
 // trackedCall reports whether e is a call whose result the commerr
 // contract protects, returning a human-readable name for it ("" when
-// not tracked): Send/RecvInto/Recv on any repro/comm type (including
+// not tracked): Send/Flush/RecvInto/Recv on any repro/comm type (including
 // the Transport interface), EncodeTo on the quant and elastic encoders,
 // and the health monitor's link write.
 func trackedCall(pass *analysis.Pass, e ast.Expr) string {
@@ -98,7 +99,7 @@ func trackedCall(pass *analysis.Pass, e ast.Expr) string {
 		return ""
 	}
 	switch sel.Sel.Name {
-	case "Send", "RecvInto", "Recv":
+	case "Send", "Flush", "RecvInto", "Recv":
 		if recvPkg == "repro/comm" {
 			return "comm." + recvName + "." + sel.Sel.Name
 		}

@@ -16,7 +16,7 @@
 //     randomness; its golden FNV-1a trace hashes are reproducible only
 //     on the seeded logical clock (PR 6).
 //
-//   - commerr: comm.Transport.Send/RecvInto (and RemoteFabric.Recv),
+//   - commerr: comm.Transport.Send/Flush/RecvInto (and RemoteFabric.Recv),
 //     the framed encoders' EncodeTo, and health.Monitor control-plane
 //     writes return errors for a reason (PR 2 converted the
 //     shutdown-race panics); results must not be discarded or

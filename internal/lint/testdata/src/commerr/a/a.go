@@ -27,11 +27,19 @@ func blankRecv(f *comm.RemoteFabric) []byte {
 }
 
 func discardRecvInto(t comm.Transport, buf []byte) {
-	t.RecvInto(1, 0, buf) // want `result of comm\.Transport\.RecvInto discarded`
+	t.RecvInto(1, 0, nil, buf) // want `result of comm\.Transport\.RecvInto discarded`
 }
 
 func blankRecvInto(f *comm.Fabric, buf []byte) {
-	_ = f.RecvInto(1, 0, buf) // want `error from comm\.Fabric\.RecvInto assigned to blank`
+	_ = f.RecvInto(1, 0, nil, buf) // want `error from comm\.Fabric\.RecvInto assigned to blank`
+}
+
+func discardFlush(t comm.Transport) {
+	t.Flush(0) // want `result of comm\.Transport\.Flush discarded`
+}
+
+func blankFlush(f *comm.Fabric) {
+	_ = f.Flush(0) // want `error from comm\.Fabric\.Flush assigned to blank`
 }
 
 func blankSend(t comm.Transport, buf []byte) {
@@ -47,7 +55,10 @@ func handled(t comm.Transport, buf []byte) error {
 	if err := t.Send(0, 1, nil, buf); err != nil {
 		return err
 	}
-	return t.RecvInto(1, 0, buf)
+	if err := t.Flush(0); err != nil {
+		return err
+	}
+	return t.RecvInto(1, 0, nil, buf)
 }
 
 // localSender's Send is not the transport's; discarding its result is

@@ -6,14 +6,16 @@ package comm
 // Transport mirrors the real transport contract.
 type Transport interface {
 	Send(from, to int, header, payload []byte) error
-	RecvInto(from, to int, dst []byte) error
+	Flush(rank int) error
+	RecvInto(from, to int, header, payload []byte) error
 }
 
 // Fabric is a concrete transport.
 type Fabric struct{}
 
-func (*Fabric) Send(from, to int, header, payload []byte) error { return nil }
-func (*Fabric) RecvInto(from, to int, dst []byte) error         { return nil }
+func (*Fabric) Send(from, to int, header, payload []byte) error     { return nil }
+func (*Fabric) Flush(rank int) error                                { return nil }
+func (*Fabric) RecvInto(from, to int, header, payload []byte) error { return nil }
 
 // RemoteFabric additionally keeps the variable-length receive.
 type RemoteFabric struct{ Fabric }

@@ -108,9 +108,10 @@ func (b *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	b.dx = tensor.Reuse(b.dx, dout.Rows, dout.Cols)
 	count := float32(dout.Rows * b.spatial)
 	tensor.BatchNormGradSums(b.meanDy, b.meanDyXhat, dout, b.xhat)
+	dBeta, dGamma := b.beta.liveGrad().Data, b.gamma.liveGrad().Data
 	for c := range b.c {
-		b.beta.Grad.Data[c] += b.meanDy[c]
-		b.gamma.Grad.Data[c] += b.meanDyXhat[c]
+		dBeta[c] += b.meanDy[c]
+		dGamma[c] += b.meanDyXhat[c]
 		b.gInv[c] = b.gamma.Value.Data[c] * b.invStd[c]
 		b.meanDy[c] /= count
 		b.meanDyXhat[c] /= count

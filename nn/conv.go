@@ -31,7 +31,7 @@ type Conv2D struct {
 	// larger, expands one sample at a time); the bias spread over one
 	// sample's output; headers over one sample's columns, output and
 	// output gradient; and the two gradient products before they join
-	// w.Grad and dx.
+	// w.Grad (once the first sample has begun it) and dx.
 	colsAll, biasRow           []float32
 	cols, out, dOut, dW, dCols *tensor.Matrix
 	// The last Forward's input, and whether colsAll holds its columns
@@ -84,7 +84,6 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		c.cols = &tensor.Matrix{Rows: patch, Cols: outHW}
 		c.out = &tensor.Matrix{Rows: c.shape.OutC, Cols: outHW}
 		c.dOut = &tensor.Matrix{Rows: c.shape.OutC, Cols: outHW}
-		c.dW = tensor.New(c.shape.OutC, patch)
 		c.dCols = tensor.New(patch, outHW)
 	}
 	colLen := patch * outHW
@@ -118,11 +117,12 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	outHW := c.shape.OutH() * c.shape.OutW()
 	c.dx = tensor.Reuse(c.dx, dout.Rows, c.shape.InC*c.shape.InH*c.shape.InW)
 	c.dx.Zero()
-	dOutS, dW, dCols := c.dOut, c.dW, c.dCols
+	dOutS, dCols := c.dOut, c.dCols
 	colLen := c.shape.PatchLen() * outHW
+	bias := c.b.liveGrad().Data
 	for s := 0; s < dout.Rows; s++ {
 		dOutS.Data = dout.Row(s)
-		c.biasGrad(dOutS.Data, outHW)
+		c.biasGrad(bias, dOutS.Data, outHW)
 		// Weight gradient: dW += dOut · colsᵀ, on the columns a training
 		// Forward kept.
 		if c.kept {
@@ -131,8 +131,9 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			c.cols.Data = c.colsAll[:colLen]
 			tensor.Im2col(c.shape, c.x.Row(s), c.cols)
 		}
+		dW := c.w.productDst(&c.dW)
 		tensor.MatMulTransB(dW, dOutS, c.cols)
-		c.w.Grad.Add(dW)
+		c.w.addProduct(dW)
 		// Input gradient: dCols = Wᵀ · dOut, scattered back by col2im.
 		tensor.MatMulTransA(dCols, c.w.Value, dOutS)
 		tensor.Col2im(c.shape, dCols, c.dx.Row(s))
@@ -140,10 +141,10 @@ func (c *Conv2D) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	return c.dx
 }
 
-// biasGrad adds one sample's bias gradient to b.Grad: each output
-// channel's float32 sum of its outHW positions of g, in position order.
-// Four channels' sums run side by side, each its own chain.
-func (c *Conv2D) biasGrad(g []float32, outHW int) {
+// biasGrad adds one sample's bias gradient to db, b's gradient: each
+// output channel's float32 sum of its outHW positions of g, in position
+// order. Four channels' sums run side by side, each its own chain.
+func (c *Conv2D) biasGrad(db, g []float32, outHW int) {
 	n := c.shape.OutC
 	for oc := 0; oc < n; oc += 4 {
 		// Past the last channel, a group repeats it; the repeats are not
@@ -159,7 +160,7 @@ func (c *Conv2D) biasGrad(g []float32, outHW int) {
 		}
 		sums := [4]float32{s0, s1, s2, s3}
 		for i := range min(4, n-oc) {
-			c.b.Grad.Data[oc+i] += sums[i]
+			db[oc+i] += sums[i]
 		}
 	}
 }

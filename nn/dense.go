@@ -21,7 +21,7 @@ type Dense struct {
 	x       *tensor.Matrix // cached input for backward
 	dx      *tensor.Matrix
 	y       *tensor.Matrix
-	dw      *tensor.Matrix // this step's xᵀ·dout, before it joins w.Grad
+	dw      *tensor.Matrix // xᵀ·dout before it joins a w.Grad already begun
 }
 
 // NewDense builds a dense layer with He-initialised weights.
@@ -59,16 +59,15 @@ func (d *Dense) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	// dW += xᵀ · dout, as one product added once: accumulating into the
 	// gradient term by term would reorder its sum.
-	if d.dw == nil {
-		d.dw = tensor.New(d.in, d.out)
-	}
-	tensor.MatMulTransA(d.dw, d.x, dout)
-	d.w.Grad.Add(d.dw)
+	dw := d.w.productDst(&d.dw)
+	tensor.MatMulTransA(dw, d.x, dout)
+	d.w.addProduct(dw)
 	// db += column sums of dout
+	db := d.b.liveGrad().Data
 	for i := 0; i < dout.Rows; i++ {
 		row := dout.Row(i)
 		for j, v := range row {
-			d.b.Grad.Data[j] += v
+			db[j] += v
 		}
 	}
 	// dx = dout · Wᵀ

@@ -31,7 +31,7 @@ type LSTM struct {
 	// Scratch reused by every timestep, sized with the caches: the gate
 	// pre-activations and their gradient, the state gradients carried
 	// backwards, and the parameter-gradient products before they join
-	// the Grads.
+	// Grads the first frame has begun.
 	z, zh, dz      *tensor.Matrix
 	dh, dc, dhPrev *tensor.Matrix
 	dxt, dwx, dwh  *tensor.Matrix
@@ -117,7 +117,8 @@ func (l *LSTM) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // hidden state).
 func (l *LSTM) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	batch := dout.Rows
-	dh, dc, dz, dxt, dhPrev, dwx, dwh := l.dh, l.dc, l.dz, l.dxt, l.dhPrev, l.dwx, l.dwh
+	dh, dc, dz, dxt, dhPrev := l.dh, l.dc, l.dz, l.dxt, l.dhPrev
+	db := l.b.liveGrad().Data
 	dh.CopyFrom(dout)
 	dc.Zero()
 	for t := l.t - 1; t >= 0; t-- {
@@ -128,12 +129,14 @@ func (l *LSTM) Backward(dout *tensor.Matrix) *tensor.Matrix {
 				l.tanhC[t].Row(s), l.cs[t].Row(s))
 		}
 		// Parameter gradients.
+		dwx := l.wx.productDst(&l.dwx)
 		tensor.MatMulTransA(dwx, l.xs[t], dz)
-		l.wx.Grad.Add(dwx)
+		l.wx.addProduct(dwx)
+		dwh := l.wh.productDst(&l.dwh)
 		tensor.MatMulTransA(dwh, l.hs[t], dz)
-		l.wh.Grad.Add(dwh)
+		l.wh.addProduct(dwh)
 		for s := 0; s < batch; s++ {
-			tensor.Add(l.b.Grad.Data, dz.Row(s))
+			tensor.Add(db, dz.Row(s))
 		}
 		// Input and previous-hidden gradients.
 		tensor.MatMulTransB(dxt, dz, l.wx.Value)
@@ -159,7 +162,6 @@ func (l *LSTM) ensureCaches(batch int) {
 		l.tanhC = make([]*tensor.Matrix, l.t)
 		l.hs = make([]*tensor.Matrix, l.t+1)
 		l.cs = make([]*tensor.Matrix, l.t+1)
-		l.dwx, l.dwh = tensor.New(l.d, 4*l.h), tensor.New(l.h, 4*l.h)
 	}
 	for t := 0; t < l.t; t++ {
 		l.xs[t] = tensor.Reuse(l.xs[t], batch, l.d)

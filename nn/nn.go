@@ -30,13 +30,21 @@ type Param struct {
 	// Value holds the current weights.
 	Value *tensor.Matrix
 	// Grad accumulates the gradient of the minibatch loss with respect
-	// to Value. Layers add into it; the trainer zeroes it between steps.
+	// to Value. Layers add into it. Network.ZeroGrads does not clear it
+	// but marks it pending-zero, and Network.Backward leaves it holding
+	// the bits a clear followed by the same additions would have: so
+	// between the two its memory is stale, and after Backward it is the
+	// step's gradient.
 	Grad *tensor.Matrix
 	// WireShape is the CNTK tensor layout used by the quantisation
 	// codecs: Rows is the first tensor dimension, Cols the flattened
 	// rest. For a conv kernel stored as [kW][kH·inC·outC] this makes
 	// Rows the kernel width — the tiny-column case 1bitSGD trips over.
 	WireShape quant.Shape
+	// zero marks Grad pending-zero: it stands for +0 everywhere, and the
+	// first layer to touch it writes it whole (productDst) or clears it
+	// (liveGrad).
+	zero bool
 }
 
 // newParam allocates a parameter with matching gradient storage.
@@ -47,6 +55,42 @@ func newParam(name string, rows, cols int, wire quant.Shape) *Param {
 		Grad:      tensor.New(rows, cols),
 		WireShape: wire,
 	}
+}
+
+// productDst returns the matrix a weight-gradient product into p is
+// computed in: Grad itself while it is pending-zero, otherwise
+// *scratch, allocated at Grad's shape on first use; addProduct then
+// folds the product in. Writing the product over a pending Grad has the
+// bits of adding it to +0: tensor's GEMMs accumulate every output from
+// +0, so none is −0, and +0 + x is x for every other x, NaNs included.
+func (p *Param) productDst(scratch **tensor.Matrix) *tensor.Matrix {
+	if p.zero {
+		p.zero = false
+		return p.Grad
+	}
+	if *scratch == nil {
+		*scratch = tensor.New(p.Grad.Rows, p.Grad.Cols)
+	}
+	return *scratch
+}
+
+// addProduct adds a product computed in productDst's matrix m to Grad;
+// one computed in Grad itself is already there.
+func (p *Param) addProduct(m *tensor.Matrix) {
+	if m != p.Grad {
+		p.Grad.Add(m)
+	}
+}
+
+// liveGrad clears Grad if it is pending-zero and returns it, ready to
+// be added into: a sum that starts from +0 keeps that start (its first
+// term may be −0).
+func (p *Param) liveGrad() *tensor.Matrix {
+	if p.zero {
+		p.Grad.Zero()
+		p.zero = false
+	}
+	return p.Grad
 }
 
 // Info returns the quant.TensorInfo describing this parameter.
@@ -113,10 +157,15 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return x
 }
 
-// Backward propagates the loss gradient through the full stack.
+// Backward propagates the loss gradient through the full stack. A
+// gradient still pending-zero at its end — its layer added nothing —
+// is cleared, so every Grad holds the step's gradient.
 func (n *Network) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		dout = n.Layers[i].Backward(dout)
+	}
+	for _, p := range n.params {
+		p.liveGrad()
 	}
 	return dout
 }
@@ -124,10 +173,14 @@ func (n *Network) Backward(dout *tensor.Matrix) *tensor.Matrix {
 // Params returns every learnable tensor in definition order.
 func (n *Network) Params() []*Param { return n.params }
 
-// ZeroGrads clears all gradient accumulators.
+// ZeroGrads restarts every gradient accumulator at zero. It clears no
+// memory: it marks each Grad pending-zero, the next Backward writes
+// its first weight-gradient product straight into the gradient instead
+// of adding it to a cleared one, and whatever it leaves pending it
+// clears. Read a Grad after Backward, not between the two.
 func (n *Network) ZeroGrads() {
 	for _, p := range n.params {
-		p.Grad.Zero()
+		p.zero = true
 	}
 }
 

@@ -36,27 +36,36 @@ func TestNetworkParamAccounting(t *testing.T) {
 	}
 }
 
+// TestZeroGrads: a Backward after ZeroGrads leaves each gradient the
+// step's own — the same bits as a first Backward into freshly allocated
+// gradients, not the sum of two steps.
 func TestZeroGrads(t *testing.T) {
 	r := rng.New(3)
 	net := MustNetwork(NewDense("d1", 4, 3, r))
 	x := tensor.New(2, 4)
 	x.FillNorm(r, 1)
 	loss := NewSoftmaxCrossEntropy()
-	loss.Forward(net.Forward(x, true), []int{0, 1})
-	net.Backward(loss.Backward([]int{0, 1}))
-	nonzero := false
-	for _, p := range net.Params() {
-		if p.Grad.Norm2() > 0 {
-			nonzero = true
+	step := func() []float32 {
+		loss.Forward(net.Forward(x, true), []int{0, 1})
+		net.Backward(loss.Backward([]int{0, 1}))
+		var grads []float32
+		for _, p := range net.Params() {
+			grads = append(grads, p.Grad.Data...)
 		}
+		return grads
+	}
+	first := step()
+	nonzero := false
+	for _, v := range first {
+		nonzero = nonzero || v != 0
 	}
 	if !nonzero {
 		t.Fatal("expected nonzero gradients after backward")
 	}
 	net.ZeroGrads()
-	for _, p := range net.Params() {
-		if p.Grad.Norm2() != 0 {
-			t.Fatal("ZeroGrads left residue")
+	for i, v := range step() {
+		if math.Float32bits(v) != math.Float32bits(first[i]) {
+			t.Fatalf("gradient %d after ZeroGrads and Backward is %v, the first step's was %v", i, v, first[i])
 		}
 	}
 }

@@ -68,24 +68,26 @@ func (s *SGD) Step() { s.StepScaled(1) }
 //
 // The scaled gradient a·g is stored back in Param.Grad, so after the
 // step it holds the gradient the update consumed; the caller zeroes it
-// before the next backward pass.
+// before the next backward pass. A gradient still pending-zero
+// (Network.ZeroGrads) is cleared first.
 func (s *SGD) StepScaled(a float32) {
 	for i, p := range s.params {
-		tensor.MomentumStep(p.Value.Data, s.velocity[i].Data, p.Grad.Data, a, s.momentum, s.lr, s.weightDecay)
+		tensor.MomentumStep(p.Value.Data, s.velocity[i].Data, p.liveGrad().Data, a, s.momentum, s.lr, s.weightDecay)
 	}
 }
 
 // ClipGradNorm rescales the concatenated gradient of params so its
 // global L2 norm does not exceed maxNorm, returning the norm before
 // clipping. CNTK's recurrent recipes clip gradients to stabilise LSTM
-// training; the speech experiments use the same guard.
+// training; the speech experiments use the same guard. A gradient
+// still pending-zero (Network.ZeroGrads) is cleared first.
 func ClipGradNorm(params []*Param, maxNorm float32) float64 {
 	if maxNorm <= 0 {
 		panic("nn: ClipGradNorm needs a positive bound")
 	}
 	var sq float64
 	for _, p := range params {
-		for _, v := range p.Grad.Data {
+		for _, v := range p.liveGrad().Data {
 			sq += float64(float64(v) * float64(v))
 		}
 	}

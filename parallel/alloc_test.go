@@ -46,7 +46,7 @@ func TestStepAllocs(t *testing.T) {
 				}
 			}
 			for i := 0; i < 20; i++ {
-				step() // link slabs and layer scratch reach their sizes
+				step() // receive buffers and layer scratch reach their sizes
 			}
 			const bound = 3
 			if allocs := testing.AllocsPerRun(20, step); allocs > bound {

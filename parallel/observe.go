@@ -176,7 +176,9 @@ func (t *Trainer) attachMonitor() {
 // on the step driver after the worker goroutines joined. The 1/K
 // average happens in the optimiser's update pass (nn.SGD.StepScaled),
 // which stores the averaged gradient back, so what it reads is the
-// averaged gradient, stable until the next step's ZeroGrads. It
+// averaged gradient, stable until the next step's Backward (ZeroGrads
+// only marks it pending-zero; the memory changes when Backward writes
+// the next gradient). It
 // probes the codecs over a scratch copy, so training state is
 // bit-for-bit untouched and no byte reaches the data mesh; the
 // snapshot travels the control plane only (ControlBytes).

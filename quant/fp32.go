@@ -96,7 +96,9 @@ func (FP32) DecodeAdd(wire []byte, n int, _ Shape, acc []float32) error {
 		return fmt.Errorf("quant: fp32 acc length %d, want %d", len(acc), n)
 	}
 	if fp32View {
-		tensor.Add(acc, unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(wire))), n))
+		if n > 0 { // an empty wire may point one past its allocation
+			tensor.Add(acc, unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(wire))), n))
+		}
 		return nil
 	}
 	var vals [addChunk]float32
@@ -106,6 +108,17 @@ func (FP32) DecodeAdd(wire []byte, n int, _ Shape, acc []float32) error {
 		tensor.Add(acc[lo:lo+len(dec)], dec)
 	}
 	return nil
+}
+
+// View returns the memory of v as its 32bit payload — what Encode
+// returns and what Decode copies in — so a receiver can read a payload
+// straight into a tensor. ok is false where the host's byte order makes
+// the two differ; the payload must then be decoded.
+func (FP32) View(v []float32) (payload []byte, ok bool) {
+	if !fp32View {
+		return nil, false
+	}
+	return fp32Bytes(v), true
 }
 
 // fp32Bytes views the memory of v as bytes.

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -244,7 +245,35 @@ type framer struct {
 // newFramer precomputes the header for codec c encoding n elements of a
 // tensor with the given wire shape.
 func newFramer(c Codec, n int, shape Shape) framer {
-	return framer{hdr: appendHeader(nil, c.Name(), shape, n, c.EncodedBytes(n, shape))}
+	return framer{hdr: FrameHeader(c, n, shape)}
+}
+
+// FrameHeader returns the header that an encoder of codec c for n
+// elements of a tensor with the given wire shape puts before every
+// payload (Encoder.Header).
+func FrameHeader(c Codec, n int, shape Shape) []byte {
+	return appendHeader(nil, c.Name(), shape, n, c.EncodedBytes(n, shape))
+}
+
+// MatchHeader checks a received frame header against want, the
+// FrameHeader of the frame the receiver expects, byte for byte: the
+// check of a receiver that knows what arrives, and so reads the payload
+// in place rather than through a FrameDecoder. A mismatch is described
+// as the two headers' codec, count, shape and payload length.
+func MatchHeader(got, want []byte) error {
+	if string(got) == string(want) {
+		return nil
+	}
+	g, err := ReadHeader(bytes.NewReader(got))
+	if err != nil {
+		return err
+	}
+	w, err := ReadHeader(bytes.NewReader(want))
+	if err != nil {
+		return err
+	}
+	return fmt.Errorf("quant: frame of %s n=%d shape=%s payload=%d, want %s n=%d shape=%s payload=%d",
+		g.Codec, g.N, g.Shape, g.PayloadBytes, w.Codec, w.N, w.Shape, w.PayloadBytes)
 }
 
 // Header implements Encoder.

@@ -532,7 +532,7 @@ func (q QSGD) tableDecode() bool {
 	return q.bits <= 8 && q.bucket >= max(32, 1<<q.bits)
 }
 
-// identityCodes[c] = c: dequantising it yields the decode table.
+// identityCodes[c] = c: dequantising it yields a decode table.
 var identityCodes = func() (t [256]uint32) {
 	for c := range t {
 		t[c] = uint32(c)
@@ -584,7 +584,7 @@ func (q QSGD) decode(wire []byte, n int, shape Shape, dst []float32, add bool) e
 		codes := wire[off : off+4*words32(len(out)*q.bits)]
 		off += len(codes)
 		if table {
-			q.dequantise(tab[:1<<bits], identityCodes[:1<<bits], scale, s)
+			q.decodeTable(tab[:1<<bits], scale, s)
 			i := lookupCodesAsm(out, codes, &tab, bits, add)
 			out, codes = out[i:], codes[i*q.bits/8:]
 			if !add {
@@ -611,6 +611,24 @@ func (q QSGD) decode(wire []byte, n int, shape Shape, dst []float32, add bool) e
 		}
 	}
 	return nil
+}
+
+// decodeTable writes the value of every code, 0 to len(tab)−1, under
+// the bucket's scale to tab: dequantise's values, bit for bit. Under
+// sign-magnitude and exponential levels a code with the sign bit set is
+// the code without it negated by a flip of the float's sign bit — the
+// flip dequantise itself makes, so magnitude 0 gives −0 both ways — and
+// only the lower half is dequantised. Uniform levels have no sign bit.
+func (q QSGD) decodeTable(tab []float32, scale, s float32) {
+	if q.scheme == Uniform {
+		q.dequantise(tab, identityCodes[:len(tab)], scale, s)
+		return
+	}
+	half := len(tab) / 2
+	q.dequantise(tab[:half], identityCodes[:half], scale, s)
+	for m, v := range tab[:half] {
+		tab[half+m] = math.Float32frombits(math.Float32bits(v) ^ 1<<31)
+	}
 }
 
 // dequantise writes the value of each code under the bucket's scale to

@@ -303,3 +303,30 @@ func TestQSGDNames(t *testing.T) {
 		}
 	}
 }
+
+// TestQSGDDecodeTableMirrorsSign holds the decode table — half of it
+// dequantised, half mirrored by a sign flip under sign-magnitude and
+// exponential levels — to dequantise over all 2^bits codes, bit for
+// bit, for every table width and scheme, at scales that single out the
+// edges: 0, a denormal, 1, the largest float32, +Inf and NaN.
+func TestQSGDDecodeTableMirrorsSign(t *testing.T) {
+	scales := []float32{0, math.Float32frombits(1), 1, math.MaxFloat32,
+		float32(math.Inf(1)), float32(math.NaN())}
+	for _, bits := range []int{2, 4, 8} {
+		for _, scheme := range []Scheme{SignMagnitude, Uniform, Exponential} {
+			q := NewQSGDScheme(bits, 512, MaxNorm, scheme)
+			s := float32(q.Levels())
+			for _, scale := range scales {
+				got, want := make([]float32, 1<<bits), make([]float32, 1<<bits)
+				q.decodeTable(got, scale, s)
+				q.dequantise(want, identityCodes[:1<<bits], scale, s)
+				for c := range want {
+					if math.Float32bits(got[c]) != math.Float32bits(want[c]) {
+						t.Fatalf("%d bits %s scale %v: code %d is %#08x, dequantise gives %#08x",
+							bits, scheme, scale, c, math.Float32bits(got[c]), math.Float32bits(want[c]))
+					}
+				}
+			}
+		}
+	}
+}

@@ -220,6 +220,45 @@ func TestMatMulNonFinitePropagates(t *testing.T) {
 	}
 }
 
+// TestGEMMStartsFromPlusZero: every entry point sums each output's
+// terms from +0, so no output is −0 — not even one whose every term is
+// −0 — and each holds the bits of +0 + x. That is what lets nn write a
+// weight-gradient product over a gradient pending zero instead of
+// adding it to a cleared one. Both paths, every operand flavour.
+func TestGEMMStartsFromPlusZero(t *testing.T) {
+	forPaths(t, func(t *testing.T) {
+		seed := uint64(900)
+		for kind := gemmNN; kind <= gemmTB; kind++ {
+			for _, s := range [][3]int{{1, 1, 1}, {3, 5, 7}, {4, 9, 17}, {9, 33, 16}, {16, 72, 36}} {
+				for flavour := -1; flavour < numFlavours; flavour++ {
+					seed++
+					c := gemmCase{kind, s[0], s[1], s[2]}
+					a, b := c.operands()
+					if flavour < 0 { // every term −0·1.5 = −0
+						a.Fill(float32(math.Copysign(0, -1)))
+						b.Fill(1.5)
+					} else {
+						r := rng.New(seed)
+						fillFlavour(a, r, flavour, 0.3)
+						fillFlavour(b, r, flavour, 0.3)
+					}
+					dst := New(c.m, c.n)
+					dst.Fill(float32(math.Copysign(0, -1)))
+					c.run(false, dst, a, b)
+					sum := make([]float32, len(dst.Data))
+					Add(sum, dst.Data)
+					for i, x := range dst.Data {
+						if math.Signbit(float64(x)) && x == 0 || math.Float32bits(x) != math.Float32bits(sum[i]) {
+							t.Fatalf("%v flavour %d: dst[%d] = %v (%#08x), +0 + it = %#08x",
+								c, flavour, i, x, math.Float32bits(x), math.Float32bits(sum[i]))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func FuzzGEMMParity(f *testing.F) {
 	f.Add(uint8(0), uint8(16), uint8(72), uint8(36), uint64(1), uint8(0), uint8(25))
 	f.Add(uint8(1), uint8(27), uint8(8), uint8(144), uint64(2), uint8(1), uint8(128))
