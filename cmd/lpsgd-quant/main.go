@@ -19,6 +19,7 @@ import (
 	"repro/internal/report"
 	"repro/quant"
 	"repro/rng"
+	"repro/tensor"
 )
 
 func main() {
@@ -38,9 +39,7 @@ func main() {
 	total := shape.Len()
 	r := rng.New(*seed)
 	src := make([]float32, total)
-	for i := range src {
-		src[i] = r.Norm(1)
-	}
+	tensor.FillNorm(src, r, 1)
 	dst := make([]float32, total)
 
 	codecs := quant.PaperCodecs()

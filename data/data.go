@@ -176,6 +176,9 @@ func sampleImages(r *rng.RNG, cfg ImageConfig, templates []*tensor.Matrix, n int
 			sx, sy = r.Intn(3)-1, r.Intn(3)-1
 		}
 		tpl := templates[c].Data
+		// The row's noise first, in pixel order, then the template
+		// under it: each pixel is v + noise, as drawn pixel by pixel.
+		tensor.FillNorm(row, r, cfg.Noise)
 		for ch := 0; ch < cfg.Channels; ch++ {
 			off := ch * cfg.H * cfg.W
 			for y := 0; y < cfg.H; y++ {
@@ -185,7 +188,7 @@ func sampleImages(r *rng.RNG, cfg ImageConfig, templates []*tensor.Matrix, n int
 					if yy >= 0 && yy < cfg.H && xx >= 0 && xx < cfg.W {
 						v = tpl[off+yy*cfg.W+xx]
 					}
-					row[off+y*cfg.W+x] = v + r.Norm(cfg.Noise)
+					row[off+y*cfg.W+x] = v + row[off+y*cfg.W+x]
 				}
 			}
 		}
@@ -250,8 +253,9 @@ func MakeSequences(cfg SequenceConfig) (train, test *Dataset) {
 			d.Labels[i] = c
 			gain := 1 + rr.Norm(0.1)
 			row := d.X.Row(i)
+			tensor.FillNorm(row, rr, cfg.Noise)
 			for j, v := range profiles[c] {
-				row[j] = float32(gain*v) + rr.Norm(cfg.Noise)
+				row[j] = float32(gain*v) + row[j]
 			}
 		}
 		return d

@@ -87,6 +87,17 @@ type Trainer struct {
 	// rounds so byte accounting stays cumulative across repairs.
 	rejoins  int
 	wireBase int64
+
+	// workers joins a step's replica workers; stepTrain and stepBatch
+	// are the step's operands while they run, cleared after the join.
+	workers   sync.WaitGroup
+	stepTrain *data.Dataset
+	stepBatch []int
+	// The evaluation batch's indices and storage, reused from call to
+	// call.
+	evalIdx    []int
+	evalX      *tensor.Matrix
+	evalLabels []int
 }
 
 // replica is one local rank's state: its model, optimiser and loss
@@ -108,6 +119,10 @@ type replica struct {
 	stepLoss          float64
 	err               error
 	compute, exchange time.Duration
+	// run is the worker a step spawns for this replica, built once, so
+	// that spawning it allocates nothing: it steps the replica on the
+	// trainer's step operands and signals the trainer's WaitGroup.
+	run func()
 }
 
 // NewTrainer builds the local replicas with identical initial weights
@@ -155,6 +170,10 @@ func NewTrainer(build func(r *rng.RNG) *nn.Network, cfg Config) (*Trainer, error
 		r := &replica{rank: w, net: net, opt: opt, loss: nn.NewSoftmaxCrossEntropy()}
 		for _, p := range net.Params() {
 			r.grads = append(r.grads, p.Grad.Data)
+		}
+		r.run = func() {
+			defer t.workers.Done()
+			r.step(t, t.stepTrain, t.stepBatch)
 		}
 		t.local = append(t.local, r)
 	}
@@ -522,15 +541,13 @@ func (t *Trainer) step(train *data.Dataset, batch []int) (float64, error) {
 	// Publish the step index to the tracer so the reducer's spans carry
 	// it without any per-message plumbing (nil-safe no-op when off).
 	t.tracer.SetStep(next)
-	var wg sync.WaitGroup
+	t.stepTrain, t.stepBatch = train, batch
+	t.workers.Add(len(t.local))
 	for _, r := range t.local {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.step(t, train, batch)
-		}()
+		go r.run()
 	}
-	wg.Wait()
+	t.workers.Wait()
+	t.stepTrain, t.stepBatch = nil, nil
 	var sum float64
 	for _, r := range t.local {
 		if r.err != nil {
@@ -636,7 +653,9 @@ func (t *Trainer) Evaluate(ds *data.Dataset) float64 {
 
 // EvaluateKs returns top-k accuracy of the canonical replica on ds for
 // each requested k in a single pass (the paper reports top-1 and
-// top-5).
+// top-5). Its batches are gathered into storage the trainer keeps, so,
+// like the replica's forward pass it runs, it must not overlap Run or
+// another evaluation.
 func (t *Trainer) EvaluateKs(ds *data.Dataset, ks ...int) []float64 {
 	const evalBatch = 256
 	net := t.local[0].net
@@ -647,11 +666,12 @@ func (t *Trainer) EvaluateKs(ds *data.Dataset, ks ...int) []float64 {
 		if end > ds.Len() {
 			end = ds.Len()
 		}
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
+		t.evalIdx = t.evalIdx[:0]
+		for i := start; i < end; i++ {
+			t.evalIdx = append(t.evalIdx, i)
 		}
-		x, labels := ds.Gather(idx)
+		t.evalX, t.evalLabels = ds.GatherInto(t.evalX, t.evalLabels, t.evalIdx)
+		x, labels := t.evalX, t.evalLabels
 		logits := net.Forward(x, false)
 		for i := range labels {
 			row := logits.Row(i)

@@ -94,16 +94,20 @@ func (r *RNG) Float32() float32 {
 func (r *RNG) Float64() float64 { return UnitFloat64(r.Uint64()) }
 
 // Norm returns a normally distributed float32 with mean 0 and the given
-// standard deviation, using the Box-Muller transform.
+// standard deviation, using the Box-Muller transform: two draws u1 and
+// u2 (u1 drawn again while it is 0, to guard against log(0)), then
+// float32(√(−2·ln u1)·cos(2π·u2))·std. The logarithm and cosine are
+// FMA-free replicas of amd64's math.Log and math.Cos (norm.go), so the
+// bits are the same on every architecture. tensor.FillNorm writes a
+// run of these draws on an AVX2 kernel held to the same bits.
 func (r *RNG) Norm(std float32) float32 {
-	// Guard against log(0).
 	u1 := r.Float64()
 	for u1 == 0 {
 		u1 = r.Float64()
 	}
 	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return float32(z) * std
+	z := float64(math.Sqrt(-2*logUnit(u1)) * cosTurn(float64(2*math.Pi*u2)))
+	return float32(float32(z) * std)
 }
 
 // Perm returns a random permutation of [0, n) using Fisher-Yates.

@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/rng"
 )
 
 // TestDispatchSelectsAVX2 keeps the parity suites honest: on a CPU the
@@ -44,6 +46,16 @@ func TestDispatchSelectsAVX2(t *testing.T) {
 		useAVX2 = c.avx2
 		if got := vecBody(c.n); got != c.want {
 			t.Errorf("avx2=%v: the vector kernels take %d of %d elements, want %d", c.avx2, got, c.n, c.want)
+		}
+	}
+	// So does the normal-draw kernel, in groups of four.
+	for _, c := range []struct {
+		avx2    bool
+		n, want int
+	}{{true, 23, 20}, {true, 3, 0}, {false, 23, 0}} {
+		useAVX2 = c.avx2
+		if got := fillNormAsm(make([]float32, c.n), rng.New(1), 1); got != c.want {
+			t.Errorf("avx2=%v: the normal-draw kernel takes %d of %d elements, want %d", c.avx2, got, c.n, c.want)
 		}
 	}
 }

@@ -91,6 +91,13 @@
 // pooling) return raw bits, NaN payloads included. Where a kernel's
 // lanes reach past a run or a plane it masks them (VMASKMOVPS) rather
 // than leave a tail to the loop.
+//
+// # The normal-draw kernel
+//
+// FillNorm (norm.go) writes a run of rng.Norm's draws under the same
+// switch, four elements at a time in float64 lanes, each lane the
+// scalar's operations in their order: its bits and the generator's
+// final state are those of the rng.Norm loop, which is its reference.
 package tensor
 
 import (
@@ -175,12 +182,9 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
-// FillNorm fills m with draws from N(0, std²) using r.
-func (m *Matrix) FillNorm(r *rng.RNG, std float32) {
-	for i := range m.Data {
-		m.Data[i] = r.Norm(std)
-	}
-}
+// FillNorm fills m with draws from N(0, std²) using r, in the order of
+// its data, as the package-level FillNorm does.
+func (m *Matrix) FillNorm(r *rng.RNG, std float32) { FillNorm(m.Data, r, std) }
 
 // FillUniform fills m with draws from U[-a, a) using r.
 func (m *Matrix) FillUniform(r *rng.RNG, a float32) {
