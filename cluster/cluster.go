@@ -1,10 +1,10 @@
 // Package cluster is the multi-process runtime of the reproduction: it
 // turns N independent OS processes — one per worker, possibly on
 // different machines — into the K-peer mesh the aggregation primitives
-// in repro/comm run over. PR 1's self-describing framed wire format
-// means TCP peers can decode gradients with no shared configuration;
-// this package supplies the remaining pieces, rendezvous and
-// capability exchange:
+// in repro/comm run over. Every gradient message carries a quant
+// frame header that its receiver checks against the plan it compiled,
+// so the ranks must agree on that plan; this package supplies the
+// rendezvous and capability exchange that make them agree:
 //
 //   - Rank 0 (the coordinator) listens on a well-known address; every
 //     other rank dials in and sends a versioned hello carrying its

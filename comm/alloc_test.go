@@ -11,12 +11,12 @@ import (
 // message sizes cycle from 2 MB down to 40 bytes on every link — and
 // returns the allocations per steady-state exchange. The exchanges run
 // on persistent goroutines, so the figure is the exchange's alone.
-func exchangeAllocs(t *testing.T, exchange exchangeFunc, k int, shapes []quant.Shape) float64 {
+func exchangeAllocs(t *testing.T, f Transport, exchange exchangeFunc, shapes []quant.Shape) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account; zero is asserted without -race")
 	}
-	d := newExchangeDriver(exchange, k, shapes)
+	d := newExchangeDriver(f, exchange, shapes)
 	defer d.stop()
 	run := func() {
 		if err := d.run(); err != nil {
@@ -48,15 +48,17 @@ func TestReduceBroadcastExchangeAllocs(t *testing.T) {
 	for _, codec := range []string{"32bit", "qsgd4b512", "1bit", "qsgd4b512+32bit"} {
 		for _, kind := range []string{"chan", "framed", "tcp"} {
 			t.Run(codec+"/"+kind, func(t *testing.T) {
-				rb := NewReduceBroadcast(benchFabric(t, kind, k), inventorySpecs(mlpInventory, codec), 3)
-				if allocs := exchangeAllocs(t, eachTensor(rb), k, mlpInventory); allocs != 0 {
+				f := benchFabric(t, kind, k)
+				rb := NewReduceBroadcast(f, inventorySpecs(mlpInventory, codec), 3)
+				if allocs := exchangeAllocs(t, f, eachTensor(rb), mlpInventory); allocs != 0 {
 					t.Errorf("steady-state exchange allocates %v times, want 0", allocs)
 				}
 			})
 			for _, inv := range allInventories {
 				t.Run("all/"+inv.name+"/"+codec+"/"+kind, func(t *testing.T) {
-					rb := NewReduceBroadcast(benchFabric(t, kind, k), inventorySpecs(inv.shapes, codec), 3)
-					if allocs := exchangeAllocs(t, rb.ReduceAll, k, inv.shapes); allocs != 0 {
+					f := benchFabric(t, kind, k)
+					rb := NewReduceBroadcast(f, inventorySpecs(inv.shapes, codec), 3)
+					if allocs := exchangeAllocs(t, f, rb.ReduceAll, inv.shapes); allocs != 0 {
 						t.Errorf("steady-state all-tensor exchange allocates %v times, want 0", allocs)
 					}
 				})
@@ -85,14 +87,15 @@ func TestRingExchangeAllocs(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				f := benchFabric(t, kind, k)
-				if allocs := exchangeAllocs(t, eachTensor(ring(f, mlpInventory)), k, mlpInventory); allocs != 0 {
+				if allocs := exchangeAllocs(t, f, eachTensor(ring(f, mlpInventory)), mlpInventory); allocs != 0 {
 					t.Errorf("steady-state ring exchange allocates %v times, want 0", allocs)
 				}
 			})
 			for _, inv := range allInventories {
 				name := cmp.Or(codec, "learned")
 				t.Run("all/"+inv.name+"/"+name+"/"+kind, func(t *testing.T) {
-					if allocs := exchangeAllocs(t, ring(benchFabric(t, kind, k), inv.shapes).ReduceAll, k, inv.shapes); allocs != 0 {
+					f := benchFabric(t, kind, k)
+					if allocs := exchangeAllocs(t, f, ring(f, inv.shapes).ReduceAll, inv.shapes); allocs != 0 {
 						t.Errorf("steady-state all-tensor ring exchange allocates %v times, want 0", allocs)
 					}
 				})

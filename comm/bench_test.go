@@ -66,10 +66,13 @@ type exchangeDriver struct {
 	done  chan error
 }
 
-// newExchangeDriver starts one goroutine per rank, each exchanging its
-// own copy of every tensor per run. Reduced values are scaled back by
-// 1/K so repeated runs stay finite.
-func newExchangeDriver(exchange exchangeFunc, k int, shapes []quant.Shape) *exchangeDriver {
+// newExchangeDriver starts one goroutine per rank of f, each exchanging
+// its own copy of every tensor per run. Reduced values are scaled back
+// by 1/K so repeated runs stay finite. A rank whose exchange fails
+// closes f (closeOnError), so run reports the failure instead of
+// waiting forever on the ranks it left blocked.
+func newExchangeDriver(f Transport, exchange exchangeFunc, shapes []quant.Shape) *exchangeDriver {
+	k := f.K()
 	d := &exchangeDriver{start: make([]chan struct{}, k), done: make(chan error, k)}
 	r := rng.New(17)
 	for rank := 0; rank < k; rank++ {
@@ -90,6 +93,7 @@ func newExchangeDriver(exchange exchangeFunc, k int, shapes []quant.Shape) *exch
 						g[j] *= inv
 					}
 				}
+				closeOnError(f, err)
 				d.done <- err
 			}
 		}(rank, d.start[rank])
@@ -97,16 +101,15 @@ func newExchangeDriver(exchange exchangeFunc, k int, shapes []quant.Shape) *exch
 	return d
 }
 
-// run performs one exchange on every rank and returns the first error.
+// run performs one exchange on every rank and returns the first error
+// (firstError).
 func (d *exchangeDriver) run() error {
 	for _, c := range d.start {
 		c <- struct{}{}
 	}
 	var first error
 	for range d.start {
-		if err := <-d.done; err != nil && first == nil {
-			first = err
-		}
+		first = firstError(first, <-d.done)
 	}
 	return first
 }
@@ -192,12 +195,13 @@ func BenchmarkExchange(b *testing.B) {
 			for _, name := range []string{"32bit", "qsgd4b512"} {
 				for _, call := range []string{"each", "all"} {
 					b.Run(prim.name+"/"+kind+"/"+name+"/"+call, func(b *testing.B) {
-						red := NewCollective(benchFabric(b, kind, k), prim.p, inventorySpecs(mlpInventory, name), 1, nil)
+						f := benchFabric(b, kind, k)
+						red := NewCollective(f, prim.p, inventorySpecs(mlpInventory, name), 1, nil)
 						exchange := exchangeFunc(red.ReduceAll)
 						if call == "each" {
 							exchange = eachTensor(red)
 						}
-						d := newExchangeDriver(exchange, k, mlpInventory)
+						d := newExchangeDriver(f, exchange, mlpInventory)
 						defer d.stop()
 						var wire int64
 						for _, s := range mlpInventory {

@@ -12,13 +12,13 @@ import (
 // schedules — of one tensor for Reduce, of all a step's tensors in
 // round order for ReduceAll (see "Order of messages") — encoding every
 // send with the tensor's codec. Over a framed transport
-// (Transport.Framed) every message is the encoder's self-describing
-// quant frame header followed by its payload, so peers need no
-// out-of-band codec agreement; in-process the bare payload travels.
-// The decoded values are identical either way.
+// (Transport.Framed) every message is the quant frame header of its
+// (codec, n, shape) followed by its payload, and every receiver checks
+// the header it expects (quant.MatchHeader) before it decodes the
+// payload with its own codec; in-process the bare payload travels. The
+// decoded values are identical either way.
 type Collective struct {
 	fabric Transport
-	framed bool
 	prim   Primitive
 	seed   uint64
 	// specs describes the tensors; nil means any tensor, carried as
@@ -39,24 +39,23 @@ type worker struct {
 
 // compiled is one rank's schedule for one tensor: the steps over its
 // chunks, where each round's steps begin, what each step keeps across
-// exchanges, what the rank knows of the tensor's incoming messages, and
-// the phase times of its current exchange.
+// exchanges, and the phase times of its current exchange.
 type compiled struct {
 	spec      TensorSpec
 	chunks    []chunk
 	steps     []step
 	bounds    []int // round ρ's steps are steps[bounds[ρ]:bounds[ρ+1]]
 	own       []stepState
-	in        inbound
 	acc       spanAcc
 	quantises bool // encoding is quantisation, not a 32bit byte view (for spans)
 }
 
-// stepState is what one step keeps across exchanges: an encodeSend
-// step's encoder; for a recvPlace step that places a 32bit chunk in
-// the tensor (quant.FP32.View), place and the frame header its sender
-// writes (nil unframed); for another relaying recvPlace step, the
-// receive buffer the relay's send borrows until the flush.
+// stepState is what one step keeps across exchanges: the frame header
+// of its message (nil unframed), which an encodeSend or relay sends and
+// a receive requires; an encodeSend step's encoder; for a recvPlace step
+// that places a 32bit chunk in the tensor (quant.FP32.View), place; for
+// another relaying recvPlace step, the receive buffer the relay's send
+// borrows until the flush.
 type stepState struct {
 	enc    quant.Encoder
 	place  bool
@@ -75,7 +74,7 @@ func NewCollective(f Transport, prim Primitive, specs []TensorSpec, seed uint64,
 		panic(fmt.Sprintf("comm: unknown primitive %d", prim))
 	}
 	k := f.K()
-	c := &Collective{fabric: f, framed: f.Framed(), prim: prim, seed: seed, specs: specs, workers: make([]*worker, k), rounds: rounds(prim, k)}
+	c := &Collective{fabric: f, prim: prim, seed: seed, specs: specs, workers: make([]*worker, k), rounds: rounds(prim, k)}
 	if ranks == nil {
 		ranks = make([]int, k)
 		for r := range ranks {
@@ -86,7 +85,7 @@ func NewCollective(f Transport, prim Primitive, specs []TensorSpec, seed uint64,
 		if r < 0 || r >= k {
 			panic(fmt.Sprintf("comm: local rank %d outside world of %d", r, k))
 		}
-		w := &worker{endpoint: endpoint{fabric: f, framed: c.framed}}
+		w := &worker{endpoint: endpoint{fabric: f}}
 		for t, spec := range specs {
 			w.tensors = append(w.tensors, c.compile(spec, t, r))
 		}
@@ -109,13 +108,14 @@ func NewRing(f Transport) *Collective {
 	return NewCollective(f, NCCL, nil, 0, nil)
 }
 
-// compile builds rank's schedule for tensor t.
+// compile builds rank's schedule for tensor t. It decides every
+// message's frame header, once: what the step's sender writes, on a
+// framed fabric.
 func (c *Collective) compile(spec TensorSpec, t, rank int) compiled {
-	k := c.fabric.K()
+	k, framed := c.fabric.K(), c.fabric.Framed()
 	ct := compiled{
 		spec:      spec,
 		chunks:    chunks(c.prim, spec, k),
-		in:        newInbound(spec.Codec, spec.Wire),
 		quantises: !isFP32(spec.Codec),
 	}
 	_, view := quant.FP32{}.View(nil)
@@ -125,16 +125,16 @@ func (c *Collective) compile(spec TensorSpec, t, rank int) compiled {
 		if c.prim == NCCL && !ct.quantises {
 			shape = quant.Shape{Rows: 1, Cols: n} // a ring chunk of a 32bit tensor frames as a flat vector
 		}
+		if framed {
+			own.header = quant.FrameHeader(spec.Codec, n, shape)
+		}
 		switch {
 		case st.op == encodeSend:
 			own.enc = spec.Codec.NewEncoder(n, shape, mixSeed(c.seed, uint64(rank), uint64(t), st.slot))
 		case st.op == recvPlace && !ct.quantises && view:
 			own.place = true
-			if c.framed {
-				own.header = quant.FrameHeader(spec.Codec, n, shape)
-			}
 		case st.op == recvPlace && st.to != rank:
-			own.relay = make([]byte, ct.in.size(n, c.framed))
+			own.relay = make([]byte, len(own.header)+spec.Codec.EncodedBytes(n, spec.Wire))
 		}
 		ct.steps = append(ct.steps, st)
 		ct.own = append(ct.own, own)
@@ -203,7 +203,7 @@ func (c *Collective) BeginStep(step int64) {
 // collective's tensors puts on the fabric (see WireBytes); zero for a
 // NewRing collective, which learns its tensors as they come.
 func (c *Collective) WireBytesPerExchange() int64 {
-	return WireBytes(c.prim, c.specs, c.fabric.K(), c.framed)
+	return WireBytes(c.prim, c.specs, c.fabric.K(), c.fabric.Framed())
 }
 
 // Reduce implements Reducer: it runs rank's schedule for the tensor.
@@ -332,17 +332,12 @@ func (c *Collective) exchange(w *worker, rank, first int, gs [][]float32) error 
 func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, own *stepState, vals []float32) error {
 	switch st.op {
 	case encodeSend:
-		enc := own.enc
 		t0 := tr.Now()
-		wire := enc.Encode(vals)
+		wire := own.enc.Encode(vals)
 		if ct.quantises {
 			w.acc.quantise += tr.Now() - t0
 		} else {
 			w.acc.encode += tr.Now() - t0
-		}
-		var header []byte
-		if w.framed {
-			header = enc.Header()
 		}
 		lo, hi := st.to, st.to+1
 		if st.to == everyPeer {
@@ -352,7 +347,7 @@ func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, own *st
 			if p == rank {
 				continue
 			}
-			if err := w.send(tr, header, rank, p, wire); err != nil {
+			if err := w.send(tr, own.header, rank, p, wire); err != nil {
 				return fmt.Errorf("send to %d: %w", p, err)
 			}
 		}
@@ -360,30 +355,25 @@ func (w *worker) run(tr *obs.Tracer, rank, k int, ct *compiled, st step, own *st
 		// and the chunk it lent stays unwritten.
 		if st.adopt && ct.quantises {
 			t0 = tr.Now()
-			err := ct.in.codec.Decode(wire, len(vals), ct.in.shape, vals)
+			err := ct.spec.Codec.Decode(wire, len(vals), ct.spec.Wire, vals)
 			w.acc.decode += tr.Now() - t0
 			if err != nil {
 				return fmt.Errorf("decode own wire: %w", err)
 			}
 		}
 	case recvAdd:
-		if _, err := w.recv(tr, &ct.in, nil, st.from, rank, vals, true); err != nil {
+		if _, err := w.recv(tr, ct.spec, own, st.from, rank, vals, true); err != nil {
 			return fmt.Errorf("from %d: %w", st.from, err)
 		}
 	case recvPlace:
-		var header, wire []byte
-		var err error
-		if own.place {
-			header, wire = own.header, fp32Bytes(vals)
-			err = w.place(tr, header, st.from, rank, wire)
-		} else {
-			wire, err = w.recv(tr, &ct.in, own.relay, st.from, rank, vals, false)
-		}
+		payload, err := w.recv(tr, ct.spec, own, st.from, rank, vals, false)
 		if err != nil {
 			return fmt.Errorf("from %d: %w", st.from, err)
 		}
+		// The relay sends the compiled header, not the received one: the
+		// staging buffer that holds it is the next receive's.
 		if st.to != rank {
-			if err := w.send(tr, header, rank, st.to, wire); err != nil {
+			if err := w.send(tr, own.header, rank, st.to, payload); err != nil {
 				return fmt.Errorf("relay to %d: %w", st.to, err)
 			}
 		}

@@ -1,9 +1,13 @@
 package comm
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
+	"io"
 	"math"
-	"sync"
 	"testing"
+	"time"
 
 	"repro/quant"
 	"repro/rng"
@@ -11,36 +15,79 @@ import (
 
 // runExchange drives one synchronous gradient exchange: K goroutines
 // each reduce their copy of every tensor in order. It returns each
-// worker's resulting tensors.
-func runExchange(t *testing.T, red Reducer, inputs [][][]float32) [][][]float32 {
+// worker's resulting tensors (see runRanks).
+func runExchange(t *testing.T, red *Collective, inputs [][][]float32) [][][]float32 {
 	t.Helper()
-	k := len(inputs)
-	out := make([][][]float32, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
-		out[w] = make([][]float32, len(inputs[w]))
-		for ti := range inputs[w] {
-			out[w][ti] = append([]float32(nil), inputs[w][ti]...)
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ti := range out[w] {
-				if err := red.Reduce(w, ti, out[w][ti]); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
+	return runRanks(t, red.fabric, eachTensor(red), inputs)
+}
+
+// exchangeTimeout bounds one exchange in the multi-rank tests: a
+// schedule that deadlocks fails by it instead of hanging the suite.
+const exchangeTimeout = 20 * time.Second
+
+// runRanks runs exchange on a goroutine per rank of f over a copy of
+// inputs and returns the results, failing the test with the first
+// rank's error (exchangeRanks).
+func runRanks(t *testing.T, f Transport, exchange exchangeFunc, inputs [][][]float32) [][][]float32 {
+	t.Helper()
+	out, err := exchangeRanks(f, exchange, inputs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
+}
+
+// exchangeRanks runs exchange on a goroutine per rank of f over a copy
+// of inputs and returns the results and the first rank's error. A rank
+// that fails closes f (closeOnError), so the ranks still waiting on it
+// return too; if they do not within exchangeTimeout — a fabric that
+// cannot be closed, or a deadlock — it returns without them.
+func exchangeRanks(f Transport, exchange exchangeFunc, inputs [][][]float32) ([][][]float32, error) {
+	out := make([][][]float32, len(inputs))
+	done := make(chan error, len(inputs))
+	for r := range out {
+		for _, in := range inputs[r] {
+			out[r] = append(out[r], append([]float32(nil), in...))
+		}
+		go func() {
+			err := exchange(r, out[r])
+			if err != nil {
+				err = fmt.Errorf("rank %d: %w", r, err)
+			}
+			closeOnError(f, err)
+			done <- err
+		}()
+	}
+	timeout := time.After(exchangeTimeout)
+	var first error
+	for range out {
+		select {
+		case err := <-done:
+			first = firstError(first, err)
+		case <-timeout:
+			return nil, cmp.Or(first, fmt.Errorf("the exchange did not finish within %v: deadlock", exchangeTimeout))
+		}
+	}
+	return out, first
+}
+
+// closeOnError closes f after a rank's exchange failed with err, if f
+// can be closed (TCP): the ranks blocked on the failed one then return
+// ErrClosed at once rather than wait out the test binary's timeout.
+func closeOnError(f Transport, err error) {
+	if c, ok := f.(io.Closer); ok && err != nil {
+		c.Close()
+	}
+}
+
+// firstError returns whichever of first, the first error so far, and
+// err, the next, reports the failure rather than the closes it caused:
+// first unless it is nil, or ErrClosed and err is not.
+func firstError(first, err error) error {
+	if first == nil || errors.Is(first, ErrClosed) && err != nil && !errors.Is(err, ErrClosed) {
+		return err
+	}
+	return first
 }
 
 // mustSend and mustRecv wrap the error-returning Transport calls for

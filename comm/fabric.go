@@ -73,8 +73,7 @@
 // Every byte that crosses a link is counted, so tests can check it
 // against WireBytes, the volume the performance model prices — on a
 // framed transport (one whose payloads leave the process, e.g.
-// TCPFabric) including one self-describing quant frame header per
-// message.
+// TCPFabric) including one quant frame header per message.
 //
 // # Buffer ownership
 //
@@ -87,16 +86,19 @@
 // in-process receiver copies the message out of the sender's memory,
 // its one copy. Receives land where the caller says (Transport.RecvInto
 // takes header and payload apart), and a message of a size the caller
-// did not expect is an error before a byte of it is read. A placed
-// 32bit chunk is read straight into the tensor, its frame header
-// checked against the one its sender writes (quant.MatchHeader) — where
-// the host's float32 memory is the wire encoding (quant.FP32.View);
-// elsewhere, and for the other codecs, it is staged and decoded. A
-// receive-and-accumulate step stages the message in the rank's one
-// receive buffer and adds its values in place with the codec's
-// DecodeAdd, the bits of a decode followed by tensor.Add. A ring relay
-// forwards memory that stays put until the flush: the placed chunk, or
-// a receive buffer of the relayed chunk's own.
+// did not expect is an error before a byte of it is read. On a framed
+// transport every received frame header is checked, byte for byte,
+// against the one the receiver's own schedule compiled for that message
+// (quant.MatchHeader), and the payload is decoded with the receiver's
+// codec. A placed 32bit chunk is read straight into the tensor, its
+// header apart into the rank's one receive buffer — where the host's
+// float32 memory is the wire encoding (quant.FP32.View); elsewhere, and
+// for the other codecs, the whole message is staged in that buffer and
+// decoded. A receive-and-accumulate step adds its values in place with
+// the codec's DecodeAdd, the bits of a decode followed by tensor.Add. A
+// ring relay forwards the compiled header and memory that stays put
+// until the flush: the placed chunk, or a receive buffer of the relayed
+// chunk's own.
 package comm
 
 import (

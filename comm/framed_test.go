@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,6 +72,39 @@ func TestFramedWireNeedsNoSharedConfig(t *testing.T) {
 				t.Fatalf("%s: element %d: %v vs %v", name, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestFramedReceiveRejectsOtherCodec: two ranks configured apart — a
+// 200×1 tensor under qsgd4b512 on one, qsgd4b256 on the other, whose
+// messages are the same size — do not decode each other's payloads:
+// under either primitive a receiver's header check (quant.MatchHeader)
+// fails the exchange, naming both codecs, and the other rank returns at
+// once instead of waiting on it.
+func TestFramedReceiveRejectsOtherCodec(t *testing.T) {
+	shape := quant.Shape{Rows: 200, Cols: 1}
+	codecs := []quant.Codec{quant.MustParse("qsgd4b512"), quant.MustParse("qsgd4b256")}
+	if a, b := codecs[0].EncodedBytes(200, shape), codecs[1].EncodedBytes(200, shape); a != b {
+		t.Fatalf("payloads of %d and %d bytes: the size check alone would tell the codecs apart", a, b)
+	}
+	for _, prim := range []Primitive{MPI, NCCL} {
+		t.Run(prim.String(), func(t *testing.T) {
+			f, err := NewTCPFabric(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			ranks := make([]*Collective, 2)
+			for r, c := range codecs {
+				ranks[r] = NewCollective(f, prim, []TensorSpec{{Name: "w", N: 200, Wire: shape, Codec: c}}, 1, []int{r})
+			}
+			inputs := randInputs(rng.New(41), 2, []int{200})
+			_, err = exchangeRanks(f, func(r int, gs [][]float32) error { return ranks[r].ReduceAll(r, gs) }, inputs)
+			if err == nil || !strings.Contains(err.Error(), "frame of qsgd4b") ||
+				!strings.Contains(err.Error(), "qsgd4b512") || !strings.Contains(err.Error(), "qsgd4b256") {
+				t.Fatalf("exchange error %v, want a header mismatch naming qsgd4b512 and qsgd4b256", err)
+			}
+		})
 	}
 }
 

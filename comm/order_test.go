@@ -3,7 +3,6 @@ package comm
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/quant"
 	"repro/rng"
@@ -98,42 +97,6 @@ func orderShapes() []quant.Shape {
 	return shapes
 }
 
-// exchangeTimeout bounds one exchange in the order tests: a schedule
-// that deadlocks fails by it instead of hanging the suite.
-const exchangeTimeout = 20 * time.Second
-
-// runRanks runs exchange on k rank goroutines over a copy of inputs and
-// returns the results, failing the test on the first rank's error or on
-// a deadlock.
-func runRanks(t *testing.T, exchange exchangeFunc, inputs [][][]float32) [][][]float32 {
-	t.Helper()
-	k := len(inputs)
-	out := make([][][]float32, k)
-	type result struct {
-		rank int
-		err  error
-	}
-	done := make(chan result, k)
-	for r := range out {
-		for _, in := range inputs[r] {
-			out[r] = append(out[r], append([]float32(nil), in...))
-		}
-		go func(r int) { done <- result{r, exchange(r, out[r])} }(r)
-	}
-	timeout := time.After(exchangeTimeout)
-	for range out {
-		select {
-		case res := <-done:
-			if res.err != nil {
-				t.Fatalf("rank %d: %v", res.rank, res.err)
-			}
-		case <-timeout:
-			t.Fatalf("the exchange did not finish within %v: deadlock", exchangeTimeout)
-		}
-	}
-	return out
-}
-
 // linkTraffic is the payload bytes and messages each directed link of f
 // has carried.
 func linkTraffic(t *testing.T, f Transport) map[[2]int]PeerTraffic {
@@ -195,8 +158,8 @@ func TestReduceAllMatchesReduce(t *testing.T) {
 						each := NewCollective(fEach, prim, specs, 5, nil)
 						all := NewCollective(fAll, prim, specs, 5, nil)
 						for e, in := range exchanges {
-							want := runRanks(t, eachTensor(each), in)
-							got := runRanks(t, all.ReduceAll, in)
+							want := runRanks(t, fEach, eachTensor(each), in)
+							got := runRanks(t, fAll, all.ReduceAll, in)
 							for w := range got {
 								for ti := range got[w] {
 									if !equalF32(got[w][ti], want[w][ti]) {

@@ -208,15 +208,15 @@ func TestFabricSizeMismatch(t *testing.T) {
 // borrowed memory, the path TestSendBorrowsUntilFlush holds.
 func TestOneWritePerMessage(t *testing.T) {
 	const k = 3
-	for _, build := range []func(Transport) Reducer{
-		func(f Transport) Reducer {
+	for _, build := range []func(Transport) *Collective{
+		func(f Transport) *Collective {
 			specs := []TensorSpec{
 				{Name: "w", N: 3072, Wire: wireGoldenTensors[0], Codec: quant.MustParse("qsgd4b512")},
 				{Name: "b", N: 130, Wire: wireGoldenTensors[1], Codec: quant.MustParse("qsgd4b512")},
 			}
 			return NewReduceBroadcast(f, specs, 5)
 		},
-		func(f Transport) Reducer { return NewRing(f) },
+		func(f Transport) *Collective { return NewRing(f) },
 	} {
 		f, rec := recordedMesh(t, k)
 		red := build(f)

@@ -43,38 +43,13 @@ func (a *spanAcc) record(tr *obs.Tracer, rank int, op string, startNS int64) {
 }
 
 // endpoint is one rank's end of a collective's traffic: the traced send
-// of a message, and the traced receive of a message — decoded from a
-// staging buffer, or placed in the caller's floats. One goroutine's at
+// of a message, and the traced receive of a message — placed in the
+// caller's floats, or decoded from a staging buffer. One goroutine's at
 // a time.
 type endpoint struct {
 	fabric Transport
-	framed bool
 	buf    []byte   // staging buffer, grown to the largest message
 	acc    *spanAcc // the phase times of the tensor whose step runs
-}
-
-// inbound is what a rank knows of the messages one tensor arrives in:
-// enough to size the receive, and — for a framed transport, whose
-// messages describe themselves — a decoder of its own, which remembers
-// the codec this tensor's frames name however its neighbours are encoded.
-type inbound struct {
-	codec    quant.Codec
-	shape    quant.Shape
-	overhead int // the codec's frame header size
-	dec      quant.FrameDecoder
-}
-
-func newInbound(codec quant.Codec, shape quant.Shape) inbound {
-	return inbound{codec: codec, shape: shape, overhead: quant.FrameOverhead(codec.Name())}
-}
-
-// size returns the length of the message carrying n values.
-func (in *inbound) size(n int, framed bool) int {
-	size := in.codec.EncodedBytes(n, in.shape)
-	if framed {
-		size += in.overhead
-	}
-	return size
 }
 
 // send ships header followed by payload from -> to as one message.
@@ -88,51 +63,52 @@ func (e *endpoint) send(tr *obs.Tracer, header []byte, from, to int, payload []b
 	return err
 }
 
-// recv receives the message carrying len(dst) values of the tensor in
-// describes into buf — the staging buffer when buf is nil — decodes it
-// into dst — or, with add set, adds its values into dst
-// (quant.Codec.DecodeAdd) — and returns the message as it arrived.
-func (e *endpoint) recv(tr *obs.Tracer, in *inbound, buf []byte, from, to int, dst []float32, add bool) ([]byte, error) {
-	wire := buf
-	if wire == nil {
-		wire = e.staging(in.size(len(dst), e.framed))
-	}
+// recv receives the message carrying vals from -> to and requires its
+// frame header to be own.header (quant.MatchHeader). With own.place set
+// the payload lands straight in vals' memory, the header in the staging
+// buffer; otherwise the whole message lands in own.relay — the staging
+// buffer when nil — and its payload is decoded with spec's codec into
+// vals, or with add set added into vals (quant.Codec.DecodeAdd). It
+// returns the payload as it arrived.
+func (e *endpoint) recv(tr *obs.Tracer, spec TensorSpec, own *stepState, from, to int, vals []float32, add bool) ([]byte, error) {
+	h := len(own.header)
+	var msg, payload []byte
 	t0 := tr.Now()
-	if err := e.fabric.RecvInto(from, to, nil, wire); err != nil {
-		return nil, fmt.Errorf("recv: %w", err)
+	if own.place {
+		msg, payload = e.staging(h), fp32Bytes(vals)
+		if err := e.fabric.RecvInto(from, to, msg, payload); err != nil {
+			return nil, fmt.Errorf("recv: %w", err)
+		}
+	} else {
+		msg = own.relay
+		if msg == nil {
+			msg = e.staging(h + spec.Codec.EncodedBytes(len(vals), spec.Wire))
+		}
+		if err := e.fabric.RecvInto(from, to, nil, msg); err != nil {
+			return nil, fmt.Errorf("recv: %w", err)
+		}
+		msg, payload = msg[:h], msg[h:]
 	}
 	e.acc.transfer += tr.Now() - t0
-	e.acc.bytes += int64(len(wire))
+	e.acc.bytes += int64(h + len(payload))
+	if err := quant.MatchHeader(msg, own.header); err != nil {
+		return nil, err
+	}
+	if own.place {
+		return payload, nil
+	}
 	t0 = tr.Now()
 	var err error
-	switch {
-	case e.framed && add:
-		_, err = in.dec.DecodeAdd(wire, dst)
-	case e.framed:
-		_, err = in.dec.Decode(wire, dst)
-	case add:
-		err = in.codec.DecodeAdd(wire, len(dst), in.shape, dst)
-	default:
-		err = in.codec.Decode(wire, len(dst), in.shape, dst)
+	if add {
+		err = spec.Codec.DecodeAdd(payload, len(vals), spec.Wire, vals)
+	} else {
+		err = spec.Codec.Decode(payload, len(vals), spec.Wire, vals)
 	}
 	e.acc.decode += tr.Now() - t0
 	if err != nil {
 		return nil, fmt.Errorf("decode: %w", err)
 	}
-	return wire, nil
-}
-
-// place receives a 32bit message straight into payload, the values'
-// memory, and its frame header into the staging buffer, to be header.
-func (e *endpoint) place(tr *obs.Tracer, header []byte, from, to int, payload []byte) error {
-	got := e.staging(len(header))
-	t0 := tr.Now()
-	if err := e.fabric.RecvInto(from, to, got, payload); err != nil {
-		return fmt.Errorf("recv: %w", err)
-	}
-	e.acc.transfer += tr.Now() - t0
-	e.acc.bytes += int64(len(got) + len(payload))
-	return quant.MatchHeader(got, header)
+	return payload, nil
 }
 
 // staging returns the staging buffer cut to n bytes.

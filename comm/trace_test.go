@@ -145,10 +145,11 @@ func TestReduceAllSpansPerTensor(t *testing.T) {
 	specs := inventorySpecs([]quant.Shape{{Rows: 16, Cols: 8}, {Rows: 5, Cols: 1}, {Rows: 40, Cols: 4}}, "qsgd4b512+32bit")
 	inputs := randInputs(rng.New(8), k, []int{128, 5, 160})
 	bytes := func(exchange func(*Collective) exchangeFunc) map[string]int64 {
-		red := NewCollective(NewFabric(k), MPI, specs, 1, nil)
+		f := NewFabric(k)
+		red := NewCollective(f, MPI, specs, 1, nil)
 		tr := obs.NewTracer(1024)
 		red.SetTracer(tr)
-		runRanks(t, exchange(red), inputs)
+		runRanks(t, f, exchange(red), inputs)
 		got := map[string]int64{}
 		for _, s := range tr.Snapshot() {
 			if s.Phase == obs.PhaseTransfer {

@@ -76,10 +76,11 @@ type Transport interface {
 	// TotalMessages returns cumulative messages sent across all links.
 	TotalMessages() int64
 	// Framed reports whether payloads on this transport cross a process
-	// (or machine) boundary and must therefore be self-describing: when
-	// true, reducers send every payload behind its quant frame header
-	// (codec identity, shape, element count) so the receiving peer can
-	// decode with no out-of-band codec agreement. In-process transports
+	// (or machine) boundary: when true, reducers send every payload
+	// behind its quant frame header (codec identity, shape, element
+	// count), and every receiver checks that header against the one its
+	// own configuration predicts, so peers that were configured apart
+	// fail instead of misreading each other. In-process transports
 	// return false and carry bare payloads.
 	Framed() bool
 }

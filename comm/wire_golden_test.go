@@ -81,7 +81,7 @@ var wireGoldenTensors = []quant.Shape{{Rows: 64, Cols: 48}, {Rows: 130, Cols: 1}
 
 // wireStreams runs two fixed-seed exchanges over a recorded mesh and
 // returns the digest of every directed link's byte stream.
-func wireStreams(t *testing.T, label string, k int, build func(Transport) Reducer) map[string]string {
+func wireStreams(t *testing.T, label string, k int, build func(Transport) *Collective) map[string]string {
 	t.Helper()
 	f, rec := recordedMesh(t, k)
 	red := build(f)
@@ -121,14 +121,14 @@ func TestWireGolden(t *testing.T) {
 		for i, s := range wireGoldenTensors {
 			specs[i] = TensorSpec{Name: fmt.Sprintf("t%d", i), N: s.Len(), Wire: s, Codec: codec}
 		}
-		streams := wireStreams(t, "rb/"+name, 3, func(f Transport) Reducer {
+		streams := wireStreams(t, "rb/"+name, 3, func(f Transport) *Collective {
 			return NewReduceBroadcast(f, specs, 7)
 		})
 		for key, sum := range streams {
 			got[key] = sum
 		}
 	}
-	for key, sum := range wireStreams(t, "ring", 4, func(f Transport) Reducer { return NewRing(f) }) {
+	for key, sum := range wireStreams(t, "ring", 4, func(f Transport) *Collective { return NewRing(f) }) {
 		got[key] = sum
 	}
 

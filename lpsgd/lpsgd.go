@@ -22,8 +22,9 @@
 // Codec names go through quant.Parse, which derives bits, bucket size,
 // normalisation and level scheme from the name itself ("qsgd4b512",
 // "1bit*64", "topk0.01", ...). Over the TCP transport every gradient
-// message is a self-describing quant frame, so peers decode with no
-// out-of-band codec agreement.
+// message is a quant frame whose header every receiver checks against
+// the one its own plan predicts, so peers configured apart fail
+// instead of misreading each other.
 //
 // Training can also span OS processes and machines. Membership belongs
 // to repro/cluster: each rank describes its rendezvous once, as a

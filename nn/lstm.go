@@ -60,9 +60,6 @@ func NewLSTM(name string, t, d, h int, r *rng.RNG) *LSTM {
 	return l
 }
 
-// HiddenSize returns H.
-func (l *LSTM) HiddenSize() int { return l.h }
-
 // Name implements Layer.
 func (l *LSTM) Name() string { return l.name }
 

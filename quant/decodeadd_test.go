@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -150,43 +149,6 @@ func TestDecodeAddKeepsAccumulatorNaN(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestFrameDecoderDecodeAdd: a frame decodes-and-adds to what
-// FrameDecoder.Decode plus tensor.Add give, and a frame for another
-// element count fails with the accumulator untouched.
-func TestFrameDecoderDecodeAdd(t *testing.T) {
-	r := rng.New(13)
-	for _, c := range slices.Concat(PaperCodecs(), ExtensionCodecs()) {
-		shape := Shape{Rows: 17, Cols: 31}
-		n := shape.Len()
-		var buf bytes.Buffer
-		if _, err := c.NewEncoder(n, shape, 1).EncodeTo(&buf, randVec(r, n)); err != nil {
-			t.Fatal(err)
-		}
-		acc := randVec(r, n)
-		var fd FrameDecoder
-		dec := make([]float32, n)
-		if _, err := fd.Decode(buf.Bytes(), dec); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		want := slices.Clone(acc)
-		tensor.Add(want, dec)
-		got := slices.Clone(acc)
-		h, err := fd.DecodeAdd(buf.Bytes(), got)
-		if err != nil || h.N != n || h.Codec != c.Name() {
-			t.Fatalf("%s: DecodeAdd header %+v, error %v", c.Name(), h, err)
-		}
-		for i := range got {
-			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("%s: element %d is %v after DecodeAdd, %v after Decode+Add", c.Name(), i, got[i], want[i])
-			}
-		}
-		short := slices.Clone(acc[:n-1])
-		if _, err := fd.DecodeAdd(buf.Bytes(), short); err == nil || !slices.Equal(short, acc[:n-1]) {
-			t.Fatalf("%s: DecodeAdd into %d of %d elements: error %v, accumulator changed %v", c.Name(), n-1, n, err, !slices.Equal(short, acc[:n-1]))
-		}
-	}
 }
 
 // TestDecodeAddAllocs: DecodeAdd allocates nothing, on any codec.

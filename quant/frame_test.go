@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/rng"
 )
 
@@ -66,14 +67,15 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 		}
 
-		// DecodeFramed into a caller buffer agrees and surfaces the header.
-		dst := make([]float32, n)
-		h, err := DecodeFramed(buf.Bytes(), dst)
-		if err != nil {
-			t.Fatalf("%s: DecodeFramed: %v", c.Name(), err)
+		// The frame opens with the constant header a receiver that knows
+		// (codec, n, shape) expects, and that header describes it.
+		hdr := FrameHeader(c, n, shape)
+		if err := MatchHeader(buf.Bytes()[:len(hdr)], hdr); err != nil {
+			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		if h.Codec != c.Name() || h.N != n || h.Shape != shape || h.Version != FrameVersion {
-			t.Fatalf("%s: header %+v does not describe the frame", c.Name(), h)
+		d := wire.NewBytes(frameFormat, hdr)
+		if h := readHeader(&d); d.Err() != nil || h != (header{c.Name(), shape, n, c.EncodedBytes(n, shape)}) {
+			t.Fatalf("%s: header %+v (%v) does not describe the frame", c.Name(), h, d.Err())
 		}
 	}
 }
@@ -174,58 +176,36 @@ func TestDecodeAnyCapsElementCount(t *testing.T) {
 		MaxFrameElements+1, 4*(MaxFrameElements+1))
 }
 
-// TestFrameDecoderMatchesDecodeFramed: a FrameDecoder that has already
-// resolved a codec must accept and reject exactly what the stateless
-// DecodeFramed does — its memory is only ever a shortcut past Parse.
-// Every corruption of TestDecodeAnyRejectsBadFrames is replayed against
-// a decoder primed with the valid frame's codec, frames of other codecs
-// interleave, and the steady state allocates nothing.
-func TestFrameDecoderMatchesDecodeFramed(t *testing.T) {
-	shape := Shape{Rows: 8, Cols: 8}
-	n := shape.Len()
-	frames := map[string][]byte{}
-	for _, name := range []string{"qsgd4b512", "qsgd8b512", "1bit"} {
-		var buf bytes.Buffer
-		if _, err := MustParse(name).NewEncoder(n, shape, 1).EncodeTo(&buf, frameVec(n, 3)); err != nil {
-			t.Fatal(err)
-		}
-		frames[name] = buf.Bytes()
+// TestMatchHeader: a received header passes only as the very bytes the
+// receiver expects. Headers of equal length that differ in codec,
+// count, shape or payload fail with both sides described; a cut header
+// fails naming the field the cut falls in.
+func TestMatchHeader(t *testing.T) {
+	shape := Shape{Rows: 200, Cols: 1}
+	want := FrameHeader(MustParse("qsgd4b512"), 200, shape)
+	if err := MatchHeader(want, want); err != nil {
+		t.Fatalf("the expected header fails: %v", err)
 	}
-	valid := frames["qsgd4b512"]
-	nameEnd := 6 + len("qsgd4b512")
-	mutations := [][]byte{valid, frames["1bit"], frames["qsgd8b512"], {}, valid[:3], valid[:nameEnd-2], valid[:nameEnd+5]}
-	for i := 0; i < len(valid); i += 3 {
-		b := append([]byte(nil), valid...)
-		b[i] ^= 0x41
-		mutations = append(mutations, b, valid[:i])
-	}
-	var primed FrameDecoder
-	for _, wire := range mutations {
-		want, got := make([]float32, n), make([]float32, n)
-		wantH, wantErr := DecodeFramed(wire, want)
-		if _, err := primed.Decode(valid, make([]float32, n)); err != nil {
-			t.Fatalf("priming decode: %v", err)
+	for _, tc := range []struct {
+		got  []byte
+		says []string
+	}{
+		{FrameHeader(MustParse("qsgd4b256"), 200, shape), []string{"qsgd4b256", "want qsgd4b512"}},
+		{FrameHeader(MustParse("qsgd4b512"), 199, shape), []string{"n=199", "want qsgd4b512 n=200"}},
+		{FrameHeader(MustParse("qsgd4b512"), 200, Shape{Rows: 100, Cols: 2}), []string{"shape=100x2"}},
+		{FrameHeader(MustParse("qsgd8b512"), 200, shape), []string{"qsgd8b512", "payload=", "want qsgd4b512"}},
+		{want[:len(want)-3], []string{"payload length"}},
+		{append(append([]byte(nil), want[:6]...), "qsgd3b512"...), []string{"shape rows"}},
+	} {
+		err := MatchHeader(tc.got, want)
+		if err == nil {
+			t.Fatalf("header %x passes as %x", tc.got, want)
 		}
-		gotH, gotErr := primed.Decode(wire, got)
-		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
-			t.Fatalf("frame %x: primed decoder says %v, DecodeFramed %v", wire, gotErr, wantErr)
-		}
-		if gotH != wantH {
-			t.Fatalf("frame %x: primed decoder header %+v, DecodeFramed %+v", wire, gotH, wantH)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("frame %x: element %d: %v vs %v", wire, j, got[j], want[j])
+		for _, s := range tc.says {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("header %x: error %q does not say %q", tc.got, err, s)
 			}
 		}
-	}
-	dst := make([]float32, n)
-	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := primed.Decode(valid, dst); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("decoding a frame of the remembered codec allocates %v times, want 0", allocs)
 	}
 }
 
@@ -248,8 +228,8 @@ func FuzzDecodeAny(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
-	// Seeds for the remembered-codec path of FrameDecoder: the codec it
-	// is primed with below, valid, with a lying length, and renamed.
+	// A valid frame, the same with a lying count, and renamed to a codec
+	// of the same name length but another payload size.
 	var primer bytes.Buffer
 	if _, err := NewQSGD(4, 16, MaxNorm).NewEncoder(n, shape, 6).EncodeTo(&primer, src); err != nil {
 		f.Fatal(err)
@@ -267,25 +247,6 @@ func FuzzDecodeAny(f *testing.F) {
 			// A valid frame must at least re-serialise consistently.
 			if len(vals) > MaxFrameElements {
 				t.Fatalf("decoded %d elements above cap", len(vals))
-			}
-		}
-		// A FrameDecoder that remembers another frame's codec must
-		// agree with the stateless DecodeFramed on every input.
-		if h, herr := ReadHeader(bytes.NewReader(data)); herr == nil && h.N <= 1<<16 {
-			var primed FrameDecoder
-			if _, err := primed.Decode(primer.Bytes(), make([]float32, n)); err != nil {
-				t.Fatalf("priming decode: %v", err)
-			}
-			want, got := make([]float32, h.N), make([]float32, h.N)
-			_, wantErr := DecodeFramed(data, want)
-			_, gotErr := primed.Decode(data, got)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("primed FrameDecoder says %v, DecodeFramed %v", gotErr, wantErr)
-			}
-			for i := range want {
-				if wantErr == nil && math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("element %d: primed FrameDecoder %v, DecodeFramed %v", i, got[i], want[i])
-				}
 			}
 		}
 		// Truncations of valid frames must also never panic.

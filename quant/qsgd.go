@@ -161,9 +161,6 @@ func NewQSGDScheme(bits, bucket int, norm Norm, scheme Scheme) QSGD {
 	return QSGD{bits: bits, bucket: bucket, norm: norm, scheme: scheme}
 }
 
-// Bits returns the per-component wire width, including the sign bit.
-func (q QSGD) Bits() int { return q.bits }
-
 // Bucket returns the bucket size.
 func (q QSGD) Bucket() int { return q.bucket }
 

@@ -31,8 +31,11 @@
 // name and round-trips Codec.Name(). Each encoder can also emit a
 // self-describing framed message (EncodeTo) carrying a versioned
 // header — magic, format version, codec name, shape, element count —
-// that DecodeAny reconstructs without any shared configuration; see
-// frame.go.
+// that DecodeAny reconstructs without any shared configuration. A
+// receiver that shares the configuration — a comm rank, which compiles
+// the same Plan as its peers — instead holds the FrameHeader it expects,
+// checks each received header against it (MatchHeader) and decodes the
+// payload with its own codec; see frame.go.
 //
 // Products that feed an addition are rounded explicitly (float64(...))
 // so that arm64 does not fuse them into an FMA: encoders must pick the
@@ -111,17 +114,11 @@ type Encoder interface {
 	// slice already is its wire form), valid until src is next written.
 	Encode(src []float32) []byte
 
-	// Header returns the encoder's frame header: Header followed by the
-	// Encode payload is one self-describing frame. An encoder is bound
-	// to one (codec, n, shape) triple, so the header is a constant,
-	// shared and read-only.
-	Header() []byte
-
 	// EncodeTo quantises src and writes one self-describing frame —
-	// Header plus the Encode payload — to w in a single Write, advancing
-	// any error-feedback or RNG state exactly as one Encode call would.
-	// The frame decodes with DecodeAny or DecodeFramed on a peer that
-	// shares no configuration. It reports the bytes written.
+	// FrameHeader plus the Encode payload — to w in a single Write,
+	// advancing any error-feedback or RNG state exactly as one Encode
+	// call would. The frame decodes with DecodeAny on a peer that shares
+	// no configuration. It reports the bytes written.
 	EncodeTo(w io.Writer, src []float32) (int, error)
 }
 

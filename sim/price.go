@@ -84,14 +84,6 @@ type Result struct {
 // EpochHours returns the epoch time in hours (the unit of Figures 6–9).
 func (r Result) EpochHours() float64 { return r.EpochSec / 3600 }
 
-// CommFraction returns the share of iteration time spent communicating.
-func (r Result) CommFraction() float64 {
-	if r.IterSec == 0 {
-		return 0
-	}
-	return r.CommSec / r.IterSec
-}
-
 // Run prices one configuration.
 func Run(cfg Config) (Result, error) {
 	net, m := cfg.Network, cfg.Machine

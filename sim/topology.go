@@ -49,14 +49,6 @@ type Topology struct {
 	Pairs []PairLink `json:"pairs,omitempty"`
 }
 
-// Host returns the host index of a rank.
-func (t *Topology) Host(rank int) int {
-	if t.RanksPerHost <= 0 {
-		return 0
-	}
-	return rank / t.RanksPerHost
-}
-
 // hosts returns the number of hosts a k-rank world occupies.
 func (t *Topology) hosts(k int) int {
 	if t.RanksPerHost <= 0 || t.RanksPerHost >= k {

@@ -186,13 +186,6 @@ func (m *Matrix) Fill(v float32) {
 // its data, as the package-level FillNorm does.
 func (m *Matrix) FillNorm(r *rng.RNG, std float32) { FillNorm(m.Data, r, std) }
 
-// FillUniform fills m with draws from U[-a, a) using r.
-func (m *Matrix) FillUniform(r *rng.RNG, a float32) {
-	for i := range m.Data {
-		m.Data[i] = (r.Float32()*2 - 1) * a
-	}
-}
-
 // Scale multiplies every element by a (the vector kernel Scale).
 func (m *Matrix) Scale(a float32) { Scale(m.Data, a) }
 
